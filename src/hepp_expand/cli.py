@@ -132,6 +132,8 @@ def cmd_oracle(scenario: Scenario, args) -> tuple[int, dict]:
     h = scenario.hamiltonian()
     b = scenario.observable()
     m = b.degree()
+    if scenario.n_max < m:
+        raise ScenarioError(f"fock.n_max {scenario.n_max} is below the observable's degree {m}")
     space = FockSpace(scenario.dim, scenario.n_max, scenario.epsilon)
     trusted = max(0, scenario.n_max - m - 4)
     report["trusted_block"] = trusted

@@ -40,13 +40,6 @@ class ExpansionResult:
         self.terms = list(terms)
         self.quad_spec = quad_spec or {}
 
-    def term(self, k: int) -> PolySymbol:
-        return self.terms[k]
-
-    @property
-    def orders(self):
-        return list(range(len(self.terms)))
-
     def assembled(self, epsilon: float = None) -> PolySymbol:
         eps = self.epsilon if epsilon is None else epsilon
         out = PolySymbol.zero(self.terms[0].dim)

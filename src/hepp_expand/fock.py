@@ -7,9 +7,18 @@ normalization.  Operators are stored as one dense matrix over the
 truncated direct sum with sector block views.
 
 Quantization of a plain monomial conj(z)^m z^n is the normally ordered
-ladder product eps^((|m|+|n|)/2) prod a_i^dag^{m_i} prod a_i^{n_i};
-a slow reference route through explicit symmetrizers validates this
-fast path on tiny sectors (see ``wick_quantize_slow``).
+ladder product eps^((|m|+|n|)/2) prod a_i^dag^{m_i} prod a_i^{n_i}.
+That product is a ladder map with at most one nonzero per column
+(``sectors.ladder_entries``), scattered straight into the quantized
+matrix; a slow reference route through explicit symmetrizers validates
+this fast path on tiny sectors (see ``wick_quantize_slow``).
+
+The quantum flow uses the same ladder maps for its pair generator: a
+CSR matrix with a pattern fixed per run, whose data at time t is the
+pattern values times d(d+1) pair coefficients.  The generator changes
+the particle number by 2, so the even and odd sectors evolve as two
+separate dense blocks of U, joined into the full matrix only at the
+stored times.
 """
 
 from __future__ import annotations
@@ -17,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import sectors as sec
 from .errors import DimensionMismatchError, LeakageError
@@ -39,7 +47,6 @@ class FockSpace:
         self.sector_dims = [sec.sector_dim(dim, n) for n in range(n_max + 1)]
         self.offsets = np.concatenate([[0], np.cumsum(self.sector_dims)])
         self.total_dim = int(self.offsets[-1])
-        self._ladder_cache = {}
 
     def sector_slice(self, n: int) -> slice:
         return slice(int(self.offsets[n]), int(self.offsets[n + 1]))
@@ -58,28 +65,9 @@ class FockSpace:
     def ladder_product(self, m_occ, n_occ) -> np.ndarray:
         """Dense matrix of prod_i a_i^dag^{m_i} prod_i a_i^{n_i}
         (no epsilon factor) on the truncated space."""
-        key = (tuple(m_occ), tuple(n_occ))
-        if key in self._ladder_cache:
-            return self._ladder_cache[key]
-        p, q = sum(key[1]), sum(key[0])
+        rows, cols, values = sec.ladder_entries(self.dim, self.n_max, m_occ, n_occ)
         out = np.zeros((self.total_dim, self.total_dim), dtype=complex)
-        for n_in in range(p, self.n_max + 1):
-            n_out = n_in - p + q
-            if n_out > self.n_max:
-                continue
-            blk = np.eye(self.sector_dims[n_in], dtype=complex)
-            cur = n_in
-            for i, reps in enumerate(key[1]):
-                for _ in range(int(reps)):
-                    blk = sec.annihilators(self.dim, cur)[i] @ blk
-                    cur -= 1
-            for i, reps in enumerate(key[0]):
-                for _ in range(int(reps)):
-                    blk = sec.creators(self.dim, cur)[i] @ blk
-                    cur += 1
-            out[self.sector_slice(n_out), self.sector_slice(n_in)] = blk
-        out.setflags(write=False)
-        self._ladder_cache[key] = out
+        out[rows, cols] = values
         return out
 
     def random_state(self, rng: np.random.Generator, n_top: int) -> np.ndarray:
@@ -152,10 +140,6 @@ class FockOperator:
         s = self.space.span_slice(n_trust)
         return float(np.abs(self.matrix[s, s] - other.matrix[s, s]).max())
 
-    def restricted_norm(self, n_top: int) -> float:
-        s = self.space.span_slice(n_top)
-        return float(np.linalg.norm(self.matrix[s, s], 2))
-
     def __repr__(self):
         return f"FockOperator(dim={self.space.dim}, n_max={self.space.n_max})"
 
@@ -182,7 +166,9 @@ def wick_quantize(b: PolySymbol, space: FockSpace) -> FockOperator:
             for ni in range(coeffs.shape[1]):
                 val = coeffs[mi, ni]
                 if val != 0:
-                    out += (val * scale) * space.ladder_product(occ_q[mi], occ_p[ni])
+                    rows, cols, values = sec.ladder_entries(
+                        space.dim, space.n_max, occ_q[mi], occ_p[ni])
+                    out[rows, cols] += (val * scale) * values
     return FockOperator(space, out)
 
 
@@ -214,6 +200,8 @@ def wick_quantize_slow(b: PolySymbol, space: FockSpace) -> FockOperator:
 
 def field_and_weyl(xi, space: FockSpace):
     """Field operator of sqrt(2) Re<z, xi> and its Weyl exponential."""
+    from scipy.linalg import expm
+
     xi = np.asarray(xi, dtype=complex)
     phi = wick_quantize(preset_symbol("field", space.dim, xi=xi), space)
     weyl = FockOperator(space, expm(1j * phi.matrix))
@@ -280,10 +268,14 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace,
 
     Runs the beta-only generator (rotated by u_alpha when alpha is
     present) and composes with the second-quantized unitary path at the
-    stored times.  Leakage of trusted-sector columns into the top two
-    sectors is recorded each step and aborts the run above the
-    threshold.
+    stored times.  The generator is evaluated once per distinct time,
+    at the grid points and the step midpoints, and applied to the even-
+    and odd-sector blocks of U separately.  Leakage of trusted-sector
+    columns into the top two sectors is recorded each step and aborts
+    the run above the threshold.
     """
+    from scipy import sparse
+
     if hamiltonian.dim != space.dim:
         raise DimensionMismatchError(f"dim {hamiltonian.dim} vs {space.dim}")
     t0 = hamiltonian.t_start
@@ -305,49 +297,43 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace,
     has_alpha = not hamiltonian.alpha.is_zero()
     u_path = integrate_u_alpha(hamiltonian) if has_alpha else None
 
-    dim = space.dim
-    pair_ops = {}
-    for kappa in sec.occupations(dim, 2):
-        pair_ops[kappa] = space.ladder_product((0,) * dim, kappa)
-    pair_list = []
-    for a in range(dim):
-        for b in range(dim):
-            kap = [0] * dim
-            kap[a] += 1
-            kap[b] += 1
-            pair_list.append((a, b, pair_ops[tuple(kap)]))
-
-    def generator(t):
-        beta = hamiltonian.beta_matrix(t)
-        if has_alpha:
-            u = u_path.at(t)
-            beta = u.conj().T @ beta @ np.conj(u)
-        g = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-        for a, b, pab in pair_list:
-            if beta[a, b] != 0:
-                g += np.conj(beta[a, b]) * pab
-        return -0.5 * (g - g.conj().T)
-
     if trusted_n is None:
         trusted_n = space.n_max - 4
     trusted_n = max(0, min(trusted_n, space.n_max))
-    top_lo = int(space.offsets[max(space.n_max - 1, 0)])
-    trusted_hi = int(space.offsets[trusted_n + 1])
+    blocks = _parity_blocks(space, trusted_n)
+    coefficients = _pair_coefficients(hamiltonian, u_path)
 
-    u_mat = np.eye(space.total_dim, dtype=complex)
+    def generator(t, into):
+        # refill a fixed-pattern CSR set in place; only its data depends on t
+        c = coefficients(t)
+        for mat, blk in zip(into, blocks):
+            np.multiply(blk.values, c[blk.term], out=mat.data)
+
+    g_now, g_mid, g_next = (
+        [sparse.csr_matrix((np.zeros(len(blk.values), dtype=complex), blk.indices, blk.indptr),
+                           shape=blk.shape) for blk in blocks] for _ in range(3))
+
+    us = [np.eye(len(blk.states), dtype=complex) for blk in blocks]
     leak = np.zeros(n_steps + 1)
     stored = {}
     if 0 in store_idx:
-        stored[0] = u_mat.copy()
+        stored[0] = _assemble(space, blocks, us)
+    generator(grid[0], g_now)
     for k in range(n_steps):
         t = grid[k]
         h = grid[k + 1] - t
-        k1 = generator(t) @ u_mat
-        k2 = generator(t + h / 2) @ (u_mat + h / 2 * k1)
-        k3 = generator(t + h / 2) @ (u_mat + h / 2 * k2)
-        k4 = generator(t + h) @ (u_mat + h * k3)
-        u_mat = u_mat + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        leak[k + 1] = np.linalg.norm(u_mat[top_lo:, :trusted_hi], 2)
+        generator(t + h / 2, g_mid)
+        generator(grid[k + 1], g_next)
+        for b, u in enumerate(us):
+            k1 = g_now[b] @ u
+            k2 = g_mid[b] @ (u + h / 2 * k1)
+            k3 = g_mid[b] @ (u + h / 2 * k2)
+            k4 = g_next[b] @ (u + h * k3)
+            us[b] = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        g_now, g_next = g_next, g_now
+        # the leaked block is block-diagonal in parity: its 2-norm is the
+        # larger of the two block norms
+        leak[k + 1] = max(blk.leakage(u) for blk, u in zip(blocks, us))
         if leak[k + 1] > leak_threshold:
             raise LeakageError(
                 f"top-sector leakage {leak[k + 1]:.3e} exceeded {leak_threshold:.1e} "
@@ -355,7 +341,7 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace,
                 diagnostics={"t": float(grid[k + 1]), "leakage": float(leak[k + 1]),
                              "n_max": space.n_max, "trusted_n": trusted_n})
         if k + 1 in store_idx:
-            stored[k + 1] = u_mat.copy()
+            stored[k + 1] = _assemble(space, blocks, us)
 
     times, ops = [], []
     for k in sorted(stored):
@@ -366,6 +352,95 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace,
         times.append(float(t))
         ops.append(FockOperator(space, full))
     return QuantumFlowResult(space, times, ops, leak, trusted_n, leak_threshold)
+
+
+class _ParityBlock:
+    """States of one particle-number parity, with the pair generator's
+    fixed CSR pattern on them.
+
+    Entry j of the pattern carries values[j] times the pair coefficient
+    number term[j]; within the block, states keep their direct-sum order,
+    so the trusted columns are a prefix and the top-sector rows a suffix.
+    """
+
+    def __init__(self, states, rows, cols, values, term, top_lo, trusted_hi):
+        self.states = states
+        n = len(states)
+        local = np.empty(states.max() + 1, dtype=np.int64)
+        local[states] = np.arange(n)
+        rows, cols = local[rows], local[cols]
+        order = np.lexsort((cols, rows))
+        self.indices = cols[order]
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        self.values = values[order]
+        self.term = term[order]
+        self.shape = (n, n)
+        self.top_lo = top_lo
+        self.trusted_hi = trusted_hi
+
+    def leakage(self, u) -> float:
+        leaked = u[self.top_lo:, :self.trusted_hi]
+        return float(np.linalg.norm(leaked, 2)) if leaked.size else 0.0
+
+
+def _parity_blocks(space: FockSpace, trusted_n: int) -> list:
+    """Even- and odd-sector blocks of the pair generator on the space.
+
+    Pair terms change the particle number by 2, so no entry couples the
+    two parities.  Term k < P (P pair occupations) is the annihilator
+    a^kappa_k, term P + k its adjoint.
+    """
+    pairs = sec.occupations(space.dim, 2)
+    zero = (0,) * space.dim
+    rows, cols, values, term = [], [], [], []
+    for k, kappa in enumerate(pairs):
+        r, c, v = sec.ladder_entries(space.dim, space.n_max, zero, kappa)
+        rows += [r, c]
+        cols += [c, r]
+        values += [v, v]
+        term += [np.full(len(v), k), np.full(len(v), len(pairs) + k)]
+    rows, cols, values, term = map(np.concatenate, (rows, cols, values, term))
+    number = space.number_values()
+    top = max(space.n_max - 1, 0)
+    blocks = []
+    for parity in (0, 1):
+        states = np.flatnonzero(number % 2 == parity)
+        if not len(states):
+            continue
+        mine = number[rows] % 2 == parity
+        blocks.append(_ParityBlock(
+            states, rows[mine], cols[mine], values[mine], term[mine],
+            top_lo=int(np.count_nonzero(number[states] < top)),
+            trusted_hi=int(np.count_nonzero(number[states] <= trusted_n))))
+    return blocks
+
+
+def _pair_coefficients(hamiltonian: QuadraticHamiltonian, u_path):
+    """t -> coefficients of the generator -(1/2)(g - g^dag), where
+    g = sum_ab conj(beta_ab) a_a a_b and beta is rotated by u_alpha(t)
+    when alpha is present; ordered as the terms of `_parity_blocks`."""
+    pairs = sec.occupations(hamiltonian.dim, 2)
+    ia, ib = np.array([[i for i, k in enumerate(kappa) for _ in range(k)]
+                       for kappa in pairs]).reshape(len(pairs), 2).T
+    # a != b: a_a a_b = a_b a_a collects beta_ab and beta_ba
+    weight = np.where(ia == ib, 0.5, 1.0)
+
+    def coefficients(t):
+        beta = hamiltonian.beta_matrix(t)
+        if u_path is not None:
+            u = u_path.at(t)
+            beta = u.conj().T @ beta @ np.conj(u)
+        w = weight * np.conj(beta[ia, ib] + beta[ib, ia])
+        return np.concatenate([-0.5 * w, 0.5 * np.conj(w)])
+
+    return coefficients
+
+
+def _assemble(space: FockSpace, blocks, us) -> np.ndarray:
+    full = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    for blk, u in zip(blocks, us):
+        full[np.ix_(blk.states, blk.states)] = u
+    return full
 
 
 def conjugate_observable(qflow: QuantumFlowResult, b: PolySymbol,

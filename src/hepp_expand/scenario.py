@@ -109,6 +109,9 @@ class Scenario:
         tol = dict(_DEFAULT_TOLERANCES)
         tol.update(data.get("tolerances", {}))
         fock = data.get("fock", {})
+        n_max = fock.get("n_max", 16)
+        if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
+            raise ScenarioError(f"fock.n_max must be a non-negative integer, got {n_max!r}")
         quad = data.get("quad", {})
         return cls(
             dim=dim,
@@ -118,7 +121,7 @@ class Scenario:
             alpha_spec=data.get("alpha"),
             beta_spec=data.get("beta"),
             observable_spec=data.get("observable"),
-            n_max=int(fock.get("n_max", 16)),
+            n_max=n_max,
             quad_nodes=int(quad.get("nodes", 16)),
             tolerances=tol,
             seed=int(data.get("seed", 0)),

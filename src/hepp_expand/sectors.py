@@ -139,15 +139,6 @@ def annihilation_field(z: np.ndarray, n: int) -> np.ndarray:
     return sum(np.conj(z[i]) * downs[i] for i in range(dim))
 
 
-def sym_power_coords(z: np.ndarray, n: int) -> np.ndarray:
-    """Coordinates of z^(vee n) in the occupation basis:
-    <kappa|z^(vee n)> = sqrt(n!/kappa!) z^kappa."""
-    dim = len(z)
-    occ = occupation_array(dim, n)
-    mono = np.prod(np.asarray(z, dtype=complex)[None, :] ** occ, axis=1)
-    return coeff_scale(dim, n) * mono
-
-
 @lru_cache(maxsize=None)
 def raise_map(dim: int, n: int, i: int) -> np.ndarray:
     """Index array: position of kappa + delta_i in sector n+1, per kappa."""
@@ -158,6 +149,48 @@ def raise_map(dim: int, n: int, i: int) -> np.ndarray:
         hi[i] += 1
         out[k] = idx_hi[tuple(hi)]
     return _frozen(out)
+
+
+@lru_cache(maxsize=None)
+def _direct_sum_tables(dim: int, n_max: int):
+    """Occupations of sectors 0..n_max stacked in direct-sum order, and per
+    mode i the direct-sum position of kappa + delta_i for every kappa below
+    the top sector."""
+    offsets = np.cumsum([0] + [sector_dim(dim, n) for n in range(n_max + 1)])
+    occ = np.concatenate([occupation_array(dim, n) for n in range(n_max + 1)])
+    up = np.zeros((dim, offsets[n_max]), dtype=np.int64)
+    for i in range(dim):
+        for n in range(n_max):
+            up[i, offsets[n]:offsets[n + 1]] = raise_map(dim, n, i) + offsets[n + 1]
+    return _frozen(occ), _frozen(up)
+
+
+def ladder_entries(dim: int, n_max: int, mu, kappa):
+    """Nonzeros of prod_i a_i^dag^{mu_i} prod_i a_i^{kappa_i} on sectors 0..n_max.
+
+    The product sends |r + kappa> to sqrt((r+kappa)!/r!) sqrt((r+mu)!/r!)
+    |r + mu>, so every column holds at most one entry.  Returns
+    (rows, cols, values) as positions in the direct sum of the sectors;
+    the values are products of integer square roots taken in the order
+    the ladder operators act, with no epsilon factor.
+    """
+    top = n_max - max(sum(mu), sum(kappa))
+    if top < 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+    occ, up = _direct_sum_tables(dim, n_max)
+    # residues r fill exactly the sectors 0..top, a prefix of the direct sum
+    res = occ[:sector_dim(dim + 1, top)]
+    rows = cols = np.arange(res.shape[0])
+    values = np.ones(res.shape[0])
+    for i in range(dim):
+        for j in range(int(kappa[i])):
+            cols = up[i, cols]
+            values = values * np.sqrt(res[:, i] + kappa[i] - j)
+    for i in range(dim):
+        for j in range(int(mu[i])):
+            rows = up[i, rows]
+            values = values * np.sqrt(res[:, i] + j + 1)
+    return rows, cols, values
 
 
 @lru_cache(maxsize=None)

@@ -208,11 +208,6 @@ class PolySymbol:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def prune(self, tol: float) -> "PolySymbol":
-        """Drop terms whose coefficients are all below tol in modulus."""
-        return PolySymbol(self.dim, {k: a for k, a in self.terms.items()
-                                     if np.abs(a).max() > tol})
-
     # -- algebra ------------------------------------------------------------
 
     def _check_dim(self, other):

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .expansions import Lambda_of_map
 from .fock import FockOperator, FockSpace, gamma_u, wick_quantize
@@ -66,6 +65,8 @@ def bogoliubov_implementer(t_map, space: FockSpace) -> FockOperator:
     Accepts an RLinearMap (decomposed internally) or a ready
     SymplectoDecomposition.
     """
+    from scipy.linalg import expm
+
     if isinstance(t_map, SymplectoDecomposition):
         dec = t_map
     else:

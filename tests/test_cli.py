@@ -157,6 +157,16 @@ class TestOracleCommand:
         assert "leakage" in report["error"]
         assert report["diagnostics"]["n_max"] == 8
 
+    @pytest.mark.parametrize("n_max", [-3, 2.5, 1], ids=["negative", "non-integer",
+                                                         "below-degree"])
+    def test_bad_n_max_exit_two(self, tmp_path, capsys, n_max):
+        with open(os.path.join(REPO, "demos", "scenarios", "oracle-im-z2.json")) as fh:
+            data = json.load(fh)
+        data["fock"]["n_max"] = n_max
+        assert main(["oracle", write_scenario(tmp_path, data)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "n_max" in err and len(err.splitlines()) == 1
+
 
 class TestEstimatesCommand:
     def test_rows_pass(self, tmp_path, capsys):
@@ -217,3 +227,14 @@ def test_out_file_written(tmp_path):
     assert main(["flow", path, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["schema_version"] == 1
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only by the functions that need it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hepp_expand, hepp_expand.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

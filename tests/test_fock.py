@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.linalg import expm
 import hepp_expand.sectors as sec
 from hepp_expand.errors import LeakageError
 from hepp_expand.expansions import exp_expand
-from hepp_expand.flow import QuadraticHamiltonian, integrate_flow
+from hepp_expand.flow import QuadraticHamiltonian, integrate_flow, integrate_u_alpha
 from hepp_expand.fock import (
     FockOperator,
     FockSpace,
@@ -36,6 +37,69 @@ from conftest import random_vector
 def random_unitary(rng, dim):
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def dense_ladder_product(space, m_occ, n_occ):
+    """Reference: prod a_i^dag^{m_i} prod a_i^{n_i} as products of the
+    sector ladder matrices, one sector block at a time."""
+    p, q = sum(n_occ), sum(m_occ)
+    out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    for n_in in range(p, space.n_max + 1):
+        n_out = n_in - p + q
+        if n_out > space.n_max:
+            continue
+        blk = np.eye(space.sector_dims[n_in], dtype=complex)
+        cur = n_in
+        for i, reps in enumerate(n_occ):
+            for _ in range(int(reps)):
+                blk = sec.annihilators(space.dim, cur)[i] @ blk
+                cur -= 1
+        for i, reps in enumerate(m_occ):
+            for _ in range(int(reps)):
+                blk = sec.creators(space.dim, cur)[i] @ blk
+                cur += 1
+        out[space.sector_slice(n_out), space.sector_slice(n_in)] = blk
+    return out
+
+
+def dense_reference_flow(h, space, trusted_n):
+    """Reference: RK4 on the full dense generator over the whole space,
+    leakage by the SVD of the full top-sector x trusted-column block.
+    Returns U(t_end) (beta-only flow, no Gamma(u_alpha) factor) and the
+    leakage trace."""
+    n_steps = max(1, int(round((h.t_end - h.t_start) / h.dt)))
+    grid = h.t_start + (h.t_end - h.t_start) / n_steps * np.arange(n_steps + 1)
+    u_path = None if h.alpha.is_zero() else integrate_u_alpha(h)
+    pair = {}
+    for a in range(space.dim):
+        for b in range(space.dim):
+            kap = [0] * space.dim
+            kap[a] += 1
+            kap[b] += 1
+            pair[a, b] = dense_ladder_product(space, (0,) * space.dim, kap)
+
+    def generator(t):
+        beta = h.beta_matrix(t)
+        if u_path is not None:
+            u = u_path.at(t)
+            beta = u.conj().T @ beta @ np.conj(u)
+        g = sum(np.conj(beta[a, b]) * pab for (a, b), pab in pair.items())
+        return -0.5 * (g - g.conj().T)
+
+    top_lo = int(space.offsets[max(space.n_max - 1, 0)])
+    trusted_hi = int(space.offsets[trusted_n + 1])
+    u_mat = np.eye(space.total_dim, dtype=complex)
+    leak = np.zeros(n_steps + 1)
+    for k in range(n_steps):
+        t = grid[k]
+        dt = grid[k + 1] - t
+        k1 = generator(t) @ u_mat
+        k2 = generator(t + dt / 2) @ (u_mat + dt / 2 * k1)
+        k3 = generator(t + dt / 2) @ (u_mat + dt / 2 * k2)
+        k4 = generator(t + dt) @ (u_mat + dt * k3)
+        u_mat = u_mat + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        leak[k + 1] = np.linalg.norm(u_mat[top_lo:, :trusted_hi], 2)
+    return u_mat, leak
 
 
 class TestWickQuantize:
@@ -94,12 +158,31 @@ class TestWickQuantize:
         assert sym.trusted_block_diff(ops, 10) < 1e-12
 
     def test_fast_path_against_symmetrizer(self, rng):
-        for dim, n_max in ((1, 5), (2, 4)):
+        for dim, n_max in ((1, 5), (2, 4), (3, 3)):
             space = FockSpace(dim, n_max, 0.7)
             b = random_symbol(rng, dim, 3)
             fast = wick_quantize(b, space)
             slow = wick_quantize_slow(b, space)
             assert np.abs(fast.matrix - slow.matrix).max() < 1e-12
+
+    def test_ladder_product_matches_sector_matrices(self, rng):
+        space = FockSpace(3, 6, 0.5)
+        for _ in range(6):
+            m_occ = tuple(int(x) for x in rng.integers(0, 3, 3))
+            n_occ = tuple(int(x) for x in rng.integers(0, 3, 3))
+            got = space.ladder_product(m_occ, n_occ)
+            assert np.abs(got - dense_ladder_product(space, m_occ, n_occ)).max() < 1e-13
+
+    def test_degree_six_memory_bound(self, rng):
+        space = FockSpace(2, 24, 0.5)
+        b = random_symbol(rng, 2, 6)
+        tracemalloc.start()
+        try:
+            wick_quantize(b, space)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_degree_above_cutoff_rejected(self, rng):
         space = FockSpace(1, 3, 0.5)
@@ -230,6 +313,27 @@ class TestQuantumFlow:
         h = QuadraticHamiltonian(1, beta=np.array([[0.8]]), t_end=0.3, dt=1e-3)
         qf = quantum_flow(h, space, store=[0.3], leak_threshold=np.inf)
         assert qf.unitarity_defect(0.3, space.n_max - 2) < 1e-7
+
+    @pytest.mark.parametrize("case", ["d2-n10-ramped", "d1-n48"])
+    def test_parity_split_matches_dense_reference(self, rng, case):
+        if case == "d2-n10-ramped":
+            times = np.array([0.0, 0.3])
+            m = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+            alpha = (m[:2] + np.conj(np.swapaxes(m[:2], 1, 2))) / 2
+            beta = (m[2:] + np.swapaxes(m[2:], 1, 2)) / 2
+            h = QuadraticHamiltonian(2, alpha=(times, alpha), beta=(times, beta),
+                                     t_end=0.3, dt=1e-3)
+            space, trusted = FockSpace(2, 10, 0.5), 4
+        else:
+            h = QuadraticHamiltonian(1, beta=np.array([[1.0]]), t_end=0.15, dt=5e-4)
+            space, trusted = FockSpace(1, 48, 0.5), 30
+        qf = quantum_flow(h, space, store=[h.t_end], trusted_n=trusted, leak_threshold=np.inf)
+        want, want_leak = dense_reference_flow(h, space, trusted)
+        if not h.alpha.is_zero():
+            want = gamma_u(integrate_u_alpha(h).at(h.t_end), space).matrix @ want
+        assert np.abs(qf.u_at(h.t_end).matrix - want).max() < 1e-12
+        assert want_leak[-1] > 0.0
+        assert np.all(np.abs(qf.leakage_trace - want_leak) <= 1e-12 * want_leak)
 
     def test_leakage_abort(self):
         space = FockSpace(1, 8, 0.5)
