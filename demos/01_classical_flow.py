@@ -9,7 +9,6 @@ import numpy as np
 
 from hepp_expand import (
     QuadraticHamiltonian,
-    beta_matrix_from_tensor,
     decompose,
     integrate_flow,
     is_symplectomorphism,
@@ -30,7 +29,7 @@ for t in (0.25, 0.5, 0.75, 1.0):
 
 # the pair vector L*(t) A(t) drives the second-order transport operator
 t = 1.0
-v = beta_matrix_from_tensor(v_vector(flow, t))[0, 0]
+v = v_vector(flow, t)[0, 0]
 print(f"\npair vector at t={t}: {v:.6f}  (cosh t sinh t = {np.cosh(t)*np.sinh(t):.6f})")
 
 # each flow map factors into a unitary and a squeezing exponential

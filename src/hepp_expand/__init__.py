@@ -57,6 +57,7 @@ from .symbols import (
     poisson_bracket,
     preset_symbol,
     random_symbol,
+    second_order_kernel,
     squeezing_hamiltonian_symbol,
     wick_product_symbol,
 )

@@ -164,17 +164,6 @@ def cmd_oracle(scenario: Scenario, args) -> tuple[int, dict]:
     return (EXIT_OK if ok else EXIT_TOLERANCE), report
 
 
-def _random_homogeneous(rng, dim, order):
-    """Random polynomial of exact total order, mixing all (p, q) splits."""
-    from . import sectors as sec
-    parts = {}
-    for p in range(order + 1):
-        q = order - p
-        shape = (sec.sector_dim(dim, q), sec.sector_dim(dim, p))
-        parts[(p, q)] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return PolySymbol(dim, parts)
-
-
 def cmd_estimates(scenario: Scenario, args) -> tuple[int, dict]:
     report = _base_report("estimates", scenario, args)
     n_samples = args.samples
@@ -198,7 +187,7 @@ def cmd_estimates(scenario: Scenario, args) -> tuple[int, dict]:
     order = 4
     worst = 0.0
     for _ in range(n_samples):
-        b = _random_homogeneous(rng, dim, order)
+        b = random_symbol(rng, dim, total_order=order)
         phi = random_symplectomorphism(rng, dim)
         worst = max(worst, b.compose_rlinear(phi).norm_p()
                     / (phi.norm_x() ** order * b.norm_p()))
@@ -212,7 +201,7 @@ def cmd_estimates(scenario: Scenario, args) -> tuple[int, dict]:
     for m_ord, label in ((2, "second_order_bound_m2"), (order, "second_order_bound")):
         worst = 0.0
         for _ in range(n_samples):
-            c = _random_homogeneous(rng, dim, m_ord)
+            c = random_symbol(rng, dim, total_order=m_ord)
             t_map = random_symplectomorphism(rng, dim)
             hs = float(np.linalg.norm(t_map.antilinear, "fro"))
             out = Lambda_of_map(c, t_map)

@@ -19,8 +19,8 @@ from .flow import FlowResult, QuadraticHamiltonian, v_vector
 from .symbols import (
     PolySymbol,
     apply_second_order_operator,
-    beta_matrix_from_tensor,
     poisson_bracket,
+    second_order_kernel,
     squeezing_hamiltonian_symbol,
 )
 from .symplectic import RLinearMap
@@ -71,16 +71,17 @@ def _require_base_zero(flow: FlowResult):
 
 def lambda_s(c: PolySymbol, s: float, flow: FlowResult,
              hamiltonian: QuadraticHamiltonian) -> PolySymbol:
-    """First-order generator at time s.
+    """First-order generator at time s; lowers total degree by 2.
 
-    Composes c with the inverse flow, contracts its second derivatives
-    against beta_s, and composes back; lowers total degree by 2.
+    It contracts the second derivatives of c o phi_s^-1 against beta_s
+    and composes back with phi_s.  By the chain rule in the doubled
+    variables that is one second-order operator on c itself, with kernel
+    N K_beta N^T for N the doubled matrix of phi_s^-1.
     """
     _require_base_zero(flow)
-    g = c.compose_rlinear(flow.phi_inverse_at(s))
-    beta = hamiltonian.beta_matrix(s)
-    mid = apply_second_order_operator(g, np.zeros_like(beta), beta)
-    return mid.compose_rlinear(flow.phi_at(s))
+    n_inv = flow.phi_inverse_at(s).doubled()
+    k_beta = second_order_kernel(np.zeros((c.dim, c.dim)), hamiltonian.beta_matrix(s))
+    return apply_second_order_operator(c, n_inv @ k_beta @ n_inv.T)
 
 
 def lambda_s_via_bracket(c: PolySymbol, s: float, flow: FlowResult,
@@ -101,20 +102,18 @@ def lambda_s_via_bracket(c: PolySymbol, s: float, flow: FlowResult,
 def Lambda_t(c: PolySymbol, t: float, flow: FlowResult) -> PolySymbol:
     """Accumulated second-order operator of the flow at grid time t:
     a -2 A*A trace contraction plus both v_t pair contractions."""
-    k = flow.grid_index(t)
-    a = flow.antilinear[k]
-    mixed = -2.0 * (a.T @ np.conj(a))
-    vmat = beta_matrix_from_tensor(v_vector(flow, t))
-    return apply_second_order_operator(c, mixed, vmat)
+    a = flow.antilinear[flow.grid_index(t)]
+    kernel = second_order_kernel(-2.0 * (a.T @ np.conj(a)), v_vector(flow, t))
+    return apply_second_order_operator(c, kernel)
 
 
 def Lambda_of_map(c: PolySymbol, t_map: RLinearMap) -> PolySymbol:
     """The analogous operator attached to a fixed symplectomorphism
     T = L + A, built from -2 A A* and the pair tensor of L A*."""
     a = t_map.antilinear
-    mixed = -2.0 * (a @ a.conj().T)
-    vmat = t_map.linear @ a.T
-    return apply_second_order_operator(c, mixed, (vmat + vmat.T) / 2.0)
+    pair = t_map.linear @ a.T
+    kernel = second_order_kernel(-2.0 * (a @ a.conj().T), (pair + pair.T) / 2.0)
+    return apply_second_order_operator(c, kernel)
 
 
 def dyson_expand(b: PolySymbol, t: float, flow: FlowResult,

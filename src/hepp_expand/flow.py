@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, SymplecticityError
-from .symbols import SymTensor, beta_matrix_from_tensor, beta_tensor_from_matrix
+from .symbols import SymTensor, beta_matrix_from_tensor
 from .symplectic import RLinearMap, is_symplectomorphism
 
 
@@ -98,9 +98,6 @@ class QuadraticHamiltonian:
     def beta_matrix(self, t: float) -> np.ndarray:
         b = self.beta.at(t)
         return (b + b.T) / 2.0
-
-    def beta_tensor(self, t: float) -> SymTensor:
-        return beta_tensor_from_matrix(self.beta_matrix(t))
 
     def grid(self):
         span = self.t_end - self.t_start
@@ -301,9 +298,10 @@ def integrate_flow(h: QuadraticHamiltonian, defect_tol: float = 1e-6) -> FlowRes
     return result
 
 
-def v_vector(flow: FlowResult, t: float) -> SymTensor:
-    """The 2-vector v_t with tensor coordinates <z1, L*(t) A(t) z2>,
-    at a grid time (no interpolation)."""
+def v_vector(flow: FlowResult, t: float) -> np.ndarray:
+    """Symmetric matrix of tensor coordinates of the 2-vector v_t,
+    (L*A + (L*A)^T)/2 with <z1, L*(t) A(t) z2>, at a grid time (no
+    interpolation)."""
     k = flow.grid_index(t)
     vmat = flow.linear[k].conj().T @ flow.antilinear[k]
-    return beta_tensor_from_matrix((vmat + vmat.T) / 2.0)
+    return (vmat + vmat.T) / 2.0

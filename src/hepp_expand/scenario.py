@@ -72,6 +72,13 @@ def _coefficient_sampler(spec, dim, what):
     raise ScenarioError(f"{what}: unknown kind '{kind}'")
 
 
+def _integer(value, name: str, minimum: int) -> int:
+    """A JSON integer (not a bool) no smaller than `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ScenarioError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 @dataclass
 class Scenario:
     """Parsed scenario, ready to build the Hamiltonian and observable."""
@@ -108,11 +115,8 @@ class Scenario:
             raise ScenarioError("dt must be positive and t_end non-negative")
         tol = dict(_DEFAULT_TOLERANCES)
         tol.update(data.get("tolerances", {}))
-        fock = data.get("fock", {})
-        n_max = fock.get("n_max", 16)
-        if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
-            raise ScenarioError(f"fock.n_max must be a non-negative integer, got {n_max!r}")
-        quad = data.get("quad", {})
+        n_max = _integer(data.get("fock", {}).get("n_max", 16), "fock.n_max", 0)
+        quad_nodes = _integer(data.get("quad", {}).get("nodes", 16), "quad.nodes", 1)
         return cls(
             dim=dim,
             epsilon=epsilon,
@@ -122,7 +126,7 @@ class Scenario:
             beta_spec=data.get("beta"),
             observable_spec=data.get("observable"),
             n_max=n_max,
-            quad_nodes=int(quad.get("nodes", 16)),
+            quad_nodes=quad_nodes,
             tolerances=tol,
             seed=int(data.get("seed", 0)),
             raw=data,

@@ -194,25 +194,48 @@ def ladder_entries(dim: int, n_max: int, mu, kappa):
 
 
 @lru_cache(maxsize=None)
-def lower_map(dim: int, n: int, i: int):
-    """(src, dst, weight) arrays realizing d/dz_i on degree-n monomial
-    coefficients: coefficient at kappa moves to kappa - delta_i with
-    weight kappa_i."""
-    occ = occupation_array(dim, n)
-    idx_lo = occupation_index(dim, n - 1) if n > 0 else {}
-    src, dst, wgt = [], [], []
-    for k, kappa in enumerate(occupations(dim, n)):
-        if kappa[i] > 0:
-            lo = list(kappa)
-            lo[i] -= 1
-            src.append(k)
-            dst.append(idx_lo[tuple(lo)])
-            wgt.append(float(kappa[i]))
-    return (
-        _frozen(np.array(src, dtype=np.int64)),
-        _frozen(np.array(dst, dtype=np.int64)),
-        _frozen(np.array(wgt)),
-    )
+def raise_table(dim: int, n: int):
+    """Arrays (up, weight) of shape (sector_dim(n), dim): the position of
+    kappa + delta_i in sector n+1, and kappa_i + 1.
+
+    The derivative d/dz_i of a degree-(n+1) coefficient vector c (plain
+    monomial coefficients) is c[up[:, i]] * weight[:, i].
+    """
+    up = np.stack([raise_map(dim, n, i) for i in range(dim)], axis=1)
+    return _frozen(up), _frozen(occupation_array(dim, n) + 1.0)
+
+
+@lru_cache(maxsize=None)
+def tensor_positions(dim: int, n: int):
+    """Sector position of every entry of the full tensor power
+    (C^dim)^(x n), in row-major order, and per sector position one entry
+    that holds it."""
+    full = np.zeros(1, dtype=np.int64)
+    for k in range(n):
+        full = raise_table(dim, k)[0][full].ravel()
+    rep = np.empty(sector_dim(dim, n), dtype=np.int64)
+    rep[full] = np.arange(full.size)
+    return _frozen(full), _frozen(rep)
+
+
+@lru_cache(maxsize=None)
+def doubled_positions(dim: int, m: int) -> tuple:
+    """Where the (p, q) blocks sit in the m-sector of C^{2 dim}.
+
+    Per p = 0..m (q = m - p): the (dim_q x dim_p) grid of positions of
+    conj(z)^mu z^nu, i.e. of the occupation (nu, mu) of the doubled
+    variables (z, conj z), and the factors sqrt(q!/mu!) sqrt(p!/nu!)
+    that turn canonical coefficients into plain monomial ones.
+    """
+    index = occupation_index(2 * dim, m)
+    out = []
+    for p in range(m + 1):
+        q = m - p
+        grid = np.array([[index[nu + mu] for nu in occupations(dim, p)]
+                         for mu in occupations(dim, q)], dtype=np.int64)
+        scale = coeff_scale(dim, q)[:, None] * coeff_scale(dim, p)[None, :]
+        out.append((_frozen(grid), _frozen(scale)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -247,11 +270,6 @@ def sym_mult_map(dim: int, n1: int, n2: int) -> np.ndarray:
             k = mm[a, b]
             out[k, a, b] = pref * math.sqrt(fh[k] / (f1[a] * f2[b]))
     return _frozen(out)
-
-
-def sym_mult(psi: np.ndarray, n1: int, chi: np.ndarray, n2: int, dim: int) -> np.ndarray:
-    """Symmetric tensor product psi vee chi in sector coordinates."""
-    return np.einsum("kab,a,b->k", sym_mult_map(dim, n1, n2), psi, chi)
 
 
 @lru_cache(maxsize=None)

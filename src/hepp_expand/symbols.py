@@ -1,20 +1,30 @@
-"""Wick polynomials on C^d and their calculus.
+"""Wick polynomials on C^d and their calculus in doubled variables.
 
 A monomial of order (p, q) is z -> <z^(vee q), b~ z^(vee p)> with
 coefficient b~ a linear map between symmetric sectors; a polynomial is a
 finite sum of monomials, stored as a map (p, q) -> coefficient matrix in
-the shared occupation bases of :mod:`hepp_expand.sectors`.
+the shared occupation bases of :mod:`hepp_expand.sectors`.  JSON, the
+norms and the quantization read this canonical storage.
 
-Internally most operations run on the equivalent "plain coefficient"
-view: the complex coefficients c[m, n] of conj(z)^m z^n, which differ
-from the operator coefficients by the factor sqrt(q!/m!) sqrt(p!/n!).
-In that view the duality pairing of a k-form against a k-vector becomes
-the multinomial-weighted sum over Wirtinger derivatives
+All calculus runs on one equivalent view.  In the doubled variables
+w = (z, conj z) on C^{2d}, the part of total order m is one coefficient
+vector c_m on the m-sector of C^{2d}: c_m[kappa] multiplies the plain
+monomial w^kappa, which is the operator coefficient times
+sqrt(q!/mu!) sqrt(p!/nu!) for kappa = (nu, mu).  In this view
 
-    (d_z^k b1) . (d_zbar^k b2) = sum_{|kap|=k} (k!/kap!) D_z^kap b1 D_zbar^kap b2,
+- d/dw_i is one gather per degree (d/dz_i for i < d, d/dzbar_{i-d}
+  otherwise), and the pointwise product adds occupations;
+- an R-linear map T = L + A acts on w by its doubled matrix
+  [[L, A], [conj A, conj L]], so b o T applies the m-th symmetric power
+  of that matrix to c_m, mode by mode on the full tensor;
+- every second-order operator is sum_ij K_ij d_wi d_wj b for a symmetric
+  2d x 2d matrix K (`apply_second_order_operator`).
 
-which is what the Poisson brackets, the Wick product and the expansion
-generators are built from.
+The duality pairing of a k-form against a k-vector, from which the
+Poisson brackets, the Wick product and the expansion generators are
+built, sums (d_z^k b1)_(i1..ik) (d_zbar^k b2)_(i1..ik) over ordered index
+tuples; that equals the multinomial-weighted sum over Wirtinger
+derivatives sum_{|kap|=k} (k!/kap!) D_z^kap b1 D_zbar^kap b2.
 """
 
 from __future__ import annotations
@@ -43,10 +53,6 @@ class SymTensor:
         self.q = q
         self.coeffs = coeffs
 
-    def norm_op(self) -> float:
-        """Operator norm between the sector Hilbert spaces."""
-        return float(np.linalg.norm(self.coeffs, 2))
-
     def conj(self) -> "SymTensor":
         """Coefficient of the conjugated monomial: the adjoint map."""
         return SymTensor(self.dim, self.q, self.p, self.coeffs.conj().T)
@@ -56,85 +62,22 @@ class SymTensor:
 
 
 # ---------------------------------------------------------------------------
-# plain-coefficient helpers; a "cdict" maps (p, q) -> (dim_q x dim_p) array
+# the doubled-variable view
 
-def _czero(dim, p, q):
-    return np.zeros((sec.sector_dim(dim, q), sec.sector_dim(dim, p)), dtype=complex)
-
-
-def _cadd(dst: dict, key, arr):
-    if key in dst:
-        dst[key] = dst[key] + arr
-    else:
-        dst[key] = arr.copy()
+def _grad(c: np.ndarray, m: int, n: int, sel=slice(None)) -> np.ndarray:
+    """First derivatives d/dw_i, i in `sel`, of degree-m rows c of shape
+    (S_m, ...) over C^n: shape (S_{m-1}, |sel|, ...)."""
+    up, weight = sec.raise_table(n, m - 1)
+    up, weight = up[:, sel], weight[:, sel]
+    return c[up] * weight.reshape(weight.shape + (1,) * (c.ndim - 1))
 
 
-def _cscale(c: dict, s: complex) -> dict:
-    return {k: s * a for k, a in c.items()}
-
-
-def _cmul(c1: dict, c2: dict, dim: int) -> dict:
-    """Pointwise product of two polynomials in the plain-coefficient view."""
-    out = {}
-    for (p1, q1), a1 in c1.items():
-        for (p2, q2), a2 in c2.items():
-            key = (p1 + p2, q1 + q2)
-            if key not in out:
-                out[key] = _czero(dim, *key)
-            mq = sec.merge_map(dim, q1, q2)
-            mp = sec.merge_map(dim, p1, p2)
-            outer = a1[:, None, :, None] * a2[None, :, None, :]
-            np.add.at(out[key], (mq[:, :, None, None], mp[None, None, :, :]), outer)
-    return out
-
-
-def _cdz(c: dict, dim: int, i: int) -> dict:
-    """d/dz_i in the plain-coefficient view."""
-    out = {}
-    for (p, q), a in c.items():
-        if p == 0:
-            continue
-        src, dst, wgt = sec.lower_map(dim, p, i)
-        if len(src) == 0:
-            continue
-        tgt = _czero(dim, p - 1, q)
-        tgt[:, dst] = a[:, src] * wgt[None, :]
-        _cadd(out, (p - 1, q), tgt)
-    return out
-
-
-def _cdzbar(c: dict, dim: int, i: int) -> dict:
-    """d/dzbar_i in the plain-coefficient view."""
-    out = {}
-    for (p, q), a in c.items():
-        if q == 0:
-            continue
-        src, dst, wgt = sec.lower_map(dim, q, i)
-        if len(src) == 0:
-            continue
-        tgt = _czero(dim, p, q - 1)
-        tgt[dst, :] = a[src, :] * wgt[:, None]
-        _cadd(out, (p, q - 1), tgt)
-    return out
-
-
-def _cderive(c: dict, dim: int, m_occ, n_occ) -> dict:
-    """Iterated Wirtinger derivative D_zbar^m D_z^n."""
-    for i, reps in enumerate(n_occ):
-        for _ in range(int(reps)):
-            c = _cdz(c, dim, i)
-    for i, reps in enumerate(m_occ):
-        for _ in range(int(reps)):
-            c = _cdzbar(c, dim, i)
-    return c
-
-
-def _cconj(c: dict, dim: int) -> dict:
-    return {(q, p): a.conj().T for (p, q), a in c.items()}
-
-
-def _cclean(c: dict) -> dict:
-    return {k: a for k, a in c.items() if np.any(a)}
+def _derivatives(c: np.ndarray, m: int, n: int, sel, k: int) -> np.ndarray:
+    """All k-th derivatives along `sel` of a degree-m vector, as an
+    (S_{m-k}, |sel|^k) array over ordered index tuples."""
+    for j in range(k):
+        c = _grad(c, m - j, n, sel)
+    return c.reshape(c.shape[0], -1)
 
 
 class PolySymbol:
@@ -168,22 +111,14 @@ class PolySymbol:
         """The polynomial coeff * conj(z)^m z^n for occupation exponents."""
         m_occ, n_occ = tuple(m_occ), tuple(n_occ)
         q, p = sum(m_occ), sum(n_occ)
-        arr = _czero(dim, p, q)
+        arr = np.zeros((sec.sector_dim(dim, q), sec.sector_dim(dim, p)), dtype=complex)
         mi = sec.occupation_index(dim, q)[m_occ]
         ni = sec.occupation_index(dim, p)[n_occ]
-        arr[mi, ni] = coeff
-        return cls._from_coeffs(dim, {(p, q): arr})
-
-    @classmethod
-    def _from_coeffs(cls, dim: int, cdict: dict) -> "PolySymbol":
-        terms = {}
-        for (p, q), a in cdict.items():
-            sq = sec.coeff_scale(dim, q)
-            sp = sec.coeff_scale(dim, p)
-            terms[(p, q)] = a / (sq[:, None] * sp[None, :])
-        return cls(dim, terms)
+        arr[mi, ni] = coeff / (sec.coeff_scale(dim, q)[mi] * sec.coeff_scale(dim, p)[ni])
+        return cls(dim, {(p, q): arr})
 
     def _coeffs(self) -> dict:
+        """Plain coefficients of conj(z)^mu z^nu per (p, q) block."""
         out = {}
         for (p, q), b in self.terms.items():
             sq = sec.coeff_scale(self.dim, q)
@@ -191,14 +126,27 @@ class PolySymbol:
             out[(p, q)] = b * (sq[:, None] * sp[None, :])
         return out
 
-    # -- structure ----------------------------------------------------------
+    def _vectors(self) -> dict:
+        """The doubled-variable view: total order m -> coefficient vector
+        on the m-sector of C^{2 dim}."""
+        out = {}
+        for (p, q), b in self.terms.items():
+            m = p + q
+            if m not in out:
+                out[m] = np.zeros(sec.sector_dim(2 * self.dim, m), dtype=complex)
+            grid, scale = sec.doubled_positions(self.dim, m)[p]
+            out[m][grid] = b * scale
+        return out
 
-    def tensor(self, p: int, q: int) -> SymTensor:
-        """Coefficient of the (p, q) part (zero tensor when absent)."""
-        arr = self.terms.get((p, q))
-        if arr is None:
-            arr = _czero(self.dim, p, q)
-        return SymTensor(self.dim, p, q, arr)
+    @classmethod
+    def _from_vectors(cls, dim: int, vectors: dict) -> "PolySymbol":
+        terms = {}
+        for m, c in vectors.items():
+            for p, (grid, scale) in enumerate(sec.doubled_positions(dim, m)):
+                terms[(p, m - p)] = c[grid] / scale
+        return cls(dim, terms)
+
+    # -- structure ----------------------------------------------------------
 
     def degree(self, tol: float = 0.0) -> int:
         """Max total order among terms with some |coefficient| > tol."""
@@ -226,9 +174,7 @@ class PolySymbol:
 
     def __mul__(self, other):
         if isinstance(other, PolySymbol):
-            self._check_dim(other)
-            return PolySymbol._from_coeffs(
-                self.dim, _cmul(self._coeffs(), other._coeffs(), self.dim))
+            return contraction(self, other, 0)
         return PolySymbol(self.dim, {k: other * a for k, a in self.terms.items()})
 
     __rmul__ = __mul__
@@ -275,8 +221,14 @@ class PolySymbol:
 
     def derivative_poly(self, m_occ, n_occ) -> "PolySymbol":
         """Iterated Wirtinger derivative D_zbar^m D_z^n as a polynomial."""
-        c = _cderive(self._coeffs(), self.dim, m_occ, n_occ)
-        return PolySymbol._from_coeffs(self.dim, _cclean(c))
+        d = self.dim
+        axes = np.concatenate([np.repeat(np.arange(d), n_occ),
+                               d + np.repeat(np.arange(d), m_occ)])
+        vectors = self._vectors()
+        for i in axes:
+            vectors = {m - 1: _grad(c, m, 2 * d, [i])[:, 0]
+                       for m, c in vectors.items() if m > 0}
+        return PolySymbol._from_vectors(d, vectors)
 
     def derivative(self, j: int, k: int, z) -> SymTensor:
         """The operator d_zbar^j d_z^k b(z) in L(sector k, sector j).
@@ -307,65 +259,42 @@ class PolySymbol:
     def compose_rlinear(self, t) -> "PolySymbol":
         """The polynomial z -> b(T z) for an R-linear map T.
 
-        The substitution is expanded exactly; an antilinear part mixes
-        the (p, q) grading but preserves total order.
+        T acts on w = (z, conj z) by its doubled matrix N, so each order m
+        maps by the m-th symmetric power of N: the coefficients are spread
+        over the full tensor and N is contracted into one mode at a time.
+        An antilinear part mixes the (p, q) grading but preserves total
+        order.
         """
         if self.dim != t.dim:
             raise DimensionMismatchError(f"dim {self.dim} vs {t.dim}")
-        d = self.dim
-        forms, conj_forms = [], []
-        for j in range(d):
-            w = {}
-            if np.any(t.linear[j, :]):
-                w[(1, 0)] = t.linear[j, :].reshape(1, d).astype(complex)
-            if np.any(t.antilinear[j, :]):
-                w[(0, 1)] = t.antilinear[j, :].reshape(d, 1).astype(complex)
-            wc = {}
-            if (1, 0) in w:
-                wc[(0, 1)] = w[(1, 0)].conj().reshape(d, 1)
-            if (0, 1) in w:
-                wc[(1, 0)] = w[(0, 1)].conj().reshape(1, d)
-            forms.append(w)
-            conj_forms.append(wc)
-        return self._substitute(forms, conj_forms)
+        n = 2 * self.dim
+        doubled = t.doubled()
+        out = {}
+        for m, c in self._vectors().items():
+            full, rep = sec.tensor_positions(n, m)
+            multinomial = math.factorial(m) / sec.occ_factorials(n, m)
+            tensor = (c / multinomial)[full]
+            for _ in range(m):
+                # contract the leading mode; the new one becomes the last
+                tensor = tensor.reshape(n, -1).T @ doubled
+            out[m] = tensor.reshape(-1)[rep] * multinomial
+        return PolySymbol._from_vectors(self.dim, out)
 
     def translate(self, z0) -> "PolySymbol":
-        """The polynomial z -> b(z0 + z)."""
+        """The polynomial z -> b(z0 + z): the nilpotent series
+        exp(w0 . grad_w) b with w0 = (z0, conj z0)."""
         z0 = np.asarray(z0, dtype=complex)
-        d = self.dim
-        forms, conj_forms = [], []
-        for j in range(d):
-            w = {(0, 0): np.array([[z0[j]]], dtype=complex)}
-            w[(1, 0)] = np.zeros((1, d), dtype=complex)
-            w[(1, 0)][0, j] = 1.0
-            wc = {(0, 0): np.array([[np.conj(z0[j])]], dtype=complex)}
-            wc[(0, 1)] = np.zeros((d, 1), dtype=complex)
-            wc[(0, 1)][j, 0] = 1.0
-            forms.append(w)
-            conj_forms.append(wc)
-        return self._substitute(forms, conj_forms)
-
-    def _substitute(self, forms, conj_forms) -> "PolySymbol":
-        dim = self.dim
-        cb = self._coeffs()
-        max_p = max((p for (p, q) in cb), default=0)
-        max_q = max((q for (p, q) in cb), default=0)
-        ptab = _power_table(forms, dim, max_p)
-        qtab = _power_table(conj_forms, dim, max_q)
-        out = {}
-        for (p, q), c in cb.items():
-            for mi, m_occ in enumerate(sec.occupations(dim, q)):
-                row = c[mi, :]
-                if not np.any(row):
-                    continue
-                partial = {}
-                for ni, n_occ in enumerate(sec.occupations(dim, p)):
-                    if row[ni] != 0:
-                        for k, a in ptab[n_occ].items():
-                            _cadd(partial, k, row[ni] * a)
-                for k, a in _cmul(qtab[m_occ], partial, dim).items():
-                    _cadd(out, k, a)
-        return PolySymbol._from_coeffs(dim, _cclean(out))
+        w0 = np.concatenate([z0, z0.conj()])
+        power = self._vectors()
+        out = dict(power)
+        k = 1
+        while power:
+            power = {m - 1: (_grad(c, m, 2 * self.dim) @ w0) / k
+                     for m, c in power.items() if m > 0}
+            for m, c in power.items():
+                out[m] = out[m] + c if m in out else c
+            k += 1
+        return PolySymbol._from_vectors(self.dim, out)
 
     # -- serialization -------------------------------------------------------
 
@@ -395,7 +324,7 @@ class PolySymbol:
         terms = {}
         for td in data.get("terms", []):
             p, q = int(td["p"]), int(td["q"])
-            arr = _czero(dim, p, q)
+            arr = np.zeros((sec.sector_dim(dim, q), sec.sector_dim(dim, p)), dtype=complex)
             idx_q = sec.occupation_index(dim, q)
             idx_p = sec.occupation_index(dim, p)
             for m_idx, n_idx, re, im in td["entries"]:
@@ -411,47 +340,30 @@ class PolySymbol:
         return f"PolySymbol(dim={self.dim}, orders=[{keys}])"
 
 
-def _power_table(forms, dim, max_deg):
-    """Polynomials for all monomial products of the given coordinate
-    forms, indexed by occupation exponent up to total degree max_deg."""
-    one = {(0, 0): np.array([[1.0 + 0j]])}
-    table = {tuple([0] * dim): one}
-    for deg in range(1, max_deg + 1):
-        for occ in sec.occupations(dim, deg):
-            i = next(j for j, c in enumerate(occ) if c > 0)
-            lower = list(occ)
-            lower[i] -= 1
-            table[occ] = _cmul(table[tuple(lower)], forms[i], dim)
-    return table
-
-
 # ---------------------------------------------------------------------------
 # bilinear calculus
 
 def contraction(b1: PolySymbol, b2: PolySymbol, k: int) -> PolySymbol:
     """The degree-lowering pairing (d_z^k b1) . (d_zbar^k b2) as a polynomial.
 
-    In plain coefficients this is sum over |kap| = k of the multinomial
-    weight k!/kap! times D_z^kap b1 * D_zbar^kap b2.
+    Per pair of orders: the k-th z-derivatives of b1 against the k-th
+    zbar-derivatives of b2 over ordered index tuples, multiplied as
+    polynomials.  k = 0 is the pointwise product.
     """
     if b1.dim != b2.dim:
         raise DimensionMismatchError(f"dim {b1.dim} vs {b2.dim}")
-    dim = b1.dim
-    zero = tuple([0] * dim)
+    d, n = b1.dim, 2 * b1.dim
+    left = {m - k: _derivatives(c, m, n, slice(0, d), k)
+            for m, c in b1._vectors().items() if m >= k}
+    right = {m - k: _derivatives(c, m, n, slice(d, n), k)
+             for m, c in b2._vectors().items() if m >= k}
     out = {}
-    c1 = b1._coeffs()
-    c2 = b2._coeffs()
-    for kap in sec.occupations(dim, k):
-        d1 = _cderive(c1, dim, zero, kap)
-        if not d1:
-            continue
-        d2 = _cderive(c2, dim, kap, zero)
-        if not d2:
-            continue
-        weight = math.factorial(k) / float(np.prod([math.factorial(c) for c in kap]))
-        for key, a in _cmul(d1, d2, dim).items():
-            _cadd(out, key, weight * a)
-    return PolySymbol._from_coeffs(dim, _cclean(out))
+    for m1, a1 in left.items():
+        for m2, a2 in right.items():
+            if m1 + m2 not in out:
+                out[m1 + m2] = np.zeros(sec.sector_dim(n, m1 + m2), dtype=complex)
+            np.add.at(out[m1 + m2], sec.merge_map(n, m1, m2), a1 @ a2.T)
+    return PolySymbol._from_vectors(d, out)
 
 
 def poisson_bracket(b1: PolySymbol, b2: PolySymbol, k: int, z=None):
@@ -477,45 +389,41 @@ def wick_product_symbol(b1: PolySymbol, b2: PolySymbol, epsilon: float) -> PolyS
     return out
 
 
+def second_order_kernel(mixed, pair) -> np.ndarray:
+    """The symmetric 2d x 2d kernel of Tr[M d_zbar d_z b] + <v| . d_zbar^2 b
+    + d_z^2 b . |v>: [[v, M/2], [M^T/2, conj v]].
+
+    `mixed` is the matrix M inside the trace (Tr[M D] with
+    D_ij = d_zbar_i d_z_j b); `pair` holds the tensor coordinates v_ab of
+    the 2-vector v, symmetric.
+    """
+    mixed = np.asarray(mixed, dtype=complex)
+    pair = np.asarray(pair, dtype=complex)
+    return np.block([[pair, mixed / 2.0], [mixed.T / 2.0, pair.conj()]])
+
+
+def apply_second_order_operator(b: PolySymbol, kernel) -> PolySymbol:
+    """sum_ij K_ij d_wi d_wj b in the doubled variables w = (z, conj z).
+
+    `kernel` is a symmetric 2d x 2d matrix K; its z-z block contracts two
+    z-derivatives, its z-zbar blocks one of each, its zbar-zbar block two
+    zbar-derivatives.  Lowers every total order by 2.
+    """
+    n = 2 * b.dim
+    kernel = np.asarray(kernel, dtype=complex)
+    if kernel.shape != (n, n):
+        raise DimensionMismatchError(f"kernel shape {kernel.shape}, expected {(n, n)}")
+    flat = kernel.reshape(-1)
+    out = {m - 2: _derivatives(c, m, n, slice(None), 2) @ flat
+           for m, c in b._vectors().items() if m >= 2}
+    return PolySymbol._from_vectors(b.dim, out)
+
+
 def laplacian(b: PolySymbol) -> PolySymbol:
     """The trace contraction sum_i d_{z_i} d_{zbar_i} b (one z against
     one zbar slot, factor p q per monomial)."""
-    dim = b.dim
-    out = {}
-    c = b._coeffs()
-    for i in range(dim):
-        for key, a in _cdzbar(_cdz(c, dim, i), dim, i).items():
-            _cadd(out, key, a)
-    return PolySymbol._from_coeffs(dim, _cclean(out))
-
-
-def apply_second_order_operator(b: PolySymbol, mixed: np.ndarray, pair: np.ndarray) -> PolySymbol:
-    """Apply Tr[M d_zbar d_z b] + <v| . d_zbar^2 b + d_z^2 b . |v>.
-
-    `mixed` is the matrix M inside the trace; `pair` holds the tensor
-    coordinates v_ab of the 2-vector v.  Both contractions follow the
-    bilinear duality pairing of the occupation bases.
-    """
-    dim = b.dim
-    c = b._coeffs()
-    out = {}
-    for a_idx in range(dim):
-        for b_idx in range(dim):
-            mv = mixed[a_idx, b_idx]
-            if mv != 0:
-                # Tr[M D] = sum_ab M_ab D_ba with D_ij = d_zbar_i d_z_j b
-                dd = _cdzbar(_cdz(c, dim, a_idx), dim, b_idx)
-                for key, arr in dd.items():
-                    _cadd(out, key, mv * arr)
-            pv = pair[a_idx, b_idx]
-            if pv != 0:
-                dzz = _cdz(_cdz(c, dim, a_idx), dim, b_idx)
-                for key, arr in dzz.items():
-                    _cadd(out, key, pv * arr)
-                dbb = _cdzbar(_cdzbar(c, dim, a_idx), dim, b_idx)
-                for key, arr in dbb.items():
-                    _cadd(out, key, np.conj(pv) * arr)
-    return PolySymbol._from_coeffs(dim, _cclean(out))
+    return apply_second_order_operator(
+        b, second_order_kernel(np.eye(b.dim), np.zeros((b.dim, b.dim))))
 
 
 # ---------------------------------------------------------------------------
@@ -609,13 +517,18 @@ def preset_symbol(name: str, dim: int, xi=None) -> PolySymbol:
     raise ValueError(f"unknown preset '{name}'")
 
 
-def random_symbol(rng: np.random.Generator, dim: int, max_order: int,
-                  scale: float = 1.0) -> PolySymbol:
-    """A dense random polynomial with all orders p + q <= max_order."""
+def random_symbol(rng: np.random.Generator, dim: int, max_order: int = None,
+                  scale: float = 1.0, *, total_order: int = None) -> PolySymbol:
+    """A dense random polynomial with all orders p + q <= max_order or,
+    given `total_order`, with every (p, q) split of exactly that order
+    (p ascending)."""
+    if total_order is None:
+        orders = [(p, q) for p in range(max_order + 1) for q in range(max_order + 1 - p)]
+    else:
+        orders = [(p, total_order - p) for p in range(total_order + 1)]
     terms = {}
-    for p in range(max_order + 1):
-        for q in range(max_order + 1 - p):
-            shape = (sec.sector_dim(dim, q), sec.sector_dim(dim, p))
-            terms[(p, q)] = scale * (rng.standard_normal(shape)
-                                     + 1j * rng.standard_normal(shape))
+    for p, q in orders:
+        shape = (sec.sector_dim(dim, q), sec.sector_dim(dim, p))
+        terms[(p, q)] = scale * (rng.standard_normal(shape)
+                                 + 1j * rng.standard_normal(shape))
     return PolySymbol(dim, terms)

@@ -67,6 +67,12 @@ class RLinearMap:
         of the antilinear matrix."""
         return RLinearMap(self.linear.conj().T, self.antilinear.T)
 
+    def doubled(self) -> np.ndarray:
+        """The 2d x 2d matrix [[L, A], [conj A, conj L]] by which T acts
+        on the doubled variables w = (z, conj z)."""
+        return np.block([[self.linear, self.antilinear],
+                         [self.antilinear.conj(), self.linear.conj()]])
+
     def inverse(self) -> "RLinearMap":
         """Inverse valid for symplectomorphisms: L* - A*."""
         return RLinearMap(self.linear.conj().T, -self.antilinear.T)

@@ -33,7 +33,6 @@ from hepp_expand.fock import (
 )
 from hepp_expand.symbols import (
     PolySymbol,
-    beta_matrix_from_tensor,
     preset_symbol,
     random_symbol,
     wick_product_symbol,
@@ -66,7 +65,7 @@ def test_criterion_1_worked_example():
         worst = max(worst,
                     abs(phi.linear[0, 0] - math.cosh(t)),
                     abs(phi.antilinear[0, 0] - math.sinh(t)))
-        v = beta_matrix_from_tensor(v_vector(flow, t))[0, 0]
+        v = v_vector(flow, t)[0, 0]
         worst = max(worst, abs(v - math.cosh(t) * math.sinh(t)))
         z0 = np.array([0j])
         mixed = Lambda_t(PolySymbol.monomial(1, (1,), (1,)), t, flow).evaluate(z0)

@@ -168,6 +168,16 @@ class TestOracleCommand:
         assert "n_max" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("nodes", [0, -2, 2.5], ids=["zero", "negative", "non-integer"])
+def test_bad_quad_nodes_exit_two(tmp_path, capsys, nodes):
+    with open(os.path.join(REPO, "demos", "scenarios", "example-im-z2.json")) as fh:
+        data = json.load(fh)
+    data["quad"] = {"nodes": nodes}
+    assert main(["expand", write_scenario(tmp_path, data)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "quad.nodes" in err and len(err.splitlines()) == 1
+
+
 class TestEstimatesCommand:
     def test_rows_pass(self, tmp_path, capsys):
         data = base_scenario(t_end=0.3, fock={"n_max": 14})

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from hepp_expand.errors import DimensionMismatchError
 from hepp_expand.symbols import (
     PolySymbol,
+    apply_second_order_operator,
     beta_matrix_from_tensor,
     beta_tensor_from_matrix,
     contraction,
@@ -139,14 +141,27 @@ class TestComposeRLinear:
             assert abs(got.evaluate(zv) - want) < 1e-12
 
     def test_evaluation_property_random(self, rng):
-        for dim in (1, 2):
-            b = random_symbol(rng, dim, 4)
+        for dim, order in ((1, 4), (2, 4), (3, 6)):
+            b = random_symbol(rng, dim, order)
             t = random_symplectomorphism(rng, dim)
             for _ in range(3):
                 z = random_vector(rng, dim)
                 lhs = b.compose_rlinear(t).evaluate(z)
                 rhs = b.evaluate(t.apply(z))
                 assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
+
+    def test_memory_bound(self, rng):
+        # the full tensor at d=4, degree 6 holds 8^6 entries (4 MB); a dense
+        # symmetric-power matrix on the 1716-dim sector would take ~50 MB
+        b = random_symbol(rng, 4, 6)
+        t = random_symplectomorphism(rng, 4)
+        tracemalloc.start()
+        try:
+            b.compose_rlinear(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_translate(self, rng):
         b = random_symbol(rng, 2, 3)
@@ -242,6 +257,22 @@ class TestBetaHelpers:
         m = (m + m.T) / 2
         t = beta_tensor_from_matrix(m)
         assert abs(np.linalg.norm(t.coeffs) - np.linalg.norm(m, "fro")) < 1e-13
+
+
+def test_second_order_kernel_against_derivatives(rng):
+    # sum_ij K_ij d_wi d_wj b with w = (z, conj z), term by term
+    dim = 2
+    b = random_symbol(rng, dim, 4)
+    k = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    k = (k + k.T) / 2
+    want = PolySymbol.zero(dim)
+    for i in range(4):
+        for j in range(4):
+            m_occ, n_occ = np.zeros(dim, int), np.zeros(dim, int)
+            for w in (i, j):
+                (n_occ if w < dim else m_occ)[w % dim] += 1
+            want = want + k[i, j] * b.derivative_poly(m_occ, n_occ)
+    assert apply_second_order_operator(b, k).distance_max(want) < 1e-12
 
 
 def test_laplacian_on_number():
