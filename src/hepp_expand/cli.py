@@ -6,8 +6,11 @@
 
 Every command reads one scenario file, runs the requested computation
 and emits a JSON report (stdout or --out).  Exit codes: 0 pass,
-1 tolerance fail, 2 input error, 3 truncation/leakage abort.  Set
-HEPP_LOG=debug|info for progress logging on stderr.
+1 tolerance fail (including a classical flow that drifts off the
+symplectic group), 2 input error, 3 truncation/leakage abort, 4
+internal error (any other exception; a one-line message, with the
+traceback under HEPP_LOG=debug).  Set HEPP_LOG=debug|info for progress
+logging on stderr.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_INPUT = 2
 EXIT_LEAKAGE = 3
+EXIT_INTERNAL = 4
 
 
 def _matrix_json(mat) -> dict:
@@ -49,23 +53,25 @@ def _matrix_json(mat) -> dict:
     return {"re": mat.real.tolist(), "im": mat.imag.tolist()}
 
 
-def _base_report(command: str, scenario: Scenario, args) -> dict:
+def _base_report(command: str, scenario: Scenario, args, h) -> dict:
+    grid = h.grid()
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "dim": scenario.dim,
         "epsilon": scenario.epsilon,
         "t_end": scenario.t_end,
-        "dt": scenario.dt,
+        "dt": float(grid[1] - grid[0]),
         "seed": scenario.seed,
         "threads": args.threads,
     }
 
 
 def cmd_flow(scenario: Scenario, args) -> tuple[int, dict]:
-    report = _base_report("flow", scenario, args)
+    h = scenario.hamiltonian()
+    report = _base_report("flow", scenario, args, h)
     try:
-        result = integrate_flow(scenario.hamiltonian())
+        result = integrate_flow(h)
     except SymplecticityError as exc:
         report["error"] = str(exc)
         return EXIT_TOLERANCE, report
@@ -87,7 +93,6 @@ def cmd_flow(scenario: Scenario, args) -> tuple[int, dict]:
         })
     report["phi_samples"] = samples
     report["max_symplectic_defect"] = result.max_defect()
-    report["u_alpha_unitarity_defect"] = result.u_path.unitarity_defect()
     tol = scenario.tolerances["flow"]
     report["tolerance"] = tol
     ok = result.max_defect() <= tol
@@ -96,8 +101,8 @@ def cmd_flow(scenario: Scenario, args) -> tuple[int, dict]:
 
 
 def cmd_expand(scenario: Scenario, args) -> tuple[int, dict]:
-    report = _base_report("expand", scenario, args)
     h = scenario.hamiltonian()
+    report = _base_report("expand", scenario, args, h)
     b = scenario.observable()
     flow = integrate_flow(h)
     t = scenario.t_end
@@ -128,8 +133,8 @@ def cmd_expand(scenario: Scenario, args) -> tuple[int, dict]:
 
 
 def cmd_oracle(scenario: Scenario, args) -> tuple[int, dict]:
-    report = _base_report("oracle", scenario, args)
     h = scenario.hamiltonian()
+    report = _base_report("oracle", scenario, args, h)
     b = scenario.observable()
     m = b.degree()
     if scenario.n_max < m:
@@ -165,10 +170,10 @@ def cmd_oracle(scenario: Scenario, args) -> tuple[int, dict]:
 
 
 def cmd_estimates(scenario: Scenario, args) -> tuple[int, dict]:
-    report = _base_report("estimates", scenario, args)
+    h = scenario.hamiltonian()
+    report = _base_report("estimates", scenario, args, h)
     n_samples = args.samples
     rng = scenario.rng(args.seed if args.seed is not None else None)
-    h = scenario.hamiltonian()
     dim = scenario.dim
     rows = []
 
@@ -288,11 +293,20 @@ def _emit(report: dict, out_path) -> None:
         print(text)
 
 
+def _fail(what: str, exc, code: int) -> int:
+    """Print a one-line message to stderr and return the exit code."""
+    print(f"hepp-expand: {what}: {' '.join(str(exc).split())}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("HEPP_LOG", "WARNING").upper(),
                         stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.samples < 1 or (args.seed is not None and args.seed < 0):
+        return _fail("input error", f"--samples must be >= 1 and --seed >= 0, got "
+                     f"{args.samples} and {args.seed}", EXIT_INPUT)
     if args.threads is not None:
         try:
             from threadpoolctl import threadpool_limits
@@ -303,18 +317,20 @@ def main(argv=None) -> int:
         scenario = Scenario.from_path(args.scenario)
         if args.seed is not None:
             scenario.seed = args.seed
-    except ScenarioError as exc:
-        print(f"hepp-expand: scenario error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
         code, report = _COMMANDS[args.command](scenario, args)
     except ScenarioError as exc:
-        print(f"hepp-expand: scenario error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail("scenario error", exc, EXIT_INPUT)
     except LeakageError as exc:
-        print(f"hepp-expand: leakage abort: {exc}", file=sys.stderr)
-        return EXIT_LEAKAGE
-    _emit(report, args.out)
+        return _fail("leakage abort", exc, EXIT_LEAKAGE)
+    except SymplecticityError as exc:
+        return _fail("tolerance failure", exc, EXIT_TOLERANCE)
+    except Exception as exc:
+        log.debug("internal error in %s", args.command, exc_info=True)
+        return _fail("internal error", f"{type(exc).__name__}: {exc}", EXIT_INTERNAL)
+    try:
+        _emit(report, args.out)
+    except OSError as exc:
+        return _fail("cannot write report", exc, EXIT_INPUT)
     log.info("command %s finished with exit code %d", args.command, code)
     return code
 

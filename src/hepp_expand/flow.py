@@ -1,33 +1,33 @@
 """Classical flow of a time-dependent quadratic Hamiltonian on C^d.
 
 The Hamiltonian is Q_t(z) = <z, alpha_t z> + Im<beta_t, z^(vee 2)>.
-The flow is integrated in two stages: the one-particle unitary path
-u_alpha generated by alpha alone, and the beta-only flow driven by the
-rotated coefficient beta_hat_t = u_alpha(t,0)^(* vee 2) beta_t; the full
-flow is their composition.  Fixed-step RK4 is used throughout, with the
-unitary path integrated on a half-step grid so the beta-only stage sees
-exact midpoint values.
+Its flow phi(t, t_start) = L(t) + A(t) is integrated directly as the
+pair y = (L, A) with dL/dt = -i alpha L + beta conj(A) and
+dA/dt = -i alpha A + beta conj(L), by fixed-step RK4 that evaluates
+the coefficients once per grid point and once per step midpoint.
 
 Dense output between grid points is cubic Hermite interpolation of the
-stored matrices using the RK4 right-hand-side values, which matches the
-integrator's own order.
+stored values using the RK4 right-hand sides, which matches the
+integrator's own order.  The same stepper and interpolant give the
+unitary path u_alpha of alpha alone, which only the Fock oracle uses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SymplecticityError
+from .errors import SymplecticityError
 from .symbols import SymTensor, beta_matrix_from_tensor
 from .symplectic import RLinearMap, is_symplectomorphism
+
+_DEFECT_TOL = 1e-6
 
 
 class _Sampler:
     """Matrix-valued function of time: zero, constant, callable, or
     linearly interpolated samples."""
 
-    def __init__(self, spec, dim, shape):
-        self.dim = dim
+    def __init__(self, spec, shape):
         self.shape = shape
         if spec is None:
             self.kind = "zero"
@@ -79,8 +79,8 @@ class QuadraticHamiltonian:
         self.dim = dim
         if isinstance(beta, SymTensor):
             beta = beta_matrix_from_tensor(beta)
-        self.alpha = _Sampler(alpha, dim, (dim, dim))
-        self.beta = _Sampler(beta, dim, (dim, dim))
+        self.alpha = _Sampler(alpha, (dim, dim))
+        self.beta = _Sampler(beta, (dim, dim))
         if t_end <= t_start:
             raise ValueError("t_end must exceed t_start")
         if dt <= 0:
@@ -105,14 +105,48 @@ class QuadraticHamiltonian:
         return self.t_start + (span / n) * np.arange(n + 1)
 
 
-def _hermite(y0, y1, d0, d1, h, tau):
+def _rk4(grid, y0, coefficients, rhs):
+    """Classical RK4 for dy/dt = rhs(c(t), y) over `grid`.
+
+    `coefficients(t)` is evaluated once per distinct time (each grid
+    point and each step midpoint).  Returns the values and the
+    right-hand sides at the grid points, for dense output.
+    """
+    values = np.empty((len(grid),) + y0.shape, dtype=complex)
+    derivs = np.empty_like(values)
+    y, c_now = y0, coefficients(grid[0])
+    for k, t in enumerate(grid):
+        values[k] = y
+        derivs[k] = rhs(c_now, y)
+        if k + 1 < len(grid):
+            step = grid[k + 1] - t
+            c_mid, c_now = coefficients(t + step / 2), coefficients(grid[k + 1])
+            k1 = derivs[k]
+            k2 = rhs(c_mid, y + step / 2 * k1)
+            k3 = rhs(c_mid, y + step / 2 * k2)
+            k4 = rhs(c_now, y + step * k3)
+            y = y + (step / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return values, derivs
+
+
+def _dense(times, values, derivs, t):
+    """Cubic Hermite interpolant of RK4 output at t, clamped to the range."""
+    if t <= times[0]:
+        return values[0]
+    if t >= times[-1]:
+        return values[-1]
+    k = int(np.searchsorted(times, t) - 1)
+    h = times[k + 1] - times[k]
+    tau = (t - times[k]) / h
+    if tau < 1e-12:
+        return values[k]
     t2, t3 = tau * tau, tau * tau * tau
-    return ((2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + tau) * h * d0
-            + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * h * d1)
+    return ((2 * t3 - 3 * t2 + 1) * values[k] + (t3 - 2 * t2 + tau) * h * derivs[k]
+            + (-2 * t3 + 3 * t2) * values[k + 1] + (t3 - t2) * h * derivs[k + 1])
 
 
 class UnitaryPath:
-    """u_alpha(t, 0) sampled on a half-step grid with its derivative."""
+    """u_alpha(t, t_start) on the Hamiltonian's grid with its derivative."""
 
     def __init__(self, times, mats, derivs):
         self.times = times
@@ -120,18 +154,7 @@ class UnitaryPath:
         self.derivs = derivs
 
     def at(self, t: float) -> np.ndarray:
-        times = self.times
-        if t <= times[0]:
-            return self.matrices[0]
-        if t >= times[-1]:
-            return self.matrices[-1]
-        idx = int(np.searchsorted(times, t) - 1)
-        h = times[idx + 1] - times[idx]
-        tau = (t - times[idx]) / h
-        if tau < 1e-12:
-            return self.matrices[idx]
-        return _hermite(self.matrices[idx], self.matrices[idx + 1],
-                        self.derivs[idx], self.derivs[idx + 1], h, tau)
+        return _dense(self.times, self.matrices, self.derivs, t)
 
     def unitarity_defect(self) -> float:
         u = self.matrices[-1]
@@ -139,64 +162,34 @@ class UnitaryPath:
 
 
 def integrate_u_alpha(h: QuadraticHamiltonian) -> UnitaryPath:
-    """Solve i du/dt = alpha_t u with u(t_start) = I by RK4 on a
-    half-step grid (so full-step consumers get exact midpoints)."""
+    """Solve i du/dt = alpha_t u with u(t_start) = I by RK4 on the grid.
+
+    The classical flow does not use this path; the Fock oracle takes
+    its interaction picture from it.
+    """
     grid = h.grid()
-    dim = h.dim
-    fine = np.empty(2 * (len(grid) - 1) + 1)
-    fine[0::2] = grid
-    fine[1::2] = (grid[:-1] + grid[1:]) / 2.0
-    if h.alpha.is_zero():
-        eye = np.eye(dim, dtype=complex)
-        mats = np.broadcast_to(eye, (len(fine), dim, dim)).copy()
-        return UnitaryPath(fine, mats, np.zeros_like(mats))
-
-    def rhs(t, u):
-        return -1j * (h.alpha_matrix(t) @ u)
-
-    mats = np.empty((len(fine), dim, dim), dtype=complex)
-    derivs = np.empty_like(mats)
-    u = np.eye(dim, dtype=complex)
-    for k, t in enumerate(fine):
-        mats[k] = u
-        derivs[k] = rhs(t, u)
-        if k + 1 < len(fine):
-            step = fine[k + 1] - t
-            k1 = derivs[k]
-            k2 = rhs(t + step / 2, u + step / 2 * k1)
-            k3 = rhs(t + step / 2, u + step / 2 * k2)
-            k4 = rhs(t + step, u + step * k3)
-            u = u + (step / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return UnitaryPath(fine, mats, derivs)
+    mats, derivs = _rk4(grid, np.eye(h.dim, dtype=complex), h.alpha_matrix,
+                        lambda a, u: -1j * (a @ u))
+    return UnitaryPath(grid, mats, derivs)
 
 
 class FlowResult:
-    """The classical flow phi(t, t_start) on a time grid.
+    """The classical flow phi(t, t_start) = L(t) + A(t) on a time grid.
 
-    Stores the unitary path, the beta-only flow (with RK4 derivatives
-    for dense output) and the assembled flow, plus per-node
-    symplecticity defects.
+    Stores L and A with their RK4 derivatives (for dense output) and
+    the per-node symplecticity defects.
     """
 
-    def __init__(self, hamiltonian, times, u_path, lhat, ahat, dlhat, dahat):
-        self.hamiltonian = hamiltonian
-        self.dim = hamiltonian.dim
+    def __init__(self, times, values, derivs):
         self.times = times
-        self.u_path = u_path
-        self.lhat, self.ahat = lhat, ahat
-        self.dlhat, self.dahat = dlhat, dahat
-        u_grid = np.array([u_path.at(t) for t in times])
-        self.linear = np.einsum("kab,kbc->kac", u_grid, lhat)
-        self.antilinear = np.einsum("kab,kbc->kac", u_grid, ahat)
+        self.t_start = times[0]
+        self._values, self._derivs = values, derivs
+        self.linear, self.antilinear = values[:, 0], values[:, 1]
         self.defects = np.array([
             max(r.gram_defect, r.cross_defect)
             for r in (is_symplectomorphism(RLinearMap(l, a), tol=1.0)
                       for l, a in zip(self.linear, self.antilinear))
         ])
-
-    @property
-    def t_start(self):
-        return self.times[0]
 
     def grid_index(self, t: float) -> int:
         k = int(np.argmin(np.abs(self.times - t)))
@@ -209,30 +202,10 @@ class FlowResult:
         k = self.grid_index(t)
         return RLinearMap(self.linear[k], self.antilinear[k])
 
-    def phi_hat(self, t: float) -> RLinearMap:
-        k = self.grid_index(t)
-        return RLinearMap(self.lhat[k], self.ahat[k])
-
     def phi_at(self, s: float) -> RLinearMap:
         """Dense output: phi(s, t_start) anywhere in the time range."""
-        times = self.times
-        if s <= times[0]:
-            k = 0
-            lh, ah = self.lhat[0], self.ahat[0]
-        elif s >= times[-1]:
-            k = len(times) - 1
-            lh, ah = self.lhat[-1], self.ahat[-1]
-        else:
-            k = int(np.searchsorted(times, s) - 1)
-            h = times[k + 1] - times[k]
-            tau = (s - times[k]) / h
-            if tau < 1e-12:
-                lh, ah = self.lhat[k], self.ahat[k]
-            else:
-                lh = _hermite(self.lhat[k], self.lhat[k + 1], self.dlhat[k], self.dlhat[k + 1], h, tau)
-                ah = _hermite(self.ahat[k], self.ahat[k + 1], self.dahat[k], self.dahat[k + 1], h, tau)
-        u = self.u_path.at(s)
-        return RLinearMap(u @ lh, u @ ah)
+        lm, am = _dense(self.times, self._values, self._derivs, s)
+        return RLinearMap(lm, am)
 
     def phi_inverse_at(self, s: float) -> RLinearMap:
         """phi(t_start, s) as the symplectic inverse L* - A*."""
@@ -242,58 +215,27 @@ class FlowResult:
         return float(self.defects.max())
 
 
-def integrate_flow(h: QuadraticHamiltonian, defect_tol: float = 1e-6) -> FlowResult:
+def _flow_rhs(c, y):
+    # y = (L, A): dL/dt = -i alpha L + beta conj(A), dA/dt = -i alpha A + beta conj(L)
+    alpha, beta = c
+    return -1j * (alpha @ y) + beta @ np.conj(y[::-1])
+
+
+def integrate_flow(h: QuadraticHamiltonian) -> FlowResult:
     """Integrate the classical flow of Q_t over the Hamiltonian's grid.
 
-    The beta-only part solves dL/dt = beta_hat conj(A),
-    dA/dt = beta_hat conj(L); symplecticity is monitored, never
-    re-imposed, and a terminal defect above `defect_tol` raises.
+    Symplecticity is monitored, never re-imposed; a terminal defect
+    above 1e-6 raises.
     """
     grid = h.grid()
-    dim = h.dim
-    u_path = integrate_u_alpha(h)
-    has_alpha = not h.alpha.is_zero()
-
-    def beta_hat(t, u=None):
-        b = h.beta_matrix(t)
-        if not has_alpha:
-            return b
-        if u is None:
-            u = u_path.at(t)
-        return u.conj().T @ b @ np.conj(u)
-
-    def rhs(t, lm, am, u=None):
-        bh = beta_hat(t, u)
-        return bh @ np.conj(am), bh @ np.conj(lm)
-
-    n = len(grid) - 1
-    lhat = np.empty((n + 1, dim, dim), dtype=complex)
-    ahat = np.empty_like(lhat)
-    dlhat = np.empty_like(lhat)
-    dahat = np.empty_like(lhat)
-    lm = np.eye(dim, dtype=complex)
-    am = np.zeros((dim, dim), dtype=complex)
-    for k in range(n + 1):
-        t = grid[k]
-        lhat[k], ahat[k] = lm, am
-        u_here = u_path.matrices[2 * k] if has_alpha else None
-        dlhat[k], dahat[k] = rhs(t, lm, am, u_here)
-        if k < n:
-            step = grid[k + 1] - t
-            u_mid = u_path.matrices[2 * k + 1] if has_alpha else None
-            u_next = u_path.matrices[2 * k + 2] if has_alpha else None
-            k1l, k1a = dlhat[k], dahat[k]
-            k2l, k2a = rhs(t + step / 2, lm + step / 2 * k1l, am + step / 2 * k1a, u_mid)
-            k3l, k3a = rhs(t + step / 2, lm + step / 2 * k2l, am + step / 2 * k2a, u_mid)
-            k4l, k4a = rhs(t + step, lm + step * k3l, am + step * k3a, u_next)
-            lm = lm + (step / 6) * (k1l + 2 * k2l + 2 * k3l + k4l)
-            am = am + (step / 6) * (k1a + 2 * k2a + 2 * k3a + k4a)
-
-    result = FlowResult(h, grid, u_path, lhat, ahat, dlhat, dahat)
+    y0 = np.stack([np.eye(h.dim, dtype=complex), np.zeros((h.dim, h.dim), dtype=complex)])
+    values, derivs = _rk4(grid, y0, lambda t: (h.alpha_matrix(t), h.beta_matrix(t)),
+                          _flow_rhs)
+    result = FlowResult(grid, values, derivs)
     terminal = result.defects[-1]
-    if terminal > defect_tol:
+    if terminal > _DEFECT_TOL:
         raise SymplecticityError(
-            f"terminal symplecticity defect {terminal:.3e} exceeds {defect_tol:.1e}; "
+            f"terminal symplecticity defect {terminal:.3e} exceeds {_DEFECT_TOL:.1e}; "
             "reduce dt or check the Hamiltonian samplers")
     return result
 

@@ -9,6 +9,7 @@ command-line run is reproducible from the file alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,34 @@ _DEFAULT_TOLERANCES = {
     "leakage": 1e-6,
 }
 
+_KEYS = ("schema_version", "dim", "epsilon", "t_end", "dt", "alpha", "beta",
+         "observable", "fock", "quad", "tolerances", "seed")
+
+# the Hermiticity bound QuadraticHamiltonian.alpha_matrix enforces
+_HERMITIAN_TOL = 1e-12
+
+
+def _check_keys(block: dict, allowed, what: str) -> None:
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ScenarioError(f"{what}: unknown keys {unknown}; allowed are {list(allowed)}")
+
+
+def _block(data: dict, key: str, allowed) -> dict:
+    """An optional JSON object whose keys all come from `allowed`."""
+    block = data.get(key, {})
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{key} must be a JSON object, got {block!r}")
+    _check_keys(block, allowed, key)
+    return block
+
+
+def _number(value, name: str) -> float:
+    """A finite JSON number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ScenarioError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
 
 def _matrix_from_json(data, dim, what):
     try:
@@ -36,6 +65,8 @@ def _matrix_from_json(data, dim, what):
     mat = re + 1j * im
     if mat.shape != (dim, dim):
         raise ScenarioError(f"{what}: expected a {dim}x{dim} matrix, got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ScenarioError(f"{what}: entries must be finite numbers")
     return mat
 
 
@@ -48,28 +79,40 @@ def _vector_from_json(data, dim, what):
     vec = re + 1j * im
     if vec.shape != (dim,):
         raise ScenarioError(f"{what}: expected a length-{dim} vector, got {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise ScenarioError(f"{what}: entries must be finite numbers")
     return vec
 
 
-def _coefficient_sampler(spec, dim, what):
+def _coefficient_sampler(spec, dim, what, hermitian=False):
     """zero / constant / sampled coefficient spec -> sampler argument."""
     if spec is None:
         return None
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{what} must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "zero":
         return None
     if kind == "constant":
-        return _matrix_from_json(spec.get("data", {}), dim, what)
-    if kind == "sampled":
+        times, values = None, _matrix_from_json(spec.get("data", {}), dim, what)[None]
+    elif kind == "sampled":
         try:
             times = np.asarray(spec["times"], dtype=float)
             values = np.stack([_matrix_from_json(v, dim, what) for v in spec["values"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"{what}: sampled spec needs times and values") from exc
-        if len(times) != len(values) or len(times) < 2:
+        if times.ndim != 1 or len(times) != len(values) or len(times) < 2:
             raise ScenarioError(f"{what}: need matching times/values, at least two samples")
-        return (times, values)
-    raise ScenarioError(f"{what}: unknown kind '{kind}'")
+        if not np.isfinite(times).all() or np.any(np.diff(times) < 0):
+            raise ScenarioError(f"{what}: times must be finite and non-decreasing")
+    else:
+        raise ScenarioError(f"{what}: unknown kind {kind!r}")
+    if hermitian:
+        skew = np.abs(values - np.conj(np.swapaxes(values, 1, 2))).max()
+        if skew > _HERMITIAN_TOL:
+            raise ScenarioError(f"{what}: not Hermitian (|M - M*| = {skew:.1e} "
+                                f"> {_HERMITIAN_TOL:.0e})")
+    return values[0] if times is None else (times, values)
 
 
 def _integer(value, name: str, minimum: int) -> int:
@@ -100,23 +143,26 @@ class Scenario:
     def from_dict(cls, data: dict) -> "Scenario":
         if not isinstance(data, dict):
             raise ScenarioError("scenario must be a JSON object")
-        try:
-            dim = int(data["dim"])
-            t_end = float(data["t_end"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError("scenario needs integer 'dim' and numeric 't_end'") from exc
-        if dim < 1:
-            raise ScenarioError("dim must be >= 1")
-        epsilon = float(data.get("epsilon", 0.5))
-        if epsilon <= 0:
-            raise ScenarioError("epsilon must be positive")
-        dt = float(data.get("dt", 1e-3))
-        if dt <= 0 or t_end < 0:
-            raise ScenarioError("dt must be positive and t_end non-negative")
+        _check_keys(data, _KEYS, "scenario")
+        version = data.get("schema_version", SCHEMA_VERSION)
+        if isinstance(version, bool) or version != SCHEMA_VERSION:
+            raise ScenarioError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+        for key in ("dim", "t_end"):
+            if key not in data:
+                raise ScenarioError(f"scenario needs '{key}'")
+        dim = _integer(data["dim"], "dim", 1)
+        t_end = _number(data["t_end"], "t_end")
+        epsilon = _number(data.get("epsilon", 0.5), "epsilon")
+        dt = _number(data.get("dt", 1e-3), "dt")
+        if epsilon <= 0 or dt <= 0 or t_end < 0:
+            raise ScenarioError("epsilon and dt must be positive and t_end non-negative")
         tol = dict(_DEFAULT_TOLERANCES)
-        tol.update(data.get("tolerances", {}))
-        n_max = _integer(data.get("fock", {}).get("n_max", 16), "fock.n_max", 0)
-        quad_nodes = _integer(data.get("quad", {}).get("nodes", 16), "quad.nodes", 1)
+        for name, value in _block(data, "tolerances", tuple(_DEFAULT_TOLERANCES)).items():
+            tol[name] = _number(value, f"tolerances.{name}")
+            if tol[name] < 0:
+                raise ScenarioError(f"tolerances.{name} must be >= 0, got {value!r}")
+        n_max = _integer(_block(data, "fock", ("n_max",)).get("n_max", 16), "fock.n_max", 0)
+        quad_nodes = _integer(_block(data, "quad", ("nodes",)).get("nodes", 16), "quad.nodes", 1)
         return cls(
             dim=dim,
             epsilon=epsilon,
@@ -128,7 +174,7 @@ class Scenario:
             n_max=n_max,
             quad_nodes=quad_nodes,
             tolerances=tol,
-            seed=int(data.get("seed", 0)),
+            seed=_integer(data.get("seed", 0), "seed", 0),
             raw=data,
         )
 
@@ -144,7 +190,7 @@ class Scenario:
         return cls.from_dict(data)
 
     def hamiltonian(self) -> QuadraticHamiltonian:
-        alpha = _coefficient_sampler(self.alpha_spec, self.dim, "alpha")
+        alpha = _coefficient_sampler(self.alpha_spec, self.dim, "alpha", hermitian=True)
         beta = _coefficient_sampler(self.beta_spec, self.dim, "beta")
         try:
             # pad a t_end = 0 request to one step; commands still evaluate
@@ -158,6 +204,8 @@ class Scenario:
         spec = self.observable_spec
         if spec is None:
             raise ScenarioError("scenario has no observable")
+        if not isinstance(spec, dict):
+            raise ScenarioError(f"observable must be a JSON object, got {spec!r}")
         if "preset" in spec:
             xi = None
             if "xi" in spec:
@@ -168,8 +216,10 @@ class Scenario:
                 raise ScenarioError(str(exc)) from exc
         try:
             sym = PolySymbol.from_json(spec)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"bad observable spec: {exc}") from exc
+        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+            raise ScenarioError(f"bad observable spec: {exc!r}") from exc
+        if not all(np.isfinite(arr).all() for arr in sym.terms.values()):
+            raise ScenarioError("observable: coefficients must be finite numbers")
         if sym.dim != self.dim:
             raise ScenarioError(f"observable dim {sym.dim} != scenario dim {self.dim}")
         return sym

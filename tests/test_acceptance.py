@@ -196,8 +196,9 @@ def test_criterion_3_companion_converged_cutoff():
 
 def test_criterion_4_alpha_removal_equivalence():
     """Nonzero constant alpha with nonzero beta: the engine assembly (which
-    factors through the rotated beta and the reduced flow) matches the
-    Fock conjugation (which factors through the second quantization)."""
+    reads the classical flow of alpha and beta integrated together)
+    matches the Fock conjugation (which removes alpha through the second
+    quantization Gamma(u_alpha) of its unitary path)."""
     alpha = np.array([[0.4]])
     beta = np.array([[0.25 + 0.15j]])
     t = 0.25

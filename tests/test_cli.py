@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from hepp_expand import cli
 from hepp_expand.cli import main
+from hepp_expand.errors import SymplecticityError
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -176,6 +178,88 @@ def test_bad_quad_nodes_exit_two(tmp_path, capsys, nodes):
     assert main(["expand", write_scenario(tmp_path, data)]) == 2
     err = capsys.readouterr().err.strip()
     assert "quad.nodes" in err and len(err.splitlines()) == 1
+
+
+MALFORMED = {
+    "quad-not-object": {"quad": 3},
+    "fock-not-object": {"fock": 3},
+    "alpha-not-object": {"alpha": [1]},
+    "seed-string": {"seed": "x"},
+    "tolerances-list": {"tolerances": [1]},
+    "tolerance-string": {"tolerances": {"flow": "x"}},
+    "epsilon-string": {"epsilon": "x"},
+    "dt-string": {"dt": "abc"},
+    "alpha-non-hermitian": {"alpha": {"kind": "constant",
+                                      "data": {"re": [[1.0]], "im": [[0.5]]}}},
+    "beta-nan": {"beta": {"kind": "constant",
+                          "data": {"re": [[float("nan")]], "im": [[0.0]]}}},
+    "beta-times-nan": {"beta": {"kind": "sampled", "times": [0.0, float("nan")],
+                                "values": [{"re": [[1.0]]}, {"re": [[1.0]]}]}},
+    "schema-version-2": {"schema_version": 2},
+    "unknown-key": {"comment": "x"},
+}
+
+# the observable is read only by the commands that need it
+MALFORMED_OBSERVABLE = {
+    "observable-not-object": {"observable": 3},
+    "observable-index-out-of-range": {"observable": {"dim": 1, "terms": [
+        {"p": 1, "q": 1, "entries": [[[1], [5], 1.0, 0.0]]}]}},
+    "observable-nan": {"observable": {"dim": 1, "terms": [
+        {"p": 1, "q": 1, "entries": [[[1], [1], float("nan"), 0.0]]}]}},
+}
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [("flow", o) for o in MALFORMED.values()]
+    + [("expand", o) for o in MALFORMED_OBSERVABLE.values()],
+    ids=list(MALFORMED) + list(MALFORMED_OBSERVABLE))
+def test_malformed_scenario_exit_two(tmp_path, capsys, command, override):
+    with open(os.path.join(REPO, "demos", "scenarios", "example-im-z2.json")) as fh:
+        data = json.load(fh)
+    data.update(override)
+    assert main([command, write_scenario(tmp_path, data)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("hepp-expand: scenario error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (RuntimeError("boom\nsecond line"), 4, "hepp-expand: internal error: RuntimeError: boom"),
+    (SymplecticityError("drift"), 1, "hepp-expand: tolerance failure: drift"),
+], ids=["internal", "symplecticity"])
+def test_unexpected_exception_exit_codes(tmp_path, capsys, monkeypatch, exc, code, prefix):
+    # a crash is never reported as a tolerance failure
+    def broken(scenario, args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "flow", broken)
+    assert main(["flow", write_scenario(tmp_path, base_scenario())]) == code
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(prefix) and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flags", [["--samples", "0"], ["--seed", "-1"]],
+                         ids=["zero-samples", "negative-seed"])
+def test_bad_flags_exit_two(tmp_path, capsys, flags):
+    path = write_scenario(tmp_path, base_scenario(t_end=0.01))
+    assert main(["estimates", path] + flags) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("hepp-expand: input error:") and len(err.splitlines()) == 1
+
+
+def test_unwritable_out_exit_two(tmp_path, capsys):
+    path = write_scenario(tmp_path, base_scenario(t_end=0.01))
+    assert main(["flow", path, "--out", str(tmp_path / "missing" / "report.json")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("hepp-expand: cannot write report:") and len(err.splitlines()) == 1
+
+
+def test_report_gives_effective_dt(tmp_path, capsys):
+    # 0.0105 / 1e-3 rounds to 10 steps of 0.00105
+    data = base_scenario(t_end=0.0105, dt=1e-3)
+    code, report = run_main(["flow", write_scenario(tmp_path, data)], capsys)
+    assert code == 0
+    assert report["dt"] == pytest.approx(0.00105, rel=1e-12)
 
 
 class TestEstimatesCommand:

@@ -33,6 +33,18 @@ class TestUnitaryPath:
         assert np.abs(path.at(1.0) - expm(-1j * a)).max() < 1e-8
         assert path.unitarity_defect() < 1e-8
 
+    def test_midpoints_match_expm(self, rng):
+        # the Fock oracle reads u_alpha at RK4 midpoints from the Hermite
+        # interpolant between grid points
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        a = (a + a.conj().T) / 2
+        h = QuadraticHamiltonian(3, alpha=a, t_end=1.0, dt=1e-3)
+        path = integrate_u_alpha(h)
+        grid = h.grid()
+        worst = max(np.abs(path.at(t) - expm(-1j * a * t)).max()
+                    for t in (grid[:-1] + grid[1:]) / 2)
+        assert worst < 1e-10
+
     def test_scalar_frequency_quadrature_oracle(self):
         # alpha(t) = (1 + 0.5 sin t) diag(1, 2): phases from the closed-form
         # primitive t + 0.5 (1 - cos t)
@@ -119,16 +131,33 @@ class TestIntegrateFlow:
             flow.phi(0.5050001)
 
     def test_dense_output_matches_grid(self):
-        flow = integrate_flow(squeeze_hamiltonian(dt=1e-2))
+        # constant coefficients: (L, conj A) solves the linear system with
+        # generator [[-i alpha, beta], [conj beta, i conj alpha]]; the
+        # squeeze case is (cosh, sinh)
+        cases = [
+            (None, [[1.0]]),
+            ([[0.7]], [[1.0]]),
+            ([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]], [[1.0, 0.3j], [0.3j, -0.5]]),
+        ]
         mid = 0.505
-        phi = flow.phi_at(mid)
-        assert abs(phi.linear[0, 0] - np.cosh(mid)) < 1e-8
-        assert abs(phi.antilinear[0, 0] - np.sinh(mid)) < 1e-8
-        inv = flow.phi_inverse_at(mid)
-        assert inv.compose(phi).distance(RLinearMap.identity(1)) < 1e-8
+        for alpha, beta in cases:
+            beta = np.array(beta, dtype=complex)
+            dim = len(beta)
+            h = QuadraticHamiltonian(dim, alpha=alpha, beta=beta, t_end=1.0, dt=1e-2)
+            flow = integrate_flow(h)
+            a = h.alpha_matrix(0.0)
+            gen = np.block([[-1j * a, beta], [np.conj(beta), 1j * np.conj(a)]])
+            exact = expm(mid * gen)[:, :dim]
+            phi = flow.phi_at(mid)
+            assert np.abs(phi.linear - exact[:dim]).max() < 1e-8
+            assert np.abs(phi.antilinear - np.conj(exact[dim:])).max() < 1e-8
+            inv = flow.phi_inverse_at(mid)
+            assert inv.compose(phi).distance(RLinearMap.identity(dim)) < 1e-8
 
     def test_alpha_beta_factorization_consistency(self, rng):
-        # full flow equals u_alpha o hatted flow and stays symplectic
+        # the direct (L, A) flow equals u_alpha composed with the beta-only
+        # flow of the rotated beta_hat(s) = u(s)* m conj(u(s)), and stays
+        # symplectic
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         a = (a + a.conj().T) / 2
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -136,10 +165,12 @@ class TestIntegrateFlow:
         h = QuadraticHamiltonian(2, alpha=a, beta=m, t_end=0.7, dt=1e-3)
         flow = integrate_flow(h)
         assert flow.max_defect() < 1e-8
+        u = integrate_u_alpha(h).at
+        hatted = integrate_flow(QuadraticHamiltonian(
+            2, beta=lambda s: u(s).conj().T @ m @ np.conj(u(s)), t_end=0.7, dt=1e-3))
         t = 0.7
-        u = flow.u_path.at(t)
-        lhs = RLinearMap(u) @ flow.phi_hat(t)
-        assert lhs.distance(flow.phi(t)) < 1e-12
+        reference = RLinearMap(u(t)) @ hatted.phi(t)
+        assert reference.distance(flow.phi(t)) < 1e-10
 
 
 class TestSampledCoefficients:
