@@ -1,8 +1,9 @@
 """Brute-force validation on a truncated Fock space.
 
-The evolved observable U(0,t) b^Wick U(t,0) is computed as a plain
-matrix on sectors 0..N and compared entrywise against the quantization
-of the assembled expansion symbol.  The comparison is only meaningful
+The evolved observable U(0,t) b^Wick U(t,0) is computed on the trusted
+sectors 0..trusted_n of the cutoff-N space, from the columns of U that
+start there (the only ones the flow evolves), and compared entrywise
+against the quantization of the assembled expansion symbol.  The comparison is only meaningful
 on sectors the cutoff cannot pollute; the last block of this script
 shows how the trusted error collapses as the cutoff grows, which is the
 practical way to pick N for a given time span.

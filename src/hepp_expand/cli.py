@@ -142,6 +142,9 @@ def cmd_oracle(scenario: Scenario, args) -> tuple[int, dict]:
     space = FockSpace(scenario.dim, scenario.n_max, scenario.epsilon)
     trusted = max(0, scenario.n_max - m - 4)
     report["trusted_block"] = trusted
+    # only the columns of U that start in the trusted sectors are evolved
+    report["total_dim"] = space.total_dim
+    report["evolved_columns"] = space.span_slice(trusted).stop
     flow = integrate_flow(h)
     t = scenario.t_end
     try:
@@ -161,7 +164,7 @@ def cmd_oracle(scenario: Scenario, args) -> tuple[int, dict]:
         wick_quantize(dy.assembled(), space), trusted)
     report["max_matrix_element_error"] = {k: float(v) for k, v in errors.items()}
     report["leakage"] = qf.max_leakage()
-    report["unitarity_defect"] = qf.unitarity_defect(t, space.n_max - 2)
+    report["unitarity_defect"] = qf.unitarity_defect(t, trusted)
     tol = scenario.tolerances["oracle"]
     report["tolerance"] = tol
     ok = max(errors.values()) <= tol

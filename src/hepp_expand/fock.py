@@ -17,8 +17,11 @@ The quantum flow uses the same ladder maps for its pair generator: a
 CSR matrix with a pattern fixed per run, whose data at time t is the
 pattern values times d(d+1) pair coefficients.  The generator changes
 the particle number by 2, so the even and odd sectors evolve as two
-separate dense blocks of U, joined into the full matrix only at the
-stored times.
+separate dense blocks of U.  Only the columns of U that start in the
+trusted sectors 0..trusted_n are evolved: they are all that the trusted
+block of the conjugated observable and the leakage gate read.  They are
+joined into one total_dim x n_cols column block at the stored times,
+where Gamma(u_alpha) acts on them sector by sector.
 """
 
 from __future__ import annotations
@@ -135,9 +138,16 @@ class FockOperator:
         return float(np.linalg.norm(self.matrix, 2))
 
     def trusted_block_diff(self, other: "FockOperator", n_trust: int) -> float:
-        """Max |entry difference| over rows and columns in sectors <= n_trust."""
-        self._check(other)
-        s = self.space.span_slice(n_trust)
+        """Max |entry difference| over rows and columns in sectors <= n_trust.
+
+        The two spaces may have different cutoffs, both at least n_trust:
+        sectors 0..n_trust are the same leading block on either side.
+        """
+        a, b = self.space, other.space
+        if a.dim != b.dim or a.epsilon != b.epsilon or n_trust > min(a.n_max, b.n_max):
+            raise DimensionMismatchError(
+                f"sectors <= {n_trust} are not shared by {a!r} and {b!r}")
+        s = a.span_slice(n_trust)
         return float(np.abs(self.matrix[s, s] - other.matrix[s, s]).max())
 
     def __repr__(self):
@@ -209,56 +219,66 @@ def field_and_weyl(xi, space: FockSpace):
 
 
 def gamma_u(u, space: FockSpace, tol: float = 1e-10) -> FockOperator:
-    """Second quantization: block-diagonal sector-wise tensor powers of u."""
+    """Second quantization: block-diagonal sector-wise tensor powers of u.
+
+    Sector n follows from sector n-1 by the ladder recursion
+    Gamma(u)|k> = (sum_j u_ji a_j^dag) Gamma(u)|k - e_i> / sqrt(k_i),
+    with i the first occupied mode of k: one matmul per mode and sector.
+    """
     u = np.asarray(u, dtype=complex)
     if np.linalg.norm(u.conj().T @ u - np.eye(space.dim), 2) > tol:
         raise ValueError("gamma_u requires a unitary within 1e-10")
     out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    cols = [u[:, i] for i in range(space.dim)]
-    for n in range(space.n_max + 1):
-        blk = np.empty((space.sector_dims[n], space.sector_dims[n]), dtype=complex)
-        for k, kappa in enumerate(sec.occupations(space.dim, n)):
-            vec = np.ones(1, dtype=complex)
-            cur = 0
-            norm = 1.0
-            for i, reps in enumerate(kappa):
-                for _ in range(int(reps)):
-                    vec = sec.creation_field(cols[i], cur) @ vec
-                    cur += 1
-                norm *= math.factorial(int(reps))
-            blk[:, k] = vec / math.sqrt(norm)
-        out[space.sector_slice(n), space.sector_slice(n)] = blk
+    out[0, 0] = 1.0
+    blk = out[:1, :1]
+    for n in range(1, space.n_max + 1):
+        low = sec.occupation_array(space.dim, n - 1)
+        s = space.sector_slice(n)
+        new = out[s, s]
+        for i in range(space.dim):
+            # k = kappa + e_i has first occupied mode i iff kappa_j = 0 for j < i
+            sel = np.flatnonzero(~low[:, :i].any(axis=1))
+            new[:, sec.raise_map(space.dim, n - 1, i)[sel]] = (
+                sec.creation_field(u[:, i], n - 1) @ blk[:, sel]) / np.sqrt(low[sel, i] + 1)
+        blk = new
     return FockOperator(space, out)
 
 
 class QuantumFlowResult:
-    """Quantum flow on the truncated space at requested sample times."""
+    """Quantum flow on the truncated space at requested sample times.
 
-    def __init__(self, space, times, operators, leakage_trace, trusted_n, leak_threshold):
+    Holds the columns of U(t, 0) that start in sectors 0..trusted_n: a
+    total_dim x n_cols block per stored time, n_cols the dimension of
+    those sectors.
+    """
+
+    def __init__(self, space, times, columns, leakage_trace, trusted_n, leak_threshold):
         self.space = space
         self.times = times
-        self._ops = operators
+        self._columns = columns
         self.leakage_trace = leakage_trace
         self.trusted_n = trusted_n
         self.leak_threshold = leak_threshold
 
-    def u_at(self, t: float) -> FockOperator:
-        for ts, op in zip(self.times, self._ops):
+    def u_at(self, t: float) -> np.ndarray:
+        """The evolved columns of U(t, 0) (sectors <= trusted_n)."""
+        for ts, cols in zip(self.times, self._columns):
             if abs(ts - t) <= 1e-9 * max(1.0, abs(t)):
-                return op
+                return cols
         raise ValueError(f"t={t} was not among the stored sample times {self.times}")
 
     def max_leakage(self) -> float:
         return float(self.leakage_trace.max()) if len(self.leakage_trace) else 0.0
 
     def unitarity_defect(self, t: float, n_top: int = None) -> float:
-        """Norm of U*U - I restricted to sectors <= n_top."""
-        u = self.u_at(t).matrix
-        gram = u.conj().T @ u - np.eye(self.space.total_dim)
+        """Norm of U*U - I on the columns of sectors <= n_top (default
+        trusted_n); columns that were not evolved cannot be checked."""
         if n_top is None:
-            n_top = self.space.n_max - 2
-        s = self.space.span_slice(n_top)
-        return float(np.linalg.norm(gram[s, s], 2))
+            n_top = self.trusted_n
+        if n_top > self.trusted_n:
+            raise ValueError(f"n_top {n_top} exceeds the evolved sectors <= {self.trusted_n}")
+        u = self.u_at(t)[:, self.space.span_slice(n_top)]
+        return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]), 2))
 
 
 def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace,
@@ -266,13 +286,15 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace,
                  trusted_n: int = None, leak_threshold: float = 1e-6) -> QuantumFlowResult:
     """Integrate the quantum flow i eps dU/dt = Q_t^Wick U with RK4.
 
-    Runs the beta-only generator (rotated by u_alpha when alpha is
-    present) and composes with the second-quantized unitary path at the
-    stored times.  The generator is evaluated once per distinct time,
-    at the grid points and the step midpoints, and applied to the even-
-    and odd-sector blocks of U separately.  Leakage of trusted-sector
-    columns into the top two sectors is recorded each step and aborts
-    the run above the threshold.
+    Only the columns of U that start in sectors 0..trusted_n (default
+    n_max - 4) are evolved; the result holds that total_dim x n_cols
+    block.  Runs the beta-only generator (rotated by u_alpha when alpha
+    is present) and composes with the second-quantized unitary path,
+    sector by sector, at the stored times.  The generator is evaluated
+    once per distinct time, at the grid points and the step midpoints,
+    and applied to the even- and odd-sector columns separately.  Leakage
+    of the evolved columns into the top two sectors is recorded each
+    step and aborts the run above the threshold.
     """
     from scipy import sparse
 
@@ -313,7 +335,8 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace,
         [sparse.csr_matrix((np.zeros(len(blk.values), dtype=complex), blk.indices, blk.indptr),
                            shape=blk.shape) for blk in blocks] for _ in range(3))
 
-    us = [np.eye(len(blk.states), dtype=complex) for blk in blocks]
+    # the trusted columns are a prefix of each parity block
+    us = [np.eye(len(blk.states), blk.trusted_hi, dtype=complex) for blk in blocks]
     leak = np.zeros(n_steps + 1)
     stored = {}
     if 0 in store_idx:
@@ -343,15 +366,18 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace,
         if k + 1 in store_idx:
             stored[k + 1] = _assemble(space, blocks, us)
 
-    times, ops = [], []
+    times, columns = [], []
     for k in sorted(stored):
         t = grid[k]
-        full = stored[k]
+        cols = stored[k]
         if has_alpha:
-            full = gamma_u(u_path.at(t), space).matrix @ full
+            g = gamma_u(u_path.at(t), space)
+            for n in range(space.n_max + 1):
+                s = space.sector_slice(n)
+                cols[s] = g.block(n, n) @ cols[s]
         times.append(float(t))
-        ops.append(FockOperator(space, full))
-    return QuantumFlowResult(space, times, ops, leak, trusted_n, leak_threshold)
+        columns.append(cols)
+    return QuantumFlowResult(space, times, columns, leak, trusted_n, leak_threshold)
 
 
 class _ParityBlock:
@@ -379,8 +405,16 @@ class _ParityBlock:
         self.trusted_hi = trusted_hi
 
     def leakage(self, u) -> float:
-        leaked = u[self.top_lo:, :self.trusted_hi]
-        return float(np.linalg.norm(leaked, 2)) if leaked.size else 0.0
+        """2-norm of the top-sector rows of the evolved columns u, from the
+        largest eigenvalue of the smaller of the two Gram matrices."""
+        leaked = u[self.top_lo:]
+        if not leaked.size:
+            return 0.0
+        if leaked.shape[0] <= leaked.shape[1]:
+            gram = leaked @ leaked.conj().T
+        else:
+            gram = leaked.conj().T @ leaked
+        return math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
 
 
 def _parity_blocks(space: FockSpace, trusted_n: int) -> list:
@@ -437,17 +471,27 @@ def _pair_coefficients(hamiltonian: QuadraticHamiltonian, u_path):
 
 
 def _assemble(space: FockSpace, blocks, us) -> np.ndarray:
-    full = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    """The parity blocks' evolved columns as one total_dim x n_cols block."""
+    cols = np.zeros((space.total_dim, sum(blk.trusted_hi for blk in blocks)), dtype=complex)
     for blk, u in zip(blocks, us):
-        full[np.ix_(blk.states, blk.states)] = u
-    return full
+        cols[np.ix_(blk.states, blk.states[:blk.trusted_hi])] = u
+    return cols
 
 
 def conjugate_observable(qflow: QuantumFlowResult, b: PolySymbol,
                          space: FockSpace, t: float) -> FockOperator:
-    """U(0,t) b^Wick U(t,0) on the truncated space."""
+    """U(0,t) b^Wick U(t,0) on the evolved sectors 0..trusted_n.
+
+    That block is U[:, s]^* b^Wick U[:, s] over the evolved columns s;
+    it is returned as an operator on the space with cutoff trusted_n.
+    """
+    flow_space = qflow.space
+    if (space.dim, space.n_max, space.epsilon) != (
+            flow_space.dim, flow_space.n_max, flow_space.epsilon):
+        raise DimensionMismatchError(f"{space!r} is not the flow's {flow_space!r}")
     u = qflow.u_at(t)
-    return u.dagger() @ wick_quantize(b, space) @ u
+    block = u.conj().T @ wick_quantize(b, space).matrix @ u
+    return FockOperator(FockSpace(space.dim, qflow.trusted_n, space.epsilon), block)
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +547,10 @@ def check_growth_bound(beta_mat, space: FockSpace, t: float, ks=(1, 2),
     beta_mat = np.asarray(beta_mat, dtype=complex)
     bnorm = _beta_norm(beta_mat)
     h = QuadraticHamiltonian(space.dim, beta=beta_mat, t_end=t, dt=dt)
-    qf = quantum_flow(h, space, store=[t], leak_threshold=np.inf)
-    u = qf.u_at(t).matrix
+    # the random states live on sectors <= n_top: evolve just those columns
+    n_top = space.n_max // 2
+    qf = quantum_flow(h, space, store=[t], trusted_n=n_top, leak_threshold=np.inf)
+    u = qf.u_at(t)
     nvec = space.number_values() / space.epsilon + 1.0
     out = {"t": t, "beta_norm": bnorm, "slack": slack}
     ratios = {}
@@ -512,8 +558,8 @@ def check_growth_bound(beta_mat, space: FockSpace, t: float, ks=(1, 2),
         bound = math.exp((3.0 ** k) * math.sqrt(2.0) * bnorm * t) * (1.0 + slack)
         worst = 0.0
         for _ in range(n_samples):
-            psi = space.random_state(rng, space.n_max // 2)
-            lhs = np.linalg.norm((nvec ** (k / 2.0)) * (u @ psi))
+            psi = space.random_state(rng, n_top)
+            lhs = np.linalg.norm((nvec ** (k / 2.0)) * (u @ psi[:u.shape[1]]))
             rhs = bound * np.linalg.norm((nvec ** (k / 2.0)) * psi)
             worst = max(worst, lhs / rhs)
         ratios[int(k)] = float(worst)

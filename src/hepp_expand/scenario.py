@@ -122,6 +122,29 @@ def _integer(value, name: str, minimum: int) -> int:
     return value
 
 
+def _observable(spec, dim: int) -> PolySymbol:
+    """A preset or explicit observable, checked against the scenario dim."""
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"observable must be a JSON object, got {spec!r}")
+    if "preset" in spec:
+        xi = None
+        if "xi" in spec:
+            xi = _vector_from_json(spec["xi"], dim, "observable.xi")
+        try:
+            return preset_symbol(spec["preset"], dim, xi=xi)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
+    try:
+        sym = PolySymbol.from_json(spec)
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise ScenarioError(f"bad observable spec: {exc!r}") from exc
+    if not all(np.isfinite(arr).all() for arr in sym.terms.values()):
+        raise ScenarioError("observable: coefficients must be finite numbers")
+    if sym.dim != dim:
+        raise ScenarioError(f"observable dim {sym.dim} != scenario dim {dim}")
+    return sym
+
+
 @dataclass
 class Scenario:
     """Parsed scenario, ready to build the Hamiltonian and observable."""
@@ -132,7 +155,7 @@ class Scenario:
     dt: float
     alpha_spec: object
     beta_spec: object
-    observable_spec: object
+    observable_symbol: PolySymbol | None
     n_max: int
     quad_nodes: int
     tolerances: dict
@@ -170,7 +193,8 @@ class Scenario:
             dt=dt,
             alpha_spec=data.get("alpha"),
             beta_spec=data.get("beta"),
-            observable_spec=data.get("observable"),
+            observable_symbol=(None if data.get("observable") is None
+                               else _observable(data["observable"], dim)),
             n_max=n_max,
             quad_nodes=quad_nodes,
             tolerances=tol,
@@ -201,28 +225,9 @@ class Scenario:
             raise ScenarioError(str(exc)) from exc
 
     def observable(self) -> PolySymbol:
-        spec = self.observable_spec
-        if spec is None:
+        if self.observable_symbol is None:
             raise ScenarioError("scenario has no observable")
-        if not isinstance(spec, dict):
-            raise ScenarioError(f"observable must be a JSON object, got {spec!r}")
-        if "preset" in spec:
-            xi = None
-            if "xi" in spec:
-                xi = _vector_from_json(spec["xi"], self.dim, "observable.xi")
-            try:
-                return preset_symbol(spec["preset"], self.dim, xi=xi)
-            except ValueError as exc:
-                raise ScenarioError(str(exc)) from exc
-        try:
-            sym = PolySymbol.from_json(spec)
-        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
-            raise ScenarioError(f"bad observable spec: {exc!r}") from exc
-        if not all(np.isfinite(arr).all() for arr in sym.terms.values()):
-            raise ScenarioError("observable: coefficients must be finite numbers")
-        if sym.dim != self.dim:
-            raise ScenarioError(f"observable dim {sym.dim} != scenario dim {self.dim}")
-        return sym
+        return self.observable_symbol
 
     def rng(self, seed=None) -> np.random.Generator:
         """Counter-based generator so parallel reports stay reproducible."""

@@ -143,6 +143,8 @@ class TestOracleCommand:
         assert report["pass"] is True
         assert max(report["max_matrix_element_error"].values()) <= 1e-5
         assert report["trusted_block"] == 16
+        assert report["total_dim"] == 25
+        assert report["evolved_columns"] == 17
 
     def test_tolerance_fail_exit_one(self, tmp_path, capsys):
         data = base_scenario(t_end=0.05, dt=5e-4, fock={"n_max": 24},
@@ -199,7 +201,7 @@ MALFORMED = {
     "unknown-key": {"comment": "x"},
 }
 
-# the observable is read only by the commands that need it
+# parsed up front, so refused by commands that never read it too
 MALFORMED_OBSERVABLE = {
     "observable-not-object": {"observable": 3},
     "observable-index-out-of-range": {"observable": {"dim": 1, "terms": [
@@ -212,8 +214,10 @@ MALFORMED_OBSERVABLE = {
 @pytest.mark.parametrize(
     "command, override",
     [("flow", o) for o in MALFORMED.values()]
-    + [("expand", o) for o in MALFORMED_OBSERVABLE.values()],
-    ids=list(MALFORMED) + list(MALFORMED_OBSERVABLE))
+    + [("expand", o) for o in MALFORMED_OBSERVABLE.values()]
+    + [("flow", o) for o in MALFORMED_OBSERVABLE.values()],
+    ids=list(MALFORMED) + list(MALFORMED_OBSERVABLE)
+    + [f"flow-{name}" for name in MALFORMED_OBSERVABLE])
 def test_malformed_scenario_exit_two(tmp_path, capsys, command, override):
     with open(os.path.join(REPO, "demos", "scenarios", "example-im-z2.json")) as fh:
         data = json.load(fh)
@@ -221,6 +225,16 @@ def test_malformed_scenario_exit_two(tmp_path, capsys, command, override):
     assert main([command, write_scenario(tmp_path, data)]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("hepp-expand: scenario error:") and len(err.splitlines()) == 1
+
+
+def test_missing_observable_fails_only_its_readers(tmp_path, capsys):
+    data = base_scenario(t_end=0.05)
+    del data["observable"]
+    path = write_scenario(tmp_path, data)
+    assert main(["flow", path]) == 0
+    capsys.readouterr()
+    assert main(["expand", path]) == 2
+    assert "no observable" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exc, code, prefix", [

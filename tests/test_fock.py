@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 import hepp_expand.sectors as sec
-from hepp_expand.errors import LeakageError
+from hepp_expand.errors import DimensionMismatchError, LeakageError
 from hepp_expand.expansions import exp_expand
 from hepp_expand.flow import QuadraticHamiltonian, integrate_flow, integrate_u_alpha
 from hepp_expand.fock import (
@@ -59,6 +59,24 @@ def dense_ladder_product(space, m_occ, n_occ):
                 blk = sec.creators(space.dim, cur)[i] @ blk
                 cur += 1
         out[space.sector_slice(n_out), space.sector_slice(n_in)] = blk
+    return out
+
+
+def loop_gamma_u(u, space):
+    """Reference: Gamma(u) state by state, each basis vector built as
+    prod_i (sum_j u_ji a_j^dag)^{k_i} |0> / sqrt(k!)."""
+    out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    for n in range(space.n_max + 1):
+        blk = np.empty((space.sector_dims[n], space.sector_dims[n]), dtype=complex)
+        for k, kappa in enumerate(sec.occupations(space.dim, n)):
+            vec = np.ones(1, dtype=complex)
+            cur = 0
+            for i, reps in enumerate(kappa):
+                for _ in range(int(reps)):
+                    vec = sec.creation_field(u[:, i], cur) @ vec
+                    cur += 1
+            blk[:, k] = vec / math.sqrt(sec.occ_factorials(space.dim, n)[k])
+        out[space.sector_slice(n), space.sector_slice(n)] = blk
     return out
 
 
@@ -262,6 +280,12 @@ class TestGammaU:
         rhs = gamma_u(u @ v, space)
         assert np.abs(lhs.matrix - rhs.matrix).max() < 1e-12
 
+    @pytest.mark.parametrize("dim, n_max", [(1, 30), (2, 24), (3, 10)])
+    def test_ladder_recursion_matches_creation_loop(self, rng, dim, n_max):
+        space = FockSpace(dim, n_max, 0.5)
+        u = random_unitary(rng, dim)
+        assert np.abs(gamma_u(u, space).matrix - loop_gamma_u(u, space)).max() <= 1e-13
+
     def test_rejects_non_unitary(self):
         space = FockSpace(1, 3, 0.5)
         with pytest.raises(ValueError):
@@ -272,25 +296,25 @@ class TestQuantumFlow:
     def test_free_flow_is_identity(self):
         space = FockSpace(1, 8, 0.5)
         h = QuadraticHamiltonian(1, t_end=0.5, dt=1e-2)
-        qf = quantum_flow(h, space, store=[0.5])
-        assert np.abs(qf.u_at(0.5).matrix - np.eye(space.total_dim)).max() < 1e-14
+        qf = quantum_flow(h, space, store=[0.5], trusted_n=space.n_max, leak_threshold=np.inf)
+        assert np.abs(qf.u_at(0.5) - np.eye(space.total_dim)).max() < 1e-14
 
     def test_alpha_only_matches_gamma_of_expm(self, rng):
         space = FockSpace(2, 6, 0.5)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         a = (a + a.conj().T) / 2
         h = QuadraticHamiltonian(2, alpha=a, t_end=0.4, dt=1e-3)
-        qf = quantum_flow(h, space, store=[0.4])
+        qf = quantum_flow(h, space, store=[0.4], trusted_n=space.n_max, leak_threshold=np.inf)
         want = gamma_u(expm(-0.4j * a), space)
-        assert np.abs(qf.u_at(0.4).matrix - want.matrix).max() < 1e-8
+        assert np.abs(qf.u_at(0.4) - want.matrix).max() < 1e-8
 
     def test_matches_expm_for_constant_beta(self):
         space = FockSpace(1, 20, 0.5)
         h = QuadraticHamiltonian(1, beta=np.array([[1.0]]), t_end=0.2, dt=5e-4)
-        qf = quantum_flow(h, space, store=[0.2], leak_threshold=np.inf)
+        qf = quantum_flow(h, space, store=[0.2], trusted_n=space.n_max, leak_threshold=np.inf)
         q_op = wick_quantize(squeezing_hamiltonian_symbol(np.array([[1.0]])), space)
         want = expm(-1j * 0.2 * q_op.matrix / space.epsilon)
-        assert np.abs(qf.u_at(0.2).matrix - want).max() < 1e-9
+        assert np.abs(qf.u_at(0.2) - want).max() < 1e-9
 
     def test_bogoliubov_property_small_time(self):
         # U(0,t) W(xi) U(t,0) = W(L*(t) xi + A*(t) conj xi) on low sectors
@@ -305,14 +329,25 @@ class TestQuantumFlow:
         _, w_xi = field_and_weyl(xi, space)
         mapped = phi.adjoint().apply(xi)
         _, w_mapped = field_and_weyl(mapped, space)
-        lhs = u.dagger() @ w_xi @ u
-        assert lhs.trusted_block_diff(w_mapped, 16) < 1e-6
+        # the block on sectors <= 16 reads only evolved columns
+        lhs = u.conj().T @ w_xi.matrix @ u
+        s = space.span_slice(16)
+        assert np.abs(lhs[s, s] - w_mapped.matrix[s, s]).max() < 1e-6
 
     def test_unitarity_invariant(self):
         space = FockSpace(1, 16, 0.5)
         h = QuadraticHamiltonian(1, beta=np.array([[0.8]]), t_end=0.3, dt=1e-3)
-        qf = quantum_flow(h, space, store=[0.3], leak_threshold=np.inf)
+        qf = quantum_flow(h, space, store=[0.3], trusted_n=space.n_max - 2,
+                          leak_threshold=np.inf)
         assert qf.unitarity_defect(0.3, space.n_max - 2) < 1e-7
+
+    def test_unitarity_defect_rejects_unevolved_columns(self):
+        space = FockSpace(1, 16, 0.5)
+        h = QuadraticHamiltonian(1, beta=np.array([[0.8]]), t_end=0.1, dt=1e-3)
+        qf = quantum_flow(h, space, store=[0.1], trusted_n=8, leak_threshold=np.inf)
+        assert qf.unitarity_defect(0.1) == qf.unitarity_defect(0.1, 8)
+        with pytest.raises(ValueError):
+            qf.unitarity_defect(0.1, 9)
 
     @pytest.mark.parametrize("case", ["d2-n10-ramped", "d1-n48"])
     def test_parity_split_matches_dense_reference(self, rng, case):
@@ -327,13 +362,34 @@ class TestQuantumFlow:
         else:
             h = QuadraticHamiltonian(1, beta=np.array([[1.0]]), t_end=0.15, dt=5e-4)
             space, trusted = FockSpace(1, 48, 0.5), 30
+        full = quantum_flow(h, space, store=[h.t_end], trusted_n=space.n_max,
+                            leak_threshold=np.inf)
         qf = quantum_flow(h, space, store=[h.t_end], trusted_n=trusted, leak_threshold=np.inf)
         want, want_leak = dense_reference_flow(h, space, trusted)
         if not h.alpha.is_zero():
             want = gamma_u(integrate_u_alpha(h).at(h.t_end), space).matrix @ want
-        assert np.abs(qf.u_at(h.t_end).matrix - want).max() < 1e-12
+        assert np.abs(full.u_at(h.t_end) - want).max() < 1e-12
+        cols = space.span_slice(trusted)
+        assert np.abs(qf.u_at(h.t_end) - want[:, cols]).max() < 1e-12
         assert want_leak[-1] > 0.0
         assert np.all(np.abs(qf.leakage_trace - want_leak) <= 1e-12 * want_leak)
+
+    @pytest.mark.parametrize("alpha", [False, True], ids=["beta-only", "with-alpha"])
+    def test_restricted_columns_match_full_run(self, rng, alpha):
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        h = QuadraticHamiltonian(2, alpha=(a + a.conj().T) / 2 if alpha else None,
+                                 beta=(m + m.T) / 2, t_end=0.2, dt=1e-3)
+        space = FockSpace(2, 12, 0.5)
+        full = quantum_flow(h, space, store=[0.1, 0.2], trusted_n=space.n_max,
+                            leak_threshold=np.inf)
+        for trusted in (0, 3, 8):
+            qf = quantum_flow(h, space, store=[0.1, 0.2], trusted_n=trusted,
+                              leak_threshold=np.inf)
+            cols = space.span_slice(trusted)
+            for t in (0.1, 0.2):
+                assert qf.u_at(t).shape == (space.total_dim, cols.stop)
+                assert np.abs(qf.u_at(t) - full.u_at(t)[:, cols]).max() <= 1e-15
 
     def test_leakage_abort(self):
         space = FockSpace(1, 8, 0.5)
@@ -348,7 +404,8 @@ class TestConjugateObservable:
     def test_time_zero(self, rng):
         space = FockSpace(1, 10, 0.5)
         h = QuadraticHamiltonian(1, beta=np.array([[0.5]]), t_end=0.2, dt=1e-2)
-        qf = quantum_flow(h, space, store=[0.0, 0.2], leak_threshold=np.inf)
+        qf = quantum_flow(h, space, store=[0.0, 0.2], trusted_n=space.n_max,
+                          leak_threshold=np.inf)
         b = random_symbol(rng, 1, 3)
         got = conjugate_observable(qf, b, space, 0.0)
         assert np.abs(got.matrix - wick_quantize(b, space).matrix).max() < 1e-13
@@ -356,9 +413,35 @@ class TestConjugateObservable:
     def test_constant_observable(self):
         space = FockSpace(1, 12, 0.5)
         h = QuadraticHamiltonian(1, beta=np.array([[0.6]]), t_end=0.2, dt=1e-3)
-        qf = quantum_flow(h, space, store=[0.2], leak_threshold=np.inf)
+        qf = quantum_flow(h, space, store=[0.2], trusted_n=space.n_max, leak_threshold=np.inf)
         got = conjugate_observable(qf, PolySymbol.constant(1, 1.0), space, 0.2)
         assert np.abs(got.matrix - np.eye(space.total_dim)).max() < 1e-10
+
+    def test_trusted_block_matches_full_run(self, rng):
+        space = FockSpace(2, 10, 0.5)
+        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        h = QuadraticHamiltonian(2, alpha=np.diag([0.3, -0.2]), beta=(m + m.T) / 2,
+                                 t_end=0.1, dt=1e-3)
+        b = random_symbol(rng, 2, 3)
+        full = conjugate_observable(
+            quantum_flow(h, space, store=[0.1], trusted_n=space.n_max, leak_threshold=np.inf),
+            b, space, 0.1)
+        got = conjugate_observable(
+            quantum_flow(h, space, store=[0.1], trusted_n=5, leak_threshold=np.inf),
+            b, space, 0.1)
+        assert got.space.n_max == 5
+        assert got.trusted_block_diff(full, 5) <= 1e-15
+        with pytest.raises(DimensionMismatchError):
+            got.trusted_block_diff(full, 6)
+
+    @pytest.mark.parametrize("n_max, epsilon", [(8, 0.5), (10, 0.7)])
+    def test_rejects_a_space_other_than_the_flows(self, n_max, epsilon):
+        space = FockSpace(1, 10, 0.5)
+        h = QuadraticHamiltonian(1, beta=np.array([[0.5]]), t_end=0.1, dt=1e-2)
+        qf = quantum_flow(h, space, store=[0.1], leak_threshold=np.inf)
+        with pytest.raises(DimensionMismatchError):
+            conjugate_observable(qf, preset_symbol("number", 1),
+                                 FockSpace(1, n_max, epsilon), 0.1)
 
     def test_central_cross_check_converged_cutoff(self):
         # evolved quartic observable against the exponential-engine symbol,
@@ -399,6 +482,31 @@ class TestEstimates:
         rep = check_estimates(m, space, ks=(1, 2), n_samples=300, rng=rng)
         assert rep["max_ratio_generator"] <= 1.0
         assert all(v <= 1.0 for v in rep["max_ratio_commutator"].values())
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_growth_bound_small_cutoff(self, dim):
+        # at n_max = 6 the random states reach sector 3 > n_max - 4, the
+        # default evolved range: the check must evolve those columns too
+        space = FockSpace(dim, 6, 0.5)
+        m = np.eye(dim) * 0.6 + 0.1
+        rep = check_growth_bound(m, space, 0.3, ks=(1, 2), n_samples=20,
+                                 rng=np.random.default_rng(5))
+        h = QuadraticHamiltonian(dim, beta=m, t_end=0.3, dt=1e-3)
+        u = quantum_flow(h, space, store=[0.3], trusted_n=space.n_max,
+                         leak_threshold=np.inf).u_at(0.3)
+        nvec = space.number_values() / space.epsilon + 1.0
+        rng = np.random.default_rng(5)
+        worst = {1: 0.0, 2: 0.0}
+        for k in (1, 2):
+            bound = math.exp(3.0 ** k * math.sqrt(2.0) * np.linalg.norm(m) * 0.3) * 1.1
+            for _ in range(20):
+                psi = space.random_state(rng, 3)
+                ratio = (np.linalg.norm(nvec ** (k / 2) * (u @ psi))
+                         / (bound * np.linalg.norm(nvec ** (k / 2) * psi)))
+                worst[k] = max(worst[k], ratio)
+        for k in (1, 2):
+            assert rep["max_ratio"][k] == pytest.approx(worst[k], rel=1e-12)
+            assert rep["max_ratio"][k] <= 1.0
 
     def test_growth_bound_soft(self, rng):
         space = FockSpace(1, 18, 0.5)
