@@ -64,6 +64,7 @@ def _base_report(command: str, scenario: Scenario, args, h) -> dict:
         "dt": float(grid[1] - grid[0]),
         "seed": scenario.seed,
         "threads": args.threads,
+        "threads_applied": args.threads_applied,
     }
 
 
@@ -141,15 +142,20 @@ def cmd_oracle(scenario: Scenario, args) -> tuple[int, dict]:
         raise ScenarioError(f"fock.n_max {scenario.n_max} is below the observable's degree {m}")
     space = FockSpace(scenario.dim, scenario.n_max, scenario.epsilon)
     trusted = max(0, scenario.n_max - m - 4)
+    if trusted > scenario.n_max - 2:
+        raise ScenarioError(f"fock.n_max {scenario.n_max} leaves no untrusted top sectors "
+                            f"above the trusted sectors <= {trusted} for the leakage gate")
     report["trusted_block"] = trusted
     # only the columns of U that start in the trusted sectors are evolved
     report["total_dim"] = space.total_dim
     report["evolved_columns"] = space.span_slice(trusted).stop
     flow = integrate_flow(h)
     t = scenario.t_end
+    tol = scenario.tolerances["oracle"]
     try:
+        # the Magnus step's error budget is a hundredth of the comparison's
         qf = quantum_flow(h, space, store=[t], trusted_n=trusted,
-                          leak_threshold=scenario.tolerances["leakage"])
+                          leak_threshold=scenario.tolerances["leakage"], tol=tol / 100)
     except LeakageError as exc:
         report["error"] = str(exc)
         report["diagnostics"] = exc.diagnostics
@@ -165,7 +171,7 @@ def cmd_oracle(scenario: Scenario, args) -> tuple[int, dict]:
     report["max_matrix_element_error"] = {k: float(v) for k, v in errors.items()}
     report["leakage"] = qf.max_leakage()
     report["unitarity_defect"] = qf.unitarity_defect(t, trusted)
-    tol = scenario.tolerances["oracle"]
+    report["integrator"] = qf.integrator
     report["tolerance"] = tol
     ok = max(errors.values()) <= tol
     report["pass"] = bool(ok)
@@ -284,6 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=None,
                         help="BLAS thread cap (reductions are deterministic regardless)")
     parser.add_argument("--out", default=None, help="write the report to this path")
+    # set by main once a --threads cap has actually been applied
+    parser.set_defaults(threads_applied=False)
     return parser
 
 
@@ -313,9 +321,11 @@ def main(argv=None) -> int:
     if args.threads is not None:
         try:
             from threadpoolctl import threadpool_limits
-            threadpool_limits(limits=args.threads)
         except ImportError:
             log.info("threadpoolctl not installed; --threads recorded only")
+        else:
+            threadpool_limits(limits=args.threads)
+            args.threads_applied = True
     try:
         scenario = Scenario.from_path(args.scenario)
         if args.seed is not None:

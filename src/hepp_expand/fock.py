@@ -22,6 +22,15 @@ trusted sectors 0..trusted_n are evolved: they are all that the trusted
 block of the conjugated observable and the leakage gate read.  They are
 joined into one total_dim x n_cols column block at the stored times,
 where Gamma(u_alpha) acts on them sector by sector.
+
+Two integrators advance the columns.  RK4 on the scenario grid is the
+reference.  Given a tolerance, the fourth-order commutator-free Magnus
+step CF4 (Blanes & Moan 2006) takes steps of several grid points, sized
+by step doubling; each exponential acts on the columns as a Taylor
+series whose length follows from the generator's exact sparse 1-norm.
+The leakage gate still reads every grid point (between step ends from
+a cubic Hermite interpolant), and a step that comes within a factor 10
+of the leakage threshold is re-run by RK4 on the grid.
 """
 
 from __future__ import annotations
@@ -249,16 +258,20 @@ class QuantumFlowResult:
 
     Holds the columns of U(t, 0) that start in sectors 0..trusted_n: a
     total_dim x n_cols block per stored time, n_cols the dimension of
-    those sectors.
+    those sectors.  ``integrator`` is None for RK4; for CF4 it counts the
+    kept steps, the rejected attempts and the steps re-run by RK4, and
+    sums the error estimates of the CF4 steps kept (``time_error``).
     """
 
-    def __init__(self, space, times, columns, leakage_trace, trusted_n, leak_threshold):
+    def __init__(self, space, times, columns, leakage_trace, trusted_n, leak_threshold,
+                 integrator=None):
         self.space = space
         self.times = times
         self._columns = columns
         self.leakage_trace = leakage_trace
         self.trusted_n = trusted_n
         self.leak_threshold = leak_threshold
+        self.integrator = integrator
 
     def u_at(self, t: float) -> np.ndarray:
         """The evolved columns of U(t, 0) (sectors <= trusted_n)."""
@@ -283,18 +296,33 @@ class QuantumFlowResult:
 
 def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace,
                  t_end: float = None, dt: float = None, store=None,
-                 trusted_n: int = None, leak_threshold: float = 1e-6) -> QuantumFlowResult:
-    """Integrate the quantum flow i eps dU/dt = Q_t^Wick U with RK4.
+                 trusted_n: int = None, leak_threshold: float = 1e-6,
+                 tol: float = None) -> QuantumFlowResult:
+    """Integrate the quantum flow i eps dU/dt = Q_t^Wick U.
 
     Only the columns of U that start in sectors 0..trusted_n (default
     n_max - 4) are evolved; the result holds that total_dim x n_cols
     block.  Runs the beta-only generator (rotated by u_alpha when alpha
     is present) and composes with the second-quantized unitary path,
-    sector by sector, at the stored times.  The generator is evaluated
-    once per distinct time, at the grid points and the step midpoints,
-    and applied to the even- and odd-sector columns separately.  Leakage
-    of the evolved columns into the top two sectors is recorded each
-    step and aborts the run above the threshold.
+    sector by sector, at the stored times.  The generator is applied to
+    the even- and odd-sector columns separately.
+
+    With ``tol=None`` the integrator is RK4 on the grid of step dt, the
+    generator evaluated once per distinct time.  With a float ``tol`` it
+    is the commutator-free Magnus step CF4, whose step is a multiple of
+    dt chosen by step doubling so that the estimated global error stays
+    below ``tol``; every store time is a step end.  The step counts and
+    the summed error estimate are in ``QuantumFlowResult.integrator``.
+
+    The leakage of the evolved columns into the top two sectors, the
+    2-norm of their rows there, is recorded at every grid point and
+    aborts the run above ``leak_threshold``.  Between Magnus step ends
+    it is read from a cubic Hermite interpolant; any step whose leakage
+    reaches leak_threshold / 10 is re-run from its left end by RK4 on the
+    grid, so an abort is always decided, timed and reported by the RK4
+    gate of ``tol=None``.  A finite threshold needs
+    trusted_n <= n_max - 2: the top two sectors must hold no trusted
+    column.
     """
     from scipy import sparse
 
@@ -316,55 +344,69 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace,
             raise ValueError(f"store time {ts} is not on the integration grid")
         store_idx[k] = ts
 
-    has_alpha = not hamiltonian.alpha.is_zero()
-    u_path = integrate_u_alpha(hamiltonian) if has_alpha else None
-
     if trusted_n is None:
         trusted_n = space.n_max - 4
     trusted_n = max(0, min(trusted_n, space.n_max))
+    if tol is not None and not tol >= 0:
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
+    if math.isfinite(leak_threshold) and trusted_n > space.n_max - 2:
+        raise ValueError(
+            f"trusted sectors <= {trusted_n} reach the top two sectors of n_max "
+            f"{space.n_max}: the leakage gate needs trusted_n <= n_max - 2")
+
+    has_alpha = not hamiltonian.alpha.is_zero()
+    u_path = integrate_u_alpha(hamiltonian) if has_alpha else None
     blocks = _parity_blocks(space, trusted_n)
     coefficients = _pair_coefficients(hamiltonian, u_path)
 
-    def generator(t, into):
-        # refill a fixed-pattern CSR set in place; only its data depends on t
-        c = coefficients(t)
-        for mat, blk in zip(into, blocks):
-            np.multiply(blk.values, c[blk.term], out=mat.data)
-
-    g_now, g_mid, g_next = (
-        [sparse.csr_matrix((np.zeros(len(blk.values), dtype=complex), blk.indices, blk.indptr),
-                           shape=blk.shape) for blk in blocks] for _ in range(3))
+    def csr_set():
+        return [sparse.csr_matrix((np.zeros(len(blk.values), dtype=complex), blk.indices,
+                                   blk.indptr), shape=blk.shape) for blk in blocks]
 
     # the trusted columns are a prefix of each parity block
     us = [np.eye(len(blk.states), blk.trusted_hi, dtype=complex) for blk in blocks]
     leak = np.zeros(n_steps + 1)
+
+    def rk4(us, k_from, k_to):
+        """RK4 on the columns `us`, in place, over grid steps k_from..k_to,
+        with the leakage gate."""
+        g_now, g_mid, g_next = csr_set(), csr_set(), csr_set()
+        _fill(g_now, blocks, coefficients(grid[k_from]))
+        for k in range(k_from, k_to):
+            t = grid[k]
+            h = grid[k + 1] - t
+            _fill(g_mid, blocks, coefficients(t + h / 2))
+            _fill(g_next, blocks, coefficients(grid[k + 1]))
+            for b, u in enumerate(us):
+                k1 = g_now[b] @ u
+                k2 = g_mid[b] @ (u + h / 2 * k1)
+                k3 = g_mid[b] @ (u + h / 2 * k2)
+                k4 = g_next[b] @ (u + h * k3)
+                us[b] = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            g_now, g_next = g_next, g_now
+            # the leaked block is block-diagonal in parity: its 2-norm is the
+            # larger of the two block norms
+            leak[k + 1] = max(blk.leakage(u) for blk, u in zip(blocks, us))
+            if leak[k + 1] > leak_threshold:
+                raise LeakageError(
+                    f"top-sector leakage {leak[k + 1]:.3e} exceeded {leak_threshold:.1e} "
+                    f"at t={grid[k + 1]:.4f}; raise n_max or shorten the time span",
+                    diagnostics={"t": float(grid[k + 1]), "leakage": float(leak[k + 1]),
+                                 "n_max": space.n_max, "trusted_n": trusted_n})
+
+    magnus = None if tol is None else _Magnus(blocks, coefficients, csr_set(), grid, tol)
     stored = {}
     if 0 in store_idx:
         stored[0] = _assemble(space, blocks, us)
-    generator(grid[0], g_now)
-    for k in range(n_steps):
-        t = grid[k]
-        h = grid[k + 1] - t
-        generator(t + h / 2, g_mid)
-        generator(grid[k + 1], g_next)
-        for b, u in enumerate(us):
-            k1 = g_now[b] @ u
-            k2 = g_mid[b] @ (u + h / 2 * k1)
-            k3 = g_mid[b] @ (u + h / 2 * k2)
-            k4 = g_next[b] @ (u + h * k3)
-            us[b] = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        g_now, g_next = g_next, g_now
-        # the leaked block is block-diagonal in parity: its 2-norm is the
-        # larger of the two block norms
-        leak[k + 1] = max(blk.leakage(u) for blk, u in zip(blocks, us))
-        if leak[k + 1] > leak_threshold:
-            raise LeakageError(
-                f"top-sector leakage {leak[k + 1]:.3e} exceeded {leak_threshold:.1e} "
-                f"at t={grid[k + 1]:.4f}; raise n_max or shorten the time span",
-                diagnostics={"t": float(grid[k + 1]), "leakage": float(leak[k + 1]),
-                             "n_max": space.n_max, "trusted_n": trusted_n})
-        if k + 1 in store_idx:
-            stored[k + 1] = _assemble(space, blocks, us)
+    k = 0
+    for k_end in sorted(set(store_idx) - {0} | {n_steps}):
+        if magnus is None:
+            rk4(us, k, k_end)
+        else:
+            us = magnus.march(us, k, k_end, leak, leak_threshold / 10, rk4)
+        k = k_end
+        if k in store_idx:
+            stored[k] = _assemble(space, blocks, us)
 
     times, columns = [], []
     for k in sorted(stored):
@@ -377,7 +419,164 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace,
                 cols[s] = g.block(n, n) @ cols[s]
         times.append(float(t))
         columns.append(cols)
-    return QuantumFlowResult(space, times, columns, leak, trusted_n, leak_threshold)
+    return QuantumFlowResult(space, times, columns, leak, trusted_n, leak_threshold,
+                             None if magnus is None else magnus.report())
+
+
+# Gauss nodes on [0, 1] and the weights of CF4 (Blanes & Moan 2006):
+# U(t + h) = exp(h(W2 A1 + W1 A2)) exp(h(W1 A1 + W2 A2)) U(t), A_i the
+# generator at t + c_i h.  The exponential weighting the earlier node by
+# W1 acts first; swapped, the step is only of second order.
+_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_W1, _W2 = 0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+class _Magnus:
+    """CF4 on the parity blocks with step-doubling control on the grid.
+
+    One attempt from knot k advances n_h grid steps once with step H and
+    twice with H/2; max|difference| / 15 estimates the error of the
+    two-half-step result, which is kept when the estimate is at most
+    tol H / T (a single grid step is always kept).  The next n_h scales
+    with (allowed / estimate)^(1/5).  The first H has H ||G(t0)||_1 ~ 0.5.
+    """
+
+    def __init__(self, blocks, coefficients, work, grid, tol):
+        self.blocks, self.coefficients, self.work = blocks, coefficients, work
+        self.grid, self.tol = grid, tol
+        self.span = grid[-1] - grid[0]
+        self.steps = self.rejected = self.refined = 0
+        self.time_error = 0.0
+        _fill(work, blocks, coefficients(grid[0]))
+        # the first step has H ||G(t0)||_1 ~ 0.5, or spans the run
+        n_steps, spans = len(grid) - 1, 2.0 * self.span * max(_norm1(mat) for mat in work)
+        self.n_h = n_steps if spans <= 1.0 else max(1, round(n_steps / spans))
+
+    def report(self) -> dict:
+        return {"steps": self.steps, "rejected": self.rejected, "refined": self.refined,
+                "time_error": float(self.time_error)}
+
+    def cf4(self, us, t, h):
+        c1 = self.coefficients(t + _GAUSS[0] * h)
+        c2 = self.coefficients(t + _GAUSS[1] * h)
+        for w1, w2 in ((_W1, _W2), (_W2, _W1)):
+            _fill(self.work, self.blocks, h * (w1 * c1 + w2 * c2))
+            us = [_expm_apply(mat, _norm1(mat), u) for mat, u in zip(self.work, us)]
+        return us
+
+    def march(self, us, k, k_end, leak, gate, rk4):
+        """Advance the columns from grid point k to k_end, filling leak.
+
+        A step whose leakage reaches `gate` at a knot or in between is
+        re-run from its left knot by `rk4` (which raises the abort).
+        """
+        grid = self.grid
+        while k < k_end:
+            n_h = min(self.n_h, k_end - k)
+            kept = False
+            # a left knot at the gate already dooms the step to RK4
+            if leak[k] < gate:
+                t, h = grid[k], grid[k + n_h] - grid[k]
+                coarse = self.cf4(us, t, h)
+                mid = self.cf4(us, t, h / 2)
+                fine = self.cf4(mid, t + h / 2, h / 2)
+                err = max(np.abs(a - b).max(initial=0.0) for a, b in zip(fine, coarse)) / 15.0
+                allowed = self.tol * h / self.span
+                factor = 4.0 if err == 0 else min(4.0, 0.9 * (allowed / err) ** 0.2)
+                self.n_h = max(1, int(n_h * factor))
+                if err > allowed and n_h > 1:
+                    self.rejected += 1
+                    continue
+                leak[k + 1:k + n_h + 1] = self.leakage(k, n_h, (us, mid, fine))
+                kept = leak[k + 1:k + n_h + 1].max() < gate
+                if kept:
+                    self.time_error += err
+                    us = fine
+            if not kept:
+                self.refined += 1
+                rk4(us, k, k + n_h)
+            self.steps += 1
+            k += n_h
+        return us
+
+    def leakage(self, k, n_h, states):
+        """Leakage at grid points k+1..k+n_h of a step whose left, middle
+        and right states are `states`: exact at the right knot, from a
+        cubic Hermite interpolant of the top-sector rows in between."""
+        grid = self.grid
+        t, h = grid[k], grid[k + n_h] - grid[k]
+        out = np.zeros(n_h)
+        out[-1] = max(blk.leakage(u) for blk, u in zip(self.blocks, states[-1]))
+        if n_h == 1:
+            return out
+        knots = (t, t + h / 2, t + h)
+        coeffs = [self.coefficients(s) for s in knots]
+        # the interpolant at each inner point is sum_i basis_i Y_i over the
+        # values and scaled slopes Y = (y0, h/2 y0', ym, h/2 ym', y1, h/2 y1')
+        inner = grid[k + 1:k + n_h]
+        second = inner >= knots[1]
+        tau = (inner - np.where(second, knots[1], knots[0])) / (h / 2)
+        herm = np.stack([(1 + 2 * tau) * (1 - tau) ** 2, tau * (1 - tau) ** 2,
+                         tau ** 2 * (3 - 2 * tau), -tau ** 2 * (1 - tau)], axis=-1)
+        basis = np.zeros((len(inner), 6))
+        basis[~second, :4] = herm[~second]
+        basis[second, 2:] = herm[second]
+        pairs = (basis[:, :, None] * basis[:, None, :]).reshape(len(inner), 36)
+        for b, blk in enumerate(self.blocks):
+            ys = []
+            for c, state in zip(coeffs, states):
+                ys += [state[b][blk.top_lo:], (h / 2) * (blk.top_generator(c) @ state[b])]
+            ys = np.stack(ys)
+            if not ys.size:
+                continue
+            if ys.shape[1] > ys.shape[2]:
+                # the smaller Gram matrix: rows^* rows
+                ys = ys.conj().swapaxes(1, 2)
+            # Gram(tau) = sum_ij basis_i basis_j Y_i Y_j^*, from the 36 products
+            n = ys.shape[1]
+            flat = ys.reshape(6 * n, -1)
+            prods = (flat @ flat.conj().T).reshape(6, n, 6, n).swapaxes(1, 2)
+            gram = (pairs @ prods.reshape(36, n * n)).reshape(-1, n, n)
+            top = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+            out[:-1] = np.maximum(out[:-1], top)
+        return out
+
+
+def _fill(mats, blocks, c):
+    """Refill each block's fixed-pattern CSR matrix in place from the pair
+    coefficients c: only its data depends on the time."""
+    for mat, blk in zip(mats, blocks):
+        np.multiply(blk.values, c[blk.term], out=mat.data)
+
+
+def _norm1(mat) -> float:
+    """Exact 1-norm (largest column sum) of a CSR matrix."""
+    sums = np.bincount(mat.indices, weights=np.abs(mat.data), minlength=mat.shape[1])
+    return float(sums.max(initial=0.0))
+
+
+def _expm_apply(mat, norm, u):
+    """exp(mat) u for a sparse mat of 1-norm `norm`.
+
+    A truncated Taylor series in ceil(norm) sub-steps of 1-norm x <= 1,
+    with the fewest terms m for which the remainder bound
+    x^(m+1) e^x / (m+1)! is below the unit roundoff (Al-Mohy & Higham
+    2011 choose (m, s) by a sharper backward-error bound).
+    """
+    s = max(1, math.ceil(norm))
+    x = norm / s
+    m = 1
+    while x ** (m + 1) * math.exp(x) / math.factorial(m + 1) > _UNIT_ROUNDOFF:
+        m += 1
+    for _ in range(s):
+        out, term = u.copy(), u
+        for j in range(1, m + 1):
+            term = mat @ term
+            term *= 1.0 / (s * j)
+            out += term
+        u = out
+    return u
 
 
 class _ParityBlock:
@@ -415,6 +614,15 @@ class _ParityBlock:
         else:
             gram = leaked.conj().T @ leaked
         return math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
+
+    def top_generator(self, c):
+        """The top-sector rows of the generator with pair coefficients c."""
+        from scipy import sparse
+
+        lo = self.indptr[self.top_lo]
+        return sparse.csr_matrix(
+            (self.values[lo:] * c[self.term[lo:]], self.indices[lo:],
+             self.indptr[self.top_lo:] - lo), shape=(self.shape[0] - self.top_lo, self.shape[1]))
 
 
 def _parity_blocks(space: FockSpace, trusted_n: int) -> list:

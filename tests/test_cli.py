@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -172,6 +173,29 @@ class TestOracleCommand:
         assert "n_max" in err and len(err.splitlines()) == 1
 
 
+    @pytest.mark.parametrize("n_max, terms", [
+        (0, [{"p": 0, "q": 0, "entries": [[[], [], 1.0, 0.0]]}]),
+        (1, [{"p": 1, "q": 0, "entries": [[[], [1], 1.0, 0.0]]}]),
+    ], ids=["constant-n0", "linear-n1"])
+    def test_no_untrusted_top_sector_exit_two(self, tmp_path, capsys, n_max, terms):
+        # the leakage gate reads sectors n_max - 1 and n_max, which must
+        # hold no trusted column
+        data = base_scenario(t_end=0.01, fock={"n_max": n_max},
+                             observable={"dim": 1, "terms": terms})
+        assert main(["oracle", write_scenario(tmp_path, data)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "n_max" in err and len(err.splitlines()) == 1
+
+    def test_report_gives_integrator(self, capsys):
+        path = os.path.join(REPO, "demos", "scenarios", "oracle-im-z2.json")
+        code, report = run_main(["oracle", path], capsys)
+        assert code == 0
+        steps = report["integrator"]
+        assert set(steps) == {"steps", "rejected", "refined", "time_error"}
+        assert steps["steps"] >= 1
+        assert 0.0 <= steps["time_error"] <= report["tolerance"] / 100
+
+
 @pytest.mark.parametrize("nodes", [0, -2, 2.5], ids=["zero", "negative", "non-integer"])
 def test_bad_quad_nodes_exit_two(tmp_path, capsys, nodes):
     with open(os.path.join(REPO, "demos", "scenarios", "example-im-z2.json")) as fh:
@@ -266,6 +290,28 @@ def test_unwritable_out_exit_two(tmp_path, capsys):
     assert main(["flow", path, "--out", str(tmp_path / "missing" / "report.json")]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("hepp-expand: cannot write report:") and len(err.splitlines()) == 1
+
+
+def test_threads_applied_false_without_threadpoolctl(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises ImportError
+    path = write_scenario(tmp_path, base_scenario(t_end=0.01))
+    code, report = run_main(["flow", path, "--threads", "1"], capsys)
+    assert code == 0
+    assert report["threads"] == 1 and report["threads_applied"] is False
+
+
+def test_threads_applied_true_with_threadpoolctl(tmp_path, capsys, monkeypatch):
+    calls = []
+    fake = types.ModuleType("threadpoolctl")
+    fake.threadpool_limits = lambda limits: calls.append(limits)
+    monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+    path = write_scenario(tmp_path, base_scenario(t_end=0.01))
+    code, report = run_main(["flow", path, "--threads", "2"], capsys)
+    assert code == 0
+    assert report["threads"] == 2 and report["threads_applied"] is True
+    assert calls == [2]
+    code, report = run_main(["flow", path], capsys)
+    assert report["threads"] is None and report["threads_applied"] is False
 
 
 def test_report_gives_effective_dt(tmp_path, capsys):

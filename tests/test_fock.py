@@ -400,6 +400,114 @@ class TestQuantumFlow:
         assert err.value.diagnostics["n_max"] == 8
 
 
+def ramped_hamiltonian(rng, t_end=0.3, dt=1e-3):
+    """d=2 alpha and beta, each a two-sample linear ramp over [0, t_end]."""
+    times = np.array([0.0, t_end])
+    m = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+    alpha = (m[:2] + np.conj(np.swapaxes(m[:2], 1, 2))) / 2
+    beta = (m[2:] + np.swapaxes(m[2:], 1, 2)) / 2
+    return QuadraticHamiltonian(2, alpha=(times, alpha), beta=(times, beta),
+                                t_end=t_end, dt=dt)
+
+
+class TestMagnusFlow:
+    """The tolerance-driven CF4 path of `quantum_flow` (a float `tol`)."""
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-10])
+    def test_constant_generator_matches_expm(self, tol):
+        space, trusted = FockSpace(1, 48, 0.5), 30
+        h = QuadraticHamiltonian(1, beta=np.array([[1.0]]), t_end=0.15, dt=5e-4)
+        qf = quantum_flow(h, space, store=[0.15], trusted_n=trusted, leak_threshold=np.inf,
+                          tol=tol)
+        q_op = wick_quantize(squeezing_hamiltonian_symbol(np.array([[1.0]])), space)
+        want = expm(-1j * 0.15 * q_op.matrix / space.epsilon)[:, space.span_slice(trusted)]
+        assert np.abs(qf.u_at(0.15) - want).max() <= 3 * tol
+        assert qf.integrator["time_error"] <= tol
+
+    def test_ramped_matches_dense_reference(self):
+        # d2-n10-ramped of test_parity_split_matches_dense_reference
+        space, trusted = FockSpace(2, 10, 0.5), 4
+        cols = space.span_slice(trusted)
+        h8 = ramped_hamiltonian(np.random.default_rng(11), dt=1e-3 / 8)
+        u, _ = dense_reference_flow(h8, space, trusted)
+        want = gamma_u(integrate_u_alpha(h8).at(0.3), space).matrix @ u[:, cols]
+        # the reference's own error, bounded by its distance to RK4 at dt/4
+        h4 = ramped_hamiltonian(np.random.default_rng(11), dt=1e-3 / 4)
+        own = np.abs(quantum_flow(h4, space, store=[0.3], trusted_n=trusted,
+                                  leak_threshold=np.inf).u_at(0.3) - want).max()
+        h = ramped_hamiltonian(np.random.default_rng(11))
+        for tol in (1e-7, 1e-10):
+            qf = quantum_flow(h, space, store=[0.3], trusted_n=trusted, leak_threshold=np.inf,
+                              tol=tol)
+            assert np.abs(qf.u_at(0.3) - want).max() <= 3 * tol + own
+            assert qf.integrator["time_error"] <= tol
+            assert qf.integrator["steps"] < 300
+
+    def test_restricted_columns_match_full_run(self, rng):
+        h = ramped_hamiltonian(rng, t_end=0.2)
+        space, tol = FockSpace(2, 12, 0.5), 1e-9
+        full = quantum_flow(h, space, store=[0.1, 0.2], trusted_n=space.n_max,
+                            leak_threshold=np.inf, tol=tol)
+        for trusted in (0, 3, 8):
+            qf = quantum_flow(h, space, store=[0.1, 0.2], trusted_n=trusted,
+                              leak_threshold=np.inf, tol=tol)
+            cols = space.span_slice(trusted)
+            for t in (0.1, 0.2):
+                assert np.abs(qf.u_at(t) - full.u_at(t)[:, cols]).max() <= 3 * tol
+
+    def test_leakage_trace_on_the_grid(self, rng):
+        # one value per grid point, within the interpolant's reach of RK4
+        h = ramped_hamiltonian(rng, t_end=0.2)
+        space = FockSpace(2, 12, 0.5)
+        rk4 = quantum_flow(h, space, store=[0.2], trusted_n=6, leak_threshold=np.inf)
+        cf4 = quantum_flow(h, space, store=[0.2], trusted_n=6, leak_threshold=np.inf, tol=1e-7)
+        assert cf4.leakage_trace.shape == rk4.leakage_trace.shape
+        # measured <= 2e-5 relative; a Hermite fit without slopes gives ~1e-2
+        assert np.abs(cf4.leakage_trace - rk4.leakage_trace).max() <= 1e-4 * rk4.max_leakage()
+        assert cf4.integrator["refined"] == 0
+
+    @pytest.mark.parametrize("case", ["leakage-abort", "example-im-z2"])
+    def test_abort_matches_rk4(self, case):
+        # the gate re-runs the leaking step by RK4 on the grid
+        if case == "leakage-abort":
+            space, trusted, t_end, tol = FockSpace(1, 8, 0.5), 2, 0.5, 1e-8
+        else:
+            space, trusted, t_end, tol = FockSpace(1, 24, 0.5), 16, 1.0, 1e-7
+        h = QuadraticHamiltonian(1, beta=np.array([[1.0]]), t_end=t_end, dt=1e-3)
+        diagnostics = []
+        for step_tol in (None, tol):
+            with pytest.raises(LeakageError) as err:
+                quantum_flow(h, space, store=[t_end], trusted_n=trusted, leak_threshold=1e-6,
+                             tol=step_tol)
+            diagnostics.append(err.value.diagnostics)
+        assert diagnostics[1] == diagnostics[0]
+
+    def test_tolerance_below_the_grid_is_reported(self):
+        # single grid steps are always kept: the estimate is reported, not looped on
+        space = FockSpace(1, 16, 0.5)
+        # a turning phase: the generators at two times do not commute
+        h = QuadraticHamiltonian(1, beta=lambda t: np.array([[np.exp(40j * t)]]),
+                                 t_end=0.05, dt=5e-3)
+        qf = quantum_flow(h, space, store=[0.05], trusted_n=8, leak_threshold=np.inf,
+                          tol=1e-16)
+        assert qf.integrator["steps"] == 10
+        assert qf.integrator["time_error"] > 1e-16
+
+
+@pytest.mark.parametrize("tol", [None, 1e-8], ids=["rk4", "magnus"])
+def test_leakage_gate_needs_untrusted_top_sectors(tol):
+    # with trusted columns in the top two sectors, even a zero Hamiltonian
+    # would read as leakage 1.0
+    space = FockSpace(1, 8, 0.5)
+    h = QuadraticHamiltonian(1, t_end=0.1, dt=1e-2)
+    for trusted in (7, 8):
+        with pytest.raises(ValueError, match="n_max - 2"):
+            quantum_flow(h, space, trusted_n=trusted, leak_threshold=1e-6, tol=tol)
+    qf = quantum_flow(h, space, trusted_n=6, leak_threshold=1e-6, tol=tol)
+    assert qf.max_leakage() == 0.0
+    assert np.abs(qf.u_at(0.1) - np.eye(space.total_dim)[:, :7]).max() <= 1e-15
+
+
 class TestConjugateObservable:
     def test_time_zero(self, rng):
         space = FockSpace(1, 10, 0.5)
