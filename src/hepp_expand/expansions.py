@@ -23,7 +23,7 @@ from .symbols import (
     second_order_kernel,
     squeezing_hamiltonian_symbol,
 )
-from .symplectic import RLinearMap
+from .symplectic import RLinearMap, doubled
 
 
 class ExpansionResult:
@@ -69,6 +69,20 @@ def _require_base_zero(flow: FlowResult):
         raise ValueError("expansion engines require a flow based at t = 0")
 
 
+def _generator_kernels(s, flow: FlowResult,
+                       hamiltonian: QuadraticHamiltonian) -> np.ndarray:
+    """Kernels N_s K_beta(s) N_s^T of lambda^s, stacked over the times `s`.
+
+    N_s is the doubled matrix of phi_s^-1 = L* - A* (dense output of the
+    flow) and K_beta(s) the kernel of the pair contraction with beta_s.
+    """
+    lm, am = flow.phi_on(s)
+    n_inv = doubled(np.conj(np.swapaxes(lm, 1, 2)), -np.swapaxes(am, 1, 2))
+    beta = hamiltonian.beta_on(s)
+    k_beta = second_order_kernel(np.zeros_like(beta), beta)
+    return n_inv @ k_beta @ np.swapaxes(n_inv, 1, 2)
+
+
 def lambda_s(c: PolySymbol, s: float, flow: FlowResult,
              hamiltonian: QuadraticHamiltonian) -> PolySymbol:
     """First-order generator at time s; lowers total degree by 2.
@@ -79,9 +93,7 @@ def lambda_s(c: PolySymbol, s: float, flow: FlowResult,
     N K_beta N^T for N the doubled matrix of phi_s^-1.
     """
     _require_base_zero(flow)
-    n_inv = flow.phi_inverse_at(s).doubled()
-    k_beta = second_order_kernel(np.zeros((c.dim, c.dim)), hamiltonian.beta_matrix(s))
-    return apply_second_order_operator(c, n_inv @ k_beta @ n_inv.T)
+    return apply_second_order_operator(c, _generator_kernels(s, flow, hamiltonian)[0])
 
 
 def lambda_s_via_bracket(c: PolySymbol, s: float, flow: FlowResult,
@@ -128,6 +140,12 @@ def dyson_expand(b: PolySymbol, t: float, flow: FlowResult,
     unit cube by s_{j+1} = s_j u_{j+1} with the Jacobian accumulated
     analytically, one Gauss-Legendre rule per axis; the generator
     recursion is evaluated lazily along the node tree.
+
+    Each node builds the kernels of all its children in one batch (the
+    lambda_s kernel at every child time).  The children of a node on the
+    last level are only summed, so by linearity of the second-order
+    operator in its kernel they cost one application of the weighted
+    kernel sum.
     """
     _require_base_zero(flow)
     if nodes < 1:
@@ -142,13 +160,17 @@ def dyson_expand(b: PolySymbol, t: float, flow: FlowResult,
         ws = w / 2.0
 
         def walk(c, level, bound, weight):
-            for u_node, w_node in zip(xs, ws):
-                s = bound * u_node
-                ck = lambda_s(c, s, flow, hamiltonian)
-                wk = weight * bound * w_node
-                terms[level + 1] = terms[level + 1] + wk * ck
-                if level + 1 < kmax and not ck.is_zero():
-                    walk(ck, level + 1, s, wk)
+            s, wk = bound * xs, weight * bound * ws
+            kernels = _generator_kernels(s, flow, hamiltonian)
+            if level + 1 == kmax:
+                leaves = apply_second_order_operator(c, np.tensordot(wk, kernels, axes=1))
+                terms[kmax] = terms[kmax] + leaves
+                return
+            for s_node, w_node, kernel in zip(s, wk, kernels):
+                ck = apply_second_order_operator(c, kernel)
+                terms[level + 1] = terms[level + 1] + w_node * ck
+                if not ck.is_zero():
+                    walk(ck, level + 1, s_node, w_node)
 
         walk(term0, 0, t, 1.0)
     return ExpansionResult("dyson", t, epsilon, terms,

@@ -1,15 +1,20 @@
 """Classical flow of a time-dependent quadratic Hamiltonian on C^d.
 
 The Hamiltonian is Q_t(z) = <z, alpha_t z> + Im<beta_t, z^(vee 2)>.
-Its flow phi(t, t_start) = L(t) + A(t) is integrated directly as the
-pair y = (L, A) with dL/dt = -i alpha L + beta conj(A) and
-dA/dt = -i alpha A + beta conj(L), by fixed-step RK4 that evaluates
-the coefficients once per grid point and once per step midpoint.
+Its flow phi(t, t_start) = L(t) + A(t) is integrated in the doubled
+form W = [L; conj A], dW/dt = G(t) W with
+G = [[-i alpha, beta], [conj beta, i conj alpha]], by fixed-step RK4.
 
-Dense output between grid points is cubic Hermite interpolation of the
-stored values using the RK4 right-hand sides, which matches the
-integrator's own order.  The same stepper and interpolant give the
-unitary path u_alpha of alpha alone, which only the Fock oracle uses.
+The coefficients are sampled for the whole grid and all step midpoints
+in one call, and the Hermiticity of alpha is checked over that stack.
+RK4 on a linear system advances each step by a matrix,
+P = I + h/6 (K1 + 2 K2 + 2 K3 + K4); all step propagators are built as
+batched products, and one pass of small products W_{k+1} = P_k W_k
+follows.  The slopes G W at the grid points feed the dense output, a
+cubic Hermite interpolant that matches the integrator's own order and
+is evaluated for many times at once.  The same stepper with
+G = -i alpha gives the unitary path u_alpha, which only the Fock
+oracle uses.
 """
 
 from __future__ import annotations
@@ -18,16 +23,18 @@ import numpy as np
 
 from .errors import SymplecticityError
 from .symbols import SymTensor, beta_matrix_from_tensor
-from .symplectic import RLinearMap, is_symplectomorphism
+from .symplectic import RLinearMap, doubled, symplectic_defects
 
 _DEFECT_TOL = 1e-6
 
 
 class _Sampler:
     """Matrix-valued function of time: zero, constant, callable, or
-    linearly interpolated samples."""
+    linearly interpolated samples (held at the end values outside the
+    sample times).  `at` reads one time, `on` a whole array of times."""
 
-    def __init__(self, spec, shape):
+    def __init__(self, name, spec, shape):
+        self.name = name
         self.shape = shape
         if spec is None:
             self.kind = "zero"
@@ -50,17 +57,40 @@ class _Sampler:
     def is_zero(self):
         return self.kind == "zero"
 
+    def _call(self, t) -> np.ndarray:
+        value = np.asarray(self.func(t), dtype=complex)
+        if value.shape != self.shape:
+            raise ValueError(f"{self.name}(t={t}) returned shape {value.shape}, "
+                             f"expected {self.shape}")
+        return value
+
     def at(self, t: float) -> np.ndarray:
         if self.kind == "zero":
             return np.zeros(self.shape, dtype=complex)
         if self.kind == "constant":
             return self.value
         if self.kind == "callable":
-            return np.asarray(self.func(t), dtype=complex)
+            return self._call(t)
         idx = np.clip(np.searchsorted(self.times, t) - 1, 0, len(self.times) - 2)
         t0, t1 = self.times[idx], self.times[idx + 1]
         w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
         w = min(max(w, 0.0), 1.0)
+        return (1.0 - w) * self.values[idx] + w * self.values[idx + 1]
+
+    def on(self, times: np.ndarray) -> np.ndarray:
+        """The values at every entry of the 1-d array `times`, stacked."""
+        n = len(times)
+        if self.kind == "zero":
+            return np.zeros((n,) + self.shape, dtype=complex)
+        if self.kind == "constant":
+            return np.broadcast_to(self.value, (n,) + self.shape)
+        if self.kind == "callable":
+            return np.stack([self._call(t) for t in times])
+        idx = np.clip(np.searchsorted(self.times, times) - 1, 0, len(self.times) - 2)
+        t0, t1 = self.times[idx], self.times[idx + 1]
+        span = t1 - t0
+        w = np.divide(times - t0, span, out=np.zeros(n), where=span != 0)
+        w = np.clip(w, 0.0, 1.0)[:, None, None]
         return (1.0 - w) * self.values[idx] + w * self.values[idx + 1]
 
 
@@ -79,8 +109,8 @@ class QuadraticHamiltonian:
         self.dim = dim
         if isinstance(beta, SymTensor):
             beta = beta_matrix_from_tensor(beta)
-        self.alpha = _Sampler(alpha, (dim, dim))
-        self.beta = _Sampler(beta, (dim, dim))
+        self.alpha = _Sampler("alpha", alpha, (dim, dim))
+        self.beta = _Sampler("beta", beta, (dim, dim))
         if t_end <= t_start:
             raise ValueError("t_end must exceed t_start")
         if dt <= 0:
@@ -89,11 +119,24 @@ class QuadraticHamiltonian:
         self.t_end = float(t_end)
         self.dt = float(dt)
 
-    def alpha_matrix(self, t: float) -> np.ndarray:
-        a = self.alpha.at(t)
-        if np.abs(a - a.conj().T).max() > 1e-12:
-            raise ValueError(f"alpha(t={t}) is not Hermitian within 1e-12")
+    def alpha_on(self, times) -> np.ndarray:
+        """alpha at each of `times`, stacked; raises at the first time
+        where it is not Hermitian within 1e-12."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        a = self.alpha.on(times)
+        off = np.abs(a - np.conj(np.swapaxes(a, 1, 2))).max(axis=(1, 2))
+        bad = np.flatnonzero(off > 1e-12)
+        if bad.size:
+            raise ValueError(f"alpha(t={times[bad[0]]}) is not Hermitian within 1e-12")
         return a
+
+    def beta_on(self, times) -> np.ndarray:
+        """The symmetrized beta at each of `times`, stacked."""
+        b = self.beta.on(np.atleast_1d(np.asarray(times, dtype=float)))
+        return (b + np.swapaxes(b, 1, 2)) / 2.0
+
+    def alpha_matrix(self, t: float) -> np.ndarray:
+        return self.alpha_on(t)[0]
 
     def beta_matrix(self, t: float) -> np.ndarray:
         b = self.beta.at(t)
@@ -105,44 +148,54 @@ class QuadraticHamiltonian:
         return self.t_start + (span / n) * np.arange(n + 1)
 
 
-def _rk4(grid, y0, coefficients, rhs):
-    """Classical RK4 for dy/dt = rhs(c(t), y) over `grid`.
+def _linear_rk4(grid, generator, w0):
+    """RK4 for the linear system dW/dt = G(t) W, W(grid[0]) = w0.
 
-    `coefficients(t)` is evaluated once per distinct time (each grid
-    point and each step midpoint).  Returns the values and the
-    right-hand sides at the grid points, for dense output.
+    `generator(times)` returns G stacked over `times`; it is called once
+    with every grid point and step midpoint, in time order.  The RK4
+    update of a linear system is W_{k+1} = P_k W_k with
+    P = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = G(t), K2 = G(t + h/2)(I + h/2 K1),
+    K3 = G(t + h/2)(I + h/2 K2), K4 = G(t + h)(I + h K3); every P_k is
+    built in one batch.  The identity is kept out of the stored matrices:
+    W + (P - I) W rounds like the plain RK4 update, while a formed
+    I + (P - I) drops the low bits of the small increment at every step.
+    Returns W and the slopes G W at the grid points, for dense output.
     """
-    values = np.empty((len(grid),) + y0.shape, dtype=complex)
-    derivs = np.empty_like(values)
-    y, c_now = y0, coefficients(grid[0])
-    for k, t in enumerate(grid):
-        values[k] = y
-        derivs[k] = rhs(c_now, y)
-        if k + 1 < len(grid):
-            step = grid[k + 1] - t
-            c_mid, c_now = coefficients(t + step / 2), coefficients(grid[k + 1])
-            k1 = derivs[k]
-            k2 = rhs(c_mid, y + step / 2 * k1)
-            k3 = rhs(c_mid, y + step / 2 * k2)
-            k4 = rhs(c_now, y + step * k3)
-            y = y + (step / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return values, derivs
+    h = np.diff(grid)
+    times = np.empty(2 * len(grid) - 1)
+    times[0::2] = grid
+    times[1::2] = grid[:-1] + h / 2
+    g = generator(times)
+    g_now, g_mid, g_next = g[:-1:2], g[1::2], g[2::2]
+    hh = h[:, None, None]
+    eye = np.eye(g.shape[-1])
+    k1 = g_now
+    k2 = g_mid @ (eye + hh / 2 * k1)
+    k3 = g_mid @ (eye + hh / 2 * k2)
+    k4 = g_next @ (eye + hh * k3)
+    increments = hh / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    values = np.empty((len(grid),) + w0.shape, dtype=complex)
+    values[0] = w = w0
+    for k, d in enumerate(increments):
+        w = w + d @ w
+        values[k + 1] = w
+    return values, g[0::2] @ values
 
 
-def _dense(times, values, derivs, t):
-    """Cubic Hermite interpolant of RK4 output at t, clamped to the range."""
-    if t <= times[0]:
-        return values[0]
-    if t >= times[-1]:
-        return values[-1]
-    k = int(np.searchsorted(times, t) - 1)
+def _hermite(times, values, derivs, ts) -> np.ndarray:
+    """Cubic Hermite interpolant of RK4 output at each of `ts`, clamped
+    to the range; stacked over `ts`."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    k = np.clip(np.searchsorted(times, ts) - 1, 0, len(times) - 2)
     h = times[k + 1] - times[k]
-    tau = (t - times[k]) / h
-    if tau < 1e-12:
-        return values[k]
+    tau = np.clip((ts - times[k]) / h, 0.0, 1.0)
+    tau[tau < 1e-12] = 0.0
     t2, t3 = tau * tau, tau * tau * tau
-    return ((2 * t3 - 3 * t2 + 1) * values[k] + (t3 - 2 * t2 + tau) * h * derivs[k]
-            + (-2 * t3 + 3 * t2) * values[k + 1] + (t3 - t2) * h * derivs[k + 1])
+    col = (-1, 1, 1)
+    return ((2 * t3 - 3 * t2 + 1).reshape(col) * values[k]
+            + ((t3 - 2 * t2 + tau) * h).reshape(col) * derivs[k]
+            + (-2 * t3 + 3 * t2).reshape(col) * values[k + 1]
+            + ((t3 - t2) * h).reshape(col) * derivs[k + 1])
 
 
 class UnitaryPath:
@@ -154,7 +207,7 @@ class UnitaryPath:
         self.derivs = derivs
 
     def at(self, t: float) -> np.ndarray:
-        return _dense(self.times, self.matrices, self.derivs, t)
+        return _hermite(self.times, self.matrices, self.derivs, t)[0]
 
     def unitarity_defect(self) -> float:
         u = self.matrices[-1]
@@ -168,28 +221,24 @@ def integrate_u_alpha(h: QuadraticHamiltonian) -> UnitaryPath:
     its interaction picture from it.
     """
     grid = h.grid()
-    mats, derivs = _rk4(grid, np.eye(h.dim, dtype=complex), h.alpha_matrix,
-                        lambda a, u: -1j * (a @ u))
+    mats, derivs = _linear_rk4(grid, lambda times: -1j * h.alpha_on(times),
+                               np.eye(h.dim, dtype=complex))
     return UnitaryPath(grid, mats, derivs)
 
 
 class FlowResult:
     """The classical flow phi(t, t_start) = L(t) + A(t) on a time grid.
 
-    Stores L and A with their RK4 derivatives (for dense output) and
-    the per-node symplecticity defects.
+    Stores the doubled columns W = [L; conj A] with their RK4 slopes
+    (for dense output) and the per-node symplecticity defects.
     """
 
     def __init__(self, times, values, derivs):
         self.times = times
         self.t_start = times[0]
         self._values, self._derivs = values, derivs
-        self.linear, self.antilinear = values[:, 0], values[:, 1]
-        self.defects = np.array([
-            max(r.gram_defect, r.cross_defect)
-            for r in (is_symplectomorphism(RLinearMap(l, a), tol=1.0)
-                      for l, a in zip(self.linear, self.antilinear))
-        ])
+        self.linear, self.antilinear = _split(values)
+        self.defects = np.maximum(*symplectic_defects(self.linear, self.antilinear))
 
     def grid_index(self, t: float) -> int:
         k = int(np.argmin(np.abs(self.times - t)))
@@ -202,10 +251,15 @@ class FlowResult:
         k = self.grid_index(t)
         return RLinearMap(self.linear[k], self.antilinear[k])
 
+    def phi_on(self, times):
+        """Dense output at each of `times`: the stacked (L, A) of
+        phi(s, t_start)."""
+        return _split(_hermite(self.times, self._values, self._derivs, times))
+
     def phi_at(self, s: float) -> RLinearMap:
         """Dense output: phi(s, t_start) anywhere in the time range."""
-        lm, am = _dense(self.times, self._values, self._derivs, s)
-        return RLinearMap(lm, am)
+        lm, am = self.phi_on(s)
+        return RLinearMap(lm[0], am[0])
 
     def phi_inverse_at(self, s: float) -> RLinearMap:
         """phi(t_start, s) as the symplectic inverse L* - A*."""
@@ -215,10 +269,10 @@ class FlowResult:
         return float(self.defects.max())
 
 
-def _flow_rhs(c, y):
-    # y = (L, A): dL/dt = -i alpha L + beta conj(A), dA/dt = -i alpha A + beta conj(L)
-    alpha, beta = c
-    return -1j * (alpha @ y) + beta @ np.conj(y[::-1])
+def _split(w):
+    """(L, A) stacks from doubled columns W = [L; conj A]."""
+    d = w.shape[-1]
+    return w[:, :d], np.conj(w[:, d:])
 
 
 def integrate_flow(h: QuadraticHamiltonian) -> FlowResult:
@@ -227,10 +281,12 @@ def integrate_flow(h: QuadraticHamiltonian) -> FlowResult:
     Symplecticity is monitored, never re-imposed; a terminal defect
     above 1e-6 raises.
     """
+    # G is the doubled matrix of the R-linear vector field z -> -i alpha z + beta conj(z)
+    def generator(times):
+        return doubled(-1j * h.alpha_on(times), h.beta_on(times))
+
     grid = h.grid()
-    y0 = np.stack([np.eye(h.dim, dtype=complex), np.zeros((h.dim, h.dim), dtype=complex)])
-    values, derivs = _rk4(grid, y0, lambda t: (h.alpha_matrix(t), h.beta_matrix(t)),
-                          _flow_rhs)
+    values, derivs = _linear_rk4(grid, generator, np.eye(2 * h.dim, h.dim, dtype=complex))
     result = FlowResult(grid, values, derivs)
     terminal = result.defects[-1]
     if terminal > _DEFECT_TOL:

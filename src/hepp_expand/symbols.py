@@ -395,11 +395,13 @@ def second_order_kernel(mixed, pair) -> np.ndarray:
 
     `mixed` is the matrix M inside the trace (Tr[M D] with
     D_ij = d_zbar_i d_z_j b); `pair` holds the tensor coordinates v_ab of
-    the 2-vector v, symmetric.
+    the 2-vector v, symmetric.  Stacks of (M, v) give stacked kernels.
     """
     mixed = np.asarray(mixed, dtype=complex)
     pair = np.asarray(pair, dtype=complex)
-    return np.block([[pair, mixed / 2.0], [mixed.T / 2.0, pair.conj()]])
+    top = np.concatenate([pair, mixed / 2.0], axis=-1)
+    bottom = np.concatenate([np.swapaxes(mixed, -1, -2) / 2.0, pair.conj()], axis=-1)
+    return np.concatenate([top, bottom], axis=-2)
 
 
 def apply_second_order_operator(b: PolySymbol, kernel) -> PolySymbol:

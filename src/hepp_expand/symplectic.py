@@ -70,8 +70,7 @@ class RLinearMap:
     def doubled(self) -> np.ndarray:
         """The 2d x 2d matrix [[L, A], [conj A, conj L]] by which T acts
         on the doubled variables w = (z, conj z)."""
-        return np.block([[self.linear, self.antilinear],
-                         [self.antilinear.conj(), self.linear.conj()]])
+        return doubled(self.linear, self.antilinear)
 
     def inverse(self) -> "RLinearMap":
         """Inverse valid for symplectomorphisms: L* - A*."""
@@ -126,15 +125,27 @@ def adjoint(t: RLinearMap) -> RLinearMap:
     return t.adjoint()
 
 
+def doubled(linear, antilinear) -> np.ndarray:
+    """[[L, A], [conj A, conj L]] for one (L, A) pair or stacks of them."""
+    top = np.concatenate([linear, antilinear], axis=-1)
+    bottom = np.concatenate([antilinear, linear], axis=-1)
+    return np.concatenate([top, np.conj(bottom)], axis=-2)
+
+
+def symplectic_defects(linear, antilinear):
+    """Operator norms of L*L - A*A - I and L*A - A*L, for one (L, A) pair
+    or elementwise over stacks of them."""
+    lh, at = np.conj(np.swapaxes(linear, -1, -2)), np.swapaxes(antilinear, -1, -2)
+    gram = lh @ linear - at @ np.conj(antilinear) - np.eye(linear.shape[-1])
+    cross = lh @ antilinear - at @ np.conj(linear)
+    return np.linalg.norm(gram, 2, axis=(-2, -1)), np.linalg.norm(cross, 2, axis=(-2, -1))
+
+
 def is_symplectomorphism(t: RLinearMap, tol: float = 1e-10) -> SymplecticityReport:
     """Check L*L - A*A = I and L*A = A*L in operator norm."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    ml, ma = t.linear, t.antilinear
-    gram = ml.conj().T @ ml - ma.T @ np.conj(ma) - np.eye(t.dim)
-    cross = ml.conj().T @ ma - ma.T @ np.conj(ml)
-    gram_defect = float(np.linalg.norm(gram, 2))
-    cross_defect = float(np.linalg.norm(cross, 2))
+    gram_defect, cross_defect = map(float, symplectic_defects(t.linear, t.antilinear))
     ok = gram_defect <= tol and cross_defect <= tol
     return SymplecticityReport(ok, gram_defect, cross_defect, tol)
 

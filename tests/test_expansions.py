@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hepp_expand import expansions
 from hepp_expand.expansions import (
     Lambda_of_map,
     Lambda_t,
@@ -115,7 +116,57 @@ class TestLambdaT:
                 assert Lambda_of_map(c, t_map).norm_p() <= bound + 1e-10
 
 
+def node_by_node_dyson(b, t, flow, h, nodes, max_order=None):
+    """Reference Dyson quadrature: one lambda_s call per node of the
+    tree, leaves included, each weighted term added on its own."""
+    kmax = b.degree() // 2 if max_order is None else min(max_order, b.degree() // 2)
+    terms = [b.compose_rlinear(flow.phi(t))] + [PolySymbol.zero(b.dim)] * kmax
+    x, w = np.polynomial.legendre.leggauss(nodes)
+
+    def walk(c, level, bound, weight):
+        for u_node, w_node in zip((x + 1.0) / 2.0, w / 2.0):
+            s = bound * u_node
+            ck = lambda_s(c, s, flow, h)
+            wk = weight * bound * w_node
+            terms[level + 1] = terms[level + 1] + wk * ck
+            if level + 1 < kmax and not ck.is_zero():
+                walk(ck, level + 1, s, wk)
+
+    if kmax >= 1:
+        walk(terms[0], 0, t, 1.0)
+    return terms
+
+
 class TestDysonExpand:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [2, 4, 6])
+    @pytest.mark.parametrize("with_alpha", [False, True])
+    @pytest.mark.parametrize("max_order", [None, 1])
+    def test_summed_leaves_match_node_by_node(self, rng, dim, degree, with_alpha, max_order):
+        alpha = None
+        if with_alpha:
+            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            alpha = (a + a.conj().T) / 2
+        h = QuadraticHamiltonian(dim, alpha=alpha, beta=random_beta(rng, dim),
+                                 t_end=0.4, dt=1e-2)
+        flow = integrate_flow(h)
+        b = random_symbol(rng, dim, degree)
+        got = dyson_expand(b, 0.4, flow, h, epsilon=0.5, nodes=4, max_order=max_order)
+        want = node_by_node_dyson(b, 0.4, flow, h, nodes=4, max_order=max_order)
+        assert len(got.terms) == len(want) == 1 + (1 if max_order else degree // 2)
+        for g, w in zip(got.terms, want):
+            assert g.distance_p(w) <= 1e-12 * w.norm_p()
+
+    def test_independent_of_the_exponential_engine(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Dyson engine used an exponential-engine operator")
+
+        monkeypatch.setattr(expansions, "Lambda_t", forbidden)
+        monkeypatch.setattr(expansions, "v_vector", forbidden)
+        h = QuadraticHamiltonian(2, beta=random_beta(rng, 2), t_end=0.4, dt=1e-2)
+        dyson_expand(random_symbol(rng, 2, 4), 0.4, integrate_flow(h), h,
+                     epsilon=0.5, nodes=3)
+
     def test_constant_symbol(self):
         h, flow = squeeze_setup()
         res = dyson_expand(PolySymbol.constant(1, 2.0), 0.5, flow, h, epsilon=0.5)

@@ -4,12 +4,13 @@ from scipy.linalg import expm
 
 from hepp_expand.errors import SymplecticityError
 from hepp_expand.flow import (
+    FlowResult,
     QuadraticHamiltonian,
     integrate_flow,
     integrate_u_alpha,
     v_vector,
 )
-from hepp_expand.symplectic import RLinearMap
+from hepp_expand.symplectic import RLinearMap, is_symplectomorphism
 
 from conftest import random_vector
 
@@ -61,6 +62,20 @@ class TestUnitaryPath:
                                  t_end=0.1)
         with pytest.raises(ValueError):
             integrate_u_alpha(h)
+
+    def test_non_hermitian_only_at_one_midpoint(self):
+        # the step midpoints are sampled with the grid; the one bad time
+        # (0.1 + 0.1 / 2 on the dt = 0.1 grid) is named
+        def alpha(t):
+            a = np.diag([1.0, -1.0]).astype(complex)
+            if abs(t - 0.15) < 1e-9:
+                a[0, 1] = 1e-6
+            return a
+
+        h = QuadraticHamiltonian(2, alpha=alpha, t_end=1.0, dt=0.1)
+        for integrate in (integrate_u_alpha, integrate_flow):
+            with pytest.raises(ValueError, match=r"alpha\(t=0\.15"):
+                integrate(h)
 
 
 class TestIntegrateFlow:
@@ -120,6 +135,61 @@ class TestIntegrateFlow:
         flow = integrate_flow(squeeze_hamiltonian())
         assert flow.max_defect() < 1e-8
 
+    def test_step_propagators_match_plain_rk4(self, rng):
+        # reference: the textbook RK4 on y = (L, A), one step at a time
+        a0 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        m0 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        a0, m0 = (a0 + a0.conj().T) / 2, (m0 + m0.T) / 2
+        h = QuadraticHamiltonian(2, alpha=lambda t: np.cos(3 * t) * a0,
+                                 beta=lambda t: (1 + t) * m0, t_end=0.5, dt=5e-3)
+
+        def rhs(t, y):
+            alpha, beta = h.alpha_matrix(t), h.beta_matrix(t)
+            return -1j * (alpha @ y) + beta @ np.conj(y[::-1])
+
+        grid = h.grid()
+        y = np.stack([np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)])
+        want = [y]
+        for t, step in zip(grid[:-1], np.diff(grid)):
+            k1 = rhs(t, y)
+            k2 = rhs(t + step / 2, y + step / 2 * k1)
+            k3 = rhs(t + step / 2, y + step / 2 * k2)
+            k4 = rhs(t + step, y + step * k3)
+            y = y + (step / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            want.append(y)
+        want = np.array(want)
+        flow = integrate_flow(h)
+        # 100 steps of unit-size matrices: a few hundred rounding units
+        assert np.abs(flow.linear - want[:, 0]).max() < 1e-13
+        assert np.abs(flow.antilinear - want[:, 1]).max() < 1e-13
+
+    def test_batched_defects_match_predicate(self, rng):
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        h = QuadraticHamiltonian(2, alpha=(a + a.conj().T) / 2, beta=(m + m.T) / 2,
+                                 t_end=0.5, dt=1e-2)
+        flow = integrate_flow(h)
+        for k, t in enumerate(flow.times):
+            r = is_symplectomorphism(flow.phi(t), tol=1.0)
+            assert abs(flow.defects[k] - max(r.gram_defect, r.cross_defect)) <= 1e-15
+
+    def test_defects_take_the_larger_relation(self, rng):
+        # maps far from symplectic: a small antilinear part makes the
+        # L*A = A*L defect the larger one, a large part the Gram defect
+        scales = np.repeat([0.01, 0.1, 1.0, 3.0], 3)
+        lin = rng.standard_normal((12, 2, 2)) + 1j * rng.standard_normal((12, 2, 2))
+        anti = rng.standard_normal((12, 2, 2)) + 1j * rng.standard_normal((12, 2, 2))
+        lin = np.eye(2) + 0.01 * lin
+        anti = scales[:, None, None] * anti
+        w = np.concatenate([lin, np.conj(anti)], axis=1)
+        flow = FlowResult(np.arange(12.0), w, np.zeros_like(w))
+        reports = [is_symplectomorphism(RLinearMap(l, a), tol=1.0) for l, a in zip(lin, anti)]
+        assert any(r.cross_defect > r.gram_defect for r in reports)
+        assert any(r.gram_defect > r.cross_defect for r in reports)
+        for got, r in zip(flow.defects, reports):
+            want = max(r.gram_defect, r.cross_defect)
+            assert abs(got - want) <= 1e-15 * want
+
     def test_loud_failure_on_symplecticity_drift(self):
         h = QuadraticHamiltonian(1, beta=np.array([[4.0]]), t_end=1.0, dt=0.5)
         with pytest.raises(SymplecticityError):
@@ -173,6 +243,42 @@ class TestIntegrateFlow:
         assert reference.distance(flow.phi(t)) < 1e-10
 
 
+class TestBatchedSampler:
+    KNOTS = np.array([0.0, 0.3, 0.3, 0.7, 1.0])
+
+    def specs(self, rng):
+        mats = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+        return {
+            "zero": None,
+            "constant": mats[0],
+            "callable": lambda t: np.cos(t) * mats[1] + t * mats[2],
+            # the duplicate knot at 0.3 makes a jump
+            "sampled": (self.KNOTS, mats),
+        }
+
+    @pytest.mark.parametrize("kind", ["zero", "constant", "callable", "sampled"])
+    def test_on_equals_at(self, rng, kind):
+        h = QuadraticHamiltonian(2, beta=self.specs(rng)[kind], t_end=1.0, dt=0.1)
+        grid = h.grid()
+        times = np.concatenate([grid, (grid[:-1] + grid[1:]) / 2, self.KNOTS,
+                                [0.3 - 1e-15, 0.3 + 1e-15, -0.5, 1.5]])
+        batched = h.beta.on(times)
+        assert batched.shape == (len(times), 2, 2)
+        for t, value in zip(times, batched):
+            assert np.array_equal(value, h.beta.at(t))
+
+    def test_callable_alpha_of_wrong_shape(self):
+        h = QuadraticHamiltonian(2, alpha=lambda t: np.eye(3), t_end=0.1, dt=1e-2)
+        for integrate in (integrate_flow, integrate_u_alpha):
+            with pytest.raises(ValueError, match=r"alpha.*expected \(2, 2\)"):
+                integrate(h)
+
+    def test_callable_beta_returning_a_scalar(self):
+        h = QuadraticHamiltonian(2, beta=lambda t: 1.0, t_end=0.1, dt=1e-2)
+        with pytest.raises(ValueError, match=r"beta.*expected \(2, 2\)"):
+            integrate_flow(h)
+
+
 class TestSampledCoefficients:
     def test_sampled_beta_matches_callable(self):
         # linear interpolation of dense samples reproduces the smooth
@@ -193,6 +299,24 @@ class TestSampledCoefficients:
         assert h.beta_matrix(-0.5)[0, 0] == 1.0
         assert h.beta_matrix(1.5)[0, 0] == 2.0
         assert abs(h.beta_matrix(0.25)[0, 0] - 1.25) < 1e-14
+
+    def test_held_at_end_values_outside_the_samples(self, rng):
+        # samples on [0.2, 0.4] only: the flow over [0, 0.6] sees m0
+        # before 0.2 and m1 after 0.4
+        m0, m1 = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        m0, m1 = (m0 + m0.T) / 2, (m1 + m1.T) / 2
+
+        def held(t):
+            w = min(max((t - 0.2) / 0.2, 0.0), 1.0)
+            return (1.0 - w) * m0 + w * m1
+
+        sampled = QuadraticHamiltonian(2, beta=(np.array([0.2, 0.4]), np.stack([m0, m1])),
+                                       t_end=0.6, dt=1e-2)
+        clamped = QuadraticHamiltonian(2, beta=held, t_end=0.6, dt=1e-2)
+        assert np.abs(sampled.beta_on([-1.0, 0.1, 0.5, 2.0])
+                      - np.stack([m0, m0, m1, m1])).max() == 0.0
+        phi = integrate_flow(sampled).phi(0.6)
+        assert phi.distance(integrate_flow(clamped).phi(0.6)) < 1e-14
 
 
 class TestVVector:
