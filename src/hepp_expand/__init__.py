@@ -76,7 +76,6 @@ from .weylwick import (
     bogoliubov_implementer,
     check_weyl_conjugation,
     exp_lambda_of_map,
-    gaussian_symplectic_ft,
     weyl_from_wick,
     wick_from_weyl,
 )

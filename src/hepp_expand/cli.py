@@ -76,23 +76,15 @@ def cmd_flow(scenario: Scenario, args) -> tuple[int, dict]:
     except SymplecticityError as exc:
         report["error"] = str(exc)
         return EXIT_TOLERANCE, report
-    stride = max(1, (len(result.times) - 1) // 10)
-    samples = []
-    for k in range(0, len(result.times), stride):
-        samples.append({
-            "t": float(result.times[k]),
-            "linear": _matrix_json(result.linear[k]),
-            "antilinear": _matrix_json(result.antilinear[k]),
-            "symplectic_defect": float(result.defects[k]),
-        })
-    if samples[-1]["t"] != float(result.times[-1]):
-        samples.append({
-            "t": float(result.times[-1]),
-            "linear": _matrix_json(result.linear[-1]),
-            "antilinear": _matrix_json(result.antilinear[-1]),
-            "symplectic_defect": float(result.defects[-1]),
-        })
-    report["phi_samples"] = samples
+    last = len(result.times) - 1
+    # every stride-th grid point, and the final time
+    indices = sorted(set(range(0, last + 1, max(1, last // 10))) | {last})
+    report["phi_samples"] = [{
+        "t": float(result.times[k]),
+        "linear": _matrix_json(result.linear[k]),
+        "antilinear": _matrix_json(result.antilinear[k]),
+        "symplectic_defect": float(result.defects[k]),
+    } for k in indices]
     report["max_symplectic_defect"] = result.max_defect()
     tol = scenario.tolerances["flow"]
     report["tolerance"] = tol

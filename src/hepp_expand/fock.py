@@ -169,25 +169,23 @@ def wick_quantize(b: PolySymbol, space: FockSpace) -> FockOperator:
     Per (p, q)-monomial the sector-n block carries the factor
     sqrt(n!(n+q-p)!)/(n-p)! eps^((p+q)/2) on the symmetrized extension
     of the coefficient; in ladder form that is the normally ordered
-    product written above, summed over plain-coefficient entries.
+    product written above, one per nonzero entry of the symbol's
+    doubled-variable vectors.
     """
     if b.dim != space.dim:
         raise DimensionMismatchError(f"dim {b.dim} vs {space.dim}")
     deg = b.degree()
     if deg > space.n_max:
         raise ValueError(f"symbol degree {deg} exceeds the sector cutoff {space.n_max}")
+    d = space.dim
     out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    for (p, q), coeffs in b._coeffs().items():
-        scale = space.epsilon ** ((p + q) / 2.0)
-        occ_q = sec.occupations(space.dim, q)
-        occ_p = sec.occupations(space.dim, p)
-        for mi in range(coeffs.shape[0]):
-            for ni in range(coeffs.shape[1]):
-                val = coeffs[mi, ni]
-                if val != 0:
-                    rows, cols, values = sec.ladder_entries(
-                        space.dim, space.n_max, occ_q[mi], occ_p[ni])
-                    out[rows, cols] += (val * scale) * values
+    for m, c in b.vectors.items():
+        scale = space.epsilon ** (m / 2.0)
+        occ = sec.occupations(2 * d, m)
+        for k in np.flatnonzero(c):
+            # w^kappa with kappa = (nu, mu) is conj(z)^mu z^nu
+            rows, cols, values = sec.ladder_entries(d, space.n_max, occ[k][d:], occ[k][:d])
+            out[rows, cols] += (c[k] * scale) * values
     return FockOperator(space, out)
 
 

@@ -56,32 +56,19 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
-def _matrix_from_json(data, dim, what):
+def _array_from_json(data, shape, what):
+    """A {re, im} JSON object as a finite complex array of the given shape."""
     try:
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"{what}: expected {{re, im}} arrays") from exc
-    mat = re + 1j * im
-    if mat.shape != (dim, dim):
-        raise ScenarioError(f"{what}: expected a {dim}x{dim} matrix, got {mat.shape}")
-    if not np.isfinite(mat).all():
+    arr = re + 1j * im
+    if arr.shape != shape:
+        raise ScenarioError(f"{what}: expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ScenarioError(f"{what}: entries must be finite numbers")
-    return mat
-
-
-def _vector_from_json(data, dim, what):
-    try:
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"{what}: expected {{re, im}} arrays") from exc
-    vec = re + 1j * im
-    if vec.shape != (dim,):
-        raise ScenarioError(f"{what}: expected a length-{dim} vector, got {vec.shape}")
-    if not np.isfinite(vec).all():
-        raise ScenarioError(f"{what}: entries must be finite numbers")
-    return vec
+    return arr
 
 
 def _coefficient_sampler(spec, dim, what, hermitian=False):
@@ -94,11 +81,11 @@ def _coefficient_sampler(spec, dim, what, hermitian=False):
     if kind == "zero":
         return None
     if kind == "constant":
-        times, values = None, _matrix_from_json(spec.get("data", {}), dim, what)[None]
+        times, values = None, _array_from_json(spec.get("data", {}), (dim, dim), what)[None]
     elif kind == "sampled":
         try:
             times = np.asarray(spec["times"], dtype=float)
-            values = np.stack([_matrix_from_json(v, dim, what) for v in spec["values"]])
+            values = np.stack([_array_from_json(v, (dim, dim), what) for v in spec["values"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"{what}: sampled spec needs times and values") from exc
         if times.ndim != 1 or len(times) != len(values) or len(times) < 2:
@@ -129,7 +116,7 @@ def _observable(spec, dim: int) -> PolySymbol:
     if "preset" in spec:
         xi = None
         if "xi" in spec:
-            xi = _vector_from_json(spec["xi"], dim, "observable.xi")
+            xi = _array_from_json(spec["xi"], (dim,), "observable.xi")
         try:
             return preset_symbol(spec["preset"], dim, xi=xi)
         except ValueError as exc:
@@ -138,7 +125,7 @@ def _observable(spec, dim: int) -> PolySymbol:
         sym = PolySymbol.from_json(spec)
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise ScenarioError(f"bad observable spec: {exc!r}") from exc
-    if not all(np.isfinite(arr).all() for arr in sym.terms.values()):
+    if not all(np.isfinite(c).all() for c in sym.vectors.values()):
         raise ScenarioError("observable: coefficients must be finite numbers")
     if sym.dim != dim:
         raise ScenarioError(f"observable dim {sym.dim} != scenario dim {dim}")

@@ -132,13 +132,6 @@ def creation_field(z: np.ndarray, n: int) -> np.ndarray:
     return sum(z[i] * ups[i] for i in range(dim))
 
 
-def annihilation_field(z: np.ndarray, n: int) -> np.ndarray:
-    """Sum_i conj(z_i) a_i as a matrix from sector n to n-1."""
-    dim = len(z)
-    downs = annihilators(dim, n)
-    return sum(np.conj(z[i]) * downs[i] for i in range(dim))
-
-
 @lru_cache(maxsize=None)
 def raise_map(dim: int, n: int, i: int) -> np.ndarray:
     """Index array: position of kappa + delta_i in sector n+1, per kappa."""
@@ -257,6 +250,8 @@ def sym_mult_map(dim: int, n1: int, n2: int) -> np.ndarray:
 
     (psi vee chi)_kappa = sum_{k1+k2=kappa} M[kappa, k1, k2] psi_k1 chi_k2
     with M = sqrt(n1! n2! / (n1+n2)!) * sqrt(kappa!/(k1! k2!)).
+    Pins the paper's vee-product: the pair blocks of a quantized squeezing
+    Hamiltonian are beta vee (.) up to sector factors.
     """
     d1, d2 = sector_dim(dim, n1), sector_dim(dim, n2)
     out = np.zeros((sector_dim(dim, n1 + n2), d1, d2))

@@ -1,16 +1,16 @@
 """Wick polynomials on C^d and their calculus in doubled variables.
 
 A monomial of order (p, q) is z -> <z^(vee q), b~ z^(vee p)> with
-coefficient b~ a linear map between symmetric sectors; a polynomial is a
-finite sum of monomials, stored as a map (p, q) -> coefficient matrix in
-the shared occupation bases of :mod:`hepp_expand.sectors`.  JSON, the
-norms and the quantization read this canonical storage.
+coefficient b~ a linear map between symmetric sectors, a (dim_q x dim_p)
+matrix in the shared occupation bases of :mod:`hepp_expand.sectors`.
 
-All calculus runs on one equivalent view.  In the doubled variables
-w = (z, conj z) on C^{2d}, the part of total order m is one coefficient
-vector c_m on the m-sector of C^{2d}: c_m[kappa] multiplies the plain
-monomial w^kappa, which is the operator coefficient times
-sqrt(q!/mu!) sqrt(p!/nu!) for kappa = (nu, mu).  In this view
+A polynomial is stored in the doubled variables w = (z, conj z) on
+C^{2d}: the part of total order m is one coefficient vector c_m on the
+m-sector of C^{2d} (`PolySymbol.vectors`), where c_m[kappa] multiplies
+the plain monomial w^kappa = conj(z)^mu z^nu for kappa = (nu, mu) and
+equals the operator coefficient times sqrt(q!/mu!) sqrt(p!/nu!).  The
+canonical (p, q) blocks are a read-only view (`PolySymbol.terms`) for
+JSON, the norms and the reference quantization.  On the vectors
 
 - d/dw_i is one gather per degree (d/dz_i for i < d, d/dzbar_{i-d}
   otherwise), and the pointwise product adds occupations;
@@ -62,7 +62,7 @@ class SymTensor:
 
 
 # ---------------------------------------------------------------------------
-# the doubled-variable view
+# derivatives of the doubled-variable vectors
 
 def _grad(c: np.ndarray, m: int, n: int, sel=slice(None)) -> np.ndarray:
     """First derivatives d/dw_i, i in `sel`, of degree-m rows c of shape
@@ -81,80 +81,82 @@ def _derivatives(c: np.ndarray, m: int, n: int, sel, k: int) -> np.ndarray:
 
 
 class PolySymbol:
-    """A Wick polynomial: finite sum of (p, q)-monomials on C^dim."""
+    """A Wick polynomial: finite sum of (p, q)-monomials on C^dim, stored
+    as one plain-coefficient vector per total order (`vectors`)."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "vectors")
 
     def __init__(self, dim: int, terms=None):
-        self.dim = dim
-        self.terms = {}
+        """Build from canonical blocks: (p, q) -> (dim_q x dim_p) matrix."""
+        vectors = {}
         for (p, q), arr in (terms or {}).items():
             arr = np.asarray(arr, dtype=complex)
+            if min(p, q) < 0:
+                raise ValueError(f"term ({p},{q}): orders must be non-negative")
             expected = (sec.sector_dim(dim, q), sec.sector_dim(dim, p))
             if arr.shape != expected:
                 raise ValueError(f"term ({p},{q}) has shape {arr.shape}, expected {expected}")
-            if np.any(arr):
-                self.terms[(p, q)] = arr
+            m = p + q
+            if m not in vectors:
+                vectors[m] = np.zeros(sec.sector_dim(2 * dim, m), dtype=complex)
+            grid, scale = sec.doubled_positions(dim, m)[p]
+            vectors[m][grid] = arr * scale
+        self.dim = dim
+        self.vectors = {m: c for m, c in vectors.items() if np.any(c)}
+
+    @classmethod
+    def _from_vectors(cls, dim: int, vectors: dict) -> "PolySymbol":
+        """The symbol with these per-order vectors; all-zero orders dropped."""
+        out = cls.__new__(cls)
+        out.dim = dim
+        out.vectors = {m: c for m, c in vectors.items() if np.any(c)}
+        return out
+
+    @property
+    def terms(self) -> dict:
+        """The canonical view, rebuilt on each access: (p, q) -> operator
+        coefficient as a read-only (dim_q x dim_p) matrix, all-zero blocks
+        left out."""
+        out = {}
+        for m, c in self.vectors.items():
+            for p, (grid, scale) in enumerate(sec.doubled_positions(self.dim, m)):
+                block = c[grid] / scale
+                if np.any(block):
+                    block.setflags(write=False)
+                    out[(p, m - p)] = block
+        return out
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, dim: int) -> "PolySymbol":
-        return cls(dim, {})
+        return cls._from_vectors(dim, {})
 
     @classmethod
     def constant(cls, dim: int, value: complex) -> "PolySymbol":
-        return cls(dim, {(0, 0): np.array([[value]], dtype=complex)})
+        return cls._from_vectors(dim, {0: np.array([value], dtype=complex)})
 
     @classmethod
     def monomial(cls, dim: int, m_occ, n_occ, coeff: complex = 1.0) -> "PolySymbol":
         """The polynomial coeff * conj(z)^m z^n for occupation exponents."""
         m_occ, n_occ = tuple(m_occ), tuple(n_occ)
-        q, p = sum(m_occ), sum(n_occ)
-        arr = np.zeros((sec.sector_dim(dim, q), sec.sector_dim(dim, p)), dtype=complex)
-        mi = sec.occupation_index(dim, q)[m_occ]
-        ni = sec.occupation_index(dim, p)[n_occ]
-        arr[mi, ni] = coeff / (sec.coeff_scale(dim, q)[mi] * sec.coeff_scale(dim, p)[ni])
-        return cls(dim, {(p, q): arr})
-
-    def _coeffs(self) -> dict:
-        """Plain coefficients of conj(z)^mu z^nu per (p, q) block."""
-        out = {}
-        for (p, q), b in self.terms.items():
-            sq = sec.coeff_scale(self.dim, q)
-            sp = sec.coeff_scale(self.dim, p)
-            out[(p, q)] = b * (sq[:, None] * sp[None, :])
-        return out
-
-    def _vectors(self) -> dict:
-        """The doubled-variable view: total order m -> coefficient vector
-        on the m-sector of C^{2 dim}."""
-        out = {}
-        for (p, q), b in self.terms.items():
-            m = p + q
-            if m not in out:
-                out[m] = np.zeros(sec.sector_dim(2 * self.dim, m), dtype=complex)
-            grid, scale = sec.doubled_positions(self.dim, m)[p]
-            out[m][grid] = b * scale
-        return out
-
-    @classmethod
-    def _from_vectors(cls, dim: int, vectors: dict) -> "PolySymbol":
-        terms = {}
-        for m, c in vectors.items():
-            for p, (grid, scale) in enumerate(sec.doubled_positions(dim, m)):
-                terms[(p, m - p)] = c[grid] / scale
-        return cls(dim, terms)
+        if len(m_occ) != dim or len(n_occ) != dim:
+            raise DimensionMismatchError(f"occupations {m_occ}, {n_occ} for dim {dim}")
+        m = sum(m_occ) + sum(n_occ)
+        c = np.zeros(sec.sector_dim(2 * dim, m), dtype=complex)
+        c[sec.occupation_index(2 * dim, m)[n_occ + m_occ]] = coeff
+        return cls._from_vectors(dim, {m: c})
 
     # -- structure ----------------------------------------------------------
 
     def degree(self, tol: float = 0.0) -> int:
-        """Max total order among terms with some |coefficient| > tol."""
+        """Max total order among (p, q) blocks with some |canonical
+        coefficient| > tol."""
         degs = [p + q for (p, q), a in self.terms.items() if np.abs(a).max() > tol]
         return max(degs) if degs else 0
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.vectors
 
     # -- algebra ------------------------------------------------------------
 
@@ -164,10 +166,10 @@ class PolySymbol:
 
     def __add__(self, other: "PolySymbol") -> "PolySymbol":
         self._check_dim(other)
-        terms = {k: a.copy() for k, a in self.terms.items()}
-        for k, a in other.terms.items():
-            terms[k] = terms[k] + a if k in terms else a
-        return PolySymbol(self.dim, terms)
+        out = dict(self.vectors)
+        for m, c in other.vectors.items():
+            out[m] = out[m] + c if m in out else c
+        return PolySymbol._from_vectors(self.dim, out)
 
     def __sub__(self, other: "PolySymbol") -> "PolySymbol":
         return self + (-1.0) * other
@@ -175,7 +177,7 @@ class PolySymbol:
     def __mul__(self, other):
         if isinstance(other, PolySymbol):
             return contraction(self, other, 0)
-        return PolySymbol(self.dim, {k: other * a for k, a in self.terms.items()})
+        return PolySymbol._from_vectors(self.dim, {m: other * c for m, c in self.vectors.items()})
 
     __rmul__ = __mul__
 
@@ -184,14 +186,14 @@ class PolySymbol:
         return PolySymbol(self.dim, {(q, p): a.conj().T for (p, q), a in self.terms.items()})
 
     def evaluate(self, z) -> complex:
+        """sum_m c_m . w^kappa at w = (z, conj z)."""
         z = np.asarray(z, dtype=complex)
         if z.shape != (self.dim,):
             raise DimensionMismatchError(f"point has shape {z.shape}, dim is {self.dim}")
+        w = np.concatenate([z, z.conj()])
         total = 0.0 + 0.0j
-        for (p, q), c in self._coeffs().items():
-            zp = np.prod(z[None, :] ** sec.occupation_array(self.dim, p), axis=1)
-            zbq = np.prod(np.conj(z)[None, :] ** sec.occupation_array(self.dim, q), axis=1)
-            total += zbq @ c @ zp
+        for m, c in self.vectors.items():
+            total += np.prod(w ** sec.occupation_array(2 * self.dim, m), axis=1) @ c
         return complex(total)
 
     __call__ = evaluate
@@ -203,12 +205,11 @@ class PolySymbol:
     def distance_max(self, other: "PolySymbol") -> float:
         """Max |difference| over coefficients in the canonical packing."""
         self._check_dim(other)
-        keys = set(self.terms) | set(other.terms)
+        mine, theirs = self.terms, other.terms
         worst = 0.0
-        for p, q in keys:
-            a = self.terms.get((p, q), 0)
-            b = other.terms.get((p, q), 0)
-            worst = max(worst, float(np.abs(a - b).max()))
+        for key in set(mine) | set(theirs):
+            diff = mine.get(key, 0) - theirs.get(key, 0)
+            worst = max(worst, float(np.abs(diff).max()))
         return worst
 
     def distance_p(self, other: "PolySymbol") -> float:
@@ -224,37 +225,11 @@ class PolySymbol:
         d = self.dim
         axes = np.concatenate([np.repeat(np.arange(d), n_occ),
                                d + np.repeat(np.arange(d), m_occ)])
-        vectors = self._vectors()
+        vectors = self.vectors
         for i in axes:
             vectors = {m - 1: _grad(c, m, 2 * d, [i])[:, 0]
                        for m, c in vectors.items() if m > 0}
         return PolySymbol._from_vectors(d, vectors)
-
-    def derivative(self, j: int, k: int, z) -> SymTensor:
-        """The operator d_zbar^j d_z^k b(z) in L(sector k, sector j).
-
-        Vanishes termwise when j > q or k > p.
-        """
-        z = np.asarray(z, dtype=complex)
-        if z.shape != (self.dim,):
-            raise DimensionMismatchError(f"point has shape {z.shape}, dim is {self.dim}")
-        dim = self.dim
-        out = np.zeros((sec.sector_dim(dim, j), sec.sector_dim(dim, k)), dtype=complex)
-        for (p, q), b in self.terms.items():
-            if k > p or j > q:
-                continue
-            fact = (math.factorial(p) / math.factorial(p - k)) \
-                 * (math.factorial(q) / math.factorial(q - j)) \
-                 * math.sqrt(math.factorial(j) / math.factorial(q)) \
-                 * math.sqrt(math.factorial(k) / math.factorial(p))
-            up = np.eye(sec.sector_dim(dim, k), dtype=complex)
-            for n in range(k, p):
-                up = sec.creation_field(z, n) @ up
-            down = np.eye(sec.sector_dim(dim, j), dtype=complex)
-            for n in range(j, q):
-                down = down @ sec.annihilation_field(z, n + 1)
-            out += fact * (down @ b @ up)
-        return SymTensor(dim, k, j, out)
 
     def compose_rlinear(self, t) -> "PolySymbol":
         """The polynomial z -> b(T z) for an R-linear map T.
@@ -270,7 +245,7 @@ class PolySymbol:
         n = 2 * self.dim
         doubled = t.doubled()
         out = {}
-        for m, c in self._vectors().items():
+        for m, c in self.vectors.items():
             full, rep = sec.tensor_positions(n, m)
             multinomial = math.factorial(m) / sec.occ_factorials(n, m)
             tensor = (c / multinomial)[full]
@@ -282,10 +257,14 @@ class PolySymbol:
 
     def translate(self, z0) -> "PolySymbol":
         """The polynomial z -> b(z0 + z): the nilpotent series
-        exp(w0 . grad_w) b with w0 = (z0, conj z0)."""
+        exp(w0 . grad_w) b with w0 = (z0, conj z0).
+
+        Pins the Weyl translation property: conjugating b^Wick by the Weyl
+        operator of z0 quantizes b(z0 + .).
+        """
         z0 = np.asarray(z0, dtype=complex)
         w0 = np.concatenate([z0, z0.conj()])
-        power = self._vectors()
+        power = self.vectors
         out = dict(power)
         k = 1
         while power:
@@ -336,8 +315,7 @@ class PolySymbol:
         return cls(dim, terms)
 
     def __repr__(self):
-        keys = ", ".join(f"({p},{q})" for p, q in sorted(self.terms))
-        return f"PolySymbol(dim={self.dim}, orders=[{keys}])"
+        return f"PolySymbol(dim={self.dim}, orders={sorted(self.vectors)})"
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +332,9 @@ def contraction(b1: PolySymbol, b2: PolySymbol, k: int) -> PolySymbol:
         raise DimensionMismatchError(f"dim {b1.dim} vs {b2.dim}")
     d, n = b1.dim, 2 * b1.dim
     left = {m - k: _derivatives(c, m, n, slice(0, d), k)
-            for m, c in b1._vectors().items() if m >= k}
+            for m, c in b1.vectors.items() if m >= k}
     right = {m - k: _derivatives(c, m, n, slice(d, n), k)
-             for m, c in b2._vectors().items() if m >= k}
+             for m, c in b2.vectors.items() if m >= k}
     out = {}
     for m1, a1 in left.items():
         for m2, a2 in right.items():
@@ -381,10 +359,8 @@ def wick_product_symbol(b1: PolySymbol, b2: PolySymbol, epsilon: float) -> PolyS
         raise ValueError("epsilon must be positive")
     if b1.dim != b2.dim:
         raise DimensionMismatchError(f"dim {b1.dim} vs {b2.dim}")
-    kmax = min(max((p for (p, q) in b1.terms), default=0),
-               max((q for (p, q) in b2.terms), default=0))
     out = PolySymbol.zero(b1.dim)
-    for k in range(kmax + 1):
+    for k in range(min(b1.degree(), b2.degree()) + 1):
         out = out + (epsilon**k / math.factorial(k)) * contraction(b1, b2, k)
     return out
 
@@ -417,7 +393,7 @@ def apply_second_order_operator(b: PolySymbol, kernel) -> PolySymbol:
         raise DimensionMismatchError(f"kernel shape {kernel.shape}, expected {(n, n)}")
     flat = kernel.reshape(-1)
     out = {m - 2: _derivatives(c, m, n, slice(None), 2) @ flat
-           for m, c in b._vectors().items() if m >= 2}
+           for m, c in b.vectors.items() if m >= 2}
     return PolySymbol._from_vectors(b.dim, out)
 
 

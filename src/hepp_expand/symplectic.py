@@ -40,11 +40,6 @@ class RLinearMap:
     def identity(cls, dim: int) -> "RLinearMap":
         return cls(np.eye(dim))
 
-    @classmethod
-    def from_antilinear(cls, antilinear) -> "RLinearMap":
-        antilinear = np.asarray(antilinear, dtype=complex)
-        return cls(np.zeros_like(antilinear), antilinear)
-
     def apply(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         return self.linear @ z + self.antilinear @ np.conj(z)
@@ -165,11 +160,6 @@ class SymplectoDecomposition:
         self.conj_basis = np.asarray(conj_basis, dtype=complex)
         self.rho_eigs = np.asarray(rho_eigs, dtype=float)
         self.dim = self.unitary.shape[0]
-
-    def conjugation_matrix(self) -> np.ndarray:
-        """Antilinear matrix of c: z -> E E^T conj(z) for basis columns E."""
-        e = self.conj_basis
-        return e @ e.T
 
     def reconstruct(self) -> RLinearMap:
         return compose(RLinearMap(self.unitary), exp_antilinear(self.conj_basis, self.rho_eigs))

@@ -104,18 +104,3 @@ def check_weyl_conjugation(t_map: RLinearMap, b: PolySymbol, space: FockSpace,
         "n_trust": int(n_trust),
     }
 
-
-def gaussian_symplectic_ft(a: float, z: complex, n_nodes: int = 80) -> complex:
-    """Symplectic Fourier transform of e^{-a|.|^2} at z in one complex
-    dimension, by Gauss-Hermite quadrature on the plane.
-
-    The closed form is (pi/a) e^{-pi^2 |z|^2 / a}.
-    """
-    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
-    # substitute x' = s/sqrt(a): integral of e^{-s^2} f(s/sqrt(a)) / sqrt(a)
-    xs = nodes / math.sqrt(a)
-    x, y = z.real, z.imag
-    # sigma(z, z') = Im(conj(z) z') = x y' - y x'
-    phase_x = np.exp(2j * math.pi * (-y) * xs)
-    phase_y = np.exp(2j * math.pi * x * xs)
-    return complex((weights @ phase_x) * (weights @ phase_y) / a)

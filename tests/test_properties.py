@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hepp_expand.expansions import lambda_s, lambda_s_via_bracket
 from hepp_expand.flow import QuadraticHamiltonian, integrate_flow
-from hepp_expand.symbols import random_symbol, wick_product_symbol
+from hepp_expand.symbols import PolySymbol, random_symbol, wick_product_symbol
 from hepp_expand.symplectic import random_symplectomorphism
 from hepp_expand.weylwick import weyl_from_wick, wick_from_weyl
 
@@ -34,6 +34,24 @@ def test_composition_is_associative(seed, dim, order):
     lhs = b.compose_rlinear(s.compose(t))
     rhs = b.compose_rlinear(s).compose_rlinear(t)
     assert lhs.distance_max(rhs) < 1e-11 * _scale(lhs)
+
+
+@fast
+@given(seed=seeds, dim=dims, order=st.integers(min_value=0, max_value=5),
+       composed=st.booleans())
+def test_canonical_view_round_trips(seed, dim, order, composed):
+    # a sparse set of (p, q) blocks, or its image under a symplectic map
+    rng = np.random.default_rng(seed)
+    dense = random_symbol(rng, dim, order).terms
+    keep = rng.random(len(dense)) < 0.5
+    b = PolySymbol(dim, {k: a for (k, a), kept in zip(dense.items(), keep) if kept})
+    if composed:
+        b = b.compose_rlinear(random_symplectomorphism(rng, dim))
+    for back in (PolySymbol(dim, b.terms), PolySymbol.from_json(b.to_json())):
+        assert back.terms.keys() == b.terms.keys()
+        assert back.vectors.keys() == b.vectors.keys()
+        for m, c in b.vectors.items():
+            assert np.all(np.abs(back.vectors[m] - c) <= 1e-15 * np.abs(c))
 
 
 @fast

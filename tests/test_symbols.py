@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hepp_expand.sectors as sec
 from hepp_expand.errors import DimensionMismatchError
 from hepp_expand.symbols import (
     PolySymbol,
@@ -44,30 +45,51 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatchError):
             preset_symbol("number", 2).evaluate(np.zeros(3, dtype=complex))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_paper_definition(self, rng, dim):
+        # b(z) = sum_(p,q) conj(z^(vee q)) . b~ . z^(vee p), the symmetric
+        # powers taken in full tensor coordinates and projected on the
+        # sector bases by the isometries of `onb_embedding`
+        b = random_symbol(rng, dim, 5)
+        for _ in range(3):
+            z = random_vector(rng, dim) / math.sqrt(dim)
+            powers = [np.ones(1, dtype=complex)]
+            for _ in range(5):
+                powers.append(np.kron(powers[-1], z))
+            sym = [sec.onb_embedding(dim, n).T @ powers[n] for n in range(6)]
+            want = sum(sym[q].conj() @ a @ sym[p] for (p, q), a in b.terms.items())
+            assert abs(b.evaluate(z) - want) <= 1e-12 * abs(want)
+
 
 class TestDerivative:
+    # D_zbar^m D_z^n b as a polynomial, evaluated pointwise
+
     def test_number_mixed_derivative_is_identity(self, rng):
         b = preset_symbol("number", 3)
-        d = b.derivative(1, 1, random_vector(rng, 3))
-        assert np.allclose(d.coeffs, np.eye(3), atol=1e-14)
+        z = random_vector(rng, 3)
+        unit = np.eye(3, dtype=int)
+        d = np.array([[b.derivative_poly(unit[i], unit[j]).evaluate(z) for j in range(3)]
+                      for i in range(3)])
+        assert np.allclose(d, np.eye(3), atol=1e-14)
 
     def test_vanishes_above_degree(self, rng):
         b = PolySymbol.monomial(1, (2,), (3,))  # order (p=3, q=2)
-        d = b.derivative(3, 0, random_vector(rng, 1))
-        assert np.allclose(d.coeffs, 0.0)
+        d = b.derivative_poly((3,), (0,)).evaluate(random_vector(rng, 1))
+        assert np.allclose(d, 0.0)
 
     def test_quartic_1d_value(self):
         b = PolySymbol.monomial(1, (2,), (2,))
-        d = b.derivative(1, 1, np.array([2.0 + 0j]))
-        assert abs(d.coeffs[0, 0] - 16.0) < 1e-12
+        d = b.derivative_poly((1,), (1,)).evaluate(np.array([2.0 + 0j]))
+        assert abs(d - 16.0) < 1e-12
 
     def test_finite_difference_oracle(self, rng):
         # first derivatives against central differences of evaluate
         b = random_symbol(rng, 2, 4)
         z = random_vector(rng, 2)
         h = 1e-5
-        dzbar = b.derivative(1, 0, z).coeffs[:, 0]
-        dz = b.derivative(0, 1, z).coeffs[0, :]
+        unit, none = np.eye(2, dtype=int), (0, 0)
+        dzbar = [b.derivative_poly(unit[i], none).evaluate(z) for i in range(2)]
+        dz = [b.derivative_poly(none, unit[i]).evaluate(z) for i in range(2)]
         for i in range(2):
             step = np.zeros(2, dtype=complex)
             step[i] = h
@@ -221,6 +243,13 @@ class TestNorm:
 
 
 class TestSerialization:
+    def test_omits_all_zero_blocks(self):
+        # quartic-cross fills one (p, q) block of its order-4 vector
+        data = preset_symbol("quartic-cross", 2).to_json()
+        assert [(t["p"], t["q"]) for t in data["terms"]] == [(2, 2)]
+        explicit = PolySymbol(2, {(1, 1): np.eye(2), (2, 0): np.zeros((1, 3))})
+        assert [(t["p"], t["q"]) for t in explicit.to_json()["terms"]] == [(1, 1)]
+
     def test_roundtrip(self, rng):
         b = random_symbol(rng, 2, 3)
         data = json.loads(json.dumps(b.to_json()))

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 
@@ -10,7 +9,6 @@ from hepp_expand.symplectic import RLinearMap, exp_antilinear, random_symplectom
 from hepp_expand.weylwick import (
     bogoliubov_implementer,
     check_weyl_conjugation,
-    gaussian_symplectic_ft,
     weyl_from_wick,
     wick_from_weyl,
 )
@@ -120,11 +118,3 @@ def test_flow_map_second_order_operators_agree(rng):
     t_map = flow.phi(0.5).adjoint()
     assert Lambda_of_map(c, t_map).distance_max(Lambda_t(c, 0.5, flow)) < 1e-12
 
-
-def test_gaussian_symplectic_ft():
-    # closed form (pi/a) e^{-pi^2 |z|^2 / a} against plane quadrature
-    for a in (0.8, 1.7):
-        for z in (0j, 0.4 + 0.3j, -0.6 + 0.9j):
-            got = gaussian_symplectic_ft(a, z)
-            want = (math.pi / a) * math.exp(-math.pi**2 * abs(z) ** 2 / a)
-            assert abs(got - want) < 1e-6
