@@ -19,6 +19,7 @@ from .flow import FlowResult, QuadraticHamiltonian, v_vector
 from .symbols import (
     PolySymbol,
     apply_second_order_operator,
+    apply_second_order_stack,
     poisson_bracket,
     second_order_kernel,
     squeezing_hamiltonian_symbol,
@@ -141,11 +142,18 @@ def dyson_expand(b: PolySymbol, t: float, flow: FlowResult,
     analytically, one Gauss-Legendre rule per axis; the generator
     recursion is evaluated lazily along the node tree.
 
-    Each node builds the kernels of all its children in one batch (the
-    lambda_s kernel at every child time).  The children of a node on the
-    last level are only summed, so by linearity of the second-order
-    operator in its kernel they cost one application of the weighted
-    kernel sum.
+    The tree is walked one block of siblings at a time: the (up to)
+    `nodes` children of one parent, held as stacked per-order columns.
+    For a block of P columns the walk builds the kernels at all
+    P * nodes child times in one batch and takes the second derivatives
+    of all P columns in one stack (`apply_second_order_stack`).  On the
+    last level the children are only summed, so by linearity of the
+    operator in its kernel each column meets only its weighted kernel
+    sum.  Otherwise the walk descends once per column into the block of
+    that column's children, unless they are all zero.  That makes
+    1 + sum_{j < kmax-1} nodes^j kernel batches (10 at nodes = 8,
+    kmax = 3).  Only the blocks on one path of the tree are alive at
+    once, so the memory stays O(kmax nodes^2 (2d)^2) sector vectors.
     """
     _require_base_zero(flow)
     if nodes < 1:
@@ -158,21 +166,33 @@ def dyson_expand(b: PolySymbol, t: float, flow: FlowResult,
         x, w = np.polynomial.legendre.leggauss(nodes)
         xs = (x + 1.0) / 2.0
         ws = w / 2.0
+        n = 2 * b.dim
 
-        def walk(c, level, bound, weight):
-            s, wk = bound * xs, weight * bound * ws
-            kernels = _generator_kernels(s, flow, hamiltonian)
+        def walk(block, level, bounds, weights):
+            # block: order -> (S_m, P) columns of P siblings on `level`,
+            # with their time bounds and accumulated weights (P,)
+            s = bounds[:, None] * xs
+            wk = (weights * bounds)[:, None] * ws
+            kernels = _generator_kernels(s.reshape(-1), flow, hamiltonian)
+            kernels = kernels.reshape(s.shape + (n, n))
             if level + 1 == kmax:
-                leaves = apply_second_order_operator(c, np.tensordot(wk, kernels, axes=1))
-                terms[kmax] = terms[kmax] + leaves
+                summed = np.einsum("pj,pjab->pab", wk, kernels)[:, None]
+                leaves = apply_second_order_stack(b.dim, block, summed)
+                terms[kmax] = terms[kmax] + PolySymbol._from_vectors(
+                    b.dim, {m: c.sum(axis=(1, 2)) for m, c in leaves.items()})
                 return
-            for s_node, w_node, kernel in zip(s, wk, kernels):
-                ck = apply_second_order_operator(c, kernel)
-                terms[level + 1] = terms[level + 1] + w_node * ck
-                if not ck.is_zero():
-                    walk(ck, level + 1, s_node, w_node)
+            children = apply_second_order_stack(b.dim, block, kernels)
+            terms[level + 1] = terms[level + 1] + PolySymbol._from_vectors(
+                b.dim, {m: c.reshape(len(c), -1) @ wk.reshape(-1)
+                        for m, c in children.items()})
+            alive = {m: np.any(c, axis=(0, 2)) for m, c in children.items()}
+            for p in range(len(bounds)):
+                sub = {m: c[:, p] for m, c in children.items() if alive[m][p]}
+                if sub:
+                    walk(sub, level + 1, s[p], wk[p])
 
-        walk(term0, 0, t, 1.0)
+        walk({m: c[:, None] for m, c in term0.vectors.items()}, 0,
+             np.array([t], dtype=float), np.array([1.0]))
     return ExpansionResult("dyson", t, epsilon, terms,
                            quad_spec={"rule": "gauss-legendre-duffy", "nodes": nodes})
 

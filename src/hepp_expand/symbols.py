@@ -73,11 +73,13 @@ def _grad(c: np.ndarray, m: int, n: int, sel=slice(None)) -> np.ndarray:
 
 
 def _derivatives(c: np.ndarray, m: int, n: int, sel, k: int) -> np.ndarray:
-    """All k-th derivatives along `sel` of a degree-m vector, as an
-    (S_{m-k}, |sel|^k) array over ordered index tuples."""
+    """All k-th derivatives along `sel` of degree-m rows c of shape
+    (S_m, ...), as an (S_{m-k}, |sel|^k, ...) array over ordered index
+    tuples."""
+    trailing = c.shape[1:]
     for j in range(k):
         c = _grad(c, m - j, n, sel)
-    return c.reshape(c.shape[0], -1)
+    return c.reshape((c.shape[0], -1) + trailing)
 
 
 class PolySymbol:
@@ -152,6 +154,8 @@ class PolySymbol:
     def degree(self, tol: float = 0.0) -> int:
         """Max total order among (p, q) blocks with some |canonical
         coefficient| > tol."""
+        if tol == 0.0:
+            return max(self.vectors, default=0)
         degs = [p + q for (p, q), a in self.terms.items() if np.abs(a).max() > tol]
         return max(degs) if degs else 0
 
@@ -199,8 +203,20 @@ class PolySymbol:
     __call__ = evaluate
 
     def norm_p(self) -> float:
-        """Sum of sector operator norms of the coefficients."""
-        return float(sum(np.linalg.norm(a, 2) for a in self.terms.values()))
+        """Sum of sector operator norms of the coefficients.
+
+        A block with one row or one column has its Euclidean norm as
+        operator norm; the others take their largest singular value.
+        """
+        total = 0.0
+        for m, c in self.vectors.items():
+            for grid, scale in sec.doubled_positions(self.dim, m):
+                block = c[grid] / scale
+                if min(block.shape) == 1:
+                    total += np.linalg.norm(block)
+                else:
+                    total += np.linalg.svd(block, compute_uv=False)[0]
+        return float(total)
 
     def distance_max(self, other: "PolySymbol") -> float:
         """Max |difference| over coefficients in the canonical packing."""
@@ -380,21 +396,41 @@ def second_order_kernel(mixed, pair) -> np.ndarray:
     return np.concatenate([top, bottom], axis=-2)
 
 
+def apply_second_order_stack(dim: int, columns: dict, kernels: np.ndarray) -> dict:
+    """The second-order operator on P symbols at once, B kernels each.
+
+    `columns` maps each total order m to the (S_m, P) stack of the P
+    symbols' vectors; `kernels` has shape (P, B, 2 dim, 2 dim), B
+    symmetric kernels per column.  The second derivatives of all P
+    columns form one stack per order, contracted with every kernel of its
+    column in one batched product.  Returns m - 2 -> (S_{m-2}, P, B):
+    column p under its kernel b.
+    """
+    n = 2 * dim
+    flat = kernels.reshape(kernels.shape[:2] + (n * n,)).transpose(0, 2, 1)
+    out = {}
+    for m, c in columns.items():
+        if m >= 2:
+            stack = _derivatives(c, m, n, slice(None), 2).transpose(2, 0, 1)
+            out[m - 2] = (stack @ flat).transpose(1, 0, 2)
+    return out
+
+
 def apply_second_order_operator(b: PolySymbol, kernel) -> PolySymbol:
     """sum_ij K_ij d_wi d_wj b in the doubled variables w = (z, conj z).
 
     `kernel` is a symmetric 2d x 2d matrix K; its z-z block contracts two
     z-derivatives, its z-zbar blocks one of each, its zbar-zbar block two
-    zbar-derivatives.  Lowers every total order by 2.
+    zbar-derivatives.  Lowers every total order by 2.  This is the
+    one-symbol, one-kernel case of `apply_second_order_stack`.
     """
     n = 2 * b.dim
     kernel = np.asarray(kernel, dtype=complex)
     if kernel.shape != (n, n):
         raise DimensionMismatchError(f"kernel shape {kernel.shape}, expected {(n, n)}")
-    flat = kernel.reshape(-1)
-    out = {m - 2: _derivatives(c, m, n, slice(None), 2) @ flat
-           for m, c in b.vectors.items() if m >= 2}
-    return PolySymbol._from_vectors(b.dim, out)
+    columns = {m: c[:, None] for m, c in b.vectors.items()}
+    out = apply_second_order_stack(b.dim, columns, kernel[None, None])
+    return PolySymbol._from_vectors(b.dim, {m: c[:, 0, 0] for m, c in out.items()})
 
 
 def laplacian(b: PolySymbol) -> PolySymbol:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,11 +153,64 @@ class TestDysonExpand:
                                  t_end=0.4, dt=1e-2)
         flow = integrate_flow(h)
         b = random_symbol(rng, dim, degree)
-        got = dyson_expand(b, 0.4, flow, h, epsilon=0.5, nodes=4, max_order=max_order)
-        want = node_by_node_dyson(b, 0.4, flow, h, nodes=4, max_order=max_order)
-        assert len(got.terms) == len(want) == 1 + (1 if max_order else degree // 2)
-        for g, w in zip(got.terms, want):
-            assert g.distance_p(w) <= 1e-12 * w.norm_p()
+        # one node makes every block a single column; three, four and
+        # eight give blocks of several siblings on every level
+        for nodes in (1, 3, 4, 8):
+            got = dyson_expand(b, 0.4, flow, h, epsilon=0.5, nodes=nodes, max_order=max_order)
+            want = node_by_node_dyson(b, 0.4, flow, h, nodes=nodes, max_order=max_order)
+            assert len(got.terms) == len(want) == 1 + (1 if max_order else degree // 2)
+            for g, w in zip(got.terms, want):
+                assert g.distance_p(w) <= 1e-12 * w.norm_p()
+
+    def _count_kernel_batches(self, monkeypatch):
+        calls = []
+        original = expansions._generator_kernels
+
+        def counted(s, *args):
+            calls.append(len(s))
+            return original(s, *args)
+
+        monkeypatch.setattr(expansions, "_generator_kernels", counted)
+        return calls
+
+    def test_one_kernel_batch_per_sibling_block(self, rng, monkeypatch):
+        # nodes = 8, kmax = 3: the root block, the block of its 8
+        # children, and one block per child's children
+        calls = self._count_kernel_batches(monkeypatch)
+        h = QuadraticHamiltonian(2, beta=random_beta(rng, 2), t_end=0.4, dt=1e-2)
+        dyson_expand(random_symbol(rng, 2, 6), 0.4, integrate_flow(h), h,
+                     epsilon=0.5, nodes=8)
+        assert calls == [8, 64] + [64] * 8
+
+    def test_zero_beta_prunes_the_tree(self, rng, monkeypatch):
+        # without beta every generator kernel vanishes: the first block's
+        # children are all zero and the walk goes no deeper
+        calls = self._count_kernel_batches(monkeypatch)
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        h = QuadraticHamiltonian(2, alpha=(a + a.conj().T) / 2, t_end=0.4, dt=1e-2)
+        res = dyson_expand(random_symbol(rng, 2, 6), 0.4, integrate_flow(h), h,
+                           epsilon=0.5, nodes=8)
+        assert len(calls) == 1
+        assert len(res.terms) == 4
+        assert not res.terms[0].is_zero()
+        assert all(term.is_zero() for term in res.terms[1:])
+
+    def test_memory_bound(self, rng):
+        # the walk holds one block of siblings per level (2.1 MB here); a
+        # level-synchronous walk over the whole frontier would need ~90 MB
+        beta = random_beta(rng, 2)
+        h = QuadraticHamiltonian(2, beta=([0.0, 0.4], [beta(0.0), beta(0.4)]),
+                                 t_end=0.4, dt=1e-2)
+        flow = integrate_flow(h)
+        b = random_symbol(rng, 2, 8)
+        dyson_expand(b, 0.4, flow, h, epsilon=0.5, nodes=1)  # fill the sector tables
+        tracemalloc.start()
+        try:
+            dyson_expand(b, 0.4, flow, h, epsilon=0.5, nodes=16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
 
     def test_independent_of_the_exponential_engine(self, rng, monkeypatch):
         def forbidden(*args, **kwargs):

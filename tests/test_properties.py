@@ -36,22 +36,53 @@ def test_composition_is_associative(seed, dim, order):
     assert lhs.distance_max(rhs) < 1e-11 * _scale(lhs)
 
 
-@fast
-@given(seed=seeds, dim=dims, order=st.integers(min_value=0, max_value=5),
-       composed=st.booleans())
-def test_canonical_view_round_trips(seed, dim, order, composed):
-    # a sparse set of (p, q) blocks, or its image under a symplectic map
+def _sparse_symbol(seed, dim, order, composed):
+    """A sparse set of (p, q) blocks, or its image under a symplectic map."""
     rng = np.random.default_rng(seed)
     dense = random_symbol(rng, dim, order).terms
     keep = rng.random(len(dense)) < 0.5
     b = PolySymbol(dim, {k: a for (k, a), kept in zip(dense.items(), keep) if kept})
     if composed:
         b = b.compose_rlinear(random_symplectomorphism(rng, dim))
+    return b
+
+
+@fast
+@given(seed=seeds, dim=dims, order=st.integers(min_value=0, max_value=5),
+       composed=st.booleans())
+def test_canonical_view_round_trips(seed, dim, order, composed):
+    b = _sparse_symbol(seed, dim, order, composed)
     for back in (PolySymbol(dim, b.terms), PolySymbol.from_json(b.to_json())):
         assert back.terms.keys() == b.terms.keys()
         assert back.vectors.keys() == b.vectors.keys()
         for m, c in b.vectors.items():
             assert np.all(np.abs(back.vectors[m] - c) <= 1e-15 * np.abs(c))
+
+
+@fast
+@given(seed=seeds, dim=dims, order=st.integers(min_value=0, max_value=6),
+       sparse=st.booleans(), composed=st.booleans())
+def test_norm_p_is_sum_of_block_operator_norms(seed, dim, order, sparse, composed):
+    # the Euclidean shortcut for one-row and one-column blocks against
+    # the largest singular value of every canonical block
+    if sparse:
+        b = _sparse_symbol(seed, dim, order, composed)
+    else:
+        b = random_symbol(np.random.default_rng(seed), dim, order)
+        if composed:
+            b = b.compose_rlinear(random_symplectomorphism(np.random.default_rng(seed + 1), dim))
+    want = sum(np.linalg.norm(a, 2) for a in b.terms.values())
+    assert abs(b.norm_p() - want) <= 1e-13 * want
+
+
+@fast
+@given(seed=seeds, dim=dims, order=st.integers(min_value=0, max_value=6),
+       composed=st.booleans())
+def test_degree_from_orders_matches_canonical_blocks(seed, dim, order, composed):
+    for b in (random_symbol(np.random.default_rng(seed), dim, order),
+              _sparse_symbol(seed, dim, order, composed)):
+        canonical = max((p + q for p, q in b.terms), default=0)
+        assert b.degree() == b.degree(tol=1e-300) == canonical
 
 
 @fast
