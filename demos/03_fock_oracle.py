@@ -3,7 +3,9 @@
 The evolved observable U(0,t) b^Wick U(t,0) is computed on the trusted
 sectors 0..trusted_n of the cutoff-N space, from the columns of U that
 start there (the only ones the flow evolves), and compared entrywise
-against the quantization of the assembled expansion symbol.  The comparison is only meaningful
+against the quantization of the assembled expansion symbol.
+``quantum_flow(ham, space, t)`` runs on the Hamiltonian's own grid up to
+the grid time t and holds the columns at t only.  The comparison is only meaningful
 on sectors the cutoff cannot pollute; the last block of this script
 shows how the trusted error collapses as the cutoff grows, which is the
 practical way to pick N for a given time span.
@@ -32,7 +34,7 @@ print("quantized evolved observable vs quantized expansion symbol")
 print("cutoff N   trusted n<=16 error   leakage onto top sectors")
 for n_max in (24, 32, 40, 48):
     space = FockSpace(1, n_max, 0.5)
-    qf = quantum_flow(ham, space, store=[t], leak_threshold=np.inf, trusted_n=16)
+    qf = quantum_flow(ham, space, t, leak_threshold=np.inf, trusted_n=16)
     evolved = conjugate_observable(qf, b, space, t)
     err = evolved.trusted_block_diff(wick_quantize(assembled, space), 16)
     print(f"   {n_max:3d}        {err:.3e}             {qf.max_leakage():.3e}")
@@ -45,7 +47,7 @@ space = FockSpace(1, 20, 0.5)
 short = 0.05
 ham_s = QuadraticHamiltonian(1, beta=np.array([[1.0]]), t_end=short, dt=5e-4)
 flow_s = integrate_flow(ham_s)
-qf = quantum_flow(ham_s, space, store=[short], leak_threshold=np.inf)
+qf = quantum_flow(ham_s, space, short, leak_threshold=np.inf)
 number = preset_symbol("number", 1)
 evolved = conjugate_observable(qf, number, space, short)
 sym = wick_quantize(exp_expand(number, short, flow_s, epsilon=0.5).assembled(), space)

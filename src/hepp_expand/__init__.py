@@ -46,10 +46,7 @@ from .fock import (
 from .scenario import Scenario
 from .symbols import (
     PolySymbol,
-    SymTensor,
     apply_second_order_operator,
-    beta_matrix_from_tensor,
-    beta_tensor_from_matrix,
     contraction,
     laplacian,
     linear_form_bra,

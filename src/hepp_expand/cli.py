@@ -146,7 +146,7 @@ def cmd_oracle(scenario: Scenario, args) -> tuple[int, dict]:
     tol = scenario.tolerances["oracle"]
     try:
         # the Magnus step's error budget is a hundredth of the comparison's
-        qf = quantum_flow(h, space, store=[t], trusted_n=trusted,
+        qf = quantum_flow(h, space, t, trusted_n=trusted,
                           leak_threshold=scenario.tolerances["leakage"], tol=tol / 100)
     except LeakageError as exc:
         report["error"] = str(exc)

@@ -48,13 +48,9 @@ class ExpansionResult:
             out = out + ((eps / 2.0) ** k) * term
         return out
 
-    def to_report(self, include_symbols: bool = True) -> dict:
-        rows = []
-        for k, term in enumerate(self.terms):
-            row = {"k": k, "norm": term.norm_p()}
-            if include_symbols:
-                row["symbol"] = term.to_json()
-            rows.append(row)
+    def to_report(self) -> dict:
+        rows = [{"k": k, "norm": term.norm_p(), "symbol": term.to_json()}
+                for k, term in enumerate(self.terms)]
         return {
             "method": self.method,
             "t": self.t,

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SymplecticityError
-from .symbols import SymTensor, beta_matrix_from_tensor
 from .symplectic import RLinearMap, doubled, symplectic_defects
 
 _DEFECT_TOL = 1e-6
@@ -31,7 +30,7 @@ _DEFECT_TOL = 1e-6
 class _Sampler:
     """Matrix-valued function of time: zero, constant, callable, or
     linearly interpolated samples (held at the end values outside the
-    sample times).  `at` reads one time, `on` a whole array of times."""
+    sample times), read for a whole array of times at once."""
 
     def __init__(self, name, spec, shape):
         self.name = name
@@ -64,19 +63,6 @@ class _Sampler:
                              f"expected {self.shape}")
         return value
 
-    def at(self, t: float) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros(self.shape, dtype=complex)
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "callable":
-            return self._call(t)
-        idx = np.clip(np.searchsorted(self.times, t) - 1, 0, len(self.times) - 2)
-        t0, t1 = self.times[idx], self.times[idx + 1]
-        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        w = min(max(w, 0.0), 1.0)
-        return (1.0 - w) * self.values[idx] + w * self.values[idx + 1]
-
     def on(self, times: np.ndarray) -> np.ndarray:
         """The values at every entry of the 1-d array `times`, stacked."""
         n = len(times)
@@ -101,14 +87,11 @@ class QuadraticHamiltonian:
     `alpha` may be None, a constant Hermitian matrix, a callable
     t -> matrix, or a (times, values) sample pair.  `beta` is the same
     with symmetric matrices holding the tensor coordinates of beta_t
-    (equivalently the matrix of the induced antilinear map); a
-    (0 -> 2) SymTensor is accepted for the constant case.
+    (equivalently the matrix of the induced antilinear map).
     """
 
     def __init__(self, dim, alpha=None, beta=None, t_start=0.0, t_end=1.0, dt=1e-3):
         self.dim = dim
-        if isinstance(beta, SymTensor):
-            beta = beta_matrix_from_tensor(beta)
         self.alpha = _Sampler("alpha", alpha, (dim, dim))
         self.beta = _Sampler("beta", beta, (dim, dim))
         if t_end <= t_start:
@@ -139,13 +122,21 @@ class QuadraticHamiltonian:
         return self.alpha_on(t)[0]
 
     def beta_matrix(self, t: float) -> np.ndarray:
-        b = self.beta.at(t)
-        return (b + b.T) / 2.0
+        return self.beta_on(t)[0]
 
     def grid(self):
         span = self.t_end - self.t_start
         n = max(1, int(round(span / self.dt)))
         return self.t_start + (span / n) * np.arange(n + 1)
+
+
+def grid_index(grid, t: float) -> int:
+    """Index of the point of `grid` at t; raises unless t is on the grid
+    within 1e-9 relative."""
+    k = int(np.argmin(np.abs(grid - t)))
+    if abs(grid[k] - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(f"t={t} is not on the time grid")
+    return k
 
 
 def _linear_rk4(grid, generator, w0):
@@ -206,8 +197,12 @@ class UnitaryPath:
         self.matrices = mats
         self.derivs = derivs
 
+    def on(self, times) -> np.ndarray:
+        """u_alpha at each of `times`, stacked."""
+        return _hermite(self.times, self.matrices, self.derivs, times)
+
     def at(self, t: float) -> np.ndarray:
-        return _hermite(self.times, self.matrices, self.derivs, t)[0]
+        return self.on(t)[0]
 
     def unitarity_defect(self) -> float:
         u = self.matrices[-1]
@@ -241,10 +236,7 @@ class FlowResult:
         self.defects = np.maximum(*symplectic_defects(self.linear, self.antilinear))
 
     def grid_index(self, t: float) -> int:
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} is not on the flow grid")
-        return k
+        return grid_index(self.times, t)
 
     def phi(self, t: float) -> RLinearMap:
         """phi(t, t_start) at a grid time."""

@@ -19,18 +19,21 @@ pattern values times d(d+1) pair coefficients.  The generator changes
 the particle number by 2, so the even and odd sectors evolve as two
 separate dense blocks of U.  Only the columns of U that start in the
 trusted sectors 0..trusted_n are evolved: they are all that the trusted
-block of the conjugated observable and the leakage gate read.  They are
-joined into one total_dim x n_cols column block at the stored times,
-where Gamma(u_alpha) acts on them sector by sector.
+block of the conjugated observable and the leakage gate read.  The flow
+runs on the Hamiltonian's own grid up to one grid time t, where the
+columns are joined into one total_dim x n_cols block and Gamma(u_alpha)
+acts on them sector by sector.
 
-Two integrators advance the columns.  RK4 on the scenario grid is the
-reference.  Given a tolerance, the fourth-order commutator-free Magnus
-step CF4 (Blanes & Moan 2006) takes steps of several grid points, sized
-by step doubling; each exponential acts on the columns as a Taylor
-series whose length follows from the generator's exact sparse 1-norm.
-The leakage gate still reads every grid point (between step ends from
-a cubic Hermite interpolant), and a step that comes within a factor 10
-of the leakage threshold is re-run by RK4 on the grid.
+One stepper advances the columns by either of two integrators, reading
+the pair coefficients of all the times a stretch needs in one call.
+RK4 on the grid is the reference.  Given a tolerance, the fourth-order
+commutator-free Magnus step CF4 (Blanes & Moan 2006) takes steps of
+several grid points, sized by step doubling; each exponential acts on
+the columns as a Taylor series whose length follows from the
+generator's exact sparse 1-norm.  The leakage gate still reads every
+grid point (between step ends from a cubic Hermite interpolant), and a
+step that comes within a factor 10 of the leakage threshold is re-run
+by RK4 on the grid.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import sectors as sec
 from .errors import DimensionMismatchError, LeakageError
-from .flow import QuadraticHamiltonian, integrate_u_alpha
+from .flow import QuadraticHamiltonian, grid_index, integrate_u_alpha
 from .symbols import PolySymbol, preset_symbol, squeezing_hamiltonian_symbol
 
 _EPS_DEFAULT = 0.5
@@ -252,19 +255,20 @@ def gamma_u(u, space: FockSpace, tol: float = 1e-10) -> FockOperator:
 
 
 class QuantumFlowResult:
-    """Quantum flow on the truncated space at requested sample times.
+    """Quantum flow on the truncated space at one time t.
 
     Holds the columns of U(t, 0) that start in sectors 0..trusted_n: a
-    total_dim x n_cols block per stored time, n_cols the dimension of
-    those sectors.  ``integrator`` is None for RK4; for CF4 it counts the
-    kept steps, the rejected attempts and the steps re-run by RK4, and
-    sums the error estimates of the CF4 steps kept (``time_error``).
+    total_dim x n_cols block, n_cols the dimension of those sectors, and
+    the leakage at every grid point up to t.  ``integrator`` is None for
+    RK4; for CF4 it counts the kept steps, the rejected attempts and the
+    steps re-run by RK4, and sums the error estimates of the CF4 steps
+    kept (``time_error``).
     """
 
-    def __init__(self, space, times, columns, leakage_trace, trusted_n, leak_threshold,
+    def __init__(self, space, t, columns, leakage_trace, trusted_n, leak_threshold,
                  integrator=None):
         self.space = space
-        self.times = times
+        self.t = t
         self._columns = columns
         self.leakage_trace = leakage_trace
         self.trusted_n = trusted_n
@@ -273,10 +277,9 @@ class QuantumFlowResult:
 
     def u_at(self, t: float) -> np.ndarray:
         """The evolved columns of U(t, 0) (sectors <= trusted_n)."""
-        for ts, cols in zip(self.times, self._columns):
-            if abs(ts - t) <= 1e-9 * max(1.0, abs(t)):
-                return cols
-        raise ValueError(f"t={t} was not among the stored sample times {self.times}")
+        if abs(self.t - t) > 1e-9 * max(1.0, abs(t)):
+            raise ValueError(f"the flow was run to t={self.t}, not to t={t}")
+        return self._columns
 
     def max_leakage(self) -> float:
         return float(self.leakage_trace.max()) if len(self.leakage_trace) else 0.0
@@ -292,25 +295,24 @@ class QuantumFlowResult:
         return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]), 2))
 
 
-def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace,
-                 t_end: float = None, dt: float = None, store=None,
+def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float = None,
                  trusted_n: int = None, leak_threshold: float = 1e-6,
                  tol: float = None) -> QuantumFlowResult:
-    """Integrate the quantum flow i eps dU/dt = Q_t^Wick U.
+    """Integrate the quantum flow i eps dU/dt = Q_t^Wick U up to time t.
 
-    Only the columns of U that start in sectors 0..trusted_n (default
-    n_max - 4) are evolved; the result holds that total_dim x n_cols
-    block.  Runs the beta-only generator (rotated by u_alpha when alpha
-    is present) and composes with the second-quantized unitary path,
-    sector by sector, at the stored times.  The generator is applied to
-    the even- and odd-sector columns separately.
+    The flow runs on the Hamiltonian's grid from t_start to t (default
+    t_end), which must be a grid point.  Only the columns of U that
+    start in sectors 0..trusted_n (default n_max - 4) are evolved; the
+    result holds that total_dim x n_cols block.  Runs the beta-only
+    generator (rotated by u_alpha when alpha is present) and composes
+    with the second-quantized unitary path, sector by sector, at t.  The
+    generator is applied to the even- and odd-sector columns separately.
 
-    With ``tol=None`` the integrator is RK4 on the grid of step dt, the
-    generator evaluated once per distinct time.  With a float ``tol`` it
-    is the commutator-free Magnus step CF4, whose step is a multiple of
-    dt chosen by step doubling so that the estimated global error stays
-    below ``tol``; every store time is a step end.  The step counts and
-    the summed error estimate are in ``QuantumFlowResult.integrator``.
+    With ``tol=None`` the integrator is RK4 on the grid.  With a float
+    ``tol`` it is the commutator-free Magnus step CF4, whose step is a
+    multiple of the grid step chosen by step doubling so that the
+    estimated global error stays below ``tol``.  The step counts and the
+    summed error estimate are in ``QuantumFlowResult.integrator``.
 
     The leakage of the evolved columns into the top two sectors, the
     2-norm of their rows there, is recorded at every grid point and
@@ -322,26 +324,10 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace,
     trusted_n <= n_max - 2: the top two sectors must hold no trusted
     column.
     """
-    from scipy import sparse
-
     if hamiltonian.dim != space.dim:
         raise DimensionMismatchError(f"dim {hamiltonian.dim} vs {space.dim}")
-    t0 = hamiltonian.t_start
-    if t_end is None:
-        t_end = hamiltonian.t_end
-    if dt is None:
-        dt = hamiltonian.dt
-    if store is None:
-        store = [t_end]
-    n_steps = max(1, int(round((t_end - t0) / dt)))
-    grid = t0 + (t_end - t0) / n_steps * np.arange(n_steps + 1)
-    store_idx = {}
-    for ts in store:
-        k = int(np.argmin(np.abs(grid - ts)))
-        if abs(grid[k] - ts) > 1e-9 * max(1.0, abs(ts)):
-            raise ValueError(f"store time {ts} is not on the integration grid")
-        store_idx[k] = ts
-
+    grid = hamiltonian.grid()
+    grid = grid[:grid_index(grid, hamiltonian.t_end if t is None else t) + 1]
     if trusted_n is None:
         trusted_n = space.n_max - 4
     trusted_n = max(0, min(trusted_n, space.n_max))
@@ -352,151 +338,157 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace,
             f"trusted sectors <= {trusted_n} reach the top two sectors of n_max "
             f"{space.n_max}: the leakage gate needs trusted_n <= n_max - 2")
 
-    has_alpha = not hamiltonian.alpha.is_zero()
-    u_path = integrate_u_alpha(hamiltonian) if has_alpha else None
-    blocks = _parity_blocks(space, trusted_n)
-    coefficients = _pair_coefficients(hamiltonian, u_path)
-
-    def csr_set():
-        return [sparse.csr_matrix((np.zeros(len(blk.values), dtype=complex), blk.indices,
-                                   blk.indptr), shape=blk.shape) for blk in blocks]
-
-    # the trusted columns are a prefix of each parity block
-    us = [np.eye(len(blk.states), blk.trusted_hi, dtype=complex) for blk in blocks]
-    leak = np.zeros(n_steps + 1)
-
-    def rk4(us, k_from, k_to):
-        """RK4 on the columns `us`, in place, over grid steps k_from..k_to,
-        with the leakage gate."""
-        g_now, g_mid, g_next = csr_set(), csr_set(), csr_set()
-        _fill(g_now, blocks, coefficients(grid[k_from]))
-        for k in range(k_from, k_to):
-            t = grid[k]
-            h = grid[k + 1] - t
-            _fill(g_mid, blocks, coefficients(t + h / 2))
-            _fill(g_next, blocks, coefficients(grid[k + 1]))
-            for b, u in enumerate(us):
-                k1 = g_now[b] @ u
-                k2 = g_mid[b] @ (u + h / 2 * k1)
-                k3 = g_mid[b] @ (u + h / 2 * k2)
-                k4 = g_next[b] @ (u + h * k3)
-                us[b] = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            g_now, g_next = g_next, g_now
-            # the leaked block is block-diagonal in parity: its 2-norm is the
-            # larger of the two block norms
-            leak[k + 1] = max(blk.leakage(u) for blk, u in zip(blocks, us))
-            if leak[k + 1] > leak_threshold:
-                raise LeakageError(
-                    f"top-sector leakage {leak[k + 1]:.3e} exceeded {leak_threshold:.1e} "
-                    f"at t={grid[k + 1]:.4f}; raise n_max or shorten the time span",
-                    diagnostics={"t": float(grid[k + 1]), "leakage": float(leak[k + 1]),
-                                 "n_max": space.n_max, "trusted_n": trusted_n})
-
-    magnus = None if tol is None else _Magnus(blocks, coefficients, csr_set(), grid, tol)
-    stored = {}
-    if 0 in store_idx:
-        stored[0] = _assemble(space, blocks, us)
-    k = 0
-    for k_end in sorted(set(store_idx) - {0} | {n_steps}):
-        if magnus is None:
-            rk4(us, k, k_end)
-        else:
-            us = magnus.march(us, k, k_end, leak, leak_threshold / 10, rk4)
-        k = k_end
-        if k in store_idx:
-            stored[k] = _assemble(space, blocks, us)
-
-    times, columns = [], []
-    for k in sorted(stored):
-        t = grid[k]
-        cols = stored[k]
-        if has_alpha:
-            g = gamma_u(u_path.at(t), space)
-            for n in range(space.n_max + 1):
-                s = space.sector_slice(n)
-                cols[s] = g.block(n, n) @ cols[s]
-        times.append(float(t))
-        columns.append(cols)
-    return QuantumFlowResult(space, times, columns, leak, trusted_n, leak_threshold,
-                             None if magnus is None else magnus.report())
+    u_path = None if hamiltonian.alpha.is_zero() else integrate_u_alpha(hamiltonian)
+    stepper = _ColumnStepper(space, trusted_n, _pair_coefficients(hamiltonian, u_path), grid,
+                             leak_threshold)
+    if tol is None:
+        stepper.rk4(0, len(grid) - 1)
+    else:
+        stepper.march(tol)
+    cols = stepper.assemble()
+    if u_path is not None:
+        g = gamma_u(u_path.at(grid[-1]), space)
+        for n in range(space.n_max + 1):
+            s = space.sector_slice(n)
+            cols[s] = g.block(n, n) @ cols[s]
+    return QuantumFlowResult(space, float(grid[-1]), cols, stepper.leak, trusted_n,
+                             leak_threshold, None if tol is None else stepper.report())
 
 
 # Gauss nodes on [0, 1] and the weights of CF4 (Blanes & Moan 2006):
 # U(t + h) = exp(h(W2 A1 + W1 A2)) exp(h(W1 A1 + W2 A2)) U(t), A_i the
 # generator at t + c_i h.  The exponential weighting the earlier node by
 # W1 acts first; swapped, the step is only of second order.
-_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 _W1, _W2 = 0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-class _Magnus:
-    """CF4 on the parity blocks with step-doubling control on the grid.
+class _ColumnStepper:
+    """The parity blocks' evolved columns, advanced along a time grid.
 
-    One attempt from knot k advances n_h grid steps once with step H and
-    twice with H/2; max|difference| / 15 estimates the error of the
-    two-half-step result, which is kept when the estimate is at most
-    tol H / T (a single grid step is always kept).  The next n_h scales
-    with (allowed / estimate)^(1/5).  The first H has H ||G(t0)||_1 ~ 0.5.
+    Owns the columns, three CSR work matrices per block (the generator
+    at the start, middle and end of an RK4 step; CF4 uses the first for
+    its exponents), the leakage at every grid point and the CF4
+    counters.  `rk4` advances grid step by grid step.  `march` takes CF4
+    steps of several grid points with step-doubling control: one attempt
+    from knot k advances n_h grid steps once with step H and twice with
+    H/2; max|difference| / 15 estimates the error of the two-half-step
+    result, which is kept when the estimate is at most tol H / T (a
+    single grid step is always kept).  The next n_h scales with
+    (allowed / estimate)^(1/5).  The first H has H ||G(t0)||_1 ~ 0.5.
     """
 
-    def __init__(self, blocks, coefficients, work, grid, tol):
-        self.blocks, self.coefficients, self.work = blocks, coefficients, work
-        self.grid, self.tol = grid, tol
-        self.span = grid[-1] - grid[0]
+    def __init__(self, space, trusted_n, coefficients, grid, leak_threshold):
+        from scipy import sparse
+
+        self.space, self.trusted_n = space, trusted_n
+        self.blocks = _parity_blocks(space, trusted_n)
+        self.coefficients, self.grid = coefficients, grid
+        self.leak_threshold = leak_threshold
+        # the trusted columns are a prefix of each parity block
+        self.us = [np.eye(len(blk.states), blk.trusted_hi, dtype=complex) for blk in self.blocks]
+        self.work = [[sparse.csr_matrix((np.zeros(len(blk.values), dtype=complex), blk.indices,
+                                         blk.indptr), shape=blk.shape) for blk in self.blocks]
+                     for _ in range(3)]
+        self.leak = np.zeros(len(grid))
         self.steps = self.rejected = self.refined = 0
         self.time_error = 0.0
-        _fill(work, blocks, coefficients(grid[0]))
-        # the first step has H ||G(t0)||_1 ~ 0.5, or spans the run
-        n_steps, spans = len(grid) - 1, 2.0 * self.span * max(_norm1(mat) for mat in work)
-        self.n_h = n_steps if spans <= 1.0 else max(1, round(n_steps / spans))
 
     def report(self) -> dict:
         return {"steps": self.steps, "rejected": self.rejected, "refined": self.refined,
                 "time_error": float(self.time_error)}
 
+    def assemble(self) -> np.ndarray:
+        """The evolved columns as one total_dim x n_cols block."""
+        cols = np.zeros((self.space.total_dim, sum(blk.trusted_hi for blk in self.blocks)),
+                        dtype=complex)
+        for blk, u in zip(self.blocks, self.us):
+            cols[np.ix_(blk.states, blk.states[:blk.trusted_hi])] = u
+        return cols
+
+    def rk4(self, k_from, k_to):
+        """RK4 on the columns over grid steps k_from..k_to, with the
+        leakage gate; the pair coefficients at every grid point and step
+        midpoint come from one call."""
+        grid = self.grid[k_from:k_to + 1]
+        h = np.diff(grid)
+        times = np.empty(2 * len(grid) - 1)
+        times[0::2] = grid
+        times[1::2] = grid[:-1] + h / 2
+        c = self.coefficients(times)
+        g_now, g_mid, g_next = self.work
+        _fill(g_now, self.blocks, c[0])
+        for j, hj in enumerate(h):
+            _fill(g_mid, self.blocks, c[2 * j + 1])
+            _fill(g_next, self.blocks, c[2 * j + 2])
+            for b, u in enumerate(self.us):
+                k1 = g_now[b] @ u
+                k2 = g_mid[b] @ (u + hj / 2 * k1)
+                k3 = g_mid[b] @ (u + hj / 2 * k2)
+                k4 = g_next[b] @ (u + hj * k3)
+                self.us[b] = u + (hj / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            g_now, g_next = g_next, g_now
+            k = k_from + j + 1
+            # the leaked block is block-diagonal in parity: its 2-norm is the
+            # larger of the two block norms
+            self.leak[k] = max(blk.leakage(u) for blk, u in zip(self.blocks, self.us))
+            if self.leak[k] > self.leak_threshold:
+                raise LeakageError(
+                    f"top-sector leakage {self.leak[k]:.3e} exceeded "
+                    f"{self.leak_threshold:.1e} at t={grid[j + 1]:.4f}; raise n_max or "
+                    "shorten the time span",
+                    diagnostics={"t": float(grid[j + 1]), "leakage": float(self.leak[k]),
+                                 "n_max": self.space.n_max, "trusted_n": self.trusted_n})
+
     def cf4(self, us, t, h):
-        c1 = self.coefficients(t + _GAUSS[0] * h)
-        c2 = self.coefficients(t + _GAUSS[1] * h)
+        c1, c2 = self.coefficients(t + _GAUSS * h)
+        work = self.work[0]
         for w1, w2 in ((_W1, _W2), (_W2, _W1)):
-            _fill(self.work, self.blocks, h * (w1 * c1 + w2 * c2))
-            us = [_expm_apply(mat, _norm1(mat), u) for mat, u in zip(self.work, us)]
+            _fill(work, self.blocks, h * (w1 * c1 + w2 * c2))
+            us = [_expm_apply(mat, _norm1(mat), u) for mat, u in zip(work, us)]
         return us
 
-    def march(self, us, k, k_end, leak, gate, rk4):
-        """Advance the columns from grid point k to k_end, filling leak.
+    def march(self, tol):
+        """CF4 over the whole grid, filling the leakage trace.
 
-        A step whose leakage reaches `gate` at a knot or in between is
-        re-run from its left knot by `rk4` (which raises the abort).
+        A step whose leakage reaches leak_threshold / 10 at a knot or in
+        between is re-run from its left knot by `rk4` (which raises the
+        abort).
         """
-        grid = self.grid
-        while k < k_end:
-            n_h = min(self.n_h, k_end - k)
+        grid, gate = self.grid, self.leak_threshold / 10
+        n_steps, span = len(grid) - 1, grid[-1] - grid[0]
+        _fill(self.work[0], self.blocks, self.coefficients(grid[:1])[0])
+        # the first step has H ||G(t0)||_1 ~ 0.5, or spans the run
+        spans = 2.0 * span * max(_norm1(mat) for mat in self.work[0])
+        size = n_steps if spans <= 1.0 else max(1, round(n_steps / spans))
+        k = 0
+        while k < n_steps:
+            n_h = min(size, n_steps - k)
             kept = False
             # a left knot at the gate already dooms the step to RK4
-            if leak[k] < gate:
+            if self.leak[k] < gate:
                 t, h = grid[k], grid[k + n_h] - grid[k]
-                coarse = self.cf4(us, t, h)
-                mid = self.cf4(us, t, h / 2)
+                coarse = self.cf4(self.us, t, h)
+                mid = self.cf4(self.us, t, h / 2)
                 fine = self.cf4(mid, t + h / 2, h / 2)
                 err = max(np.abs(a - b).max(initial=0.0) for a, b in zip(fine, coarse)) / 15.0
-                allowed = self.tol * h / self.span
+                allowed = tol * h / span
                 factor = 4.0 if err == 0 else min(4.0, 0.9 * (allowed / err) ** 0.2)
-                self.n_h = max(1, int(n_h * factor))
+                size = max(1, int(n_h * factor))
                 if err > allowed and n_h > 1:
                     self.rejected += 1
                     continue
-                leak[k + 1:k + n_h + 1] = self.leakage(k, n_h, (us, mid, fine))
-                kept = leak[k + 1:k + n_h + 1].max() < gate
+                self.leak[k + 1:k + n_h + 1] = self.leakage(k, n_h, (self.us, mid, fine))
+                kept = self.leak[k + 1:k + n_h + 1].max() < gate
                 if kept:
                     self.time_error += err
-                    us = fine
+                    self.us = fine
             if not kept:
                 self.refined += 1
-                rk4(us, k, k + n_h)
+                self.rk4(k, k + n_h)
             self.steps += 1
             k += n_h
-        return us
 
     def leakage(self, k, n_h, states):
         """Leakage at grid points k+1..k+n_h of a step whose left, middle
@@ -509,7 +501,7 @@ class _Magnus:
         if n_h == 1:
             return out
         knots = (t, t + h / 2, t + h)
-        coeffs = [self.coefficients(s) for s in knots]
+        coeffs = self.coefficients(knots)
         # the interpolant at each inner point is sum_i basis_i Y_i over the
         # values and scaled slopes Y = (y0, h/2 y0', ym, h/2 ym', y1, h/2 y1')
         inner = grid[k + 1:k + n_h]
@@ -656,32 +648,23 @@ def _parity_blocks(space: FockSpace, trusted_n: int) -> list:
 
 
 def _pair_coefficients(hamiltonian: QuadraticHamiltonian, u_path):
-    """t -> coefficients of the generator -(1/2)(g - g^dag), where
-    g = sum_ab conj(beta_ab) a_a a_b and beta is rotated by u_alpha(t)
-    when alpha is present; ordered as the terms of `_parity_blocks`."""
-    pairs = sec.occupations(hamiltonian.dim, 2)
-    ia, ib = np.array([[i for i, k in enumerate(kappa) for _ in range(k)]
-                       for kappa in pairs]).reshape(len(pairs), 2).T
+    """times -> (n_times, 2P) table of the coefficients of the generator
+    -(1/2)(g - g^dag), where g = sum_ab conj(beta_ab) a_a a_b and beta is
+    rotated by u_alpha(t) when alpha is present; each row ordered as the
+    terms of `_parity_blocks`."""
+    ia, ib = sec.pair_modes(hamiltonian.dim)
     # a != b: a_a a_b = a_b a_a collects beta_ab and beta_ba
     weight = np.where(ia == ib, 0.5, 1.0)
 
-    def coefficients(t):
-        beta = hamiltonian.beta_matrix(t)
+    def coefficients(times):
+        beta = hamiltonian.beta_on(times)
         if u_path is not None:
-            u = u_path.at(t)
-            beta = u.conj().T @ beta @ np.conj(u)
-        w = weight * np.conj(beta[ia, ib] + beta[ib, ia])
-        return np.concatenate([-0.5 * w, 0.5 * np.conj(w)])
+            u = u_path.on(times)
+            beta = np.conj(np.swapaxes(u, 1, 2)) @ beta @ np.conj(u)
+        w = weight * np.conj(beta[:, ia, ib] + beta[:, ib, ia])
+        return np.concatenate([-0.5 * w, 0.5 * np.conj(w)], axis=1)
 
     return coefficients
-
-
-def _assemble(space: FockSpace, blocks, us) -> np.ndarray:
-    """The parity blocks' evolved columns as one total_dim x n_cols block."""
-    cols = np.zeros((space.total_dim, sum(blk.trusted_hi for blk in blocks)), dtype=complex)
-    for blk, u in zip(blocks, us):
-        cols[np.ix_(blk.states, blk.states[:blk.trusted_hi])] = u
-    return cols
 
 
 def conjugate_observable(qflow: QuantumFlowResult, b: PolySymbol,
@@ -755,7 +738,7 @@ def check_growth_bound(beta_mat, space: FockSpace, t: float, ks=(1, 2),
     h = QuadraticHamiltonian(space.dim, beta=beta_mat, t_end=t, dt=dt)
     # the random states live on sectors <= n_top: evolve just those columns
     n_top = space.n_max // 2
-    qf = quantum_flow(h, space, store=[t], trusted_n=n_top, leak_threshold=np.inf)
+    qf = quantum_flow(h, space, trusted_n=n_top, leak_threshold=np.inf)
     u = qf.u_at(t)
     nvec = space.number_values() / space.epsilon + 1.0
     out = {"t": t, "beta_norm": bnorm, "slack": slack}

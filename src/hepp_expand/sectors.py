@@ -49,6 +49,12 @@ def occupations(dim: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def pair_modes(dim: int) -> np.ndarray:
+    """The modes (a, b), a <= b, of each 2-particle occupation in
+    canonical order, as the two rows of a (2, sector_dim) array."""
+    return np.array(list(itertools.combinations_with_replacement(range(dim), 2))).reshape(-1, 2).T
+
+
 @lru_cache(maxsize=None)
 def occupation_index(dim: int, n: int) -> dict:
     """Map occupation vector -> position in the canonical enumeration."""

@@ -37,30 +37,6 @@ from . import sectors as sec
 from .errors import DimensionMismatchError
 
 
-class SymTensor:
-    """A linear map between symmetric sectors: the coefficient of a
-    (p, q)-monomial, stored as a (dim_q x dim_p) matrix."""
-
-    __slots__ = ("dim", "p", "q", "coeffs")
-
-    def __init__(self, dim, p, q, coeffs):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        expected = (sec.sector_dim(dim, q), sec.sector_dim(dim, p))
-        if coeffs.shape != expected:
-            raise ValueError(f"coeffs shape {coeffs.shape}, expected {expected} for (p={p}, q={q})")
-        self.dim = dim
-        self.p = p
-        self.q = q
-        self.coeffs = coeffs
-
-    def conj(self) -> "SymTensor":
-        """Coefficient of the conjugated monomial: the adjoint map."""
-        return SymTensor(self.dim, self.q, self.p, self.coeffs.conj().T)
-
-    def __repr__(self):
-        return f"SymTensor(dim={self.dim}, p={self.p}, q={self.q})"
-
-
 # ---------------------------------------------------------------------------
 # derivatives of the doubled-variable vectors
 
@@ -443,46 +419,15 @@ def laplacian(b: PolySymbol) -> PolySymbol:
 # ---------------------------------------------------------------------------
 # quadratic-form helpers
 
-def beta_tensor_from_matrix(mat) -> SymTensor:
-    """Pack a symmetric matrix of tensor coordinates v_ab into the
-    (0 -> 2) coefficient of the 2-vector."""
-    mat = np.asarray(mat, dtype=complex)
-    dim = mat.shape[0]
-    col = np.zeros((sec.sector_dim(dim, 2), 1), dtype=complex)
-    for k, kap in enumerate(sec.occupations(dim, 2)):
-        pair = [i for i, c in enumerate(kap) for _ in range(c)]
-        a, b = pair
-        col[k, 0] = mat[a, b] * (math.sqrt(2.0) if a != b else 1.0)
-    return SymTensor(dim, 0, 2, col)
-
-
-def beta_matrix_from_tensor(t: SymTensor) -> np.ndarray:
-    """Tensor coordinates v_ab of a 2-vector; equals the matrix of the
-    induced antilinear map z -> (I vee <z|) v."""
-    if (t.p, t.q) != (0, 2):
-        raise ValueError("expected a (0 -> 2) coefficient")
-    dim = t.dim
-    mat = np.zeros((dim, dim), dtype=complex)
-    for k, kap in enumerate(sec.occupations(dim, 2)):
-        pair = [i for i, c in enumerate(kap) for _ in range(c)]
-        a, b = pair
-        val = t.coeffs[k, 0]
-        if a != b:
-            mat[a, b] = mat[b, a] = val / math.sqrt(2.0)
-        else:
-            mat[a, a] = val
-    return mat
-
-
 def squeezing_hamiltonian_symbol(beta) -> PolySymbol:
-    """The quadratic polynomial Im<beta, z^(vee 2)> for beta given as a
-    (0 -> 2) SymTensor or as its symmetric coordinate matrix."""
-    if isinstance(beta, SymTensor):
-        tensor = beta
-    else:
-        tensor = beta_tensor_from_matrix(beta)
-    vec = tensor.coeffs[:, 0]
-    dim = tensor.dim
+    """The quadratic polynomial Im<beta, z^(vee 2)> for beta given as its
+    symmetric matrix of tensor coordinates v_ab."""
+    beta = np.asarray(beta, dtype=complex)
+    dim = beta.shape[0]
+    ia, ib = sec.pair_modes(dim)
+    # the (0 -> 2) coefficient of the 2-vector: v_ab on the pair a <= b,
+    # times sqrt(2) off the diagonal
+    vec = beta[ia, ib] * np.where(ia == ib, 1.0, math.sqrt(2.0))
     terms = {
         (2, 0): (vec.conj() / 2j).reshape(1, -1),
         (0, 2): (1j * vec / 2.0).reshape(-1, 1),

@@ -19,6 +19,10 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 
+# `decompose`: |L| eigenvalues within this relative distance form one
+# group, and a group whose antilinear part has at most this norm keeps rho = 0
+_GROUP_RTOL = 1e-9
+_ZERO_TOL = 1e-12
 
 class RLinearMap:
     """An R-linear operator on C^d as a (linear, antilinear) matrix pair."""
@@ -81,19 +85,12 @@ class RLinearMap:
             raise DimensionMismatchError(f"dim {self.dim} vs {other.dim}")
         return RLinearMap(self.linear - other.linear, self.antilinear - other.antilinear)
 
-    def scale(self, c: complex) -> "RLinearMap":
-        """Composition with the scalar map z -> c z from the left."""
-        return RLinearMap(c * self.linear, c * self.antilinear)
-
     def norm_x(self) -> float:
         """Banach-algebra norm: operator norm of L plus HS norm of A."""
         return float(np.linalg.norm(self.linear, 2) + np.linalg.norm(self.antilinear, "fro"))
 
     def distance(self, other: "RLinearMap") -> float:
         return (self - other).norm_x()
-
-    def is_symplectomorphism(self, tol: float = 1e-10) -> "SymplecticityReport":
-        return is_symplectomorphism(self, tol)
 
     def __repr__(self):
         return f"RLinearMap(dim={self.dim})"
@@ -197,15 +194,14 @@ def _fixed_basis_of_antilinear(f_mat: np.ndarray):
     return basis, lam
 
 
-def decompose(t: RLinearMap, tol: float = 1e-8, group_rtol: float = 1e-9,
-              zero_tol: float = 1e-12) -> SymplectoDecomposition:
+def decompose(t: RLinearMap, tol: float = 1e-8) -> SymplectoDecomposition:
     """Reduce a symplectomorphism to u e^{c rho}.
 
     Polar-decompose L = u|L|; then u* T = |L| + A' with A' self-adjoint
     antilinear and commuting with |L|.  Within each eigenvalue group of
-    |L| (relative tolerance `group_rtol`) the antilinear part is reduced
-    on its own; groups with negligible antilinear norm keep rho = 0 and
-    any orthonormal basis.
+    |L| (relative tolerance `_GROUP_RTOL`) the antilinear part is reduced
+    on its own; groups whose antilinear norm is at most `_ZERO_TOL` keep
+    rho = 0 and any orthonormal basis.
     """
     report = is_symplectomorphism(t, tol)
     if not report.ok:
@@ -224,11 +220,11 @@ def decompose(t: RLinearMap, tol: float = 1e-8, group_rtol: float = 1e-9,
     start = 0
     while start < d:
         stop = start + 1
-        while stop < d and abs(sig[stop] - sig[start]) <= group_rtol * sig[start]:
+        while stop < d and abs(sig[stop] - sig[start]) <= _GROUP_RTOL * sig[start]:
             stop += 1
         p = v[:, start:stop]
         a_sub = p.conj().T @ a_prime @ np.conj(p)
-        if np.linalg.norm(a_sub, 2) <= zero_tol:
+        if np.linalg.norm(a_sub, 2) <= _ZERO_TOL:
             basis_cols.append(p)
             rho_vals.extend([0.0] * (stop - start))
         else:

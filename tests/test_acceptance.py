@@ -132,7 +132,7 @@ def _oracle_errors(n_max, t, dt=5e-4):
     at the stated d=1 squeezing scenario, static trusted rule."""
     h, flow = squeeze_setup(t, dt=dt)
     space = FockSpace(1, n_max, 0.5)
-    qf = quantum_flow(h, space, store=[t], dt=dt, leak_threshold=np.inf)
+    qf = quantum_flow(h, space, t, leak_threshold=np.inf)
     rows = []
     for name in ("number", "n-squared"):
         b = preset_symbol(name, 1)
@@ -178,7 +178,7 @@ def test_criterion_3_companion_converged_cutoff():
     for t in (0.1, 0.3):
         h, flow = squeeze_setup(t, dt=5e-4)
         space = FockSpace(1, 48, 0.5)
-        qf = quantum_flow(h, space, store=[t], dt=5e-4, leak_threshold=np.inf)
+        qf = quantum_flow(h, space, t, leak_threshold=np.inf)
         for name, block in (("number", 18), ("n-squared", 16)):
             b = preset_symbol(name, 1)
             evolved = conjugate_observable(qf, b, space, t)
@@ -205,7 +205,7 @@ def test_criterion_4_alpha_removal_equivalence():
     h = QuadraticHamiltonian(1, alpha=alpha, beta=beta, t_end=t, dt=5e-4)
     flow = integrate_flow(h)
     space = FockSpace(1, 18, 0.5)
-    qf = quantum_flow(h, space, store=[t], leak_threshold=np.inf)
+    qf = quantum_flow(h, space, t, leak_threshold=np.inf)
     b = preset_symbol("n-squared", 1)
     trusted = space.n_max - b.degree() - 4
     evolved = conjugate_observable(qf, b, space, t)
@@ -228,7 +228,7 @@ def test_criterion_5_bogoliubov_implementation():
     worst = 0.0
     for t in (0.15, 0.3):
         h, flow = squeeze_setup(t, dt=5e-4)
-        qf = quantum_flow(h, space, store=[t], dt=5e-4, leak_threshold=np.inf)
+        qf = quantum_flow(h, space, t, leak_threshold=np.inf)
         u = qf.u_at(t)
         transport = flow.phi(t).adjoint()  # L*(t) + A*(t)
         for xi in (np.array([1.0 + 0j]), np.array([0.6 - 0.8j]), np.array([0.3 + 0.2j])):

@@ -136,6 +136,9 @@ class TestOracleCommand:
         code, report = run_main(["oracle", write_scenario(tmp_path, data)], capsys)
         assert code == 0
         assert max(report["max_matrix_element_error"].values()) < 1e-12
+        # the flow stops at t = 0: no step, no leakage
+        assert report["leakage"] == 0.0
+        assert report["integrator"]["steps"] == 0
 
     def test_short_time_scenario_passes(self, capsys):
         path = os.path.join(REPO, "demos", "scenarios", "oracle-im-z2.json")

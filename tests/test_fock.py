@@ -23,7 +23,6 @@ from hepp_expand.fock import (
 )
 from hepp_expand.symbols import (
     PolySymbol,
-    beta_tensor_from_matrix,
     preset_symbol,
     random_symbol,
     squeezing_hamiltonian_symbol,
@@ -37,6 +36,17 @@ from conftest import random_vector
 def random_unitary(rng, dim):
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def pair_coordinates(m):
+    """Reference: the sector-2 coefficient of the 2-vector with symmetric
+    coordinate matrix m, m_ab on the pair a <= b times sqrt(2) off the
+    diagonal."""
+    out = []
+    for kappa in sec.occupations(m.shape[0], 2):
+        a, b = [i for i, k in enumerate(kappa) for _ in range(k)]
+        out.append(m[a, b] * (1.0 if a == b else math.sqrt(2.0)))
+    return np.array(out)
 
 
 def dense_ladder_product(space, m_occ, n_occ):
@@ -141,7 +151,7 @@ class TestWickQuantize:
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         m = (m + m.T) / 2
         q_op = wick_quantize(squeezing_hamiltonian_symbol(m), space)
-        bt = beta_tensor_from_matrix(m).coeffs[:, 0]
+        bt = pair_coordinates(m)
         for n in (2, 3, 4):
             up = np.einsum("kab,a->kb", sec.sym_mult_map(2, 2, n), bt)
             got_up = (2j / space.epsilon) * q_op.block(n + 2, n)
@@ -296,7 +306,7 @@ class TestQuantumFlow:
     def test_free_flow_is_identity(self):
         space = FockSpace(1, 8, 0.5)
         h = QuadraticHamiltonian(1, t_end=0.5, dt=1e-2)
-        qf = quantum_flow(h, space, store=[0.5], trusted_n=space.n_max, leak_threshold=np.inf)
+        qf = quantum_flow(h, space, 0.5, trusted_n=space.n_max, leak_threshold=np.inf)
         assert np.abs(qf.u_at(0.5) - np.eye(space.total_dim)).max() < 1e-14
 
     def test_alpha_only_matches_gamma_of_expm(self, rng):
@@ -304,14 +314,14 @@ class TestQuantumFlow:
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         a = (a + a.conj().T) / 2
         h = QuadraticHamiltonian(2, alpha=a, t_end=0.4, dt=1e-3)
-        qf = quantum_flow(h, space, store=[0.4], trusted_n=space.n_max, leak_threshold=np.inf)
+        qf = quantum_flow(h, space, 0.4, trusted_n=space.n_max, leak_threshold=np.inf)
         want = gamma_u(expm(-0.4j * a), space)
         assert np.abs(qf.u_at(0.4) - want.matrix).max() < 1e-8
 
     def test_matches_expm_for_constant_beta(self):
         space = FockSpace(1, 20, 0.5)
         h = QuadraticHamiltonian(1, beta=np.array([[1.0]]), t_end=0.2, dt=5e-4)
-        qf = quantum_flow(h, space, store=[0.2], trusted_n=space.n_max, leak_threshold=np.inf)
+        qf = quantum_flow(h, space, 0.2, trusted_n=space.n_max, leak_threshold=np.inf)
         q_op = wick_quantize(squeezing_hamiltonian_symbol(np.array([[1.0]])), space)
         want = expm(-1j * 0.2 * q_op.matrix / space.epsilon)
         assert np.abs(qf.u_at(0.2) - want).max() < 1e-9
@@ -321,7 +331,7 @@ class TestQuantumFlow:
         space = FockSpace(1, 48, 0.5)
         t = 0.15
         h = QuadraticHamiltonian(1, beta=np.array([[1.0]]), t_end=t, dt=5e-4)
-        qf = quantum_flow(h, space, store=[t], leak_threshold=np.inf)
+        qf = quantum_flow(h, space, t, leak_threshold=np.inf)
         flow = integrate_flow(h)
         phi = flow.phi(t)
         u = qf.u_at(t)
@@ -337,14 +347,14 @@ class TestQuantumFlow:
     def test_unitarity_invariant(self):
         space = FockSpace(1, 16, 0.5)
         h = QuadraticHamiltonian(1, beta=np.array([[0.8]]), t_end=0.3, dt=1e-3)
-        qf = quantum_flow(h, space, store=[0.3], trusted_n=space.n_max - 2,
+        qf = quantum_flow(h, space, 0.3, trusted_n=space.n_max - 2,
                           leak_threshold=np.inf)
         assert qf.unitarity_defect(0.3, space.n_max - 2) < 1e-7
 
     def test_unitarity_defect_rejects_unevolved_columns(self):
         space = FockSpace(1, 16, 0.5)
         h = QuadraticHamiltonian(1, beta=np.array([[0.8]]), t_end=0.1, dt=1e-3)
-        qf = quantum_flow(h, space, store=[0.1], trusted_n=8, leak_threshold=np.inf)
+        qf = quantum_flow(h, space, 0.1, trusted_n=8, leak_threshold=np.inf)
         assert qf.unitarity_defect(0.1) == qf.unitarity_defect(0.1, 8)
         with pytest.raises(ValueError):
             qf.unitarity_defect(0.1, 9)
@@ -362,9 +372,9 @@ class TestQuantumFlow:
         else:
             h = QuadraticHamiltonian(1, beta=np.array([[1.0]]), t_end=0.15, dt=5e-4)
             space, trusted = FockSpace(1, 48, 0.5), 30
-        full = quantum_flow(h, space, store=[h.t_end], trusted_n=space.n_max,
+        full = quantum_flow(h, space, h.t_end, trusted_n=space.n_max,
                             leak_threshold=np.inf)
-        qf = quantum_flow(h, space, store=[h.t_end], trusted_n=trusted, leak_threshold=np.inf)
+        qf = quantum_flow(h, space, h.t_end, trusted_n=trusted, leak_threshold=np.inf)
         want, want_leak = dense_reference_flow(h, space, trusted)
         if not h.alpha.is_zero():
             want = gamma_u(integrate_u_alpha(h).at(h.t_end), space).matrix @ want
@@ -381,21 +391,61 @@ class TestQuantumFlow:
         h = QuadraticHamiltonian(2, alpha=(a + a.conj().T) / 2 if alpha else None,
                                  beta=(m + m.T) / 2, t_end=0.2, dt=1e-3)
         space = FockSpace(2, 12, 0.5)
-        full = quantum_flow(h, space, store=[0.1, 0.2], trusted_n=space.n_max,
-                            leak_threshold=np.inf)
-        for trusted in (0, 3, 8):
-            qf = quantum_flow(h, space, store=[0.1, 0.2], trusted_n=trusted,
-                              leak_threshold=np.inf)
-            cols = space.span_slice(trusted)
-            for t in (0.1, 0.2):
+        for t in (0.1, 0.2):
+            full = quantum_flow(h, space, t, trusted_n=space.n_max, leak_threshold=np.inf)
+            for trusted in (0, 3, 8):
+                qf = quantum_flow(h, space, t, trusted_n=trusted, leak_threshold=np.inf)
+                cols = space.span_slice(trusted)
                 assert qf.u_at(t).shape == (space.total_dim, cols.stop)
                 assert np.abs(qf.u_at(t) - full.u_at(t)[:, cols]).max() <= 1e-15
+
+    def test_time_off_the_grid_raises(self):
+        space = FockSpace(1, 8, 0.5)
+        h = QuadraticHamiltonian(1, beta=np.array([[1.0]]), t_end=0.1, dt=1e-2)
+        for t in (0.015, 0.2, -0.01):
+            with pytest.raises(ValueError, match="not on the time grid"):
+                quantum_flow(h, space, t, leak_threshold=np.inf)
+
+    def test_u_at_other_time_raises(self):
+        space = FockSpace(1, 8, 0.5)
+        h = QuadraticHamiltonian(1, beta=np.array([[1.0]]), t_end=0.1, dt=1e-2)
+        qf = quantum_flow(h, space, 0.05, leak_threshold=np.inf)
+        assert qf.u_at(0.05) is qf.u_at(0.05 + 1e-12)
+        for t in (0.0, 0.04, 0.1):
+            with pytest.raises(ValueError, match="run to t=0.05"):
+                qf.u_at(t)
+
+    @pytest.mark.parametrize("tol", [None, 1e-8], ids=["rk4", "magnus"])
+    def test_time_zero_is_identity(self, rng, tol):
+        space = FockSpace(2, 8, 0.5)
+        h = ramped_hamiltonian(rng, t_end=0.2)
+        qf = quantum_flow(h, space, 0.0, trusted_n=4, leak_threshold=1e-6, tol=tol)
+        cols = space.span_slice(4).stop
+        assert np.array_equal(qf.u_at(0.0), np.eye(space.total_dim, cols))
+        assert qf.leakage_trace.tolist() == [0.0]
+        if tol is not None:
+            assert qf.integrator["steps"] == 0
+
+    def test_interior_time_matches_a_shorter_hamiltonian(self, rng):
+        # alpha and beta ramp over [0, 0.3]; the run stops at t = 0.1
+        times = np.array([0.0, 0.3])
+        m = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+        alpha = (times, (m[:2] + np.conj(np.swapaxes(m[:2], 1, 2))) / 2)
+        beta = (times, (m[2:] + np.swapaxes(m[2:], 1, 2)) / 2)
+        long = QuadraticHamiltonian(2, alpha=alpha, beta=beta, t_end=0.3, dt=1e-3)
+        short = QuadraticHamiltonian(2, alpha=alpha, beta=beta, t_end=0.1, dt=1e-3)
+        space = FockSpace(2, 10, 0.5)
+        got = quantum_flow(long, space, 0.1, trusted_n=4, leak_threshold=np.inf)
+        want = quantum_flow(short, space, trusted_n=4, leak_threshold=np.inf)
+        assert np.abs(got.u_at(0.1) - want.u_at(0.1)).max() <= 1e-14
+        assert got.leakage_trace.shape == want.leakage_trace.shape == (101,)
+        assert np.abs(got.leakage_trace - want.leakage_trace).max() <= 1e-14
 
     def test_leakage_abort(self):
         space = FockSpace(1, 8, 0.5)
         h = QuadraticHamiltonian(1, beta=np.array([[1.0]]), t_end=0.5, dt=1e-3)
         with pytest.raises(LeakageError) as err:
-            quantum_flow(h, space, store=[0.5], trusted_n=2, leak_threshold=1e-6)
+            quantum_flow(h, space, 0.5, trusted_n=2, leak_threshold=1e-6)
         assert "leakage" in str(err.value)
         assert err.value.diagnostics["n_max"] == 8
 
@@ -417,7 +467,7 @@ class TestMagnusFlow:
     def test_constant_generator_matches_expm(self, tol):
         space, trusted = FockSpace(1, 48, 0.5), 30
         h = QuadraticHamiltonian(1, beta=np.array([[1.0]]), t_end=0.15, dt=5e-4)
-        qf = quantum_flow(h, space, store=[0.15], trusted_n=trusted, leak_threshold=np.inf,
+        qf = quantum_flow(h, space, 0.15, trusted_n=trusted, leak_threshold=np.inf,
                           tol=tol)
         q_op = wick_quantize(squeezing_hamiltonian_symbol(np.array([[1.0]])), space)
         want = expm(-1j * 0.15 * q_op.matrix / space.epsilon)[:, space.span_slice(trusted)]
@@ -433,11 +483,11 @@ class TestMagnusFlow:
         want = gamma_u(integrate_u_alpha(h8).at(0.3), space).matrix @ u[:, cols]
         # the reference's own error, bounded by its distance to RK4 at dt/4
         h4 = ramped_hamiltonian(np.random.default_rng(11), dt=1e-3 / 4)
-        own = np.abs(quantum_flow(h4, space, store=[0.3], trusted_n=trusted,
+        own = np.abs(quantum_flow(h4, space, 0.3, trusted_n=trusted,
                                   leak_threshold=np.inf).u_at(0.3) - want).max()
         h = ramped_hamiltonian(np.random.default_rng(11))
         for tol in (1e-7, 1e-10):
-            qf = quantum_flow(h, space, store=[0.3], trusted_n=trusted, leak_threshold=np.inf,
+            qf = quantum_flow(h, space, 0.3, trusted_n=trusted, leak_threshold=np.inf,
                               tol=tol)
             assert np.abs(qf.u_at(0.3) - want).max() <= 3 * tol + own
             assert qf.integrator["time_error"] <= tol
@@ -446,21 +496,21 @@ class TestMagnusFlow:
     def test_restricted_columns_match_full_run(self, rng):
         h = ramped_hamiltonian(rng, t_end=0.2)
         space, tol = FockSpace(2, 12, 0.5), 1e-9
-        full = quantum_flow(h, space, store=[0.1, 0.2], trusted_n=space.n_max,
-                            leak_threshold=np.inf, tol=tol)
-        for trusted in (0, 3, 8):
-            qf = quantum_flow(h, space, store=[0.1, 0.2], trusted_n=trusted,
-                              leak_threshold=np.inf, tol=tol)
-            cols = space.span_slice(trusted)
-            for t in (0.1, 0.2):
+        for t in (0.1, 0.2):
+            full = quantum_flow(h, space, t, trusted_n=space.n_max, leak_threshold=np.inf,
+                                tol=tol)
+            for trusted in (0, 3, 8):
+                qf = quantum_flow(h, space, t, trusted_n=trusted, leak_threshold=np.inf,
+                                  tol=tol)
+                cols = space.span_slice(trusted)
                 assert np.abs(qf.u_at(t) - full.u_at(t)[:, cols]).max() <= 3 * tol
 
     def test_leakage_trace_on_the_grid(self, rng):
         # one value per grid point, within the interpolant's reach of RK4
         h = ramped_hamiltonian(rng, t_end=0.2)
         space = FockSpace(2, 12, 0.5)
-        rk4 = quantum_flow(h, space, store=[0.2], trusted_n=6, leak_threshold=np.inf)
-        cf4 = quantum_flow(h, space, store=[0.2], trusted_n=6, leak_threshold=np.inf, tol=1e-7)
+        rk4 = quantum_flow(h, space, 0.2, trusted_n=6, leak_threshold=np.inf)
+        cf4 = quantum_flow(h, space, 0.2, trusted_n=6, leak_threshold=np.inf, tol=1e-7)
         assert cf4.leakage_trace.shape == rk4.leakage_trace.shape
         # measured <= 2e-5 relative; a Hermite fit without slopes gives ~1e-2
         assert np.abs(cf4.leakage_trace - rk4.leakage_trace).max() <= 1e-4 * rk4.max_leakage()
@@ -477,7 +527,7 @@ class TestMagnusFlow:
         diagnostics = []
         for step_tol in (None, tol):
             with pytest.raises(LeakageError) as err:
-                quantum_flow(h, space, store=[t_end], trusted_n=trusted, leak_threshold=1e-6,
+                quantum_flow(h, space, t_end, trusted_n=trusted, leak_threshold=1e-6,
                              tol=step_tol)
             diagnostics.append(err.value.diagnostics)
         assert diagnostics[1] == diagnostics[0]
@@ -488,7 +538,7 @@ class TestMagnusFlow:
         # a turning phase: the generators at two times do not commute
         h = QuadraticHamiltonian(1, beta=lambda t: np.array([[np.exp(40j * t)]]),
                                  t_end=0.05, dt=5e-3)
-        qf = quantum_flow(h, space, store=[0.05], trusted_n=8, leak_threshold=np.inf,
+        qf = quantum_flow(h, space, 0.05, trusted_n=8, leak_threshold=np.inf,
                           tol=1e-16)
         assert qf.integrator["steps"] == 10
         assert qf.integrator["time_error"] > 1e-16
@@ -512,8 +562,7 @@ class TestConjugateObservable:
     def test_time_zero(self, rng):
         space = FockSpace(1, 10, 0.5)
         h = QuadraticHamiltonian(1, beta=np.array([[0.5]]), t_end=0.2, dt=1e-2)
-        qf = quantum_flow(h, space, store=[0.0, 0.2], trusted_n=space.n_max,
-                          leak_threshold=np.inf)
+        qf = quantum_flow(h, space, 0.0, trusted_n=space.n_max, leak_threshold=np.inf)
         b = random_symbol(rng, 1, 3)
         got = conjugate_observable(qf, b, space, 0.0)
         assert np.abs(got.matrix - wick_quantize(b, space).matrix).max() < 1e-13
@@ -521,7 +570,7 @@ class TestConjugateObservable:
     def test_constant_observable(self):
         space = FockSpace(1, 12, 0.5)
         h = QuadraticHamiltonian(1, beta=np.array([[0.6]]), t_end=0.2, dt=1e-3)
-        qf = quantum_flow(h, space, store=[0.2], trusted_n=space.n_max, leak_threshold=np.inf)
+        qf = quantum_flow(h, space, 0.2, trusted_n=space.n_max, leak_threshold=np.inf)
         got = conjugate_observable(qf, PolySymbol.constant(1, 1.0), space, 0.2)
         assert np.abs(got.matrix - np.eye(space.total_dim)).max() < 1e-10
 
@@ -532,13 +581,22 @@ class TestConjugateObservable:
                                  t_end=0.1, dt=1e-3)
         b = random_symbol(rng, 2, 3)
         full = conjugate_observable(
-            quantum_flow(h, space, store=[0.1], trusted_n=space.n_max, leak_threshold=np.inf),
+            quantum_flow(h, space, 0.1, trusted_n=space.n_max, leak_threshold=np.inf),
             b, space, 0.1)
         got = conjugate_observable(
-            quantum_flow(h, space, store=[0.1], trusted_n=5, leak_threshold=np.inf),
+            quantum_flow(h, space, 0.1, trusted_n=5, leak_threshold=np.inf),
             b, space, 0.1)
         assert got.space.n_max == 5
-        assert got.trusted_block_diff(full, 5) <= 1e-15
+        # The two blocks differ by rounding only: the evolved columns agree to
+        # ~3e-17, and each entry is a length-total_dim dot product of a unit
+        # column of U with a column of b^Wick U, whose entries are at most
+        # ~max|b^Wick| at t = 0.1.  The first-order dot-product bound is then
+        # c total_dim eps max|b^Wick| with c = 1; measured differences are
+        # 0.2-2 % of it over Philox seeds 0-7, and a wrong column or a missing
+        # Gamma(u_alpha) block is off by ~1e-2 or more.
+        b_max = np.abs(wick_quantize(b, space).matrix).max()
+        bound = space.total_dim * np.finfo(float).eps * b_max
+        assert got.trusted_block_diff(full, 5) <= bound
         with pytest.raises(DimensionMismatchError):
             got.trusted_block_diff(full, 6)
 
@@ -546,7 +604,7 @@ class TestConjugateObservable:
     def test_rejects_a_space_other_than_the_flows(self, n_max, epsilon):
         space = FockSpace(1, 10, 0.5)
         h = QuadraticHamiltonian(1, beta=np.array([[0.5]]), t_end=0.1, dt=1e-2)
-        qf = quantum_flow(h, space, store=[0.1], leak_threshold=np.inf)
+        qf = quantum_flow(h, space, 0.1, leak_threshold=np.inf)
         with pytest.raises(DimensionMismatchError):
             conjugate_observable(qf, preset_symbol("number", 1),
                                  FockSpace(1, n_max, epsilon), 0.1)
@@ -558,7 +616,7 @@ class TestConjugateObservable:
         space = FockSpace(1, 48, 0.5)
         t = 0.3
         h = QuadraticHamiltonian(1, beta=np.array([[1.0]]), t_end=t, dt=1e-3)
-        qf = quantum_flow(h, space, store=[t], leak_threshold=np.inf)
+        qf = quantum_flow(h, space, t, leak_threshold=np.inf)
         flow = integrate_flow(h)
         b = preset_symbol("n-squared", 1)
         evolved = conjugate_observable(qf, b, space, t)
@@ -600,7 +658,7 @@ class TestEstimates:
         rep = check_growth_bound(m, space, 0.3, ks=(1, 2), n_samples=20,
                                  rng=np.random.default_rng(5))
         h = QuadraticHamiltonian(dim, beta=m, t_end=0.3, dt=1e-3)
-        u = quantum_flow(h, space, store=[0.3], trusted_n=space.n_max,
+        u = quantum_flow(h, space, 0.3, trusted_n=space.n_max,
                          leak_threshold=np.inf).u_at(0.3)
         nvec = space.number_values() / space.epsilon + 1.0
         rng = np.random.default_rng(5)
