@@ -3,9 +3,12 @@
 The evolved observable U(0,t) b^Wick U(t,0) is computed on the trusted
 sectors 0..trusted_n of the cutoff-N space, from the columns of U that
 start there (the only ones the flow evolves), and compared entrywise
-against the quantization of the assembled expansion symbol.
-``quantum_flow(ham, space, t)`` runs on the Hamiltonian's own grid up to
-the grid time t and holds the columns at t only.  The comparison is only meaningful
+against the quantization of the assembled expansion symbol.  Operators
+are plain numpy arrays: ``quantum_flow(ham, space, t)`` runs on the
+Hamiltonian's own grid up to the grid time t and holds the evolved
+columns at t as ``qf.columns``; ``conjugate_observable(qf, b)`` returns
+the trusted block, and ``trusted_block_diff(a, b, space, n)`` compares
+two arrays on sectors <= n.  The comparison is only meaningful
 on sectors the cutoff cannot pollute; the last block of this script
 shows how the trusted error collapses as the cutoff grows, which is the
 practical way to pick N for a given time span.
@@ -21,6 +24,7 @@ from hepp_expand import (
     integrate_flow,
     preset_symbol,
     quantum_flow,
+    trusted_block_diff,
     wick_quantize,
 )
 
@@ -35,8 +39,8 @@ print("cutoff N   trusted n<=16 error   leakage onto top sectors")
 for n_max in (24, 32, 40, 48):
     space = FockSpace(1, n_max, 0.5)
     qf = quantum_flow(ham, space, t, leak_threshold=np.inf, trusted_n=16)
-    evolved = conjugate_observable(qf, b, space, t)
-    err = evolved.trusted_block_diff(wick_quantize(assembled, space), 16)
+    evolved = conjugate_observable(qf, b)
+    err = trusted_block_diff(evolved, wick_quantize(assembled, space), space, 16)
     print(f"   {n_max:3d}        {err:.3e}             {qf.max_leakage():.3e}")
 
 print("\nthe identity is exact in the limit; at N = 48 the trusted block")
@@ -49,7 +53,7 @@ ham_s = QuadraticHamiltonian(1, beta=np.array([[1.0]]), t_end=short, dt=5e-4)
 flow_s = integrate_flow(ham_s)
 qf = quantum_flow(ham_s, space, short, leak_threshold=np.inf)
 number = preset_symbol("number", 1)
-evolved = conjugate_observable(qf, number, space, short)
+evolved = conjugate_observable(qf, number)
 sym = wick_quantize(exp_expand(number, short, flow_s, epsilon=0.5).assembled(), space)
 print(f"\nnumber observable, t={short}, N=20: trusted error "
-      f"{evolved.trusted_block_diff(sym, 12):.2e}")
+      f"{trusted_block_diff(evolved, sym, space, 12):.2e}")

@@ -31,7 +31,6 @@ from .flow import (
     v_vector,
 )
 from .fock import (
-    FockOperator,
     FockSpace,
     QuantumFlowResult,
     check_estimates,
@@ -40,6 +39,7 @@ from .fock import (
     field_and_weyl,
     gamma_u,
     quantum_flow,
+    trusted_block_diff,
     wick_quantize,
     wick_quantize_slow,
 )

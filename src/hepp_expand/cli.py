@@ -33,6 +33,7 @@ from .fock import (
     check_growth_bound,
     conjugate_observable,
     quantum_flow,
+    trusted_block_diff,
     wick_quantize,
 )
 from .scenario import SCHEMA_VERSION, Scenario
@@ -152,17 +153,17 @@ def cmd_oracle(scenario: Scenario, args) -> tuple[int, dict]:
         report["error"] = str(exc)
         report["diagnostics"] = exc.diagnostics
         return EXIT_LEAKAGE, report
-    evolved = conjugate_observable(qf, b, space, t)
+    evolved = conjugate_observable(qf, b)
     errors = {}
     ex = exp_expand(b, t, flow, epsilon=scenario.epsilon)
-    errors["exponential"] = evolved.trusted_block_diff(
-        wick_quantize(ex.assembled(), space), trusted)
+    errors["exponential"] = trusted_block_diff(
+        evolved, wick_quantize(ex.assembled(), space), space, trusted)
     dy = dyson_expand(b, t, flow, h, epsilon=scenario.epsilon, nodes=scenario.quad_nodes)
-    errors["dyson"] = evolved.trusted_block_diff(
-        wick_quantize(dy.assembled(), space), trusted)
+    errors["dyson"] = trusted_block_diff(
+        evolved, wick_quantize(dy.assembled(), space), space, trusted)
     report["max_matrix_element_error"] = {k: float(v) for k, v in errors.items()}
     report["leakage"] = qf.max_leakage()
-    report["unitarity_defect"] = qf.unitarity_defect(t, trusted)
+    report["unitarity_defect"] = qf.unitarity_defect()
     report["integrator"] = qf.integrator
     report["tolerance"] = tol
     ok = max(errors.values()) <= tol
@@ -288,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: dict, out_path) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, sort_keys=True)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

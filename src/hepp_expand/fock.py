@@ -3,8 +3,10 @@
 The space keeps every symmetric sector up to a cutoff N_max and shares
 the occupation bases of :mod:`hepp_expand.sectors`, so quantized
 matrices here and symbol coefficients elsewhere never disagree about
-normalization.  Operators are stored as one dense matrix over the
-truncated direct sum with sector block views.
+normalization.  Operators are plain dense arrays over the truncated
+direct sum, cut into sector blocks by ``FockSpace.sector_slice`` and
+``span_slice``; Gamma(u) is block-diagonal and kept as its sector
+blocks.
 
 Quantization of a plain monomial conj(z)^m z^n is the normally ordered
 ladder product eps^((|m|+|n|)/2) prod a_i^dag^{m_i} prod a_i^{n_i}.
@@ -21,8 +23,8 @@ separate dense blocks of U.  Only the columns of U that start in the
 trusted sectors 0..trusted_n are evolved: they are all that the trusted
 block of the conjugated observable and the leakage gate read.  The flow
 runs on the Hamiltonian's own grid up to one grid time t, where the
-columns are joined into one total_dim x n_cols block and Gamma(u_alpha)
-acts on them sector by sector.
+columns are joined into one total_dim x n_cols block and the sector
+blocks of Gamma(u_alpha) act on them.
 
 One stepper advances the columns by either of two integrators, reading
 the pair coefficients of all the times a stretch needs in one call.
@@ -48,6 +50,7 @@ from .flow import QuadraticHamiltonian, grid_index, integrate_u_alpha
 from .symbols import PolySymbol, preset_symbol, squeezing_hamiltonian_symbol
 
 _EPS_DEFAULT = 0.5
+_UNITARY_TOL = 1e-10
 
 
 class FockSpace:
@@ -96,77 +99,22 @@ class FockSpace:
         return f"FockSpace(dim={self.dim}, n_max={self.n_max}, epsilon={self.epsilon})"
 
 
-class FockOperator:
-    """Dense operator on a truncated Fock space with sector block views."""
+def trusted_block_diff(a: np.ndarray, b: np.ndarray, space: FockSpace, n_trust: int) -> float:
+    """Max |entry difference| of two operator arrays over the rows and
+    columns of sectors <= n_trust of the space's modes.
 
-    __slots__ = ("space", "matrix")
-
-    def __init__(self, space: FockSpace, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (space.total_dim, space.total_dim):
-            raise ValueError(f"matrix shape {matrix.shape} does not fit the space")
-        self.space = space
-        self.matrix = matrix
-
-    @classmethod
-    def identity(cls, space: FockSpace) -> "FockOperator":
-        return cls(space, np.eye(space.total_dim, dtype=complex))
-
-    @classmethod
-    def zeros(cls, space: FockSpace) -> "FockOperator":
-        return cls(space, np.zeros((space.total_dim, space.total_dim), dtype=complex))
-
-    def _check(self, other):
-        if self.space is not other.space and (
-                self.space.dim != other.space.dim
-                or self.space.n_max != other.space.n_max
-                or self.space.epsilon != other.space.epsilon):
-            raise DimensionMismatchError("operators live on different Fock spaces")
-
-    def block(self, n_out: int, n_in: int) -> np.ndarray:
-        return self.matrix[self.space.sector_slice(n_out), self.space.sector_slice(n_in)]
-
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.space, self.matrix.conj().T)
-
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        self._check(other)
-        return FockOperator(self.space, self.matrix @ other.matrix)
-
-    def __add__(self, other):
-        self._check(other)
-        return FockOperator(self.space, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FockOperator(self.space, self.matrix - other.matrix)
-
-    def __mul__(self, c):
-        return FockOperator(self.space, c * self.matrix)
-
-    __rmul__ = __mul__
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
-
-    def trusted_block_diff(self, other: "FockOperator", n_trust: int) -> float:
-        """Max |entry difference| over rows and columns in sectors <= n_trust.
-
-        The two spaces may have different cutoffs, both at least n_trust:
-        sectors 0..n_trust are the same leading block on either side.
-        """
-        a, b = self.space, other.space
-        if a.dim != b.dim or a.epsilon != b.epsilon or n_trust > min(a.n_max, b.n_max):
-            raise DimensionMismatchError(
-                f"sectors <= {n_trust} are not shared by {a!r} and {b!r}")
-        s = a.span_slice(n_trust)
-        return float(np.abs(self.matrix[s, s] - other.matrix[s, s]).max())
-
-    def __repr__(self):
-        return f"FockOperator(dim={self.space.dim}, n_max={self.space.n_max})"
+    The arrays may come from spaces with different cutoffs, both at least
+    n_trust: sectors 0..n_trust are the same leading block on either side.
+    """
+    n = math.comb(space.dim + n_trust, n_trust)
+    if min(a.shape + b.shape) < n:
+        raise DimensionMismatchError(
+            f"sectors <= {n_trust} ({n} states) are not covered by arrays of shape "
+            f"{a.shape} and {b.shape}")
+    return float(np.abs(a[:n, :n] - b[:n, :n]).max())
 
 
-def wick_quantize(b: PolySymbol, space: FockSpace) -> FockOperator:
+def wick_quantize(b: PolySymbol, space: FockSpace) -> np.ndarray:
     """Quantize a polynomial on the truncated space.
 
     Per (p, q)-monomial the sector-n block carries the factor
@@ -189,10 +137,10 @@ def wick_quantize(b: PolySymbol, space: FockSpace) -> FockOperator:
             # w^kappa with kappa = (nu, mu) is conj(z)^mu z^nu
             rows, cols, values = sec.ladder_entries(d, space.n_max, occ[k][d:], occ[k][:d])
             out[rows, cols] += (c[k] * scale) * values
-    return FockOperator(space, out)
+    return out
 
 
-def wick_quantize_slow(b: PolySymbol, space: FockSpace) -> FockOperator:
+def wick_quantize_slow(b: PolySymbol, space: FockSpace) -> np.ndarray:
     """Reference quantization through explicit symmetrizer embeddings.
 
     Builds each block as the stated combinatorial factor times
@@ -215,7 +163,7 @@ def wick_quantize_slow(b: PolySymbol, space: FockSpace) -> FockOperator:
             big = np.kron(tensor, np.eye(dim ** (n_in - p)))
             blk = sec.onb_embedding(dim, n_out).conj().T @ big @ sec.onb_embedding(dim, n_in)
             out[space.sector_slice(n_out), space.sector_slice(n_in)] += factor * scale * blk
-    return FockOperator(space, out)
+    return out
 
 
 def field_and_weyl(xi, space: FockSpace):
@@ -224,34 +172,31 @@ def field_and_weyl(xi, space: FockSpace):
 
     xi = np.asarray(xi, dtype=complex)
     phi = wick_quantize(preset_symbol("field", space.dim, xi=xi), space)
-    weyl = FockOperator(space, expm(1j * phi.matrix))
-    return phi, weyl
+    return phi, expm(1j * phi)
 
 
-def gamma_u(u, space: FockSpace, tol: float = 1e-10) -> FockOperator:
-    """Second quantization: block-diagonal sector-wise tensor powers of u.
+def gamma_u(u, space: FockSpace) -> list:
+    """Second quantization: the sector blocks 0..n_max of Gamma(u), which
+    is block-diagonal with the n-th tensor power of u on sector n.
 
     Sector n follows from sector n-1 by the ladder recursion
     Gamma(u)|k> = (sum_j u_ji a_j^dag) Gamma(u)|k - e_i> / sqrt(k_i),
     with i the first occupied mode of k: one matmul per mode and sector.
     """
     u = np.asarray(u, dtype=complex)
-    if np.linalg.norm(u.conj().T @ u - np.eye(space.dim), 2) > tol:
-        raise ValueError("gamma_u requires a unitary within 1e-10")
-    out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    out[0, 0] = 1.0
-    blk = out[:1, :1]
+    if np.linalg.norm(u.conj().T @ u - np.eye(space.dim), 2) > _UNITARY_TOL:
+        raise ValueError(f"gamma_u requires a unitary within {_UNITARY_TOL:g}")
+    blocks = [np.ones((1, 1), dtype=complex)]
     for n in range(1, space.n_max + 1):
         low = sec.occupation_array(space.dim, n - 1)
-        s = space.sector_slice(n)
-        new = out[s, s]
+        new = np.zeros((space.sector_dims[n], space.sector_dims[n]), dtype=complex)
         for i in range(space.dim):
             # k = kappa + e_i has first occupied mode i iff kappa_j = 0 for j < i
             sel = np.flatnonzero(~low[:, :i].any(axis=1))
             new[:, sec.raise_map(space.dim, n - 1, i)[sel]] = (
-                sec.creation_field(u[:, i], n - 1) @ blk[:, sel]) / np.sqrt(low[sel, i] + 1)
-        blk = new
-    return FockOperator(space, out)
+                sec.creation_field(u[:, i], n - 1) @ blocks[-1][:, sel]) / np.sqrt(low[sel, i] + 1)
+        blocks.append(new)
+    return blocks
 
 
 class QuantumFlowResult:
@@ -265,33 +210,25 @@ class QuantumFlowResult:
     kept (``time_error``).
     """
 
-    def __init__(self, space, t, columns, leakage_trace, trusted_n, leak_threshold,
-                 integrator=None):
+    def __init__(self, space, t, columns, leakage_trace, trusted_n, integrator=None):
         self.space = space
         self.t = t
-        self._columns = columns
+        self.columns = columns
         self.leakage_trace = leakage_trace
         self.trusted_n = trusted_n
-        self.leak_threshold = leak_threshold
         self.integrator = integrator
-
-    def u_at(self, t: float) -> np.ndarray:
-        """The evolved columns of U(t, 0) (sectors <= trusted_n)."""
-        if abs(self.t - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"the flow was run to t={self.t}, not to t={t}")
-        return self._columns
 
     def max_leakage(self) -> float:
         return float(self.leakage_trace.max()) if len(self.leakage_trace) else 0.0
 
-    def unitarity_defect(self, t: float, n_top: int = None) -> float:
+    def unitarity_defect(self, n_top: int = None) -> float:
         """Norm of U*U - I on the columns of sectors <= n_top (default
         trusted_n); columns that were not evolved cannot be checked."""
         if n_top is None:
             n_top = self.trusted_n
         if n_top > self.trusted_n:
             raise ValueError(f"n_top {n_top} exceeds the evolved sectors <= {self.trusted_n}")
-        u = self.u_at(t)[:, self.space.span_slice(n_top)]
+        u = self.columns[:, self.space.span_slice(n_top)]
         return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]), 2))
 
 
@@ -347,12 +284,11 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
         stepper.march(tol)
     cols = stepper.assemble()
     if u_path is not None:
-        g = gamma_u(u_path.at(grid[-1]), space)
-        for n in range(space.n_max + 1):
+        for n, g in enumerate(gamma_u(u_path.at(grid[-1]), space)):
             s = space.sector_slice(n)
-            cols[s] = g.block(n, n) @ cols[s]
+            cols[s] = g @ cols[s]
     return QuantumFlowResult(space, float(grid[-1]), cols, stepper.leak, trusted_n,
-                             leak_threshold, None if tol is None else stepper.report())
+                             None if tol is None else stepper.report())
 
 
 # Gauss nodes on [0, 1] and the weights of CF4 (Blanes & Moan 2006):
@@ -667,20 +603,15 @@ def _pair_coefficients(hamiltonian: QuadraticHamiltonian, u_path):
     return coefficients
 
 
-def conjugate_observable(qflow: QuantumFlowResult, b: PolySymbol,
-                         space: FockSpace, t: float) -> FockOperator:
-    """U(0,t) b^Wick U(t,0) on the evolved sectors 0..trusted_n.
+def conjugate_observable(qflow: QuantumFlowResult, b: PolySymbol) -> np.ndarray:
+    """U(0,t) b^Wick U(t,0) on the evolved sectors 0..trusted_n, at the
+    flow's time t and on its space.
 
-    That block is U[:, s]^* b^Wick U[:, s] over the evolved columns s;
-    it is returned as an operator on the space with cutoff trusted_n.
+    That block is U[:, s]^* b^Wick U[:, s] over the evolved columns s, an
+    n_cols x n_cols array.
     """
-    flow_space = qflow.space
-    if (space.dim, space.n_max, space.epsilon) != (
-            flow_space.dim, flow_space.n_max, flow_space.epsilon):
-        raise DimensionMismatchError(f"{space!r} is not the flow's {flow_space!r}")
-    u = qflow.u_at(t)
-    block = u.conj().T @ wick_quantize(b, space).matrix @ u
-    return FockOperator(FockSpace(space.dim, qflow.trusted_n, space.epsilon), block)
+    u = qflow.columns
+    return u.conj().T @ wick_quantize(b, qflow.space) @ u
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +638,7 @@ def check_estimates(beta_mat, space: FockSpace, ks=(1, 2), n_samples: int = 100,
         report["max_ratio_generator"] = 0.0
         report["max_ratio_commutator"] = {int(k): 0.0 for k in ks}
         return report
-    q_op = wick_quantize(squeezing_hamiltonian_symbol(beta_mat), space).matrix / eps
+    q_op = wick_quantize(squeezing_hamiltonian_symbol(beta_mat), space) / eps
     nvec = space.number_values() / eps + 1.0
     gen_max = 0.0
     comm_max = {int(k): 0.0 for k in ks}
@@ -738,8 +669,7 @@ def check_growth_bound(beta_mat, space: FockSpace, t: float, ks=(1, 2),
     h = QuadraticHamiltonian(space.dim, beta=beta_mat, t_end=t, dt=dt)
     # the random states live on sectors <= n_top: evolve just those columns
     n_top = space.n_max // 2
-    qf = quantum_flow(h, space, trusted_n=n_top, leak_threshold=np.inf)
-    u = qf.u_at(t)
+    u = quantum_flow(h, space, trusted_n=n_top, leak_threshold=np.inf).columns
     nvec = space.number_values() / space.epsilon + 1.0
     out = {"t": t, "beta_norm": bnorm, "slack": slack}
     ratios = {}

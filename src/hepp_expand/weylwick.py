@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .expansions import Lambda_of_map
-from .fock import FockOperator, FockSpace, gamma_u, wick_quantize
+from .fock import FockSpace, gamma_u, trusted_block_diff, wick_quantize
 from .symbols import PolySymbol, laplacian, squeezing_hamiltonian_symbol
 from .symplectic import RLinearMap, SymplectoDecomposition, decompose
 
@@ -59,13 +59,13 @@ def exp_lambda_of_map(b: PolySymbol, t_map: RLinearMap, epsilon: float) -> PolyS
     return out
 
 
-def bogoliubov_implementer(t_map, space: FockSpace) -> FockOperator:
+def bogoliubov_implementer(t_map, space: FockSpace) -> np.ndarray:
     """A unitary U on the truncated space with U* W(xi) U ~= W(T xi).
 
     Accepts an RLinearMap (decomposed internally) or a ready
     SymplectoDecomposition.
     """
-    from scipy.linalg import expm
+    from scipy.linalg import block_diag, expm
 
     if isinstance(t_map, SymplectoDecomposition):
         dec = t_map
@@ -73,8 +73,8 @@ def bogoliubov_implementer(t_map, space: FockSpace) -> FockOperator:
         dec = decompose(t_map)
     e = dec.conj_basis
     q_rho = squeezing_hamiltonian_symbol((e * dec.rho_eigs) @ e.T)
-    squeeze = expm(-1j * wick_quantize(q_rho, space).matrix / space.epsilon)
-    return FockOperator(space, squeeze) @ gamma_u(dec.unitary, space).dagger()
+    squeeze = expm(-1j * wick_quantize(q_rho, space) / space.epsilon)
+    return squeeze @ block_diag(*gamma_u(dec.unitary, space)).conj().T
 
 
 def check_weyl_conjugation(t_map: RLinearMap, b: PolySymbol, space: FockSpace,
@@ -95,9 +95,8 @@ def check_weyl_conjugation(t_map: RLinearMap, b: PolySymbol, space: FockSpace,
     if n_trust is None:
         n_trust = max(0, space.n_max - b.degree() - 4)
     u_op = bogoliubov_implementer(t_map, space)
-    lhs = u_op.dagger() @ wick_quantize(b, space) @ u_op
-    rhs = wick_quantize(rhs_symbol, space)
-    operator_defect = lhs.trusted_block_diff(rhs, n_trust)
+    lhs = u_op.conj().T @ wick_quantize(b, space) @ u_op
+    operator_defect = trusted_block_diff(lhs, wick_quantize(rhs_symbol, space), space, n_trust)
     return {
         "symbol_defect": float(symbol_defect),
         "operator_defect": float(operator_defect),
