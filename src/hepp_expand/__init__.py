@@ -40,6 +40,8 @@ from .fock import (
     gamma_u,
     quantum_flow,
     trusted_block_diff,
+    wick_apply,
+    wick_block,
     wick_quantize,
     wick_quantize_slow,
 )

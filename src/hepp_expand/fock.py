@@ -11,9 +11,15 @@ blocks.
 Quantization of a plain monomial conj(z)^m z^n is the normally ordered
 ladder product eps^((|m|+|n|)/2) prod a_i^dag^{m_i} prod a_i^{n_i}.
 That product is a ladder map with at most one nonzero per column
-(``sectors.ladder_entries``), scattered straight into the quantized
-matrix; a slow reference route through explicit symmetrizers validates
-this fast path on tiny sectors (see ``wick_quantize_slow``).
+(``sectors.ladder_entries``).  The entries of all monomials of one
+order are stacked once per cutoff (``sectors.ladder_table``), so the
+nonzeros of b^Wick on sectors 0..n_top are the table's values times
+the symbol's coefficients, with no Python step per monomial.  They
+are read three ways: summed into a dense matrix (``wick_quantize``), or
+into its leading block on sectors 0..n_top alone (``wick_block``), or
+as a sparse matrix applied to a block of vectors (``wick_apply``).  A
+slow reference route through explicit symmetrizers validates them on
+tiny sectors (see ``wick_quantize_slow``).
 
 The quantum flow uses the same ladder maps for its pair generator: a
 CSR matrix with a pattern fixed per run, whose data at time t is the
@@ -24,7 +30,9 @@ trusted sectors 0..trusted_n are evolved: they are all that the trusted
 block of the conjugated observable and the leakage gate read.  The flow
 runs on the Hamiltonian's own grid up to one grid time t, where the
 columns are joined into one total_dim x n_cols block and the sector
-blocks of Gamma(u_alpha) act on them.
+blocks of Gamma(u_alpha) act on them.  The comparison stage stays on
+those columns too: the observable acts on them as a sparse matrix, and
+their unitarity defect comes from one Gram block per parity.
 
 One stepper advances the columns by either of two integrators, reading
 the pair coefficients of all the times a stretch needs in one call.
@@ -114,8 +122,54 @@ def trusted_block_diff(a: np.ndarray, b: np.ndarray, space: FockSpace, n_trust: 
     return float(np.abs(a[:n, :n] - b[:n, :n]).max())
 
 
+def _wick_entries(b: PolySymbol, space: FockSpace, n_top: int):
+    """Nonzeros (rows, cols, values) of b^Wick on sectors 0..n_top, one
+    per ladder entry of each monomial, degree by degree; entries at the
+    same position are still to be summed.  A monomial of degree above
+    n_top has no entry there."""
+    if b.dim != space.dim:
+        raise DimensionMismatchError(f"dim {b.dim} vs {space.dim}")
+    rows, cols, values = [], [], []
+    for m, c in b.vectors.items():
+        r, k, v, monomial = sec.ladder_table(space.dim, n_top, m)
+        coeff = (c * space.epsilon ** (m / 2.0))[monomial]
+        # a sparse symbol, such as a preset monomial, keeps only its own entries
+        if not c.all():
+            keep = coeff != 0
+            r, k, v, coeff = r[keep], k[keep], v[keep], coeff[keep]
+        rows.append(r)
+        cols.append(k)
+        values.append(coeff * v)
+    if not rows:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+
+def _check_degree(b: PolySymbol, space: FockSpace):
+    """An operator on the whole truncated space needs all of b's terms."""
+    deg = b.degree()
+    if deg > space.n_max:
+        raise ValueError(f"symbol degree {deg} exceeds the sector cutoff {space.n_max}")
+
+
+def wick_block(b: PolySymbol, space: FockSpace, n_top: int) -> np.ndarray:
+    """The leading block of b^Wick on sectors 0..n_top, dense.
+
+    It does not depend on the cutoff of the space as long as that is at
+    least n_top; monomials of degree above n_top contribute nothing.
+    """
+    if not 0 <= n_top <= space.n_max:
+        raise ValueError(f"n_top {n_top} is outside the sectors 0..{space.n_max}")
+    rows, cols, values = _wick_entries(b, space, n_top)
+    n = space.span_slice(n_top).stop
+    out = np.zeros(n * n, dtype=complex)
+    # unbuffered: the entries of one position are summed in the order given
+    np.add.at(out, rows * n + cols, values)
+    return out.reshape(n, n)
+
+
 def wick_quantize(b: PolySymbol, space: FockSpace) -> np.ndarray:
-    """Quantize a polynomial on the truncated space.
+    """Quantize a polynomial on the truncated space, as a dense matrix.
 
     Per (p, q)-monomial the sector-n block carries the factor
     sqrt(n!(n+q-p)!)/(n-p)! eps^((p+q)/2) on the symmetrized extension
@@ -123,21 +177,19 @@ def wick_quantize(b: PolySymbol, space: FockSpace) -> np.ndarray:
     product written above, one per nonzero entry of the symbol's
     doubled-variable vectors.
     """
-    if b.dim != space.dim:
-        raise DimensionMismatchError(f"dim {b.dim} vs {space.dim}")
-    deg = b.degree()
-    if deg > space.n_max:
-        raise ValueError(f"symbol degree {deg} exceeds the sector cutoff {space.n_max}")
-    d = space.dim
-    out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    for m, c in b.vectors.items():
-        scale = space.epsilon ** (m / 2.0)
-        occ = sec.occupations(2 * d, m)
-        for k in np.flatnonzero(c):
-            # w^kappa with kappa = (nu, mu) is conj(z)^mu z^nu
-            rows, cols, values = sec.ladder_entries(d, space.n_max, occ[k][d:], occ[k][:d])
-            out[rows, cols] += (c[k] * scale) * values
-    return out
+    _check_degree(b, space)
+    return wick_block(b, space, space.n_max)
+
+
+def wick_apply(b: PolySymbol, space: FockSpace, vectors: np.ndarray) -> np.ndarray:
+    """b^Wick @ vectors on the truncated space, through a sparse matrix:
+    the dense total_dim x total_dim quantization is never formed."""
+    from scipy import sparse
+
+    _check_degree(b, space)
+    rows, cols, values = _wick_entries(b, space, space.n_max)
+    n = space.total_dim
+    return sparse.csr_matrix((values, (rows, cols)), shape=(n, n)) @ vectors
 
 
 def wick_quantize_slow(b: PolySymbol, space: FockSpace) -> np.ndarray:
@@ -182,6 +234,8 @@ def gamma_u(u, space: FockSpace) -> list:
     Sector n follows from sector n-1 by the ladder recursion
     Gamma(u)|k> = (sum_j u_ji a_j^dag) Gamma(u)|k - e_i> / sqrt(k_i),
     with i the first occupied mode of k: one matmul per mode and sector.
+    Each a_j^dag has one nonzero per column, sqrt(kappa_j + 1) at row
+    kappa + e_j, so the field is scattered from the raise table.
     """
     u = np.asarray(u, dtype=complex)
     if np.linalg.norm(u.conj().T @ u - np.eye(space.dim), 2) > _UNITARY_TOL:
@@ -189,12 +243,17 @@ def gamma_u(u, space: FockSpace) -> list:
     blocks = [np.ones((1, 1), dtype=complex)]
     for n in range(1, space.n_max + 1):
         low = sec.occupation_array(space.dim, n - 1)
+        up, weight = sec.raise_table(space.dim, n - 1)
+        root, cols = np.sqrt(weight), np.arange(len(low))
+        # every mode's entries of the field land on the same positions
+        field = np.zeros((space.sector_dims[n], len(low)), dtype=complex)
         new = np.zeros((space.sector_dims[n], space.sector_dims[n]), dtype=complex)
         for i in range(space.dim):
+            for j in range(space.dim):
+                field[up[:, j], cols] = u[j, i] * root[:, j]
             # k = kappa + e_i has first occupied mode i iff kappa_j = 0 for j < i
             sel = np.flatnonzero(~low[:, :i].any(axis=1))
-            new[:, sec.raise_map(space.dim, n - 1, i)[sel]] = (
-                sec.creation_field(u[:, i], n - 1) @ blocks[-1][:, sel]) / np.sqrt(low[sel, i] + 1)
+            new[:, up[sel, i]] = (field @ blocks[-1][:, sel]) / np.sqrt(low[sel, i] + 1)
         blocks.append(new)
     return blocks
 
@@ -222,14 +281,28 @@ class QuantumFlowResult:
         return float(self.leakage_trace.max()) if len(self.leakage_trace) else 0.0
 
     def unitarity_defect(self, n_top: int = None) -> float:
-        """Norm of U*U - I on the columns of sectors <= n_top (default
-        trusted_n); columns that were not evolved cannot be checked."""
+        """Norm ||U*U - I||_2 on the columns of sectors <= n_top (default
+        trusted_n); columns that were not evolved cannot be checked.
+
+        Columns of one parity have their rows in the sectors of that
+        parity only, so U*U is block-diagonal in parity with exact zeros
+        across: the norm is the largest |eigenvalue| of the two Hermitian
+        Gram blocks, one per parity of the columns.
+        """
         if n_top is None:
             n_top = self.trusted_n
         if n_top > self.trusted_n:
             raise ValueError(f"n_top {n_top} exceeds the evolved sectors <= {self.trusted_n}")
-        u = self.columns[:, self.space.span_slice(n_top)]
-        return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]), 2))
+        n_cols = self.space.span_slice(n_top).stop
+        parity = self.space.number_values()[:n_cols] % 2
+        defect = 0.0
+        for p in (0, 1):
+            u = self.columns[:, :n_cols][:, parity == p]
+            if not u.shape[1]:
+                continue
+            gram = u.conj().T @ u - np.eye(u.shape[1])
+            defect = max(defect, float(np.abs(np.linalg.eigvalsh(gram)).max()))
+        return defect
 
 
 def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float = None,
@@ -607,11 +680,12 @@ def conjugate_observable(qflow: QuantumFlowResult, b: PolySymbol) -> np.ndarray:
     """U(0,t) b^Wick U(t,0) on the evolved sectors 0..trusted_n, at the
     flow's time t and on its space.
 
-    That block is U[:, s]^* b^Wick U[:, s] over the evolved columns s, an
-    n_cols x n_cols array.
+    That block is U[:, s]^* (b^Wick U[:, s]) over the evolved columns s,
+    an n_cols x n_cols array; b^Wick acts on the columns as a sparse
+    matrix.
     """
     u = qflow.columns
-    return u.conj().T @ wick_quantize(b, qflow.space) @ u
+    return u.conj().T @ wick_apply(b, qflow.space, u)
 
 
 # ---------------------------------------------------------------------------
@@ -659,17 +733,23 @@ def check_estimates(beta_mat, space: FockSpace, ks=(1, 2), n_samples: int = 100,
 
 def check_growth_bound(beta_mat, space: FockSpace, t: float, ks=(1, 2),
                        n_samples: int = 50, rng: np.random.Generator = None,
-                       dt: float = 1e-3, slack: float = 0.1) -> dict:
+                       slack: float = 0.1) -> dict:
     """Soft growth check for the time-independent flow:
     ||(N/eps+1)^{k/2} U psi|| <= e^{3^k sqrt(2) ||beta|| t} ||(N/eps+1)^{k/2} psi||
-    with a truncation slack on the right-hand side."""
+    with a truncation slack on the right-hand side.
+
+    The generator Q^Wick / eps does not depend on time, so U(t, 0) is the
+    exact propagator V e^{-i t lambda / eps} V^* from the eigenpairs of the
+    dense Q^Wick on the truncated space.
+    """
     rng = rng or np.random.default_rng(0)
     beta_mat = np.asarray(beta_mat, dtype=complex)
     bnorm = _beta_norm(beta_mat)
-    h = QuadraticHamiltonian(space.dim, beta=beta_mat, t_end=t, dt=dt)
-    # the random states live on sectors <= n_top: evolve just those columns
+    lam, vecs = np.linalg.eigh(wick_quantize(squeezing_hamiltonian_symbol(beta_mat), space))
+    # the random states live on sectors <= n_top: only those columns of U
     n_top = space.n_max // 2
-    u = quantum_flow(h, space, trusted_n=n_top, leak_threshold=np.inf).columns
+    n_cols = space.span_slice(n_top).stop
+    u = (vecs * np.exp(-1j * t * lam / space.epsilon)) @ vecs[:n_cols].conj().T
     nvec = space.number_values() / space.epsilon + 1.0
     out = {"t": t, "beta_norm": bnorm, "slack": slack}
     ratios = {}
@@ -678,7 +758,7 @@ def check_growth_bound(beta_mat, space: FockSpace, t: float, ks=(1, 2),
         worst = 0.0
         for _ in range(n_samples):
             psi = space.random_state(rng, n_top)
-            lhs = np.linalg.norm((nvec ** (k / 2.0)) * (u @ psi[:u.shape[1]]))
+            lhs = np.linalg.norm((nvec ** (k / 2.0)) * (u @ psi[:n_cols]))
             rhs = bound * np.linalg.norm((nvec ** (k / 2.0)) * psi)
             worst = max(worst, lhs / rhs)
         ratios[int(k)] = float(worst)

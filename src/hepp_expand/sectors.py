@@ -192,6 +192,24 @@ def ladder_entries(dim: int, n_max: int, mu, kappa):
     return rows, cols, values
 
 
+@lru_cache(maxsize=16)
+def ladder_table(dim: int, n_max: int, m: int):
+    """``ladder_entries`` of every degree-m monomial, stacked.
+
+    The monomials are the occupations w^kappa = conj(z)^mu z^nu,
+    kappa = (nu, mu), of the m-sector of C^{2 dim}.  Returns (rows, cols,
+    values, monomial) with monomial[j] the position of the monomial that
+    entry j belongs to; each monomial's entries keep their order.  Bounded
+    cache: a table is as large as the quantization of a dense degree-m
+    symbol on sectors 0..n_max.
+    """
+    occ = occupations(2 * dim, m)
+    parts = [ladder_entries(dim, n_max, kappa[dim:], kappa[:dim]) for kappa in occ]
+    monomial = np.repeat(np.arange(len(occ)), [len(v) for _, _, v in parts])
+    rows, cols, values = (np.concatenate(x) for x in zip(*parts))
+    return _frozen(rows), _frozen(cols), _frozen(values), _frozen(monomial)
+
+
 @lru_cache(maxsize=None)
 def raise_table(dim: int, n: int):
     """Arrays (up, weight) of shape (sector_dim(n), dim): the position of

@@ -395,3 +395,19 @@ def test_import_loads_no_scipy():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_estimates_loads_no_scipy(tmp_path):
+    # the growth check takes its propagator from numpy's eigh: a whole
+    # estimates run on a demo scenario needs no scipy module
+    path = os.path.join(REPO, "demos", "scenarios", "example-im-z2.json")
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from hepp_expand.cli import main; "
+         f"code = main(['estimates', {path!r}, '--out', {str(out)!r}]); "
+         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+    assert json.loads(out.read_text())["pass"] is True

@@ -18,6 +18,8 @@ from hepp_expand.fock import (
     gamma_u,
     quantum_flow,
     trusted_block_diff,
+    wick_apply,
+    wick_block,
     wick_quantize,
     wick_quantize_slow,
 )
@@ -69,6 +71,19 @@ def dense_ladder_product(space, m_occ, n_occ):
                 blk = sec.creators(space.dim, cur)[i] @ blk
                 cur += 1
         out[space.sector_slice(n_out), space.sector_slice(n_in)] = blk
+    return out
+
+
+def loop_wick_quantize(b, space):
+    """Reference: b^Wick as one dense ladder product per nonzero entry of
+    the symbol's doubled-variable vectors, summed monomial by monomial."""
+    out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    for m, c in b.vectors.items():
+        occ = sec.occupations(2 * space.dim, m)
+        for k in np.flatnonzero(c):
+            rows, cols, values = sec.ladder_entries(
+                space.dim, space.n_max, occ[k][space.dim:], occ[k][:space.dim])
+            out[rows, cols] += (c[k] * space.epsilon ** (m / 2.0)) * values
     return out
 
 
@@ -219,6 +234,67 @@ class TestWickQuantize:
         with pytest.raises(ValueError):
             wick_quantize(random_symbol(rng, 1, 4), space)
 
+    @pytest.mark.parametrize("dim, n_max", [(1, 9), (2, 7), (3, 5)])
+    def test_matches_the_monomial_loop(self, rng, dim, n_max):
+        # the stacked tables multiply and sum the same numbers in the same
+        # order as the loop: the results are equal, not just close
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        first, last = (1,) + (0,) * (dim - 1), (0,) * (dim - 1) + (2,)
+        symbols = [random_symbol(rng, dim, 4), preset_symbol("number", dim),
+                   squeezing_hamiltonian_symbol(m + m.T), PolySymbol.monomial(dim, first, last),
+                   PolySymbol.constant(dim, 0.0)]
+        space = FockSpace(dim, n_max, 0.7)
+        for b in symbols:
+            assert np.array_equal(wick_quantize(b, space), loop_wick_quantize(b, space))
+
+
+class TestWickBlock:
+    @pytest.mark.parametrize("dim, n_max", [(1, 9), (2, 7), (3, 5)])
+    def test_leading_block_of_wick_quantize(self, rng, dim, n_max):
+        b = random_symbol(rng, dim, 5)
+        space = FockSpace(dim, n_max, 0.6)
+        full = wick_quantize(b, space)
+        # n_top below the degree 5 included: those monomials just miss the block
+        for n_top in range(n_max + 1):
+            n = space.span_slice(n_top).stop
+            assert np.array_equal(wick_block(b, space, n_top), full[:n, :n])
+
+    def test_degree_above_the_cutoff(self, rng):
+        b = random_symbol(rng, 2, 5)
+        small = FockSpace(2, 3, 0.5)
+        with pytest.raises(ValueError):
+            wick_quantize(b, small)
+        full = wick_quantize(b, FockSpace(2, 6, 0.5))
+        for n_top in range(4):
+            n = small.span_slice(n_top).stop
+            assert np.array_equal(wick_block(b, small, n_top), full[:n, :n])
+
+    def test_rejects_sectors_outside_the_space(self, rng):
+        space = FockSpace(2, 4, 0.5)
+        b = random_symbol(rng, 2, 2)
+        for n_top in (-1, 5):
+            with pytest.raises(ValueError):
+                wick_block(b, space, n_top)
+        with pytest.raises(DimensionMismatchError):
+            wick_block(random_symbol(rng, 1, 2), space, 2)
+
+
+class TestWickApply:
+    def test_rejects_what_wick_quantize_rejects(self, rng):
+        space = FockSpace(1, 3, 0.5)
+        vectors = np.eye(space.total_dim)
+        with pytest.raises(ValueError):
+            wick_apply(random_symbol(rng, 1, 4), space, vectors)
+        with pytest.raises(DimensionMismatchError):
+            wick_apply(random_symbol(rng, 2, 2), space, vectors)
+
+    def test_zero_symbol(self):
+        space = FockSpace(2, 4, 0.5)
+        vectors = np.ones((space.total_dim, 3), dtype=complex)
+        got = wick_apply(PolySymbol.constant(2, 0.0), space, vectors)
+        assert got.shape == vectors.shape
+        assert not np.any(got)
+
 
 class TestFieldAndWeyl:
     def test_zero_argument(self):
@@ -303,13 +379,22 @@ class TestGammaU:
         with pytest.raises(ValueError):
             gamma_u(np.array([[1.5]]), space)
 
+    def test_fills_no_dense_ladder_cache(self, rng):
+        # the creators are applied from the raise table: the sectors
+        # module's dense per-sector ladder matrices stay unbuilt
+        sec.creators.cache_clear()
+        sec.annihilators.cache_clear()
+        gamma_u(random_unitary(rng, 3), FockSpace(3, 8, 0.5))
+        assert sec.creators.cache_info().currsize == 0
+        assert sec.annihilators.cache_info().currsize == 0
+
     def test_sector_blocks_memory_bound(self, rng):
         # the blocks hold sum_n dim(sector n)^2 entries, 1.8 MB at d=3,
         # N=16; the dense total_dim^2 matrix would be 969^2 x 16 B = 15 MB
         space = FockSpace(3, 16, 0.5)
         u = random_unitary(rng, 3)
-        # a first call fills the sectors module's shared caches of ladder
-        # matrices and raise maps (~9 MB here); the bound is on the call
+        # a first call fills the sectors module's shared caches of
+        # occupations and raise maps; the bound is on the call
         gamma_u(u, space)
         tracemalloc.start()
         try:
@@ -369,6 +454,26 @@ class TestQuantumFlow:
         qf = quantum_flow(h, space, 0.3, trusted_n=space.n_max - 2,
                           leak_threshold=np.inf)
         assert qf.unitarity_defect(space.n_max - 2) < 1e-7
+
+    @pytest.mark.parametrize("tol", [None, 1e-6])
+    def test_unitarity_defect_is_the_spectral_norm(self, rng, tol):
+        # a coarse grid leaves a defect far above rounding, so the two
+        # computations agree on the quantity and not only on the noise
+        space = FockSpace(2, 10, 0.5)
+        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        h = QuadraticHamiltonian(2, alpha=np.diag([0.4, -0.3]), beta=(m + m.T) / 2,
+                                 t_end=0.5, dt=0.05)
+        qf = quantum_flow(h, space, 0.5, trusted_n=7, leak_threshold=np.inf, tol=tol)
+        parity = space.number_values() % 2
+        for n_top in range(8):
+            u = qf.columns[:, space.span_slice(n_top)]
+            gram = u.conj().T @ u - np.eye(u.shape[1])
+            # the cross-parity blocks the eigvalsh route leaves out are exact zeros
+            cols = parity[:u.shape[1]]
+            assert not np.any(gram[np.ix_(cols == 0, cols == 1)])
+            want = np.linalg.norm(gram, 2)
+            assert abs(qf.unitarity_defect(n_top) - want) <= 1e-15
+        assert qf.unitarity_defect() > 1e-12
 
     def test_unitarity_defect_rejects_unevolved_columns(self):
         space = FockSpace(1, 16, 0.5)
@@ -620,6 +725,28 @@ class TestConjugateObservable:
         assert trusted_block_diff(got, full, space, 5) <= bound
         with pytest.raises(DimensionMismatchError):
             trusted_block_diff(got, full, space, 6)
+
+    def test_memory_below_one_dense_operator(self, rng):
+        # b^Wick acts on the evolved columns as a sparse matrix: at d=3,
+        # N=16 the call stays below the 969^2 x 16 B = 15 MB of the dense
+        # quantization alone
+        space = FockSpace(3, 16, 0.5)
+        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        h = QuadraticHamiltonian(3, alpha=np.diag([0.3, -0.2, 0.1]), beta=(m + m.T) / 4,
+                                 t_end=0.01, dt=5e-3)
+        qf = quantum_flow(h, space, 0.01, trusted_n=8, leak_threshold=np.inf)
+        b = random_symbol(rng, 3, 4)
+        # a first call fills the shared ladder tables; the bound is on the
+        # call
+        conjugate_observable(qf, b)
+        tracemalloc.start()
+        try:
+            got = conjugate_observable(qf, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (qf.columns.shape[1],) * 2
+        assert peak < space.total_dim ** 2 * 16
 
     def test_central_cross_check_converged_cutoff(self):
         # evolved quartic observable against the exponential-engine symbol,
