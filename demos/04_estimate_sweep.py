@@ -24,7 +24,7 @@ rng = np.random.Generator(np.random.Philox(11))
 space = FockSpace(2, 10, 0.5)
 beta = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
 beta = 0.5 * (beta + beta.T)
-rep = check_estimates(beta, space, ks=(1, 2), n_samples=400, rng=rng)
+rep = check_estimates(beta, space, n_samples=400, rng=rng)
 print(f"generator bound      max ratio {rep['max_ratio_generator']:.3f}")
 for k, v in rep["max_ratio_commutator"].items():
     print(f"commutator bound k={k} max ratio {v:.3f}")
@@ -53,6 +53,6 @@ print(f"second-order bound   max ratio {worst:.3f}")
 
 # soft growth bound of the quantum flow in the number scale
 growth = check_growth_bound(np.array([[0.8]]), FockSpace(1, 18, 0.5), 0.6,
-                            ks=(1, 2), n_samples=200, rng=rng)
+                            n_samples=200, rng=rng)
 for k, v in growth["max_ratio"].items():
     print(f"growth bound k={k}    max ratio {v:.3f}")

@@ -182,7 +182,7 @@ def cmd_estimates(scenario: Scenario, args) -> tuple[int, dict]:
 
     beta0 = h.beta_matrix(0.0)
     space = FockSpace(dim, scenario.n_max, scenario.epsilon)
-    fock_rep = check_estimates(beta0, space, ks=(1, 2), n_samples=n_samples, rng=rng)
+    fock_rep = check_estimates(beta0, space, n_samples=n_samples, rng=rng)
     rows.append({"name": "generator_bound", "samples": n_samples,
                  "max_ratio": fock_rep["max_ratio_generator"],
                  "vacuous": fock_rep["vacuous"],
@@ -245,8 +245,7 @@ def cmd_estimates(scenario: Scenario, args) -> tuple[int, dict]:
                  "pass": worst <= 1.0 + 1e-12})
 
     if np.any(beta0):
-        growth = check_growth_bound(beta0, space, min(t, 1.0), ks=(1, 2),
-                                    n_samples=n_samples, rng=rng)
+        growth = check_growth_bound(beta0, space, min(t, 1.0), n_samples=n_samples, rng=rng)
         for k, v in growth["max_ratio"].items():
             rows.append({"name": f"growth_bound_k{k}", "samples": n_samples,
                          "max_ratio": v, "vacuous": False, "pass": v <= 1.0})

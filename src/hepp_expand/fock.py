@@ -11,11 +11,10 @@ blocks.
 Quantization of a plain monomial conj(z)^m z^n is the normally ordered
 ladder product eps^((|m|+|n|)/2) prod a_i^dag^{m_i} prod a_i^{n_i}.
 That product is a ladder map with at most one nonzero per column
-(``sectors.ladder_entries``).  The entries of all monomials of one
-order are stacked once per cutoff (``sectors.ladder_table``), so the
-nonzeros of b^Wick on sectors 0..n_top are the table's values times
-the symbol's coefficients, with no Python step per monomial.  They
-are read three ways: summed into a dense matrix (``wick_quantize``), or
+(``sectors.ladder_entries``, cached per cutoff and monomial), so the
+nonzeros of b^Wick on sectors 0..n_top are the cached entries of each
+monomial with a nonzero coefficient, scaled by it.  They are read
+three ways: summed into a dense matrix (``wick_quantize``), or
 into its leading block on sectors 0..n_top alone (``wick_block``), or
 as a sparse matrix applied to a block of vectors (``wick_apply``).  A
 slow reference route through explicit symmetrizers validates them on
@@ -91,7 +90,8 @@ class FockSpace:
     def ladder_product(self, m_occ, n_occ) -> np.ndarray:
         """Dense matrix of prod_i a_i^dag^{m_i} prod_i a_i^{n_i}
         (no epsilon factor) on the truncated space."""
-        rows, cols, values = sec.ladder_entries(self.dim, self.n_max, m_occ, n_occ)
+        rows, cols, values = sec.ladder_entries(self.dim, self.n_max, tuple(map(int, m_occ)),
+                                                tuple(map(int, n_occ)))
         out = np.zeros((self.total_dim, self.total_dim), dtype=complex)
         out[rows, cols] = values
         return out
@@ -131,15 +131,13 @@ def _wick_entries(b: PolySymbol, space: FockSpace, n_top: int):
         raise DimensionMismatchError(f"dim {b.dim} vs {space.dim}")
     rows, cols, values = [], [], []
     for m, c in b.vectors.items():
-        r, k, v, monomial = sec.ladder_table(space.dim, n_top, m)
-        coeff = (c * space.epsilon ** (m / 2.0))[monomial]
-        # a sparse symbol, such as a preset monomial, keeps only its own entries
-        if not c.all():
-            keep = coeff != 0
-            r, k, v, coeff = r[keep], k[keep], v[keep], coeff[keep]
-        rows.append(r)
-        cols.append(k)
-        values.append(coeff * v)
+        occ, scale = sec.occupations(2 * space.dim, m), space.epsilon ** (m / 2.0)
+        # w^kappa = conj(z)^mu z^nu for the doubled occupation kappa = (nu, mu)
+        for j in np.flatnonzero(c):
+            r, k, v = sec.ladder_entries(space.dim, n_top, occ[j][space.dim:], occ[j][:space.dim])
+            rows.append(r)
+            cols.append(k)
+            values.append((c[j] * scale) * v)
     if not rows:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
@@ -269,9 +267,8 @@ class QuantumFlowResult:
     kept (``time_error``).
     """
 
-    def __init__(self, space, t, columns, leakage_trace, trusted_n, integrator=None):
+    def __init__(self, space, columns, leakage_trace, trusted_n, integrator=None):
         self.space = space
-        self.t = t
         self.columns = columns
         self.leakage_trace = leakage_trace
         self.trusted_n = trusted_n
@@ -360,7 +357,7 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
         for n, g in enumerate(gamma_u(u_path.at(grid[-1]), space)):
             s = space.sector_slice(n)
             cols[s] = g @ cols[s]
-    return QuantumFlowResult(space, float(grid[-1]), cols, stepper.leak, trusted_n,
+    return QuantumFlowResult(space, cols, stepper.leak, trusted_n,
                              None if tol is None else stepper.report())
 
 
@@ -371,6 +368,8 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
 _GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 _W1, _W2 = 0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0
 _UNIT_ROUNDOFF = 2.0 ** -53
+# Gram entries the leakage gate holds at once (complex, 4 MB)
+_GATE_CHUNK = 2 ** 18
 
 
 class _ColumnStepper:
@@ -532,13 +531,16 @@ class _ColumnStepper:
             if ys.shape[1] > ys.shape[2]:
                 # the smaller Gram matrix: rows^* rows
                 ys = ys.conj().swapaxes(1, 2)
-            # Gram(tau) = sum_ij basis_i basis_j Y_i Y_j^*, from the 36 products
+            # Gram(tau) = sum_ij basis_i basis_j Y_i Y_j^*, from the 36 products,
+            # for a chunk of the inner points at a time
             n = ys.shape[1]
             flat = ys.reshape(6 * n, -1)
-            prods = (flat @ flat.conj().T).reshape(6, n, 6, n).swapaxes(1, 2)
-            gram = (pairs @ prods.reshape(36, n * n)).reshape(-1, n, n)
-            top = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
-            out[:-1] = np.maximum(out[:-1], top)
+            prods = (flat @ flat.conj().T).reshape(6, n, 6, n).swapaxes(1, 2).reshape(36, n * n)
+            chunk = max(1, _GATE_CHUNK // (n * n))
+            for lo in range(0, len(inner), chunk):
+                gram = (pairs[lo:lo + chunk] @ prods).reshape(-1, n, n)
+                top = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+                out[lo:lo + len(top)] = np.maximum(out[lo:lo + len(top)], top)
         return out
 
 
@@ -691,14 +693,19 @@ def conjugate_observable(qflow: QuantumFlowResult, b: PolySymbol) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # inequality checks
 
+# the powers k of (N/eps + 1) that the checks sample; the growth bound's slack
+_KS = (1, 2)
+_GROWTH_SLACK = 0.1
+
+
 def _beta_norm(beta_mat) -> float:
     # 2-vector norm of beta equals the HS norm of its coordinate matrix
     return float(np.linalg.norm(beta_mat, "fro"))
 
 
-def check_estimates(beta_mat, space: FockSpace, ks=(1, 2), n_samples: int = 100,
+def check_estimates(beta_mat, space: FockSpace, n_samples: int = 100,
                     rng: np.random.Generator = None) -> dict:
-    """Sample the generator bound and the commutator form bound.
+    """Sample the generator bound and the commutator form bound, k in _KS.
 
     Ratios are LHS over the stated RHS; every row should stay <= 1.
     With beta = 0 both sides vanish and rows are marked vacuous.
@@ -710,33 +717,32 @@ def check_estimates(beta_mat, space: FockSpace, ks=(1, 2), n_samples: int = 100,
     report = {"n_samples": n_samples, "beta_norm": bnorm, "vacuous": bnorm == 0.0}
     if bnorm == 0.0:
         report["max_ratio_generator"] = 0.0
-        report["max_ratio_commutator"] = {int(k): 0.0 for k in ks}
+        report["max_ratio_commutator"] = {k: 0.0 for k in _KS}
         return report
     q_op = wick_quantize(squeezing_hamiltonian_symbol(beta_mat), space) / eps
     nvec = space.number_values() / eps + 1.0
     gen_max = 0.0
-    comm_max = {int(k): 0.0 for k in ks}
+    comm_max = {k: 0.0 for k in _KS}
     for _ in range(n_samples):
         psi = space.random_state(rng, space.n_max - 2)
         qpsi = q_op @ psi
         gen_max = max(gen_max, np.linalg.norm(qpsi)
                       / (1.5 * bnorm * np.linalg.norm(nvec * psi)))
-        for k in ks:
+        for k in _KS:
             wpsi = (nvec ** k) * psi
             lhs = abs(2.0 * np.imag(np.vdot(qpsi, wpsi)))
             rhs = (3.0 ** k) * math.sqrt(2.0) * bnorm * np.real(np.vdot(psi, wpsi))
-            comm_max[int(k)] = max(comm_max[int(k)], lhs / rhs)
+            comm_max[k] = max(comm_max[k], lhs / rhs)
     report["max_ratio_generator"] = float(gen_max)
     report["max_ratio_commutator"] = {k: float(v) for k, v in comm_max.items()}
     return report
 
 
-def check_growth_bound(beta_mat, space: FockSpace, t: float, ks=(1, 2),
-                       n_samples: int = 50, rng: np.random.Generator = None,
-                       slack: float = 0.1) -> dict:
-    """Soft growth check for the time-independent flow:
+def check_growth_bound(beta_mat, space: FockSpace, t: float, n_samples: int = 50,
+                       rng: np.random.Generator = None) -> dict:
+    """Soft growth check for the time-independent flow, for k in _KS:
     ||(N/eps+1)^{k/2} U psi|| <= e^{3^k sqrt(2) ||beta|| t} ||(N/eps+1)^{k/2} psi||
-    with a truncation slack on the right-hand side.
+    with the truncation slack _GROWTH_SLACK on the right-hand side.
 
     The generator Q^Wick / eps does not depend on time, so U(t, 0) is the
     exact propagator V e^{-i t lambda / eps} V^* from the eigenpairs of the
@@ -751,16 +757,16 @@ def check_growth_bound(beta_mat, space: FockSpace, t: float, ks=(1, 2),
     n_cols = space.span_slice(n_top).stop
     u = (vecs * np.exp(-1j * t * lam / space.epsilon)) @ vecs[:n_cols].conj().T
     nvec = space.number_values() / space.epsilon + 1.0
-    out = {"t": t, "beta_norm": bnorm, "slack": slack}
+    out = {"t": t, "beta_norm": bnorm, "slack": _GROWTH_SLACK}
     ratios = {}
-    for k in ks:
-        bound = math.exp((3.0 ** k) * math.sqrt(2.0) * bnorm * t) * (1.0 + slack)
+    for k in _KS:
+        bound = math.exp((3.0 ** k) * math.sqrt(2.0) * bnorm * t) * (1.0 + _GROWTH_SLACK)
         worst = 0.0
         for _ in range(n_samples):
             psi = space.random_state(rng, n_top)
             lhs = np.linalg.norm((nvec ** (k / 2.0)) * (u @ psi[:n_cols]))
             rhs = bound * np.linalg.norm((nvec ** (k / 2.0)) * psi)
             worst = max(worst, lhs / rhs)
-        ratios[int(k)] = float(worst)
+        ratios[k] = float(worst)
     out["max_ratio"] = ratios
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,7 +147,6 @@ class Scenario:
     quad_nodes: int
     tolerances: dict
     seed: int
-    raw: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -186,7 +185,6 @@ class Scenario:
             quad_nodes=quad_nodes,
             tolerances=tol,
             seed=_integer(data.get("seed", 0), "seed", 0),
-            raw=data,
         )
 
     @classmethod

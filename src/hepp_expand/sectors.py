@@ -139,15 +139,17 @@ def creation_field(z: np.ndarray, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def raise_map(dim: int, n: int, i: int) -> np.ndarray:
-    """Index array: position of kappa + delta_i in sector n+1, per kappa."""
+def raise_table(dim: int, n: int):
+    """Arrays (up, weight) of shape (sector_dim(n), dim): the position of
+    kappa + delta_i in sector n+1, and kappa_i + 1.
+
+    The derivative d/dz_i of a degree-(n+1) coefficient vector c (plain
+    monomial coefficients) is c[up[:, i]] * weight[:, i].
+    """
     idx_hi = occupation_index(dim, n + 1)
-    out = np.empty(sector_dim(dim, n), dtype=np.int64)
-    for k, kappa in enumerate(occupations(dim, n)):
-        hi = list(kappa)
-        hi[i] += 1
-        out[k] = idx_hi[tuple(hi)]
-    return _frozen(out)
+    up = np.array([[idx_hi[kappa[:i] + (kappa[i] + 1,) + kappa[i + 1:]] for i in range(dim)]
+                   for kappa in occupations(dim, n)], dtype=np.int64)
+    return _frozen(up), _frozen(occupation_array(dim, n) + 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -158,68 +160,38 @@ def _direct_sum_tables(dim: int, n_max: int):
     offsets = np.cumsum([0] + [sector_dim(dim, n) for n in range(n_max + 1)])
     occ = np.concatenate([occupation_array(dim, n) for n in range(n_max + 1)])
     up = np.zeros((dim, offsets[n_max]), dtype=np.int64)
-    for i in range(dim):
-        for n in range(n_max):
-            up[i, offsets[n]:offsets[n + 1]] = raise_map(dim, n, i) + offsets[n + 1]
+    for n in range(n_max):
+        up[:, offsets[n]:offsets[n + 1]] = raise_table(dim, n)[0].T + offsets[n + 1]
     return _frozen(occ), _frozen(up)
 
 
-def ladder_entries(dim: int, n_max: int, mu, kappa):
+@lru_cache(maxsize=4096)
+def ladder_entries(dim: int, n_max: int, mu: tuple, kappa: tuple):
     """Nonzeros of prod_i a_i^dag^{mu_i} prod_i a_i^{kappa_i} on sectors 0..n_max.
 
     The product sends |r + kappa> to sqrt((r+kappa)!/r!) sqrt((r+mu)!/r!)
     |r + mu>, so every column holds at most one entry.  Returns
     (rows, cols, values) as positions in the direct sum of the sectors;
     the values are products of integer square roots taken in the order
-    the ladder operators act, with no epsilon factor.
+    the ladder operators act, with no epsilon factor.  Cached per cutoff
+    and pair of occupation tuples (bounded, so a sweep over cutoffs does
+    not keep every map); the arrays are frozen.
     """
     top = n_max - max(sum(mu), sum(kappa))
-    if top < 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     occ, up = _direct_sum_tables(dim, n_max)
     # residues r fill exactly the sectors 0..top, a prefix of the direct sum
-    res = occ[:sector_dim(dim + 1, top)]
+    res = occ[:sector_dim(dim + 1, top)] if top >= 0 else occ[:0]
     rows = cols = np.arange(res.shape[0])
     values = np.ones(res.shape[0])
     for i in range(dim):
-        for j in range(int(kappa[i])):
+        for j in range(kappa[i]):
             cols = up[i, cols]
             values = values * np.sqrt(res[:, i] + kappa[i] - j)
     for i in range(dim):
-        for j in range(int(mu[i])):
+        for j in range(mu[i]):
             rows = up[i, rows]
             values = values * np.sqrt(res[:, i] + j + 1)
-    return rows, cols, values
-
-
-@lru_cache(maxsize=16)
-def ladder_table(dim: int, n_max: int, m: int):
-    """``ladder_entries`` of every degree-m monomial, stacked.
-
-    The monomials are the occupations w^kappa = conj(z)^mu z^nu,
-    kappa = (nu, mu), of the m-sector of C^{2 dim}.  Returns (rows, cols,
-    values, monomial) with monomial[j] the position of the monomial that
-    entry j belongs to; each monomial's entries keep their order.  Bounded
-    cache: a table is as large as the quantization of a dense degree-m
-    symbol on sectors 0..n_max.
-    """
-    occ = occupations(2 * dim, m)
-    parts = [ladder_entries(dim, n_max, kappa[dim:], kappa[:dim]) for kappa in occ]
-    monomial = np.repeat(np.arange(len(occ)), [len(v) for _, _, v in parts])
-    rows, cols, values = (np.concatenate(x) for x in zip(*parts))
-    return _frozen(rows), _frozen(cols), _frozen(values), _frozen(monomial)
-
-
-@lru_cache(maxsize=None)
-def raise_table(dim: int, n: int):
-    """Arrays (up, weight) of shape (sector_dim(n), dim): the position of
-    kappa + delta_i in sector n+1, and kappa_i + 1.
-
-    The derivative d/dz_i of a degree-(n+1) coefficient vector c (plain
-    monomial coefficients) is c[up[:, i]] * weight[:, i].
-    """
-    up = np.stack([raise_map(dim, n, i) for i in range(dim)], axis=1)
-    return _frozen(up), _frozen(occupation_array(dim, n) + 1.0)
+    return _frozen(rows), _frozen(cols), _frozen(values)
 
 
 @lru_cache(maxsize=None)

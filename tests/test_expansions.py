@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hepp_expand import expansions
 from hepp_expand.expansions import (
@@ -314,6 +316,20 @@ class TestLambdaDerivativeOfLambda:
     def test_second_order_convergence(self, rng):
         h, flow = squeeze_setup()
         c = random_symbol(rng, 1, 4)
+        d1 = check_lambda_is_derivative_of_Lambda(flow, h, 0.5, c, h=0.02)["defect"]
+        d2 = check_lambda_is_derivative_of_Lambda(flow, h, 0.5, c, h=0.01)["defect"]
+        assert 3.0 < d1 / d2 < 5.0
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), dim=st.integers(1, 2),
+           degree=st.integers(2, 4))
+    def test_second_order_convergence_property(self, seed, dim, degree):
+        # the central difference of Lambda converges like h^2 for any
+        # time-dependent squeezing and any symbol of degree 2-4
+        rng = np.random.default_rng(seed)
+        h = QuadraticHamiltonian(dim, beta=random_beta(rng, dim), t_end=1.0, dt=1e-3)
+        flow = integrate_flow(h)
+        c = random_symbol(rng, dim, degree)
         d1 = check_lambda_is_derivative_of_Lambda(flow, h, 0.5, c, h=0.02)["defect"]
         d2 = check_lambda_is_derivative_of_Lambda(flow, h, 0.5, c, h=0.01)["defect"]
         assert 3.0 < d1 / d2 < 5.0

@@ -1,10 +1,13 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag, expm
 
+import hepp_expand.fock as fock
 import hepp_expand.sectors as sec
 from hepp_expand.errors import DimensionMismatchError, LeakageError
 from hepp_expand.expansions import exp_expand
@@ -236,7 +239,7 @@ class TestWickQuantize:
 
     @pytest.mark.parametrize("dim, n_max", [(1, 9), (2, 7), (3, 5)])
     def test_matches_the_monomial_loop(self, rng, dim, n_max):
-        # the stacked tables multiply and sum the same numbers in the same
+        # the quantization multiplies and sums the same numbers in the same
         # order as the loop: the results are equal, not just close
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         first, last = (1,) + (0,) * (dim - 1), (0,) * (dim - 1) + (2,)
@@ -279,6 +282,36 @@ class TestWickBlock:
             wick_block(random_symbol(rng, 1, 2), space, 2)
 
 
+class TestLadderMaps:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_raise_tables_match_the_enumeration(self, dim):
+        offsets = np.cumsum([0] + [sec.sector_dim(dim, n) for n in range(7)])
+        occ, stacked = sec._direct_sum_tables(dim, 6)
+        assert len(occ) == offsets[-1]
+        for n in range(7):
+            up, weight = sec.raise_table(dim, n)
+            index = sec.occupation_index(dim, n + 1)
+            for k, kappa in enumerate(sec.occupations(dim, n)):
+                assert tuple(occ[offsets[n] + k]) == kappa
+                for i in range(dim):
+                    hi = list(kappa)
+                    hi[i] += 1
+                    assert up[k, i] == index[tuple(hi)]
+                    assert weight[k, i] == kappa[i] + 1
+                    if n < 6:
+                        assert stacked[i, offsets[n] + k] == offsets[n + 1] + index[tuple(hi)]
+
+    def test_entries_are_cached_and_frozen(self):
+        space = FockSpace(2, 6, 0.5)
+        first = sec.ladder_entries(2, 6, (1, 0), (0, 2))
+        assert sec.ladder_entries(2, 6, (1, 0), (0, 2)) is first
+        assert not any(a.flags.writeable for a in first)
+        # the public ladder product takes any sequence of occupations
+        got = space.ladder_product(np.array([1, 0]), [0, 2])
+        assert np.array_equal(got, dense_ladder_product(space, (1, 0), (0, 2)))
+        assert sec.ladder_entries.cache_info().maxsize is not None
+
+
 class TestWickApply:
     def test_rejects_what_wick_quantize_rejects(self, rng):
         space = FockSpace(1, 3, 0.5)
@@ -294,6 +327,21 @@ class TestWickApply:
         got = wick_apply(PolySymbol.constant(2, 0.0), space, vectors)
         assert got.shape == vectors.shape
         assert not np.any(got)
+
+    def test_cold_monomial_memory(self):
+        # a preset monomial reads its own ladder map only: a first call at
+        # d=3, N=24 builds none of the other 125 degree-4 monomials' maps
+        code = ("import tracemalloc; import numpy as np; "
+                "from hepp_expand.fock import FockSpace, wick_apply; "
+                "from hepp_expand.symbols import preset_symbol; "
+                "space = FockSpace(3, 24, 0.5); "
+                "v = np.random.default_rng(0).standard_normal((space.total_dim, 4)) + 0j; "
+                "b = preset_symbol('quartic-cross', 3); "
+                "tracemalloc.start(); wick_apply(b, space, v); "
+                "print(tracemalloc.get_traced_memory()[1])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 20e6
 
 
 class TestFieldAndWeyl:
@@ -672,6 +720,44 @@ class TestMagnusFlow:
         assert qf.integrator["time_error"] > 1e-16
 
 
+def ci_d3_hamiltonian():
+    """The constant-coefficient d=3 Hamiltonian of the CI oracle scenario."""
+    alpha = np.array([[0.3, 0.1, 0.0], [0.1, -0.2, 0.05], [0.0, 0.05, 0.1]]) \
+        + 1j * np.array([[0.0, 0.05, 0.0], [-0.05, 0.0, 0.02], [0.0, -0.02, 0.0]])
+    beta = np.array([[0.1, 0.05, 0.0], [0.05, -0.08, 0.03], [0.0, 0.03, 0.06]]) \
+        + 1j * np.array([[0.02, 0.0, 0.04], [0.0, 0.01, 0.0], [0.04, 0.0, -0.03]])
+    return QuadraticHamiltonian(3, alpha=alpha, beta=beta, t_end=0.05, dt=5e-4)
+
+
+class TestLeakageGateMemory:
+    """The Hermite gate of a CF4 step spanning the d=3, N=16 grid."""
+
+    def test_memory_bound(self):
+        # the gate takes the inner points' Gram matrices in chunks: the
+        # whole stack of 99 would be ~13 MB on its own
+        h, space = ci_d3_hamiltonian(), FockSpace(3, 16, 0.5)
+        quantum_flow(h, space, trusted_n=8, leak_threshold=1e-4, tol=1e-7)
+        tracemalloc.start()
+        try:
+            qf = quantum_flow(h, space, trusted_n=8, leak_threshold=1e-4, tol=1e-7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert qf.integrator["steps"] == 1
+        assert peak < 27e6
+
+    def test_chunks_match_one_stack(self, monkeypatch):
+        h, space = ci_d3_hamiltonian(), FockSpace(3, 16, 0.5)
+        run = lambda: quantum_flow(h, space, trusted_n=8, leak_threshold=1e-4, tol=1e-7)
+        monkeypatch.setattr(fock, "_GATE_CHUNK", 2 ** 40)
+        whole = run().leakage_trace
+        # a few inner points per chunk, the last chunk short
+        monkeypatch.setattr(fock, "_GATE_CHUNK", 7 * 90 ** 2)
+        chunked = run().leakage_trace
+        assert np.abs(chunked - whole).max() <= 1e-12 * whole.max()
+        assert np.count_nonzero(whole) == len(whole) - 1
+
+
 @pytest.mark.parametrize("tol", [None, 1e-8], ids=["rk4", "magnus"])
 def test_leakage_gate_needs_untrusted_top_sectors(tol):
     # with trusted columns in the top two sectors, even a zero Hamiltonian
@@ -784,7 +870,7 @@ class TestEstimates:
         space = FockSpace(2, 10, 0.5)
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         m = (m + m.T) / 2
-        rep = check_estimates(m, space, ks=(1, 2), n_samples=300, rng=rng)
+        rep = check_estimates(m, space, n_samples=300, rng=rng)
         assert rep["max_ratio_generator"] <= 1.0
         assert all(v <= 1.0 for v in rep["max_ratio_commutator"].values())
 
@@ -794,7 +880,7 @@ class TestEstimates:
         # default evolved range: the check must evolve those columns too
         space = FockSpace(dim, 6, 0.5)
         m = np.eye(dim) * 0.6 + 0.1
-        rep = check_growth_bound(m, space, 0.3, ks=(1, 2), n_samples=20,
+        rep = check_growth_bound(m, space, 0.3, n_samples=20,
                                  rng=np.random.default_rng(5))
         h = QuadraticHamiltonian(dim, beta=m, t_end=0.3, dt=1e-3)
         u = quantum_flow(h, space, 0.3, trusted_n=space.n_max,
@@ -815,6 +901,6 @@ class TestEstimates:
 
     def test_growth_bound_soft(self, rng):
         space = FockSpace(1, 18, 0.5)
-        rep = check_growth_bound(np.array([[0.7]]), space, 0.5, ks=(1, 2),
+        rep = check_growth_bound(np.array([[0.7]]), space, 0.5,
                                  n_samples=40, rng=rng)
         assert all(v <= 1.0 for v in rep["max_ratio"].values())
