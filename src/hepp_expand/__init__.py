@@ -16,11 +16,9 @@ from .expansions import (
     ExpansionResult,
     Lambda_of_map,
     Lambda_t,
-    check_lambda_is_derivative_of_Lambda,
     dyson_expand,
     exp_expand,
     lambda_s,
-    lambda_s_via_bracket,
 )
 from .flow import (
     FlowResult,
@@ -36,14 +34,12 @@ from .fock import (
     check_estimates,
     check_growth_bound,
     conjugate_observable,
-    field_and_weyl,
     gamma_u,
     quantum_flow,
     trusted_block_diff,
     wick_apply,
     wick_block,
     wick_quantize,
-    wick_quantize_slow,
 )
 from .scenario import Scenario
 from .symbols import (
@@ -53,7 +49,6 @@ from .symbols import (
     laplacian,
     linear_form_bra,
     linear_form_ket,
-    poisson_bracket,
     preset_symbol,
     random_symbol,
     second_order_kernel,
@@ -71,12 +66,6 @@ from .symplectic import (
     is_symplectomorphism,
     random_symplectomorphism,
 )
-from .weylwick import (
-    bogoliubov_implementer,
-    check_weyl_conjugation,
-    exp_lambda_of_map,
-    weyl_from_wick,
-    wick_from_weyl,
-)
+from .weylwick import weyl_from_wick, wick_from_weyl
 
 __version__ = "0.1.0"

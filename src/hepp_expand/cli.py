@@ -181,6 +181,9 @@ def cmd_estimates(scenario: Scenario, args) -> tuple[int, dict]:
     rows = []
 
     beta0 = h.beta_matrix(0.0)
+    if np.any(beta0) and scenario.n_max < 2:
+        raise ScenarioError(f"fock.n_max {scenario.n_max} is below 2: the generator and "
+                            "commutator bounds quantize the degree-2 Q_beta")
     space = FockSpace(dim, scenario.n_max, scenario.epsilon)
     fock_rep = check_estimates(beta0, space, n_samples=n_samples, rng=rng)
     rows.append({"name": "generator_bound", "samples": n_samples,
@@ -308,9 +311,10 @@ def main(argv=None) -> int:
                         stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.samples < 1 or (args.seed is not None and args.seed < 0):
-        return _fail("input error", f"--samples must be >= 1 and --seed >= 0, got "
-                     f"{args.samples} and {args.seed}", EXIT_INPUT)
+    if (args.samples < 1 or (args.seed is not None and args.seed < 0)
+            or (args.threads is not None and args.threads < 1)):
+        return _fail("input error", f"--samples and --threads must be >= 1 and --seed >= 0, "
+                     f"got {args.samples}, {args.threads} and {args.seed}", EXIT_INPUT)
     if args.threads is not None:
         try:
             from threadpoolctl import threadpool_limits

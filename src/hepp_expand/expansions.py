@@ -20,9 +20,7 @@ from .symbols import (
     PolySymbol,
     apply_second_order_operator,
     apply_second_order_stack,
-    poisson_bracket,
     second_order_kernel,
-    squeezing_hamiltonian_symbol,
 )
 from .symplectic import RLinearMap, doubled
 
@@ -91,21 +89,6 @@ def lambda_s(c: PolySymbol, s: float, flow: FlowResult,
     """
     _require_base_zero(flow)
     return apply_second_order_operator(c, _generator_kernels(s, flow, hamiltonian)[0])
-
-
-def lambda_s_via_bracket(c: PolySymbol, s: float, flow: FlowResult,
-                         hamiltonian: QuadraticHamiltonian) -> PolySymbol:
-    """Same generator through its defining order-2 Poisson bracket with
-    the full quadratic Hamiltonian (the alpha part drops out of the
-    bracket identically)."""
-    _require_base_zero(flow)
-    g = c.compose_rlinear(flow.phi_inverse_at(s))
-    q = squeezing_hamiltonian_symbol(hamiltonian.beta_matrix(s))
-    alpha = hamiltonian.alpha_matrix(s)
-    if np.any(alpha):
-        q = q + PolySymbol(c.dim, {(1, 1): alpha})
-    bracket = poisson_bracket(g, q, 2)
-    return (-1j * bracket).compose_rlinear(flow.phi_at(s))
 
 
 def Lambda_t(c: PolySymbol, t: float, flow: FlowResult) -> PolySymbol:
@@ -205,30 +188,3 @@ def exp_expand(b: PolySymbol, t: float, flow: FlowResult, epsilon: float,
         power = Lambda_t(power, t, flow)
         terms.append((1.0 / math.factorial(k)) * power)
     return ExpansionResult("exponential", t, epsilon, terms)
-
-
-def check_lambda_is_derivative_of_Lambda(flow: FlowResult,
-                                         hamiltonian: QuadraticHamiltonian,
-                                         t: float, c: PolySymbol,
-                                         h: float = None) -> dict:
-    """Finite-difference check that d/ds Lambda^s = lambda^s.
-
-    Uses a central difference of Lambda over grid times (one-sided at
-    the left end, where Lambda vanishes); the defect is reported in the
-    polynomial norm and should shrink like h^2 (h at the left end).
-    """
-    if h is None:
-        h = float(flow.times[1] - flow.times[0])
-    if t + h > flow.times[-1] + 1e-12:
-        raise ValueError("h reaches beyond the flow grid")
-    lam = lambda_s(c, t, flow, hamiltonian)
-    at_left = abs(t - flow.times[0]) < 1e-12
-    if at_left:
-        diff = (1.0 / h) * Lambda_t(c, t + h, flow)
-    else:
-        if t - h < flow.times[0] - 1e-12:
-            raise ValueError("h reaches beyond the flow grid")
-        diff = (1.0 / (2.0 * h)) * (Lambda_t(c, t + h, flow) - Lambda_t(c, t - h, flow))
-    defect = diff.distance_p(lam)
-    return {"t": t, "h": h, "one_sided": at_left, "defect": defect,
-            "lambda_norm": lam.norm_p()}

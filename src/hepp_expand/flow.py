@@ -118,9 +118,6 @@ class QuadraticHamiltonian:
         b = self.beta.on(np.atleast_1d(np.asarray(times, dtype=float)))
         return (b + np.swapaxes(b, 1, 2)) / 2.0
 
-    def alpha_matrix(self, t: float) -> np.ndarray:
-        return self.alpha_on(t)[0]
-
     def beta_matrix(self, t: float) -> np.ndarray:
         return self.beta_on(t)[0]
 
@@ -252,10 +249,6 @@ class FlowResult:
         """Dense output: phi(s, t_start) anywhere in the time range."""
         lm, am = self.phi_on(s)
         return RLinearMap(lm[0], am[0])
-
-    def phi_inverse_at(self, s: float) -> RLinearMap:
-        """phi(t_start, s) as the symplectic inverse L* - A*."""
-        return self.phi_at(s).inverse()
 
     def max_defect(self) -> float:
         return float(self.defects.max())

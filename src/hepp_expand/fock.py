@@ -16,9 +16,7 @@ nonzeros of b^Wick on sectors 0..n_top are the cached entries of each
 monomial with a nonzero coefficient, scaled by it.  They are read
 three ways: summed into a dense matrix (``wick_quantize``), or
 into its leading block on sectors 0..n_top alone (``wick_block``), or
-as a sparse matrix applied to a block of vectors (``wick_apply``).  A
-slow reference route through explicit symmetrizers validates them on
-tiny sectors (see ``wick_quantize_slow``).
+as a sparse matrix applied to a block of vectors (``wick_apply``).
 
 The quantum flow uses the same ladder maps for its pair generator: a
 CSR matrix with a pattern fixed per run, whose data at time t is the
@@ -54,7 +52,7 @@ import numpy as np
 from . import sectors as sec
 from .errors import DimensionMismatchError, LeakageError
 from .flow import QuadraticHamiltonian, grid_index, integrate_u_alpha
-from .symbols import PolySymbol, preset_symbol, squeezing_hamiltonian_symbol
+from .symbols import PolySymbol, squeezing_hamiltonian_symbol
 
 _EPS_DEFAULT = 0.5
 _UNITARY_TOL = 1e-10
@@ -188,41 +186,6 @@ def wick_apply(b: PolySymbol, space: FockSpace, vectors: np.ndarray) -> np.ndarr
     rows, cols, values = _wick_entries(b, space, space.n_max)
     n = space.total_dim
     return sparse.csr_matrix((values, (rows, cols)), shape=(n, n)) @ vectors
-
-
-def wick_quantize_slow(b: PolySymbol, space: FockSpace) -> np.ndarray:
-    """Reference quantization through explicit symmetrizer embeddings.
-
-    Builds each block as the stated combinatorial factor times
-    (coefficient vee identity) in full tensor coordinates.  Exponential
-    in n_max; intended only to validate the fast path on tiny spaces.
-    """
-    if b.dim != space.dim:
-        raise DimensionMismatchError(f"dim {b.dim} vs {space.dim}")
-    dim = space.dim
-    out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    for (p, q), coeff in b.terms.items():
-        tensor = sec.onb_embedding(dim, q) @ coeff @ sec.onb_embedding(dim, p).conj().T
-        scale = space.epsilon ** ((p + q) / 2.0)
-        for n_in in range(p, space.n_max + 1):
-            n_out = n_in - p + q
-            if n_out > space.n_max:
-                continue
-            factor = math.sqrt(math.factorial(n_in) * math.factorial(n_out)) \
-                / math.factorial(n_in - p)
-            big = np.kron(tensor, np.eye(dim ** (n_in - p)))
-            blk = sec.onb_embedding(dim, n_out).conj().T @ big @ sec.onb_embedding(dim, n_in)
-            out[space.sector_slice(n_out), space.sector_slice(n_in)] += factor * scale * blk
-    return out
-
-
-def field_and_weyl(xi, space: FockSpace):
-    """Field operator of sqrt(2) Re<z, xi> and its Weyl exponential."""
-    from scipy.linalg import expm
-
-    xi = np.asarray(xi, dtype=complex)
-    phi = wick_quantize(preset_symbol("field", space.dim, xi=xi), space)
-    return phi, expm(1j * phi)
 
 
 def gamma_u(u, space: FockSpace) -> list:

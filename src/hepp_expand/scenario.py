@@ -30,7 +30,7 @@ _DEFAULT_TOLERANCES = {
 _KEYS = ("schema_version", "dim", "epsilon", "t_end", "dt", "alpha", "beta",
          "observable", "fock", "quad", "tolerances", "seed")
 
-# the Hermiticity bound QuadraticHamiltonian.alpha_matrix enforces
+# the Hermiticity bound QuadraticHamiltonian.alpha_on enforces
 _HERMITIAN_TOL = 1e-12
 
 
@@ -205,7 +205,7 @@ class Scenario:
             # pad a t_end = 0 request to one step; commands still evaluate
             # at the requested time, which stays on the grid
             return QuadraticHamiltonian(self.dim, alpha=alpha, beta=beta,
-                                        t_end=max(self.t_end, self.dt), dt=self.dt)
+                                        t_end=self.t_end or self.dt, dt=self.dt)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
 

@@ -104,41 +104,6 @@ def coeff_scale(dim: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def annihilators(dim: int, n: int) -> tuple[np.ndarray, ...]:
-    """Mode annihilation matrices a_i mapping sector n -> n-1.
-
-    a_i|kappa> = sqrt(kappa_i) |kappa - delta_i>, no epsilon factor.
-    """
-    if n == 0:
-        return tuple(np.zeros((0, 1), dtype=complex) for _ in range(dim))
-    occ = occupations(dim, n)
-    idx_lo = occupation_index(dim, n - 1)
-    mats = []
-    for i in range(dim):
-        m = np.zeros((sector_dim(dim, n - 1), sector_dim(dim, n)), dtype=complex)
-        for col, kappa in enumerate(occ):
-            if kappa[i] > 0:
-                low = list(kappa)
-                low[i] -= 1
-                m[idx_lo[tuple(low)], col] = math.sqrt(kappa[i])
-        mats.append(_frozen(m))
-    return tuple(mats)
-
-
-@lru_cache(maxsize=None)
-def creators(dim: int, n: int) -> tuple[np.ndarray, ...]:
-    """Mode creation matrices a_i^dag mapping sector n -> n+1."""
-    return tuple(_frozen(a.conj().T.copy()) for a in annihilators(dim, n + 1))
-
-
-def creation_field(z: np.ndarray, n: int) -> np.ndarray:
-    """Sum_i z_i a_i^dag as a matrix from sector n to n+1."""
-    dim = len(z)
-    ups = creators(dim, n)
-    return sum(z[i] * ups[i] for i in range(dim))
-
-
-@lru_cache(maxsize=None)
 def raise_table(dim: int, n: int):
     """Arrays (up, weight) of shape (sector_dim(n), dim): the position of
     kappa + delta_i in sector n+1, and kappa_i + 1.
@@ -238,47 +203,3 @@ def merge_map(dim: int, n1: int, n2: int) -> np.ndarray:
         for b, kb in enumerate(occ2):
             out[a, b] = idx_hi[tuple(x + y for x, y in zip(ka, kb))]
     return _frozen(out)
-
-
-@lru_cache(maxsize=None)
-def sym_mult_map(dim: int, n1: int, n2: int) -> np.ndarray:
-    """The vee-multiplication tensor M: sector n1 (x) sector n2 -> sector n1+n2.
-
-    (psi vee chi)_kappa = sum_{k1+k2=kappa} M[kappa, k1, k2] psi_k1 chi_k2
-    with M = sqrt(n1! n2! / (n1+n2)!) * sqrt(kappa!/(k1! k2!)).
-    Pins the paper's vee-product: the pair blocks of a quantized squeezing
-    Hamiltonian are beta vee (.) up to sector factors.
-    """
-    d1, d2 = sector_dim(dim, n1), sector_dim(dim, n2)
-    out = np.zeros((sector_dim(dim, n1 + n2), d1, d2))
-    f1 = occ_factorials(dim, n1)
-    f2 = occ_factorials(dim, n2)
-    fh = occ_factorials(dim, n1 + n2)
-    mm = merge_map(dim, n1, n2)
-    pref = math.sqrt(math.factorial(n1) * math.factorial(n2) / math.factorial(n1 + n2))
-    for a in range(d1):
-        for b in range(d2):
-            k = mm[a, b]
-            out[k, a, b] = pref * math.sqrt(fh[k] / (f1[a] * f2[b]))
-    return _frozen(out)
-
-
-@lru_cache(maxsize=None)
-def onb_embedding(dim: int, n: int) -> np.ndarray:
-    """Isometry from the sector basis into full tensor coordinates.
-
-    Column kappa holds the d^n coordinates of |kappa>; the entry at a
-    tensor position with content kappa is sqrt(kappa!/n!).  Intended for
-    small n only (reference checks against explicit symmetrizers).
-    """
-    cols = sector_dim(dim, n)
-    v = np.zeros((dim**n, cols))
-    fk = occ_factorials(dim, n)
-    idx = occupation_index(dim, n)
-    for pos, word in enumerate(itertools.product(range(dim), repeat=n)):
-        occ = [0] * dim
-        for i in word:
-            occ[i] += 1
-        k = idx[tuple(occ)]
-        v[pos, k] = math.sqrt(fk[k] / math.factorial(n))
-    return _frozen(v)

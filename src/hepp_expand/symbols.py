@@ -20,9 +20,8 @@ JSON, the norms and the reference quantization.  On the vectors
 - every second-order operator is sum_ij K_ij d_wi d_wj b for a symmetric
   2d x 2d matrix K (`apply_second_order_operator`).
 
-The duality pairing of a k-form against a k-vector, from which the
-Poisson brackets, the Wick product and the expansion generators are
-built, sums (d_z^k b1)_(i1..ik) (d_zbar^k b2)_(i1..ik) over ordered index
+The duality pairing of a k-form against a k-vector (`contraction`),
+from which the Wick product is built, sums (d_z^k b1)_(i1..ik) (d_zbar^k b2)_(i1..ik) over ordered index
 tuples; that equals the multinomial-weighted sum over Wirtinger
 derivatives sum_{|kap|=k} (k!/kap!) D_z^kap b1 D_zbar^kap b2.
 """
@@ -207,9 +206,6 @@ class PolySymbol:
     def distance_p(self, other: "PolySymbol") -> float:
         return (self - other).norm_p()
 
-    def allclose(self, other: "PolySymbol", atol: float = 1e-12) -> bool:
-        return self.distance_max(other) <= atol
-
     # -- calculus ------------------------------------------------------------
 
     def derivative_poly(self, m_occ, n_occ) -> "PolySymbol":
@@ -334,14 +330,6 @@ def contraction(b1: PolySymbol, b2: PolySymbol, k: int) -> PolySymbol:
                 out[m1 + m2] = np.zeros(sec.sector_dim(n, m1 + m2), dtype=complex)
             np.add.at(out[m1 + m2], sec.merge_map(n, m1, m2), a1 @ a2.T)
     return PolySymbol._from_vectors(d, out)
-
-
-def poisson_bracket(b1: PolySymbol, b2: PolySymbol, k: int, z=None):
-    """Poisson bracket of order k; a polynomial, or its value at z."""
-    sym = contraction(b1, b2, k) - contraction(b2, b1, k)
-    if z is None:
-        return sym
-    return sym.evaluate(z)
 
 
 def wick_product_symbol(b1: PolySymbol, b2: PolySymbol, epsilon: float) -> PolySymbol:

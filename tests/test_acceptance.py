@@ -19,7 +19,6 @@ import hepp_expand.sectors as sec
 from hepp_expand.cli import main
 from hepp_expand.expansions import (
     Lambda_t,
-    check_lambda_is_derivative_of_Lambda,
     dyson_expand,
     exp_expand,
 )
@@ -27,7 +26,6 @@ from hepp_expand.flow import QuadraticHamiltonian, integrate_flow, v_vector
 from hepp_expand.fock import (
     FockSpace,
     conjugate_observable,
-    field_and_weyl,
     quantum_flow,
     trusted_block_diff,
     wick_quantize,
@@ -47,10 +45,8 @@ from hepp_expand.symplectic import (
 )
 from hepp_expand.weylwick import weyl_from_wick, wick_from_weyl
 
-
-def squeeze_setup(t_end, dt=1e-3):
-    h = QuadraticHamiltonian(1, beta=np.array([[1.0]]), t_end=t_end, dt=dt)
-    return h, integrate_flow(h)
+from conftest import squeeze_setup
+from reference import check_lambda_is_derivative_of_Lambda, field_and_weyl
 
 
 def test_criterion_1_worked_example():

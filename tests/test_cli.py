@@ -279,8 +279,9 @@ def test_unexpected_exception_exit_codes(tmp_path, capsys, monkeypatch, exc, cod
     assert err.startswith(prefix) and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("flags", [["--samples", "0"], ["--seed", "-1"]],
-                         ids=["zero-samples", "negative-seed"])
+@pytest.mark.parametrize("flags", [["--samples", "0"], ["--seed", "-1"], ["--threads", "0"],
+                                   ["--threads", "-2"]],
+                         ids=["zero-samples", "negative-seed", "zero-threads", "negative-threads"])
 def test_bad_flags_exit_two(tmp_path, capsys, flags):
     path = write_scenario(tmp_path, base_scenario(t_end=0.01))
     assert main(["estimates", path] + flags) == 2
@@ -325,7 +326,30 @@ def test_report_gives_effective_dt(tmp_path, capsys):
     assert report["dt"] == pytest.approx(0.00105, rel=1e-12)
 
 
+def test_t_end_below_dt_is_one_short_step(tmp_path, capsys):
+    # 0 < t_end < dt: the grid is the one step [0, t_end], not [0, dt]
+    with open(os.path.join(REPO, "demos", "scenarios", "oracle-im-z2.json")) as fh:
+        data = json.load(fh)
+    data.update(t_end=0.0004, dt=1e-3)
+    path = write_scenario(tmp_path, data)
+    for command in ("flow", "expand", "oracle", "estimates"):
+        code, report = run_main([command, path, "--samples", "10"], capsys)
+        assert code == 0, command
+        assert report["t_end"] == 0.0004 and report["dt"] == pytest.approx(0.0004, rel=1e-12)
+        if command == "flow":
+            assert report["phi_samples"][-1]["t"] == pytest.approx(0.0004, rel=1e-12)
+
+
 class TestEstimatesCommand:
+    @pytest.mark.parametrize("n_max", [0, 1])
+    def test_cutoff_below_generator_degree_exit_two(self, tmp_path, capsys, n_max):
+        # the generator and commutator bounds quantize the degree-2 Q_beta
+        data = base_scenario(t_end=0.01, fock={"n_max": n_max})
+        assert main(["estimates", write_scenario(tmp_path, data), "--samples", "5"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("hepp-expand: scenario error:") and "n_max" in err
+        assert len(err.splitlines()) == 1
+
     def test_rows_pass(self, tmp_path, capsys):
         data = base_scenario(t_end=0.3, fock={"n_max": 14})
         code, report = run_main(

@@ -9,20 +9,16 @@ from hepp_expand import expansions
 from hepp_expand.expansions import (
     Lambda_of_map,
     Lambda_t,
-    check_lambda_is_derivative_of_Lambda,
     dyson_expand,
     exp_expand,
     lambda_s,
-    lambda_s_via_bracket,
 )
 from hepp_expand.flow import QuadraticHamiltonian, integrate_flow
 from hepp_expand.symbols import PolySymbol, preset_symbol, random_symbol
 from hepp_expand.symplectic import random_symplectomorphism
 
-
-def squeeze_setup(t_end=1.0, dt=1e-3):
-    h = QuadraticHamiltonian(1, beta=np.array([[1.0]]), t_end=t_end, dt=dt)
-    return h, integrate_flow(h)
+from conftest import squeeze_setup
+from reference import check_lambda_is_derivative_of_Lambda, lambda_s_via_bracket
 
 
 def random_beta(rng, dim):

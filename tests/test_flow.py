@@ -12,11 +12,7 @@ from hepp_expand.flow import (
 )
 from hepp_expand.symplectic import RLinearMap, is_symplectomorphism
 
-from conftest import random_vector
-
-
-def squeeze_hamiltonian(t_end=1.0, dt=1e-3):
-    return QuadraticHamiltonian(1, beta=np.array([[1.0]]), t_end=t_end, dt=dt)
+from conftest import random_vector, squeeze_setup
 
 
 class TestUnitaryPath:
@@ -86,7 +82,7 @@ class TestIntegrateFlow:
         assert flow.phi(0.0).distance(RLinearMap.identity(2)) == 0.0
 
     def test_squeeze_closed_form(self):
-        flow = integrate_flow(squeeze_hamiltonian())
+        _, flow = squeeze_setup()
         phi = flow.phi(1.0)
         assert abs(phi.linear[0, 0] - np.cosh(1.0)) < 1e-8
         assert abs(phi.antilinear[0, 0] - np.sinh(1.0)) < 1e-8
@@ -117,14 +113,14 @@ class TestIntegrateFlow:
             assert abs(lhs - rhs) < 1e-8
 
     def test_norm_at_least_one(self):
-        flow = integrate_flow(squeeze_hamiltonian())
+        _, flow = squeeze_setup()
         for t in (0.0, 0.5, 1.0):
             assert flow.phi(t).norm_x() >= 1.0 - 1e-12
 
     def test_rk4_order(self):
         errs = []
         for dt in (2e-2, 1e-2):
-            flow = integrate_flow(squeeze_hamiltonian(dt=dt))
+            _, flow = squeeze_setup(dt=dt)
             phi = flow.phi(1.0)
             errs.append(abs(phi.linear[0, 0] - np.cosh(1.0))
                         + abs(phi.antilinear[0, 0] - np.sinh(1.0)))
@@ -132,7 +128,7 @@ class TestIntegrateFlow:
         assert 12.0 < ratio < 20.0
 
     def test_defects_recorded(self):
-        flow = integrate_flow(squeeze_hamiltonian())
+        _, flow = squeeze_setup()
         assert flow.max_defect() < 1e-8
 
     def test_step_propagators_match_plain_rk4(self, rng):
@@ -144,7 +140,7 @@ class TestIntegrateFlow:
                                  beta=lambda t: (1 + t) * m0, t_end=0.5, dt=5e-3)
 
         def rhs(t, y):
-            alpha, beta = h.alpha_matrix(t), h.beta_matrix(t)
+            alpha, beta = h.alpha_on(t)[0], h.beta_matrix(t)
             return -1j * (alpha @ y) + beta @ np.conj(y[::-1])
 
         grid = h.grid()
@@ -196,7 +192,7 @@ class TestIntegrateFlow:
             integrate_flow(h)
 
     def test_off_grid_time_raises(self):
-        flow = integrate_flow(squeeze_hamiltonian(dt=1e-2))
+        _, flow = squeeze_setup(dt=1e-2)
         with pytest.raises(ValueError):
             flow.phi(0.5050001)
 
@@ -215,13 +211,13 @@ class TestIntegrateFlow:
             dim = len(beta)
             h = QuadraticHamiltonian(dim, alpha=alpha, beta=beta, t_end=1.0, dt=1e-2)
             flow = integrate_flow(h)
-            a = h.alpha_matrix(0.0)
+            a = h.alpha_on(0.0)[0]
             gen = np.block([[-1j * a, beta], [np.conj(beta), 1j * np.conj(a)]])
             exact = expm(mid * gen)[:, :dim]
             phi = flow.phi_at(mid)
             assert np.abs(phi.linear - exact[:dim]).max() < 1e-8
             assert np.abs(phi.antilinear - np.conj(exact[dim:])).max() < 1e-8
-            inv = flow.phi_inverse_at(mid)
+            inv = flow.phi_at(mid).inverse()
             assert inv.compose(phi).distance(RLinearMap.identity(dim)) < 1e-8
 
     def test_alpha_beta_factorization_consistency(self, rng):
@@ -336,11 +332,11 @@ class TestSampledCoefficients:
 
 class TestVVector:
     def test_zero_at_start(self):
-        flow = integrate_flow(squeeze_hamiltonian())
+        _, flow = squeeze_setup()
         assert np.abs(v_vector(flow, 0.0)).max() == 0.0
 
     def test_squeeze_value(self):
-        flow = integrate_flow(squeeze_hamiltonian())
+        _, flow = squeeze_setup()
         for t in (0.3, 1.0):
             v = v_vector(flow, t)
             assert abs(v[0, 0] - np.cosh(t) * np.sinh(t)) < 1e-8

@@ -17,14 +17,12 @@ from hepp_expand.fock import (
     check_estimates,
     check_growth_bound,
     conjugate_observable,
-    field_and_weyl,
     gamma_u,
     quantum_flow,
     trusted_block_diff,
     wick_apply,
     wick_block,
     wick_quantize,
-    wick_quantize_slow,
 )
 from hepp_expand.symbols import (
     PolySymbol,
@@ -35,12 +33,14 @@ from hepp_expand.symbols import (
 )
 from hepp_expand.symplectic import RLinearMap
 
-from conftest import random_vector
-
-
-def random_unitary(rng, dim):
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+from conftest import random_unitary, random_vector
+from reference import (
+    dense_ladder_product,
+    field_and_weyl,
+    loop_gamma_u,
+    sym_mult_map,
+    wick_quantize_slow,
+)
 
 
 def pair_coordinates(m):
@@ -54,29 +54,6 @@ def pair_coordinates(m):
     return np.array(out)
 
 
-def dense_ladder_product(space, m_occ, n_occ):
-    """Reference: prod a_i^dag^{m_i} prod a_i^{n_i} as products of the
-    sector ladder matrices, one sector block at a time."""
-    p, q = sum(n_occ), sum(m_occ)
-    out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    for n_in in range(p, space.n_max + 1):
-        n_out = n_in - p + q
-        if n_out > space.n_max:
-            continue
-        blk = np.eye(space.sector_dims[n_in], dtype=complex)
-        cur = n_in
-        for i, reps in enumerate(n_occ):
-            for _ in range(int(reps)):
-                blk = sec.annihilators(space.dim, cur)[i] @ blk
-                cur -= 1
-        for i, reps in enumerate(m_occ):
-            for _ in range(int(reps)):
-                blk = sec.creators(space.dim, cur)[i] @ blk
-                cur += 1
-        out[space.sector_slice(n_out), space.sector_slice(n_in)] = blk
-    return out
-
-
 def loop_wick_quantize(b, space):
     """Reference: b^Wick as one dense ladder product per nonzero entry of
     the symbol's doubled-variable vectors, summed monomial by monomial."""
@@ -87,24 +64,6 @@ def loop_wick_quantize(b, space):
             rows, cols, values = sec.ladder_entries(
                 space.dim, space.n_max, occ[k][space.dim:], occ[k][:space.dim])
             out[rows, cols] += (c[k] * space.epsilon ** (m / 2.0)) * values
-    return out
-
-
-def loop_gamma_u(u, space):
-    """Reference: Gamma(u) state by state, each basis vector built as
-    prod_i (sum_j u_ji a_j^dag)^{k_i} |0> / sqrt(k!)."""
-    out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    for n in range(space.n_max + 1):
-        blk = np.empty((space.sector_dims[n], space.sector_dims[n]), dtype=complex)
-        for k, kappa in enumerate(sec.occupations(space.dim, n)):
-            vec = np.ones(1, dtype=complex)
-            cur = 0
-            for i, reps in enumerate(kappa):
-                for _ in range(int(reps)):
-                    vec = sec.creation_field(u[:, i], cur) @ vec
-                    cur += 1
-            blk[:, k] = vec / math.sqrt(sec.occ_factorials(space.dim, n)[k])
-        out[space.sector_slice(n), space.sector_slice(n)] = blk
     return out
 
 
@@ -172,11 +131,11 @@ class TestWickQuantize:
         q_op = wick_quantize(squeezing_hamiltonian_symbol(m), space)
         bt = pair_coordinates(m)
         for n in (2, 3, 4):
-            up = np.einsum("kab,a->kb", sec.sym_mult_map(2, 2, n), bt)
+            up = np.einsum("kab,a->kb", sym_mult_map(2, 2, n), bt)
             s_in = space.sector_slice(n)
             got_up = (2j / space.epsilon) * q_op[space.sector_slice(n + 2), s_in]
             assert np.abs(got_up + math.sqrt((n + 2) * (n + 1)) * up).max() < 1e-12
-            down = np.einsum("kab,a->kb", sec.sym_mult_map(2, 2, n - 2), bt).conj().T
+            down = np.einsum("kab,a->kb", sym_mult_map(2, 2, n - 2), bt).conj().T
             got_down = (2j / space.epsilon) * q_op[space.sector_slice(n - 2), s_in]
             assert np.abs(got_down - math.sqrt(n * (n - 1)) * down).max() < 1e-12
 
@@ -429,12 +388,9 @@ class TestGammaU:
 
     def test_fills_no_dense_ladder_cache(self, rng):
         # the creators are applied from the raise table: the sectors
-        # module's dense per-sector ladder matrices stay unbuilt
-        sec.creators.cache_clear()
-        sec.annihilators.cache_clear()
+        # module keeps no dense per-sector ladder matrices at all
         gamma_u(random_unitary(rng, 3), FockSpace(3, 8, 0.5))
-        assert sec.creators.cache_info().currsize == 0
-        assert sec.annihilators.cache_info().currsize == 0
+        assert not hasattr(sec, "creators") and not hasattr(sec, "annihilators")
 
     def test_sector_blocks_memory_bound(self, rng):
         # the blocks hold sum_n dim(sector n)^2 entries, 1.8 MB at d=3,

@@ -9,12 +9,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hepp_expand.expansions import lambda_s, lambda_s_via_bracket
+from hepp_expand.expansions import lambda_s
 from hepp_expand.flow import QuadraticHamiltonian, integrate_flow
 from hepp_expand.fock import FockSpace, wick_apply, wick_quantize
 from hepp_expand.symbols import PolySymbol, random_symbol, wick_product_symbol
 from hepp_expand.symplectic import _GROUP_RTOL, _ZERO_TOL, decompose, random_symplectomorphism
 from hepp_expand.weylwick import weyl_from_wick, wick_from_weyl
+
+from reference import lambda_s_via_bracket
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=3)

@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import hepp_expand.sectors as sec
 from hepp_expand.errors import DimensionMismatchError
 from hepp_expand.symbols import (
     PolySymbol,
@@ -14,7 +13,6 @@ from hepp_expand.symbols import (
     laplacian,
     linear_form_bra,
     linear_form_ket,
-    poisson_bracket,
     preset_symbol,
     random_symbol,
     squeezing_hamiltonian_symbol,
@@ -23,6 +21,7 @@ from hepp_expand.symbols import (
 from hepp_expand.symplectic import RLinearMap, random_symplectomorphism
 
 from conftest import random_vector
+from reference import onb_embedding, poisson_bracket
 
 
 class TestEvaluate:
@@ -54,7 +53,7 @@ class TestEvaluate:
             powers = [np.ones(1, dtype=complex)]
             for _ in range(5):
                 powers.append(np.kron(powers[-1], z))
-            sym = [sec.onb_embedding(dim, n).T @ powers[n] for n in range(6)]
+            sym = [onb_embedding(dim, n).T @ powers[n] for n in range(6)]
             want = sum(sym[q].conj() @ a @ sym[p] for (p, q), a in b.terms.items())
             assert abs(b.evaluate(z) - want) <= 1e-12 * abs(want)
 

@@ -3,14 +3,17 @@ import numpy as np
 
 from hepp_expand.expansions import Lambda_of_map, Lambda_t
 from hepp_expand.flow import QuadraticHamiltonian, integrate_flow
-from hepp_expand.fock import FockSpace, field_and_weyl, trusted_block_diff, wick_quantize
+from hepp_expand.fock import FockSpace, trusted_block_diff, wick_quantize
 from hepp_expand.symbols import PolySymbol, preset_symbol, random_symbol
 from hepp_expand.symplectic import RLinearMap, exp_antilinear, random_symplectomorphism
-from hepp_expand.weylwick import (
+from hepp_expand.weylwick import weyl_from_wick, wick_from_weyl
+
+from conftest import random_unitary
+from reference import (
     bogoliubov_implementer,
     check_weyl_conjugation,
-    weyl_from_wick,
-    wick_from_weyl,
+    exp_lambda_of_map,
+    field_and_weyl,
 )
 
 
@@ -65,8 +68,7 @@ class TestWeylConjugation:
         # A = 0 so the second-order operator vanishes and both sides are
         # the composed symbol
         space = FockSpace(2, 10, 0.5)
-        q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        u = random_unitary(rng, 2)
         b = random_symbol(rng, 2, 3)
         t_map = RLinearMap(u)
         assert Lambda_of_map(b, t_map).is_zero()
@@ -89,7 +91,6 @@ class TestWeylConjugation:
             t_map = random_symplectomorphism(rng, dim, rho_scale=0.5)
             b = random_symbol(rng, dim, 4)
             eps = 0.4
-            from hepp_expand.weylwick import exp_lambda_of_map
             lhs = wick_from_weyl(weyl_from_wick(b, eps).compose_rlinear(t_map.adjoint()), eps)
             rhs = exp_lambda_of_map(b.compose_rlinear(t_map.adjoint()), t_map, eps)
             assert lhs.distance_max(rhs) < 1e-10 * max(1.0, rhs.norm_p())
