@@ -37,7 +37,7 @@ from .fock import (
     wick_block,
 )
 from .scenario import SCHEMA_VERSION, Scenario
-from .symbols import PolySymbol, random_symbol
+from .symbols import random_symbol
 from .symplectic import random_symplectomorphism
 
 log = logging.getLogger("hepp_expand")
@@ -176,85 +176,72 @@ def cmd_estimates(scenario: Scenario, args) -> tuple[int, dict]:
     h = scenario.hamiltonian()
     report = _base_report("estimates", scenario, args, h)
     n_samples = args.samples
-    rng = scenario.rng(args.seed if args.seed is not None else None)
-    dim = scenario.dim
-    rows = []
+    rng = scenario.rng()
+    dim, eps, t, order = scenario.dim, scenario.epsilon, scenario.t_end, 4
+    symbol_limit = 1.0 + 1e-12
+
+    def row(name, max_ratio, limit, vacuous=False, samples=n_samples) -> dict:
+        return {"name": name, "samples": samples, "max_ratio": max_ratio,
+                "vacuous": vacuous, "pass": max_ratio <= limit}
+
+    def running_max(ratio, *ratio_args) -> float:
+        """The largest of n_samples draws of ratio(*ratio_args)."""
+        worst = 0.0
+        for _ in range(n_samples):
+            worst = max(worst, ratio(*ratio_args))
+        return float(worst)
 
     beta0 = h.beta_matrix(0.0)
     if np.any(beta0) and scenario.n_max < 2:
         raise ScenarioError(f"fock.n_max {scenario.n_max} is below 2: the generator and "
                             "commutator bounds quantize the degree-2 Q_beta")
-    space = FockSpace(dim, scenario.n_max, scenario.epsilon)
+    space = FockSpace(dim, scenario.n_max, eps)
     fock_rep = check_estimates(beta0, space, n_samples=n_samples, rng=rng)
-    rows.append({"name": "generator_bound", "samples": n_samples,
-                 "max_ratio": fock_rep["max_ratio_generator"],
-                 "vacuous": fock_rep["vacuous"],
-                 "pass": fock_rep["vacuous"] or fock_rep["max_ratio_generator"] <= 1.0})
-    for k, v in fock_rep["max_ratio_commutator"].items():
-        rows.append({"name": f"commutator_bound_k{k}", "samples": n_samples,
-                     "max_ratio": v, "vacuous": fock_rep["vacuous"],
-                     "pass": fock_rep["vacuous"] or v <= 1.0})
+    rows = [row("generator_bound", fock_rep["max_ratio_generator"], 1.0, fock_rep["vacuous"])]
+    rows += [row(f"commutator_bound_k{k}", v, 1.0, fock_rep["vacuous"])
+             for k, v in fock_rep["max_ratio_commutator"].items()]
 
-    order = 4
-    worst = 0.0
-    for _ in range(n_samples):
+    def compose_ratio() -> float:
         b = random_symbol(rng, dim, total_order=order)
         phi = random_symplectomorphism(rng, dim)
-        worst = max(worst, b.compose_rlinear(phi).norm_p()
-                    / (phi.norm_x() ** order * b.norm_p()))
-    rows.append({"name": "compose_estimate", "samples": n_samples,
-                 "max_ratio": float(worst), "vacuous": False,
-                 "pass": worst <= 1.0 + 1e-12})
+        return b.compose_rlinear(phi).norm_p() / (phi.norm_x() ** order * b.norm_p())
 
-    # The stated second-order constant 2 ||T|| ||A||_HS is exact for order
-    # m = 2 only; with the derivative normalization the general constant
-    # picks up 2pq + p(p-1) + q(q-1) <= m(m-1) (equal to 2 at m = 2).
-    for m_ord, label in ((2, "second_order_bound_m2"), (order, "second_order_bound")):
-        worst = 0.0
-        for _ in range(n_samples):
-            c = random_symbol(rng, dim, total_order=m_ord)
-            t_map = random_symplectomorphism(rng, dim)
-            hs = float(np.linalg.norm(t_map.antilinear, "fro"))
-            out = Lambda_of_map(c, t_map)
-            const = m_ord * (m_ord - 1) * t_map.norm_x() * hs
-            worst = max(worst, out.norm_p() / (const * c.norm_p()))
-        rows.append({"name": label, "samples": n_samples,
-                     "max_ratio": float(worst), "vacuous": False,
-                     "pass": worst <= 1.0 + 1e-12})
+    def second_order_ratio(m: int) -> float:
+        # The stated second-order constant 2 ||T|| ||A||_HS is exact for
+        # order m = 2 only; with the derivative normalization the general
+        # constant picks up 2pq + p(p-1) + q(q-1) <= m(m-1) (2 at m = 2).
+        c = random_symbol(rng, dim, total_order=m)
+        t_map = random_symplectomorphism(rng, dim)
+        hs = float(np.linalg.norm(t_map.antilinear, "fro"))
+        const = m * (m - 1) * t_map.norm_x() * hs
+        return Lambda_of_map(c, t_map).norm_p() / (const * c.norm_p())
+
+    rows.append(row("compose_estimate", running_max(compose_ratio), symbol_limit))
+    rows.append(row("second_order_bound_m2", running_max(second_order_ratio, 2), symbol_limit))
+    rows.append(row("second_order_bound", running_max(second_order_ratio, order), symbol_limit))
 
     flow = integrate_flow(h)
-    t = scenario.t_end
     phi_t = flow.phi(t)
     a_hs = float(np.linalg.norm(phi_t.antilinear, "fro"))
     phi_norm = phi_t.norm_x()
-    eps = scenario.epsilon
-    worst = 0.0
-    vacuous_exp = a_hs == 0.0
-    for _ in range(n_samples):
-        b = random_symbol(rng, dim, order)
-        ex = exp_expand(b, t, flow, epsilon=eps)
-        # degree-corrected assembly bound; reduces to the stated series
-        # sum (eps ||phi|| ||A||)^k / k! when the top order is 2
-        bound = 0.0
-        for k in range(order // 2 + 1):
-            factor = 1.0
-            for j in range(k):
-                factor *= (order - 2 * j) * (order - 2 * j - 1)
-            bound += (eps / 2.0 * phi_norm * a_hs) ** k * factor / math.factorial(k)
-        bound *= b.norm_p() * phi_norm ** order
-        worst = max(worst, ex.assembled().norm_p() / bound)
-    rows.append({"name": "exp_assembly_bound", "samples": n_samples,
-                 "max_ratio": float(worst), "vacuous": vacuous_exp,
-                 "pass": worst <= 1.0 + 1e-12})
+    # degree-corrected assembly bound; reduces to the stated series
+    # sum (eps ||phi|| ||A||)^k / k! when the top order is 2
+    rate, series = eps / 2.0 * phi_norm * a_hs, 0.0
+    for k in range(order // 2 + 1):
+        series += rate ** k * math.perm(order, 2 * k) / math.factorial(k)
 
+    def assembly_ratio() -> float:
+        b = random_symbol(rng, dim, order)
+        assembled = exp_expand(b, t, flow, epsilon=eps).assembled()
+        return assembled.norm_p() / (series * (b.norm_p() * phi_norm ** order))
+
+    rows.append(row("exp_assembly_bound", running_max(assembly_ratio), symbol_limit,
+                    vacuous=a_hs == 0.0))
     if np.any(beta0):
         growth = check_growth_bound(beta0, space, min(t, 1.0), n_samples=n_samples, rng=rng)
-        for k, v in growth["max_ratio"].items():
-            rows.append({"name": f"growth_bound_k{k}", "samples": n_samples,
-                         "max_ratio": v, "vacuous": False, "pass": v <= 1.0})
+        rows += [row(f"growth_bound_k{k}", v, 1.0) for k, v in growth["max_ratio"].items()]
     else:
-        rows.append({"name": "growth_bound", "samples": 0, "max_ratio": 0.0,
-                     "vacuous": True, "pass": True})
+        rows.append(row("growth_bound", 0.0, 1.0, vacuous=True, samples=0))
 
     report["rows"] = rows
     ok = all(r["pass"] for r in rows)

@@ -33,6 +33,15 @@ _KEYS = ("schema_version", "dim", "epsilon", "t_end", "dt", "alpha", "beta",
 # the Hermiticity bound QuadraticHamiltonian.alpha_on enforces
 _HERMITIAN_TOL = 1e-12
 
+# Input limits, so an absurd value is refused rather than exhausting
+# memory or overflowing.  Gauss-Legendre gains nothing here past a few
+# hundred nodes; the step cap is 1,000 times the largest grid of any
+# scenario in the repo; the epsilon range keeps the weights eps^k and
+# (N/eps + 1)^k finite.
+_MAX_QUAD_NODES = 256
+_MAX_STEPS = 10**6
+_EPSILON_RANGE = (1e-100, 100.0)
+
 
 def _check_keys(block: dict, allowed, what: str) -> None:
     unknown = sorted(set(block) - set(allowed))
@@ -102,10 +111,13 @@ def _coefficient_sampler(spec, dim, what, hermitian=False):
     return values[0] if times is None else (times, values)
 
 
-def _integer(value, name: str, minimum: int) -> int:
-    """A JSON integer (not a bool) no smaller than `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ScenarioError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def _integer(value, name: str, minimum: int, maximum: int | None = None) -> int:
+    """A JSON integer (not a bool) no smaller than `minimum` and, if given,
+    no larger than `maximum`."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < minimum
+            or (maximum is not None and value > maximum)):
+        bounds = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
+        raise ScenarioError(f"{name} must be an integer {bounds}, got {value!r}")
     return value
 
 
@@ -134,14 +146,14 @@ def _observable(spec, dim: int) -> PolySymbol:
 
 @dataclass
 class Scenario:
-    """Parsed scenario, ready to build the Hamiltonian and observable."""
+    """Parsed scenario: the Hamiltonian and observable are built and
+    checked when the file is read."""
 
     dim: int
     epsilon: float
     t_end: float
     dt: float
-    alpha_spec: object
-    beta_spec: object
+    quadratic_hamiltonian: QuadraticHamiltonian
     observable_symbol: PolySymbol | None
     n_max: int
     quad_nodes: int
@@ -165,26 +177,39 @@ class Scenario:
         dt = _number(data.get("dt", 1e-3), "dt")
         if epsilon <= 0 or dt <= 0 or t_end < 0:
             raise ScenarioError("epsilon and dt must be positive and t_end non-negative")
+        if not _EPSILON_RANGE[0] <= epsilon <= _EPSILON_RANGE[1]:
+            raise ScenarioError(f"epsilon must lie in [{_EPSILON_RANGE[0]:g}, "
+                                f"{_EPSILON_RANGE[1]:g}], got {epsilon!r}")
+        steps = t_end / dt
+        if not math.isfinite(steps) or round(steps) > _MAX_STEPS:
+            raise ScenarioError(f"t_end / dt = {steps:.3g} exceeds the cap of {_MAX_STEPS} steps")
         tol = dict(_DEFAULT_TOLERANCES)
         for name, value in _block(data, "tolerances", tuple(_DEFAULT_TOLERANCES)).items():
             tol[name] = _number(value, f"tolerances.{name}")
             if tol[name] < 0:
                 raise ScenarioError(f"tolerances.{name} must be >= 0, got {value!r}")
         n_max = _integer(_block(data, "fock", ("n_max",)).get("n_max", 16), "fock.n_max", 0)
-        quad_nodes = _integer(_block(data, "quad", ("nodes",)).get("nodes", 16), "quad.nodes", 1)
+        quad_nodes = _integer(_block(data, "quad", ("nodes",)).get("nodes", 16), "quad.nodes",
+                              1, _MAX_QUAD_NODES)
+        observable = (None if data.get("observable") is None
+                      else _observable(data["observable"], dim))
+        seed = _integer(data.get("seed", 0), "seed", 0)
+        # pad a t_end = 0 request to one step; commands still evaluate at
+        # the requested time, which stays on the grid
+        hamiltonian = QuadraticHamiltonian(
+            dim, alpha=_coefficient_sampler(data.get("alpha"), dim, "alpha", hermitian=True),
+            beta=_coefficient_sampler(data.get("beta"), dim, "beta"), t_end=t_end or dt, dt=dt)
         return cls(
             dim=dim,
             epsilon=epsilon,
             t_end=t_end,
             dt=dt,
-            alpha_spec=data.get("alpha"),
-            beta_spec=data.get("beta"),
-            observable_symbol=(None if data.get("observable") is None
-                               else _observable(data["observable"], dim)),
+            quadratic_hamiltonian=hamiltonian,
+            observable_symbol=observable,
             n_max=n_max,
             quad_nodes=quad_nodes,
             tolerances=tol,
-            seed=_integer(data.get("seed", 0), "seed", 0),
+            seed=seed,
         )
 
     @classmethod
@@ -199,21 +224,13 @@ class Scenario:
         return cls.from_dict(data)
 
     def hamiltonian(self) -> QuadraticHamiltonian:
-        alpha = _coefficient_sampler(self.alpha_spec, self.dim, "alpha", hermitian=True)
-        beta = _coefficient_sampler(self.beta_spec, self.dim, "beta")
-        try:
-            # pad a t_end = 0 request to one step; commands still evaluate
-            # at the requested time, which stays on the grid
-            return QuadraticHamiltonian(self.dim, alpha=alpha, beta=beta,
-                                        t_end=self.t_end or self.dt, dt=self.dt)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+        return self.quadratic_hamiltonian
 
     def observable(self) -> PolySymbol:
         if self.observable_symbol is None:
             raise ScenarioError("scenario has no observable")
         return self.observable_symbol
 
-    def rng(self, seed=None) -> np.random.Generator:
+    def rng(self) -> np.random.Generator:
         """Counter-based generator so parallel reports stay reproducible."""
-        return np.random.Generator(np.random.Philox(self.seed if seed is None else seed))
+        return np.random.Generator(np.random.Philox(self.seed))

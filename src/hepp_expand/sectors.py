@@ -67,12 +67,12 @@ def occupation_array(dim: int, n: int) -> np.ndarray:
     return _frozen(np.array(occupations(dim, n), dtype=np.int64).reshape(sector_dim(dim, n), dim))
 
 
-def occ_to_indices(occ) -> tuple[int, ...]:
-    """Occupation vector -> non-decreasing 1-based index tuple."""
-    out = []
-    for i, k in enumerate(occ):
-        out.extend([i + 1] * int(k))
-    return tuple(out)
+@lru_cache(maxsize=None)
+def index_tuples(dim: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Non-decreasing 1-based index tuples of the n-particle sector, in
+    canonical order (the JSON form of the occupations)."""
+    return tuple(tuple(i + 1 for i in combo)
+                 for combo in itertools.combinations_with_replacement(range(dim), n))
 
 
 def indices_to_occ(indices, dim: int) -> tuple[int, ...]:

@@ -270,19 +270,12 @@ class PolySymbol:
         canonical (operator) coefficients."""
         entries = []
         for (p, q), b in sorted(self.terms.items()):
-            term_entries = []
-            occ_q = sec.occupations(self.dim, q)
-            occ_p = sec.occupations(self.dim, p)
-            for mi in range(b.shape[0]):
-                for ni in range(b.shape[1]):
-                    val = b[mi, ni]
-                    if val != 0:
-                        term_entries.append([
-                            list(sec.occ_to_indices(occ_q[mi])),
-                            list(sec.occ_to_indices(occ_p[ni])),
-                            float(val.real), float(val.imag),
-                        ])
-            entries.append({"p": p, "q": q, "entries": term_entries})
+            idx_q, idx_p = sec.index_tuples(self.dim, q), sec.index_tuples(self.dim, p)
+            rows, cols = np.nonzero(b)
+            vals = b[rows, cols]
+            entries.append({"p": p, "q": q, "entries": [
+                [list(idx_q[mi]), list(idx_p[ni]), re, im] for mi, ni, re, im
+                in zip(rows.tolist(), cols.tolist(), vals.real.tolist(), vals.imag.tolist())]})
         return {"dim": self.dim, "terms": entries}
 
     @classmethod

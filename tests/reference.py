@@ -3,7 +3,8 @@
 Each function recomputes a quantity of the package by a slower,
 separately derived route, or checks an identity the expansions rest on:
 dense per-sector ladder matrices, quantization through explicit
-symmetrizers, field and Weyl operators, the Poisson-bracket form of
+symmetrizers, field and Weyl operators, the JSON entries of a symbol
+one coefficient at a time, the Poisson-bracket form of
 lambda^s, the finite-difference derivative of Lambda, and the
 Bogoliubov implementer of a fixed symplectomorphism.  Nothing here is on
 the path of the command line tool.
@@ -167,6 +168,21 @@ def field_and_weyl(xi, space):
     xi = np.asarray(xi, dtype=complex)
     phi = wick_quantize(preset_symbol("field", space.dim, xi=xi), space)
     return phi, expm(1j * phi)
+
+
+def json_terms_loop(b: PolySymbol) -> list:
+    """`b.to_json()["terms"]` by a loop over every coefficient, with each
+    index tuple spelled out from its occupation vector."""
+    def indices(occ):
+        return [i + 1 for i, k in enumerate(occ) for _ in range(k)]
+
+    out = []
+    for (p, q), block in sorted(b.terms.items()):
+        occ_q, occ_p = sec.occupations(b.dim, q), sec.occupations(b.dim, p)
+        out.append({"p": p, "q": q, "entries": [
+            [indices(occ_q[mi]), indices(occ_p[ni]), float(v.real), float(v.imag)]
+            for (mi, ni), v in np.ndenumerate(block) if v != 0]})
+    return out
 
 
 # ---------------------------------------------------------------------------

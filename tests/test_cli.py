@@ -9,7 +9,8 @@ import pytest
 
 from hepp_expand import cli
 from hepp_expand.cli import main
-from hepp_expand.errors import SymplecticityError
+from hepp_expand.errors import ScenarioError, SymplecticityError
+from hepp_expand.scenario import Scenario
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -199,7 +200,8 @@ class TestOracleCommand:
         assert 0.0 <= steps["time_error"] <= report["tolerance"] / 100
 
 
-@pytest.mark.parametrize("nodes", [0, -2, 2.5], ids=["zero", "negative", "non-integer"])
+@pytest.mark.parametrize("nodes", [0, -2, 2.5, 257],
+                         ids=["zero", "negative", "non-integer", "above-cap"])
 def test_bad_quad_nodes_exit_two(tmp_path, capsys, nodes):
     with open(os.path.join(REPO, "demos", "scenarios", "example-im-z2.json")) as fh:
         data = json.load(fh)
@@ -218,6 +220,11 @@ MALFORMED = {
     "tolerance-string": {"tolerances": {"flow": "x"}},
     "epsilon-string": {"epsilon": "x"},
     "dt-string": {"dt": "abc"},
+    "dt-tiny": {"dt": 1e-300},
+    # outside [1e-100, 100]: a weight overflows, and at 1e-300 the NaN
+    # ratios once dropped out of the estimates' running maximum
+    "epsilon-huge": {"epsilon": 1e300},
+    "epsilon-tiny": {"epsilon": 1e-300},
     "alpha-non-hermitian": {"alpha": {"kind": "constant",
                                       "data": {"re": [[1.0]], "im": [[0.5]]}}},
     "beta-nan": {"beta": {"kind": "constant",
@@ -252,6 +259,20 @@ def test_malformed_scenario_exit_two(tmp_path, capsys, command, override):
     assert main([command, write_scenario(tmp_path, data)]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("hepp-expand: scenario error:") and len(err.splitlines()) == 1
+
+
+def test_grid_step_cap():
+    # the grid is never built: the cap is checked on t_end / dt
+    assert Scenario.from_dict(base_scenario(t_end=1e6, dt=1.0)).hamiltonian().dt == 1.0
+    for t_end, dt in ((1e6 + 1, 1.0), (1e300, 1e-300)):
+        with pytest.raises(ScenarioError, match="t_end / dt"):
+            Scenario.from_dict(base_scenario(t_end=t_end, dt=dt))
+
+
+def test_non_hermitian_alpha_refused_when_read():
+    alpha = {"kind": "constant", "data": {"re": [[1.0]], "im": [[0.5]]}}
+    with pytest.raises(ScenarioError, match="alpha: not Hermitian"):
+        Scenario.from_dict(base_scenario(alpha=alpha))
 
 
 def test_missing_observable_fails_only_its_readers(tmp_path, capsys):
@@ -369,6 +390,31 @@ class TestEstimatesCommand:
         rows = {row["name"]: row for row in report["rows"]}
         assert rows["generator_bound"]["vacuous"] is True
         assert rows["growth_bound"]["vacuous"] is True
+
+    def test_row_contract(self, tmp_path, capsys, monkeypatch):
+        # a ratio of 1 + 5e-13 fails the Fock rows' bound 1 but would pass
+        # the symbol rows' 1 + 1e-12
+        ratio = 1.0 + 5e-13
+        monkeypatch.setattr(cli, "check_estimates", lambda *a, **k: {
+            "vacuous": False, "max_ratio_generator": ratio,
+            "max_ratio_commutator": {1: ratio, 2: ratio}})
+        monkeypatch.setattr(cli, "check_growth_bound",
+                            lambda *a, **k: {"max_ratio": {1: ratio, 2: ratio}})
+        data = base_scenario(t_end=0.3, fock={"n_max": 12})
+        code, report = run_main(
+            ["estimates", write_scenario(tmp_path, data), "--samples", "7"], capsys)
+        assert code == 1 and report["pass"] is False
+        failed = {row["name"] for row in report["rows"] if not row["pass"]}
+        assert failed == {"generator_bound", "commutator_bound_k1", "commutator_bound_k2",
+                          "growth_bound_k1", "growth_bound_k2"}
+        monkeypatch.undo()
+        data = base_scenario(beta={"kind": "zero"}, t_end=0.3, fock={"n_max": 10})
+        code, zero_beta = run_main(
+            ["estimates", write_scenario(tmp_path, data), "--samples", "7"], capsys)
+        assert code == 0
+        for row in report["rows"] + zero_beta["rows"]:
+            assert set(row) == {"name", "samples", "max_ratio", "vacuous", "pass"}
+            assert row["samples"] == (0 if row["name"] == "growth_bound" else 7)
 
     def test_deterministic_given_seed(self, tmp_path):
         data = base_scenario(t_end=0.3, fock={"n_max": 12})

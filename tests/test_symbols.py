@@ -21,7 +21,7 @@ from hepp_expand.symbols import (
 from hepp_expand.symplectic import RLinearMap, random_symplectomorphism
 
 from conftest import random_vector
-from reference import onb_embedding, poisson_bracket
+from reference import json_terms_loop, onb_embedding, poisson_bracket
 
 
 class TestEvaluate:
@@ -252,6 +252,16 @@ class TestSerialization:
         data = json.loads(json.dumps(b.to_json()))
         back = PolySymbol.from_json(data)
         assert back.distance_max(b) < 1e-15
+
+    def test_terms_match_loop_reference(self, rng):
+        # row-major nonzeros, one fresh index list per entry
+        sparse = PolySymbol(3, {(2, 1): np.array([[0, 1j, 0, 0, 0, -2.0]] * 3),
+                                (0, 0): np.zeros((1, 1))})
+        for b in (random_symbol(rng, 3, 4), preset_symbol("quartic-cross", 2), sparse):
+            terms = b.to_json()["terms"]
+            assert json.dumps(terms) == json.dumps(json_terms_loop(b))
+            lists = [index for t in terms for entry in t["entries"] for index in entry[:2]]
+            assert len({id(index) for index in lists}) == len(lists)
 
     def test_indices_are_one_based_nondecreasing(self):
         b = PolySymbol.monomial(2, (1, 1), (0, 2))
