@@ -101,10 +101,15 @@ def Lambda_t(c: PolySymbol, t: float, flow: FlowResult) -> PolySymbol:
 
 def Lambda_of_map(c: PolySymbol, t_map: RLinearMap) -> PolySymbol:
     """The analogous operator attached to a fixed symplectomorphism
-    T = L + A, built from -2 A A* and the pair tensor of L A*."""
-    a = t_map.antilinear
-    pair = t_map.linear @ a.T
-    kernel = second_order_kernel(-2.0 * (a @ a.conj().T), (pair + pair.T) / 2.0)
+    T = L + A, built from -2 A A* and the pair tensor of L A*.
+
+    For a stack of P maps the kernels are built as one stack and c is a
+    stack of P polynomials, sample p under map p.
+    """
+    a_t = np.swapaxes(t_map.antilinear, -1, -2)
+    pair = t_map.linear @ a_t
+    kernel = second_order_kernel(-2.0 * (t_map.antilinear @ np.conj(a_t)),
+                                 (pair + np.swapaxes(pair, -1, -2)) / 2.0)
     return apply_second_order_operator(c, kernel)
 
 
@@ -178,7 +183,11 @@ def dyson_expand(b: PolySymbol, t: float, flow: FlowResult,
 
 def exp_expand(b: PolySymbol, t: float, flow: FlowResult, epsilon: float,
                max_order: int = None) -> ExpansionResult:
-    """Exponential-formula engine: term k is (1/k!) Lambda_t^k (b o phi)."""
+    """Exponential-formula engine: term k is (1/k!) Lambda_t^k (b o phi).
+
+    For a stack of P polynomials b every term is the stack of the P
+    samples' terms: the recursion runs once, on all columns.
+    """
     m = b.degree()
     kmax = m // 2 if max_order is None else min(max_order, m // 2)
     term0 = b.compose_rlinear(flow.phi(t))

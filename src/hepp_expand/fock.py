@@ -53,6 +53,7 @@ from . import sectors as sec
 from .errors import DimensionMismatchError, LeakageError
 from .flow import QuadraticHamiltonian, grid_index, integrate_u_alpha
 from .symbols import PolySymbol, squeezing_hamiltonian_symbol
+from .symplectic import euclidean_norm
 
 _EPS_DEFAULT = 0.5
 _UNITARY_TOL = 1e-10
@@ -94,12 +95,18 @@ class FockSpace:
         out[rows, cols] = values
         return out
 
-    def random_state(self, rng: np.random.Generator, n_top: int) -> np.ndarray:
-        """Normalized random vector supported on sectors 0..n_top."""
-        d_low = int(self.offsets[n_top + 1])
-        psi = np.zeros(self.total_dim, dtype=complex)
-        psi[:d_low] = rng.standard_normal(d_low) + 1j * rng.standard_normal(d_low)
-        return psi / np.linalg.norm(psi)
+    def random_state(self, rng: np.random.Generator, n_top: int,
+                     samples: int = None) -> np.ndarray:
+        """Normalized random vector supported on sectors 0..n_top.
+
+        Given `samples`, a (total_dim, samples) block of such vectors, drawn
+        at once; one vector is the draw of a block of one, from the same
+        random stream.
+        """
+        shape = (int(self.offsets[n_top + 1]),) + (() if samples is None else (samples,))
+        psi = np.zeros((self.total_dim,) + shape[1:], dtype=complex)
+        psi[:shape[0]] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return psi / euclidean_norm(psi.T)
 
     def __repr__(self):
         return f"FockSpace(dim={self.dim}, n_max={self.n_max}, epsilon={self.epsilon})"
@@ -656,9 +663,33 @@ def conjugate_observable(qflow: QuantumFlowResult, b: PolySymbol) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # inequality checks
 
-# the powers k of (N/eps + 1) that the checks sample; the growth bound's slack
+# the powers k of (N/eps + 1) = (n + 1) that the checks sample; the growth
+# bound's slack; the most samples, and the most entries of one array
+# holding one per sample, in a block
 _KS = (1, 2)
 _GROWTH_SLACK = 0.1
+SAMPLE_CHUNK = 256
+SAMPLE_ENTRIES = 2 ** 16
+
+
+def sample_max(ratios, n_samples: int, entries: int = 1) -> np.ndarray:
+    """The largest of `n_samples` sampled ratios, per row.
+
+    `ratios(size)` draws `size` fresh samples and returns their ratios,
+    shape (..., size).  `entries` is the size of the largest array one
+    sample builds.  The samples go through in blocks of at most
+    SAMPLE_CHUNK samples and SAMPLE_ENTRIES entries (but at least one
+    sample), so memory grows neither with n_samples nor with the
+    block's stack.  The maximum propagates NaN: a NaN ratio fails its row.
+    """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    chunk = max(1, min(SAMPLE_CHUNK, SAMPLE_ENTRIES // entries))
+    worst = None
+    for start in range(0, n_samples, chunk):
+        block = np.max(ratios(min(chunk, n_samples - start)), axis=-1)
+        worst = block if worst is None else np.maximum(worst, block)
+    return worst
 
 
 def _beta_norm(beta_mat) -> float:
@@ -671,7 +702,11 @@ def check_estimates(beta_mat, space: FockSpace, n_samples: int = 100,
     """Sample the generator bound and the commutator form bound, k in _KS.
 
     Ratios are LHS over the stated RHS; every row should stay <= 1.
-    With beta = 0 both sides vanish and rows are marked vacuous.
+    With beta = 0 both sides vanish and rows are marked vacuous.  The
+    bounds weigh by N/eps + 1 for the scaled number operator N = eps n
+    (|z|^2 quantizes to eps a*a), that is by n + 1, so no row depends on
+    eps.  The states are drawn and checked in blocks (`sample_max`), with
+    one product by Q^Wick per block.
     """
     rng = rng or np.random.default_rng(0)
     beta_mat = np.asarray(beta_mat, dtype=complex)
@@ -683,21 +718,22 @@ def check_estimates(beta_mat, space: FockSpace, n_samples: int = 100,
         report["max_ratio_commutator"] = {k: 0.0 for k in _KS}
         return report
     q_op = wick_quantize(squeezing_hamiltonian_symbol(beta_mat), space) / eps
-    nvec = space.number_values() / eps + 1.0
-    gen_max = 0.0
-    comm_max = {k: 0.0 for k in _KS}
-    for _ in range(n_samples):
-        psi = space.random_state(rng, space.n_max - 2)
+    weight = (space.number_values() + 1.0)[:, None]
+
+    def ratios(size):
+        psi = space.random_state(rng, space.n_max - 2, size)
         qpsi = q_op @ psi
-        gen_max = max(gen_max, np.linalg.norm(qpsi)
-                      / (1.5 * bnorm * np.linalg.norm(nvec * psi)))
+        rows = [euclidean_norm(qpsi.T) / (1.5 * bnorm * euclidean_norm((weight * psi).T))]
         for k in _KS:
-            wpsi = (nvec ** k) * psi
-            lhs = abs(2.0 * np.imag(np.vdot(qpsi, wpsi)))
-            rhs = (3.0 ** k) * math.sqrt(2.0) * bnorm * np.real(np.vdot(psi, wpsi))
-            comm_max[k] = max(comm_max[k], lhs / rhs)
-    report["max_ratio_generator"] = float(gen_max)
-    report["max_ratio_commutator"] = {k: float(v) for k, v in comm_max.items()}
+            wpsi = (weight ** k) * psi
+            lhs = np.abs(2.0 * np.imag(np.sum(qpsi.conj() * wpsi, axis=0)))
+            rhs = (3.0 ** k) * math.sqrt(2.0) * bnorm * np.real(np.sum(psi.conj() * wpsi, axis=0))
+            rows.append(lhs / rhs)
+        return np.array(rows)
+
+    worst = sample_max(ratios, n_samples)
+    report["max_ratio_generator"] = float(worst[0])
+    report["max_ratio_commutator"] = {k: float(v) for k, v in zip(_KS, worst[1:])}
     return report
 
 
@@ -705,11 +741,14 @@ def check_growth_bound(beta_mat, space: FockSpace, t: float, n_samples: int = 50
                        rng: np.random.Generator = None) -> dict:
     """Soft growth check for the time-independent flow, for k in _KS:
     ||(N/eps+1)^{k/2} U psi|| <= e^{3^k sqrt(2) ||beta|| t} ||(N/eps+1)^{k/2} psi||
-    with the truncation slack _GROWTH_SLACK on the right-hand side.
+    with the truncation slack _GROWTH_SLACK on the right-hand side.  As in
+    `check_estimates`, N = eps n is the scaled number operator, so the
+    weight N/eps + 1 is n + 1.
 
     The generator Q^Wick / eps does not depend on time, so U(t, 0) is the
     exact propagator V e^{-i t lambda / eps} V^* from the eigenpairs of the
-    dense Q^Wick on the truncated space.
+    dense Q^Wick on the truncated space.  Every k reads the same states,
+    drawn and evolved in blocks (`sample_max`), one product by U per block.
     """
     rng = rng or np.random.default_rng(0)
     beta_mat = np.asarray(beta_mat, dtype=complex)
@@ -719,17 +758,17 @@ def check_growth_bound(beta_mat, space: FockSpace, t: float, n_samples: int = 50
     n_top = space.n_max // 2
     n_cols = space.span_slice(n_top).stop
     u = (vecs * np.exp(-1j * t * lam / space.epsilon)) @ vecs[:n_cols].conj().T
-    nvec = space.number_values() / space.epsilon + 1.0
-    out = {"t": t, "beta_norm": bnorm, "slack": _GROWTH_SLACK}
-    ratios = {}
-    for k in _KS:
-        bound = math.exp((3.0 ** k) * math.sqrt(2.0) * bnorm * t) * (1.0 + _GROWTH_SLACK)
-        worst = 0.0
-        for _ in range(n_samples):
-            psi = space.random_state(rng, n_top)
-            lhs = np.linalg.norm((nvec ** (k / 2.0)) * (u @ psi[:n_cols]))
-            rhs = bound * np.linalg.norm((nvec ** (k / 2.0)) * psi)
-            worst = max(worst, lhs / rhs)
-        ratios[k] = float(worst)
-    out["max_ratio"] = ratios
-    return out
+    weight = (space.number_values() + 1.0)[:, None]
+    bounds = {k: math.exp((3.0 ** k) * math.sqrt(2.0) * bnorm * t) * (1.0 + _GROWTH_SLACK)
+              for k in _KS}
+
+    def ratios(size):
+        psi = space.random_state(rng, n_top, size)
+        upsi = u @ psi[:n_cols]
+        return np.array([euclidean_norm((weight ** (k / 2.0) * upsi).T)
+                         / (bounds[k] * euclidean_norm((weight ** (k / 2.0) * psi).T))
+                         for k in _KS])
+
+    worst = sample_max(ratios, n_samples)
+    return {"t": t, "beta_norm": bnorm, "slack": _GROWTH_SLACK,
+            "max_ratio": {k: float(v) for k, v in zip(_KS, worst)}}

@@ -36,8 +36,8 @@ _HERMITIAN_TOL = 1e-12
 # Input limits, so an absurd value is refused rather than exhausting
 # memory or overflowing.  Gauss-Legendre gains nothing here past a few
 # hundred nodes; the step cap is 1,000 times the largest grid of any
-# scenario in the repo; the epsilon range keeps the weights eps^k and
-# (N/eps + 1)^k finite.
+# scenario in the repo; the epsilon range keeps the weights eps^k and the
+# quantization scales eps^(m/2) finite.
 _MAX_QUAD_NODES = 256
 _MAX_STEPS = 10**6
 _EPSILON_RANGE = (1e-100, 100.0)

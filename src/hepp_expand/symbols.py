@@ -20,6 +20,14 @@ JSON, the norms and the reference quantization.  On the vectors
 - every second-order operator is sum_ij K_ij d_wi d_wj b for a symmetric
   2d x 2d matrix K (`apply_second_order_operator`).
 
+A stack of P polynomials keeps a trailing axis of P samples on every
+vector, (S_m, P), and a leading one on every canonical block,
+(P, dim_q, dim_p).  Sums, scalar multiples, the canonical view,
+`norm_p`, `compose_rlinear` and the second-order operators act sample by
+sample, and one polynomial is the case without that axis, so both take
+the same arithmetic; evaluation, the calculus and JSON take one
+polynomial.
+
 The duality pairing of a k-form against a k-vector (`contraction`),
 from which the Wick product is built, sums (d_z^k b1)_(i1..ik) (d_zbar^k b2)_(i1..ik) over ordered index
 tuples; that equals the multinomial-weighted sum over Wirtinger
@@ -34,6 +42,7 @@ import numpy as np
 
 from . import sectors as sec
 from .errors import DimensionMismatchError
+from .symplectic import euclidean_norm
 
 
 # ---------------------------------------------------------------------------
@@ -59,25 +68,28 @@ def _derivatives(c: np.ndarray, m: int, n: int, sel, k: int) -> np.ndarray:
 
 class PolySymbol:
     """A Wick polynomial: finite sum of (p, q)-monomials on C^dim, stored
-    as one plain-coefficient vector per total order (`vectors`)."""
+    as one plain-coefficient vector per total order (`vectors`), or a
+    stack of P of them, (S_m, P)."""
 
     __slots__ = ("dim", "vectors")
 
     def __init__(self, dim: int, terms=None):
-        """Build from canonical blocks: (p, q) -> (dim_q x dim_p) matrix."""
+        """Build from canonical blocks: (p, q) -> (dim_q x dim_p) matrix,
+        or (P, dim_q, dim_p) for a stack."""
         vectors = {}
         for (p, q), arr in (terms or {}).items():
             arr = np.asarray(arr, dtype=complex)
             if min(p, q) < 0:
                 raise ValueError(f"term ({p},{q}): orders must be non-negative")
             expected = (sec.sector_dim(dim, q), sec.sector_dim(dim, p))
-            if arr.shape != expected:
+            if arr.shape[-2:] != expected:
                 raise ValueError(f"term ({p},{q}) has shape {arr.shape}, expected {expected}")
             m = p + q
             if m not in vectors:
-                vectors[m] = np.zeros(sec.sector_dim(2 * dim, m), dtype=complex)
+                vectors[m] = np.zeros((sec.sector_dim(2 * dim, m),) + arr.shape[:-2],
+                                      dtype=complex)
             grid, scale = sec.doubled_positions(dim, m)[p]
-            vectors[m][grid] = arr * scale
+            vectors[m].T[..., grid] = arr * scale
         self.dim = dim
         self.vectors = {m: c for m, c in vectors.items() if np.any(c)}
 
@@ -97,7 +109,7 @@ class PolySymbol:
         out = {}
         for m, c in self.vectors.items():
             for p, (grid, scale) in enumerate(sec.doubled_positions(self.dim, m)):
-                block = c[grid] / scale
+                block = c.T.take(grid, axis=-1) / scale
                 if np.any(block):
                     block.setflags(write=False)
                     out[(p, m - p)] = block
@@ -177,8 +189,9 @@ class PolySymbol:
 
     __call__ = evaluate
 
-    def norm_p(self) -> float:
-        """Sum of sector operator norms of the coefficients.
+    def norm_p(self):
+        """Sum of sector operator norms of the coefficients; one per
+        sample, shape (P,), for a stack.
 
         A block with one row or one column has its Euclidean norm as
         operator norm; the others take their largest singular value.
@@ -186,12 +199,12 @@ class PolySymbol:
         total = 0.0
         for m, c in self.vectors.items():
             for grid, scale in sec.doubled_positions(self.dim, m):
-                block = c[grid] / scale
-                if min(block.shape) == 1:
-                    total += np.linalg.norm(block)
+                block = c.T.take(grid, axis=-1) / scale
+                if min(scale.shape) == 1:
+                    total = total + euclidean_norm(block, 2)
                 else:
-                    total += np.linalg.svd(block, compute_uv=False)[0]
-        return float(total)
+                    total = total + np.linalg.svd(block, compute_uv=False)[..., 0]
+        return total
 
     def distance_max(self, other: "PolySymbol") -> float:
         """Max |difference| over coefficients in the canonical packing."""
@@ -226,7 +239,8 @@ class PolySymbol:
         maps by the m-th symmetric power of N: the coefficients are spread
         over the full tensor and N is contracted into one mode at a time.
         An antilinear part mixes the (p, q) grading but preserves total
-        order.
+        order.  For a stack of P polynomials, T is one map or a stack of
+        P maps, sample p composed with map p.
         """
         if self.dim != t.dim:
             raise DimensionMismatchError(f"dim {self.dim} vs {t.dim}")
@@ -236,11 +250,13 @@ class PolySymbol:
         for m, c in self.vectors.items():
             full, rep = sec.tensor_positions(n, m)
             multinomial = math.factorial(m) / sec.occ_factorials(n, m)
-            tensor = (c / multinomial)[full]
+            # the full tensor, one per sample of a stack: (P, n^m)
+            lead = c.shape[1:]
+            tensor = (c.T / multinomial).take(full, axis=-1)
             for _ in range(m):
                 # contract the leading mode; the new one becomes the last
-                tensor = tensor.reshape(n, -1).T @ doubled
-            out[m] = tensor.reshape(-1)[rep] * multinomial
+                tensor = tensor.reshape(lead + (n, -1)).swapaxes(-1, -2) @ doubled
+            out[m] = (tensor.reshape(lead + (-1,)).take(rep, axis=-1) * multinomial).T
         return PolySymbol._from_vectors(self.dim, out)
 
     def translate(self, z0) -> "PolySymbol":
@@ -361,7 +377,8 @@ def apply_second_order_stack(dim: int, columns: dict, kernels: np.ndarray) -> di
     symmetric kernels per column.  The second derivatives of all P
     columns form one stack per order, contracted with every kernel of its
     column in one batched product.  Returns m - 2 -> (S_{m-2}, P, B):
-    column p under its kernel b.
+    column p under its kernel b.  A kernel stack of one (P = 1) serves
+    every column.
     """
     n = 2 * dim
     flat = kernels.reshape(kernels.shape[:2] + (n * n,)).transpose(0, 2, 1)
@@ -378,16 +395,19 @@ def apply_second_order_operator(b: PolySymbol, kernel) -> PolySymbol:
 
     `kernel` is a symmetric 2d x 2d matrix K; its z-z block contracts two
     z-derivatives, its z-zbar blocks one of each, its zbar-zbar block two
-    zbar-derivatives.  Lowers every total order by 2.  This is the
-    one-symbol, one-kernel case of `apply_second_order_stack`.
+    zbar-derivatives.  Lowers every total order by 2.  For a stack of P
+    polynomials, K is one kernel for all or a (P, 2d, 2d) stack, sample p
+    under kernel p.  This is the one-kernel-per-column case of
+    `apply_second_order_stack`.
     """
     n = 2 * b.dim
     kernel = np.asarray(kernel, dtype=complex)
-    if kernel.shape != (n, n):
+    if kernel.shape[-2:] != (n, n):
         raise DimensionMismatchError(f"kernel shape {kernel.shape}, expected {(n, n)}")
-    columns = {m: c[:, None] for m, c in b.vectors.items()}
-    out = apply_second_order_stack(b.dim, columns, kernel[None, None])
-    return PolySymbol._from_vectors(b.dim, {m: c[:, 0, 0] for m, c in out.items()})
+    columns = {m: c.reshape(len(c), -1) for m, c in b.vectors.items()}
+    out = apply_second_order_stack(b.dim, columns, kernel.reshape(-1, 1, n, n))
+    return PolySymbol._from_vectors(
+        b.dim, {m: c.reshape((len(c),) + b.vectors[m + 2].shape[1:]) for m, c in out.items()})
 
 
 def laplacian(b: PolySymbol) -> PolySymbol:
@@ -458,17 +478,23 @@ def preset_symbol(name: str, dim: int, xi=None) -> PolySymbol:
 
 
 def random_symbol(rng: np.random.Generator, dim: int, max_order: int = None,
-                  scale: float = 1.0, *, total_order: int = None) -> PolySymbol:
+                  scale: float = 1.0, *, total_order: int = None,
+                  samples: int = None) -> PolySymbol:
     """A dense random polynomial with all orders p + q <= max_order or,
     given `total_order`, with every (p, q) split of exactly that order
-    (p ascending)."""
+    (p ascending).
+
+    Given `samples`, draw a stack of that many at once; one polynomial is
+    the draw of a stack of one, from the same random stream.
+    """
     if total_order is None:
         orders = [(p, q) for p in range(max_order + 1) for q in range(max_order + 1 - p)]
     else:
         orders = [(p, total_order - p) for p in range(total_order + 1)]
     terms = {}
     for p, q in orders:
-        shape = (sec.sector_dim(dim, q), sec.sector_dim(dim, p))
+        shape = (() if samples is None else (samples,)) + (
+            sec.sector_dim(dim, q), sec.sector_dim(dim, p))
         terms[(p, q)] = scale * (rng.standard_normal(shape)
                                  + 1j * rng.standard_normal(shape))
     return PolySymbol(dim, terms)

@@ -25,7 +25,12 @@ _GROUP_RTOL = 1e-9
 _ZERO_TOL = 1e-12
 
 class RLinearMap:
-    """An R-linear operator on C^d as a (linear, antilinear) matrix pair."""
+    """An R-linear operator on C^d as a (linear, antilinear) matrix pair.
+
+    Both parts may also be (P, d, d) stacks: the map then holds P samples,
+    and composition, adjoint, inverse, the doubled matrix and `norm_x`
+    act sample by sample.
+    """
 
     __slots__ = ("dim", "linear", "antilinear")
 
@@ -34,9 +39,9 @@ class RLinearMap:
         if antilinear is None:
             antilinear = np.zeros_like(linear)
         antilinear = np.asarray(antilinear, dtype=complex)
-        if linear.shape != antilinear.shape or linear.ndim != 2 or linear.shape[0] != linear.shape[1]:
+        if linear.shape != antilinear.shape or linear.ndim < 2 or linear.shape[-1] != linear.shape[-2]:
             raise ValueError("linear and antilinear parts must be equal square matrices")
-        self.dim = linear.shape[0]
+        self.dim = linear.shape[-1]
         self.linear = linear
         self.antilinear = antilinear
 
@@ -64,7 +69,7 @@ class RLinearMap:
     def adjoint(self) -> "RLinearMap":
         """L* + A*: conjugate transpose of the linear part, plain transpose
         of the antilinear matrix."""
-        return RLinearMap(self.linear.conj().T, self.antilinear.T)
+        return RLinearMap(np.conj(_t(self.linear)), _t(self.antilinear))
 
     def doubled(self) -> np.ndarray:
         """The 2d x 2d matrix [[L, A], [conj A, conj L]] by which T acts
@@ -73,7 +78,7 @@ class RLinearMap:
 
     def inverse(self) -> "RLinearMap":
         """Inverse valid for symplectomorphisms: L* - A*."""
-        return RLinearMap(self.linear.conj().T, -self.antilinear.T)
+        return RLinearMap(np.conj(_t(self.linear)), -_t(self.antilinear))
 
     def __add__(self, other):
         if self.dim != other.dim:
@@ -85,9 +90,10 @@ class RLinearMap:
             raise DimensionMismatchError(f"dim {self.dim} vs {other.dim}")
         return RLinearMap(self.linear - other.linear, self.antilinear - other.antilinear)
 
-    def norm_x(self) -> float:
-        """Banach-algebra norm: operator norm of L plus HS norm of A."""
-        return float(np.linalg.norm(self.linear, 2) + np.linalg.norm(self.antilinear, "fro"))
+    def norm_x(self):
+        """Banach-algebra norm: operator norm of L plus HS norm of A; one
+        per sample, shape (P,), for a stack."""
+        return np.linalg.norm(self.linear, 2, axis=(-2, -1)) + euclidean_norm(self.antilinear, 2)
 
     def distance(self, other: "RLinearMap") -> float:
         return (self - other).norm_x()
@@ -107,6 +113,24 @@ class SymplecticityReport:
 
     def __bool__(self):
         return self.ok
+
+
+def _t(mat):
+    """Transpose of a matrix or of each matrix of a stack."""
+    return np.swapaxes(mat, -1, -2)
+
+
+def euclidean_norm(x, axes: int = 1):
+    """Euclidean norm over the last `axes` axes of x, one per index of the
+    leading ones.
+
+    It is taken from BLAS dot products of the real and imaginary parts,
+    as np.linalg.norm takes the norm of a whole vector or matrix, so one
+    sample gets the same bits as np.linalg.norm(sample).
+    """
+    x = np.asarray(x)
+    flat = x.reshape(x.shape[:x.ndim - axes] + (-1,))
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
 def compose(s: RLinearMap, t: RLinearMap) -> RLinearMap:
@@ -164,13 +188,13 @@ class SymplectoDecomposition:
 
 def exp_antilinear(conj_basis, rho_eigs) -> RLinearMap:
     """e^{c rho} = cosh(rho) + c sinh(rho) for rho diagonal in the
-    conjugation's fixed basis."""
+    conjugation's fixed basis (or stacks of bases and rho vectors)."""
     e = np.asarray(conj_basis, dtype=complex)
-    rho = np.asarray(rho_eigs, dtype=float)
+    rho = np.asarray(rho_eigs, dtype=float)[..., None, :]
     if np.any(rho < 0):
         raise ValueError("rho eigenvalues must be non-negative")
-    lin = (e * np.cosh(rho)) @ e.conj().T
-    anti = (e * np.sinh(rho)) @ e.T
+    lin = (e * np.cosh(rho)) @ np.conj(_t(e))
+    anti = (e * np.sinh(rho)) @ _t(e)
     return RLinearMap(lin, anti)
 
 
@@ -239,15 +263,22 @@ def decompose(t: RLinearMap, tol: float = 1e-8) -> SymplectoDecomposition:
 
 
 def random_symplectomorphism(rng: np.random.Generator, dim: int,
-                             rho_scale: float = 0.7) -> RLinearMap:
-    """Draw u e^{c rho} from Haar-ish unitaries and random conjugation data."""
-    u = _random_unitary(rng, dim)
-    e = _random_unitary(rng, dim)
-    rho = rho_scale * rng.random(dim)
+                             rho_scale: float = 0.7, samples: int = None) -> RLinearMap:
+    """Draw u e^{c rho} from Haar-ish unitaries and random conjugation data.
+
+    Given `samples`, draw a stack of that many maps at once; one map is
+    the draw of a stack of one, from the same random stream.
+    """
+    lead = () if samples is None else (samples,)
+    u = _random_unitary(rng, lead + (dim, dim))
+    e = _random_unitary(rng, lead + (dim, dim))
+    rho = rho_scale * rng.random(lead + (dim,))
     return compose(RLinearMap(u), exp_antilinear(e, rho))
 
 
-def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _random_unitary(rng: np.random.Generator, shape) -> np.ndarray:
+    """Unitaries of the given (..., dim, dim) shape, by batched QR."""
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]

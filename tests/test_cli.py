@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 
+import numpy as np
 import pytest
 
-from hepp_expand import cli
+from hepp_expand import cli, fock
 from hepp_expand.cli import main
 from hepp_expand.errors import ScenarioError, SymplecticityError
 from hepp_expand.scenario import Scenario
@@ -415,6 +417,58 @@ class TestEstimatesCommand:
         for row in report["rows"] + zero_beta["rows"]:
             assert set(row) == {"name", "samples", "max_ratio", "vacuous", "pass"}
             assert row["samples"] == (0 if row["name"] == "growth_bound" else 7)
+
+    def test_fock_rows_do_not_depend_on_epsilon(self, tmp_path, capsys):
+        # the Fock rows weigh by N/eps + 1 = n + 1 (N = eps n); at eps = 10
+        # the old weight n/eps + 1 failed the generator row at 3.34
+        with open(os.path.join(REPO, "demos", "scenarios", "oracle-im-z2.json")) as fh:
+            data = json.load(fh)
+        fock_rows = {"generator_bound", "commutator_bound_k1", "commutator_bound_k2",
+                     "growth_bound_k1", "growth_bound_k2"}
+        ratios = {}
+        for eps in (0.01, 0.5, 1.0, 10.0):
+            data["epsilon"] = eps
+            code, report = run_main(
+                ["estimates", write_scenario(tmp_path, data), "--samples", "50"], capsys)
+            if eps == 10.0:
+                assert code == 0 and report["pass"] is True
+            ratios[eps] = {row["name"]: row["max_ratio"] for row in report["rows"]
+                           if row["name"] in fock_rows}
+            assert set(ratios[eps]) == fock_rows
+        for eps in (0.01, 1.0, 10.0):
+            for name in fock_rows:
+                assert ratios[eps][name] == pytest.approx(ratios[0.5][name], rel=1e-9)
+
+    def test_nan_ratio_fails_its_row(self, tmp_path, capsys, monkeypatch):
+        # a NaN in one sample of a stack fails the row instead of dropping
+        # out of the running maximum
+        original = cli.Lambda_of_map
+
+        def with_nan(c, t_map):
+            size = len(t_map.linear)
+            return original(c, t_map) * np.where(np.arange(size) == size // 2, np.nan, 1.0)
+
+        monkeypatch.setattr(cli, "Lambda_of_map", with_nan)
+        data = base_scenario(t_end=0.3, fock={"n_max": 12})
+        code, report = run_main(
+            ["estimates", write_scenario(tmp_path, data), "--samples", "9"], capsys)
+        assert code == 1 and report["pass"] is False
+        failed = {row["name"]: row["max_ratio"] for row in report["rows"] if not row["pass"]}
+        assert set(failed) == {"second_order_bound_m2", "second_order_bound"}
+        assert all(math.isnan(v) for v in failed.values())
+
+    def test_memory_does_not_grow_with_samples(self, tmp_path, monkeypatch):
+        # the rows take their samples in chunks of fock.SAMPLE_CHUNK
+        monkeypatch.setattr(fock, "SAMPLE_CHUNK", 16)
+        path = os.path.join(REPO, "demos", "scenarios", "oracle-im-z2.json")
+        out = str(tmp_path / "report.json")
+        peaks = []
+        for n_samples in (16, 16, 480):  # the first run fills the caches
+            tracemalloc.start()
+            assert main(["estimates", path, "--samples", str(n_samples), "--out", out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[2] <= 2 * peaks[1]
 
     def test_deterministic_given_seed(self, tmp_path):
         data = base_scenario(t_end=0.3, fock={"n_max": 12})

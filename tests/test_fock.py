@@ -841,18 +841,14 @@ class TestEstimates:
         h = QuadraticHamiltonian(dim, beta=m, t_end=0.3, dt=1e-3)
         u = quantum_flow(h, space, 0.3, trusted_n=space.n_max,
                          leak_threshold=np.inf).columns
-        nvec = space.number_values() / space.epsilon + 1.0
-        rng = np.random.default_rng(5)
-        worst = {1: 0.0, 2: 0.0}
+        # the check draws its 20 states as one block and weighs by n + 1
+        weight = (space.number_values() + 1.0)[:, None]
+        psi = space.random_state(np.random.default_rng(5), 3, samples=20)
         for k in (1, 2):
             bound = math.exp(3.0 ** k * math.sqrt(2.0) * np.linalg.norm(m) * 0.3) * 1.1
-            for _ in range(20):
-                psi = space.random_state(rng, 3)
-                ratio = (np.linalg.norm(nvec ** (k / 2) * (u @ psi))
-                         / (bound * np.linalg.norm(nvec ** (k / 2) * psi)))
-                worst[k] = max(worst[k], ratio)
-        for k in (1, 2):
-            assert rep["max_ratio"][k] == pytest.approx(worst[k], rel=1e-12)
+            ratios = (np.linalg.norm(weight ** (k / 2) * (u @ psi), axis=0)
+                      / (bound * np.linalg.norm(weight ** (k / 2) * psi, axis=0)))
+            assert rep["max_ratio"][k] == pytest.approx(ratios.max(), rel=1e-12)
             assert rep["max_ratio"][k] <= 1.0
 
     def test_growth_bound_soft(self, rng):
@@ -860,3 +856,68 @@ class TestEstimates:
         rep = check_growth_bound(np.array([[0.7]]), space, 0.5,
                                  n_samples=40, rng=rng)
         assert all(v <= 1.0 for v in rep["max_ratio"].values())
+
+    def test_rows_agree_across_epsilon(self):
+        # both checks weigh by n + 1, so a seed gives the same ratios at
+        # every epsilon
+        beta = np.array([[0.7 + 0.2j]])
+        reps = []
+        for eps in (0.01, 0.5, 1.0, 10.0):
+            space = FockSpace(1, 24, eps)
+            est = check_estimates(beta, space, n_samples=50, rng=np.random.default_rng(3))
+            growth = check_growth_bound(beta, space, 0.05, n_samples=50,
+                                        rng=np.random.default_rng(3))
+            reps.append([est["max_ratio_generator"], *est["max_ratio_commutator"].values(),
+                         *growth["max_ratio"].values()])
+        for rep in reps[1:]:
+            assert rep == pytest.approx(reps[0], rel=1e-9)
+
+    def test_sample_max_chunks_and_propagates_nan(self, monkeypatch):
+        monkeypatch.setattr(fock, "SAMPLE_CHUNK", 4)
+        sizes, draws = [], iter([[0.5, 0.1, 0.2, 0.3], [0.9, 0.4, 0.0, 0.2], [0.6, 0.7]])
+
+        def ratios(size):
+            sizes.append(size)
+            return np.array([next(draws), np.full(size, float(len(sizes)))])
+
+        assert fock.sample_max(ratios, 10).tolist() == [0.9, 3.0]
+        assert sizes == [4, 4, 2]
+        draws = iter([[0.5, np.nan], [0.9, 0.4]])
+        assert np.isnan(fock.sample_max(lambda size: np.array(next(draws)), 4))
+
+    def test_sample_max_block_holds_at_most_sample_entries(self):
+        sizes = []
+
+        def ratios(size):
+            sizes.append(size)
+            return np.zeros(size)
+
+        fock.sample_max(ratios, 7, entries=fock.SAMPLE_ENTRIES // 3)
+        fock.sample_max(ratios, 2, entries=fock.SAMPLE_ENTRIES + 1)
+        assert sizes == [3, 3, 1, 1, 1]
+
+    def test_no_samples_refused(self):
+        space = FockSpace(1, 10, 0.5)
+        beta = np.array([[0.7]])
+        with pytest.raises(ValueError, match="n_samples"):
+            check_estimates(beta, space, n_samples=0)
+        with pytest.raises(ValueError, match="n_samples"):
+            check_growth_bound(beta, space, 0.1, n_samples=0)
+
+    def test_nan_sample_fails_every_row(self, monkeypatch):
+        # one NaN state among finite ones must not drop out of the maximum
+        space = FockSpace(1, 10, 0.5)
+        draw = space.random_state
+
+        def with_nan(rng, n_top, samples=None):
+            psi = draw(rng, n_top, samples)
+            psi[:, 1] = np.nan
+            return psi
+
+        monkeypatch.setattr(space, "random_state", with_nan)
+        beta = np.array([[0.7]])
+        est = check_estimates(beta, space, n_samples=5, rng=np.random.default_rng(1))
+        growth = check_growth_bound(beta, space, 0.3, n_samples=5, rng=np.random.default_rng(1))
+        ratios = [est["max_ratio_generator"], *est["max_ratio_commutator"].values(),
+                  *growth["max_ratio"].values()]
+        assert all(math.isnan(r) for r in ratios)

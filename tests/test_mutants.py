@@ -1,0 +1,101 @@
+"""Mutation test for the code both expansion engines share.
+
+The Dyson and exponential engines share the composition b o phi, the
+second-order kernel and the (eps/2)^k assembly, and the oracle quantizes
+both sides of its comparison through `fock._wick_entries`.  A slip in
+the composition, the assembly or the quantization cancels in `expand
+--method both`, so each slip is planted here in-process, and the
+oracle's own verdict on the complex d=2 demo scenario must turn to a
+tolerance failure (DeMillo, Lipton and Sayward, "Hints on test data
+selection", 1978).  The d=1 demo scenarios, whose data are all real,
+cannot see a dropped conjugation.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from hepp_expand import expansions, fock
+from hepp_expand.cli import main
+from hepp_expand.expansions import ExpansionResult
+from hepp_expand.symbols import PolySymbol
+from hepp_expand.symplectic import RLinearMap
+
+SCENARIO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "demos", "scenarios", "oracle-d2-complex.json")
+
+
+def compose_conjugated(monkeypatch):
+    # (conj L, conj A) has the conjugate doubled matrix of T = L + A
+    original = PolySymbol.compose_rlinear
+    monkeypatch.setattr(PolySymbol, "compose_rlinear", lambda self, t: original(
+        self, RLinearMap(np.conj(t.linear), np.conj(t.antilinear))))
+
+
+def kernel_pair_unconjugated(monkeypatch):
+    original = expansions.second_order_kernel
+
+    def kernel(mixed, pair):
+        out = original(mixed, pair)
+        d = out.shape[-1] // 2
+        out[..., d:, d:] = pair
+        return out
+
+    monkeypatch.setattr(expansions, "second_order_kernel", kernel)
+
+
+def kernel_mixed_untransposed(monkeypatch):
+    original = expansions.second_order_kernel
+
+    def kernel(mixed, pair):
+        out = original(mixed, pair)
+        d = out.shape[-1] // 2
+        out[..., d:, :d] = np.asarray(mixed) / 2.0
+        return out
+
+    monkeypatch.setattr(expansions, "second_order_kernel", kernel)
+
+
+def kernel_mixed_doubled(monkeypatch):
+    original = expansions.second_order_kernel
+    monkeypatch.setattr(expansions, "second_order_kernel",
+                        lambda mixed, pair: original(2.0 * np.asarray(mixed), pair))
+
+
+def assembled_eps_k(monkeypatch):
+    def assembled(self, epsilon=None):
+        eps = self.epsilon if epsilon is None else epsilon
+        out = PolySymbol.zero(self.terms[0].dim)
+        for k, term in enumerate(self.terms):
+            out = out + (eps ** k) * term
+        return out
+
+    monkeypatch.setattr(ExpansionResult, "assembled", assembled)
+
+
+def wick_sector_scale(monkeypatch):
+    # degree m scaled by eps^m instead of eps^(m/2)
+    original = fock._wick_entries
+
+    def entries(b, space, n_top):
+        scaled = {m: c * space.epsilon ** (m / 2.0) for m, c in b.vectors.items()}
+        return original(PolySymbol._from_vectors(b.dim, scaled), space, n_top)
+
+    monkeypatch.setattr(fock, "_wick_entries", entries)
+
+
+MUTANTS = [compose_conjugated, kernel_pair_unconjugated, kernel_mixed_untransposed,
+           kernel_mixed_doubled, assembled_eps_k, wick_sector_scale]
+
+
+def test_unpatched_oracle_passes(capsys):
+    assert main(["oracle", SCENARIO]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.__name__ for m in MUTANTS])
+def test_mutant_fails_the_oracle(monkeypatch, capsys, mutant):
+    mutant(monkeypatch)
+    assert main(["oracle", SCENARIO]) == 1
+    capsys.readouterr()

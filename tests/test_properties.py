@@ -9,11 +9,22 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hepp_expand.expansions import lambda_s
+from hepp_expand.expansions import exp_expand, lambda_s
 from hepp_expand.flow import QuadraticHamiltonian, integrate_flow
 from hepp_expand.fock import FockSpace, wick_apply, wick_quantize
-from hepp_expand.symbols import PolySymbol, random_symbol, wick_product_symbol
-from hepp_expand.symplectic import _GROUP_RTOL, _ZERO_TOL, decompose, random_symplectomorphism
+from hepp_expand.symbols import (
+    PolySymbol,
+    apply_second_order_operator,
+    random_symbol,
+    wick_product_symbol,
+)
+from hepp_expand.symplectic import (
+    _GROUP_RTOL,
+    _ZERO_TOL,
+    RLinearMap,
+    decompose,
+    random_symplectomorphism,
+)
 from hepp_expand.weylwick import weyl_from_wick, wick_from_weyl
 
 from reference import lambda_s_via_bracket
@@ -220,3 +231,61 @@ def test_lambda_s_matches_bracket_form(seed, dim, with_alpha, s_frac):
     direct = lambda_s(c, s, flow, h)
     via = lambda_s_via_bracket(c, s, flow, h)
     assert direct.distance_p(via) < 1e-9 * max(1.0, direct.norm_p())
+
+
+def _sample(stack, p):
+    """Sample p of a stack of polynomials, as one polynomial."""
+    return PolySymbol._from_vectors(stack.dim, {m: c[:, p] for m, c in stack.vectors.items()})
+
+
+def _assert_close(stacked, one, rel=1e-14):
+    """Coefficients equal to `rel` relative to the largest of `one`."""
+    scale = max((float(np.abs(c).max()) for c in one.vectors.values()), default=0.0)
+    assert stacked.distance_max(one) <= rel * scale
+
+
+@fast
+@given(seed=seeds, dim=dims, order=st.integers(min_value=0, max_value=6),
+       samples=st.integers(min_value=1, max_value=4))
+def test_stacked_routines_match_one_symbol_calls(seed, dim, order, samples):
+    # every sample of a stack gets what the one-polynomial call gives it
+    rng = np.random.default_rng(seed)
+    stack = random_symbol(rng, dim, order, samples=samples)
+    maps = random_symplectomorphism(rng, dim, samples=samples)
+    kernels = _symmetric(rng, 2 * dim)[None] + np.stack(
+        [_symmetric(rng, 2 * dim) for _ in range(samples)])
+    h = QuadraticHamiltonian(dim, alpha=_hermitian(rng, dim), beta=_symmetric(rng, dim),
+                             t_end=0.2, dt=1e-2)
+    flow = integrate_flow(h)
+    composed = stack.compose_rlinear(maps)
+    norms = stack.norm_p()
+    second = apply_second_order_operator(stack, kernels)
+    terms = exp_expand(stack, 0.2, flow, epsilon=0.5).terms
+    assert norms.shape == (samples,)
+    for p in range(samples):
+        one = _sample(stack, p)
+        t_map = RLinearMap(maps.linear[p], maps.antilinear[p])
+        _assert_close(_sample(composed, p), one.compose_rlinear(t_map))
+        assert abs(norms[p] - one.norm_p()) <= 1e-14 * one.norm_p()
+        _assert_close(_sample(second, p), apply_second_order_operator(one, kernels[p]))
+        for term, one_term in zip(terms, exp_expand(one, 0.2, flow, epsilon=0.5).terms,
+                                  strict=True):
+            _assert_close(_sample(term, p), one_term)
+
+
+@fast
+@given(seed=seeds, dim=dims, order=st.integers(min_value=0, max_value=6))
+def test_draw_of_one_is_the_single_draw(seed, dim, order):
+    # bitwise, and the generator is left in the same state
+    draws = []
+    for samples in (None, 1):
+        rng = np.random.default_rng(seed)
+        b = random_symbol(rng, dim, order, samples=samples)
+        t_map = random_symplectomorphism(rng, dim, samples=samples)
+        psi = FockSpace(dim, 6).random_state(rng, 4, samples=samples)
+        draws.append((b.vectors, t_map.linear, t_map.antilinear, psi, rng.random()))
+    (b1, l1, a1, psi1, next1), (b2, l2, a2, psi2, next2) = draws
+    assert b1.keys() == b2.keys()
+    assert all(np.array_equal(b1[m], b2[m][:, 0]) for m in b1)
+    assert np.array_equal(l1, l2[0]) and np.array_equal(a1, a2[0])
+    assert np.array_equal(psi1, psi2[:, 0]) and next1 == next2
