@@ -15,14 +15,14 @@ import math
 
 import numpy as np
 
-from .flow import FlowResult, QuadraticHamiltonian, v_vector
+from .flow import FlowResult, QuadraticHamiltonian
 from .symbols import (
     PolySymbol,
     apply_second_order_operator,
     apply_second_order_stack,
     second_order_kernel,
 )
-from .symplectic import RLinearMap, doubled
+from .symplectic import RLinearMap
 
 
 class ExpansionResult:
@@ -71,11 +71,10 @@ def _generator_kernels(s, flow: FlowResult,
     N_s is the doubled matrix of phi_s^-1 = L* - A* (dense output of the
     flow) and K_beta(s) the kernel of the pair contraction with beta_s.
     """
-    lm, am = flow.phi_on(s)
-    n_inv = doubled(np.conj(np.swapaxes(lm, 1, 2)), -np.swapaxes(am, 1, 2))
+    n_inv = RLinearMap(*flow.phi_on(s)).inverse().doubled()
     beta = hamiltonian.beta_on(s)
     k_beta = second_order_kernel(np.zeros_like(beta), beta)
-    return n_inv @ k_beta @ np.swapaxes(n_inv, 1, 2)
+    return n_inv @ k_beta @ n_inv.mT
 
 
 def lambda_s(c: PolySymbol, s: float, flow: FlowResult,
@@ -92,11 +91,9 @@ def lambda_s(c: PolySymbol, s: float, flow: FlowResult,
 
 
 def Lambda_t(c: PolySymbol, t: float, flow: FlowResult) -> PolySymbol:
-    """Accumulated second-order operator of the flow at grid time t:
-    a -2 A*A trace contraction plus both v_t pair contractions."""
-    a = flow.antilinear[flow.grid_index(t)]
-    kernel = second_order_kernel(-2.0 * (a.T @ np.conj(a)), v_vector(flow, t))
-    return apply_second_order_operator(c, kernel)
+    """Accumulated second-order operator of the flow at grid time t, that
+    of the fixed map phi(t)* = L* + A*: -2 A*A trace and v_t pair terms."""
+    return Lambda_of_map(c, flow.phi(t).adjoint())
 
 
 def Lambda_of_map(c: PolySymbol, t_map: RLinearMap) -> PolySymbol:
@@ -106,10 +103,10 @@ def Lambda_of_map(c: PolySymbol, t_map: RLinearMap) -> PolySymbol:
     For a stack of P maps the kernels are built as one stack and c is a
     stack of P polynomials, sample p under map p.
     """
-    a_t = np.swapaxes(t_map.antilinear, -1, -2)
+    a_t = t_map.antilinear.mT
     pair = t_map.linear @ a_t
     kernel = second_order_kernel(-2.0 * (t_map.antilinear @ np.conj(a_t)),
-                                 (pair + np.swapaxes(pair, -1, -2)) / 2.0)
+                                 (pair + pair.mT) / 2.0)
     return apply_second_order_operator(c, kernel)
 
 

@@ -19,6 +19,8 @@ oracle uses.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import SymplecticityError
@@ -136,6 +138,14 @@ def grid_index(grid, t: float) -> int:
     return k
 
 
+def rk4_times(grid) -> np.ndarray:
+    """The times an RK4 pass over `grid` reads, in order: every grid
+    point with the step midpoints between them."""
+    times = np.empty(2 * len(grid) - 1)
+    times[0::2], times[1::2] = grid, grid[:-1] + np.diff(grid) / 2
+    return times
+
+
 def _linear_rk4(grid, generator, w0):
     """RK4 for the linear system dW/dt = G(t) W, W(grid[0]) = w0.
 
@@ -149,13 +159,9 @@ def _linear_rk4(grid, generator, w0):
     I + (P - I) drops the low bits of the small increment at every step.
     Returns W and the slopes G W at the grid points, for dense output.
     """
-    h = np.diff(grid)
-    times = np.empty(2 * len(grid) - 1)
-    times[0::2] = grid
-    times[1::2] = grid[:-1] + h / 2
-    g = generator(times)
+    g = generator(rk4_times(grid))
     g_now, g_mid, g_next = g[:-1:2], g[1::2], g[2::2]
-    hh = h[:, None, None]
+    hh = np.diff(grid)[:, None, None]
     eye = np.eye(g.shape[-1])
     k1 = g_now
     k2 = g_mid @ (eye + hh / 2 * k1)
@@ -222,7 +228,7 @@ class FlowResult:
     """The classical flow phi(t, t_start) = L(t) + A(t) on a time grid.
 
     Stores the doubled columns W = [L; conj A] with their RK4 slopes
-    (for dense output) and the per-node symplecticity defects.
+    (for dense output); the per-node `defects` are computed on first read.
     """
 
     def __init__(self, times, values, derivs):
@@ -230,7 +236,10 @@ class FlowResult:
         self.t_start = times[0]
         self._values, self._derivs = values, derivs
         self.linear, self.antilinear = _split(values)
-        self.defects = np.maximum(*symplectic_defects(self.linear, self.antilinear))
+
+    @cached_property
+    def defects(self) -> np.ndarray:
+        return np.maximum(*symplectic_defects(self.linear, self.antilinear))
 
     def grid_index(self, t: float) -> int:
         return grid_index(self.times, t)
@@ -273,7 +282,7 @@ def integrate_flow(h: QuadraticHamiltonian) -> FlowResult:
     grid = h.grid()
     values, derivs = _linear_rk4(grid, generator, np.eye(2 * h.dim, h.dim, dtype=complex))
     result = FlowResult(grid, values, derivs)
-    terminal = result.defects[-1]
+    terminal = np.maximum(*symplectic_defects(result.linear[-1:], result.antilinear[-1:]))[0]
     if terminal > _DEFECT_TOL:
         raise SymplecticityError(
             f"terminal symplecticity defect {terminal:.3e} exceeds {_DEFECT_TOL:.1e}; "

@@ -32,15 +32,16 @@ those columns too: the observable acts on them as a sparse matrix, and
 their unitarity defect comes from one Gram block per parity.
 
 One stepper advances the columns by either of two integrators, reading
-the pair coefficients of all the times a stretch needs in one call.
-RK4 on the grid is the reference.  Given a tolerance, the fourth-order
-commutator-free Magnus step CF4 (Blanes & Moan 2006) takes steps of
-several grid points, sized by step doubling; each exponential acts on
-the columns as a Taylor series whose length follows from the
-generator's exact sparse 1-norm.  The leakage gate still reads every
-grid point (between step ends from a cubic Hermite interpolant), and a
-step that comes within a factor 10 of the leakage threshold is re-run
-by RK4 on the grid.
+the pair coefficients of all the times a stretch needs in one call, and
+refills the generator's CSR matrices and those of its top-sector rows
+(the leakage gate's) in place.  RK4 on the grid is the reference.  Given
+a tolerance, the fourth-order commutator-free Magnus step CF4 (Blanes &
+Moan 2006) takes steps of several grid points, sized by step doubling;
+each exponential acts on the columns as a Taylor series whose length
+follows from the generator's exact sparse 1-norm.  The leakage gate
+still reads every grid point (between step ends from a cubic Hermite
+interpolant), and a step that comes within a factor 10 of the leakage
+threshold is re-run by RK4 on the grid.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import numpy as np
 
 from . import sectors as sec
 from .errors import DimensionMismatchError, LeakageError
-from .flow import QuadraticHamiltonian, grid_index, integrate_u_alpha
+from .flow import QuadraticHamiltonian, grid_index, integrate_u_alpha, rk4_times
 from .symbols import PolySymbol, squeezing_hamiltonian_symbol
 from .symplectic import euclidean_norm
 
@@ -347,28 +348,27 @@ class _ColumnStepper:
 
     Owns the columns, three CSR work matrices per block (the generator
     at the start, middle and end of an RK4 step; CF4 uses the first for
-    its exponents), the leakage at every grid point and the CF4
-    counters.  `rk4` advances grid step by grid step.  `march` takes CF4
-    steps of several grid points with step-doubling control: one attempt
-    from knot k advances n_h grid steps once with step H and twice with
-    H/2; max|difference| / 15 estimates the error of the two-half-step
-    result, which is kept when the estimate is at most tol H / T (a
-    single grid step is always kept).  The next n_h scales with
-    (allowed / estimate)^(1/5).  The first H has H ||G(t0)||_1 ~ 0.5.
+    its exponents) and one of its top-sector rows (the leakage gate's
+    slopes), all refilled in place by `_fill`, the leakage at every grid
+    point and the CF4 counters.  `rk4` advances grid step by grid step.
+    `march` takes CF4 steps of several grid points with step-doubling
+    control: one attempt from knot k advances n_h grid steps once with
+    step H and twice with H/2; max|difference| / 15 estimates the error
+    of the two-half-step result, which is kept when the estimate is at
+    most tol H / T (a single grid step is always kept).  The next n_h
+    scales with (allowed / estimate)^(1/5).  The first H has
+    H ||G(t0)||_1 ~ 0.5.
     """
 
     def __init__(self, space, trusted_n, coefficients, grid, leak_threshold):
-        from scipy import sparse
-
         self.space, self.trusted_n = space, trusted_n
         self.blocks = _parity_blocks(space, trusted_n)
         self.coefficients, self.grid = coefficients, grid
         self.leak_threshold = leak_threshold
         # the trusted columns are a prefix of each parity block
         self.us = [np.eye(len(blk.states), blk.trusted_hi, dtype=complex) for blk in self.blocks]
-        self.work = [[sparse.csr_matrix((np.zeros(len(blk.values), dtype=complex), blk.indices,
-                                         blk.indptr), shape=blk.shape) for blk in self.blocks]
-                     for _ in range(3)]
+        self.work = [[blk.pattern() for blk in self.blocks] for _ in range(3)]
+        self.tops = [blk.pattern(blk.top_lo) for blk in self.blocks]
         self.leak = np.zeros(len(grid))
         self.steps = self.rejected = self.refined = 0
         self.time_error = 0.0
@@ -391,10 +391,7 @@ class _ColumnStepper:
         midpoint come from one call."""
         grid = self.grid[k_from:k_to + 1]
         h = np.diff(grid)
-        times = np.empty(2 * len(grid) - 1)
-        times[0::2] = grid
-        times[1::2] = grid[:-1] + h / 2
-        c = self.coefficients(times)
+        c = self.coefficients(rk4_times(grid))
         g_now, g_mid, g_next = self.work
         _fill(g_now, self.blocks, c[0])
         for j, hj in enumerate(h):
@@ -491,10 +488,11 @@ class _ColumnStepper:
         basis[~second, :4] = herm[~second]
         basis[second, 2:] = herm[second]
         pairs = (basis[:, :, None] * basis[:, None, :]).reshape(len(inner), 36)
-        for b, blk in enumerate(self.blocks):
+        for b, (blk, top) in enumerate(zip(self.blocks, self.tops)):
             ys = []
             for c, state in zip(coeffs, states):
-                ys += [state[b][blk.top_lo:], (h / 2) * (blk.top_generator(c) @ state[b])]
+                _fill([top], [blk], c)
+                ys += [state[b][blk.top_lo:], (h / 2) * (top @ state[b])]
             ys = np.stack(ys)
             if not ys.size:
                 continue
@@ -515,10 +513,11 @@ class _ColumnStepper:
 
 
 def _fill(mats, blocks, c):
-    """Refill each block's fixed-pattern CSR matrix in place from the pair
-    coefficients c: only its data depends on the time."""
+    """Refill the data of each fixed-pattern CSR matrix, a suffix of its
+    block's pattern, in place from the pair coefficients c."""
     for mat, blk in zip(mats, blocks):
-        np.multiply(blk.values, c[blk.term], out=mat.data)
+        lo = len(blk.values) - len(mat.data)
+        np.multiply(blk.values[lo:], c[blk.term[lo:]], out=mat.data)
 
 
 def _norm1(mat) -> float:
@@ -586,14 +585,13 @@ class _ParityBlock:
             gram = leaked.conj().T @ leaked
         return math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
 
-    def top_generator(self, c):
-        """The top-sector rows of the generator with pair coefficients c."""
+    def pattern(self, row: int = 0):
+        """A zero CSR matrix of the generator's rows from `row` on, for `_fill`."""
         from scipy import sparse
 
-        lo = self.indptr[self.top_lo]
-        return sparse.csr_matrix(
-            (self.values[lo:] * c[self.term[lo:]], self.indices[lo:],
-             self.indptr[self.top_lo:] - lo), shape=(self.shape[0] - self.top_lo, self.shape[1]))
+        lo = self.indptr[row]
+        return sparse.csr_matrix((np.zeros(len(self.values) - lo, dtype=complex), self.indices[lo:],
+                                  self.indptr[row:] - lo), shape=(self.shape[0] - row, self.shape[1]))
 
 
 def _parity_blocks(space: FockSpace, trusted_n: int) -> list:
@@ -692,9 +690,12 @@ def sample_max(ratios, n_samples: int, entries: int = 1) -> np.ndarray:
     return worst
 
 
-def _beta_norm(beta_mat) -> float:
-    # 2-vector norm of beta equals the HS norm of its coordinate matrix
-    return float(np.linalg.norm(beta_mat, "fro"))
+def _check_setup(beta_mat, space: FockSpace, rng):
+    """What both checks start from: the rng (seed 0 by default), beta as a
+    complex matrix, its 2-vector (HS) norm and the weight column n + 1."""
+    beta_mat = np.asarray(beta_mat, dtype=complex)
+    return (rng or np.random.default_rng(0), beta_mat, float(np.linalg.norm(beta_mat, "fro")),
+            (space.number_values() + 1.0)[:, None])
 
 
 def check_estimates(beta_mat, space: FockSpace, n_samples: int = 100,
@@ -708,17 +709,13 @@ def check_estimates(beta_mat, space: FockSpace, n_samples: int = 100,
     eps.  The states are drawn and checked in blocks (`sample_max`), with
     one product by Q^Wick per block.
     """
-    rng = rng or np.random.default_rng(0)
-    beta_mat = np.asarray(beta_mat, dtype=complex)
-    bnorm = _beta_norm(beta_mat)
-    eps = space.epsilon
+    rng, beta_mat, bnorm, weight = _check_setup(beta_mat, space, rng)
     report = {"n_samples": n_samples, "beta_norm": bnorm, "vacuous": bnorm == 0.0}
     if bnorm == 0.0:
         report["max_ratio_generator"] = 0.0
         report["max_ratio_commutator"] = {k: 0.0 for k in _KS}
         return report
-    q_op = wick_quantize(squeezing_hamiltonian_symbol(beta_mat), space) / eps
-    weight = (space.number_values() + 1.0)[:, None]
+    q_op = wick_quantize(squeezing_hamiltonian_symbol(beta_mat), space) / space.epsilon
 
     def ratios(size):
         psi = space.random_state(rng, space.n_max - 2, size)
@@ -750,15 +747,12 @@ def check_growth_bound(beta_mat, space: FockSpace, t: float, n_samples: int = 50
     dense Q^Wick on the truncated space.  Every k reads the same states,
     drawn and evolved in blocks (`sample_max`), one product by U per block.
     """
-    rng = rng or np.random.default_rng(0)
-    beta_mat = np.asarray(beta_mat, dtype=complex)
-    bnorm = _beta_norm(beta_mat)
+    rng, beta_mat, bnorm, weight = _check_setup(beta_mat, space, rng)
     lam, vecs = np.linalg.eigh(wick_quantize(squeezing_hamiltonian_symbol(beta_mat), space))
     # the random states live on sectors <= n_top: only those columns of U
     n_top = space.n_max // 2
     n_cols = space.span_slice(n_top).stop
     u = (vecs * np.exp(-1j * t * lam / space.epsilon)) @ vecs[:n_cols].conj().T
-    weight = (space.number_values() + 1.0)[:, None]
     bounds = {k: math.exp((3.0 ** k) * math.sqrt(2.0) * bnorm * t) * (1.0 + _GROWTH_SLACK)
               for k in _KS}
 

@@ -5,7 +5,8 @@ separately derived route, or checks an identity the expansions rest on:
 dense per-sector ladder matrices, quantization through explicit
 symmetrizers, field and Weyl operators, the JSON entries of a symbol
 one coefficient at a time, the Poisson-bracket form of
-lambda^s, the finite-difference derivative of Lambda, and the
+lambda^s, the hand-written kernel of Lambda^t and doubled matrix of
+phi_s^-1, the finite-difference derivative of Lambda, and the
 Bogoliubov implementer of a fixed symplectomorphism.  Nothing here is on
 the path of the command line tool.
 """
@@ -19,14 +20,16 @@ from scipy.linalg import block_diag, expm
 
 import hepp_expand.sectors as sec
 from hepp_expand.expansions import Lambda_of_map, Lambda_t, lambda_s
+from hepp_expand.flow import v_vector
 from hepp_expand.fock import gamma_u, trusted_block_diff, wick_quantize
 from hepp_expand.symbols import (
     PolySymbol,
     contraction,
     preset_symbol,
+    second_order_kernel,
     squeezing_hamiltonian_symbol,
 )
-from hepp_expand.symplectic import decompose
+from hepp_expand.symplectic import decompose, doubled
 from hepp_expand.weylwick import weyl_from_wick, wick_from_weyl
 
 
@@ -204,6 +207,21 @@ def lambda_s_via_bracket(c: PolySymbol, s: float, flow, hamiltonian) -> PolySymb
         q = q + PolySymbol(c.dim, {(1, 1): alpha})
     bracket = poisson_bracket(g, q, 2)
     return (-1j * bracket).compose_rlinear(flow.phi_at(s))
+
+
+def Lambda_t_kernel_by_hand(flow, t: float) -> np.ndarray:
+    """The kernel of Lambda^t written out from the flow's antilinear part
+    at grid time t and the 2-vector v_t: a -2 A^T conj(A) trace block
+    and the v_t pair blocks."""
+    a = flow.antilinear[flow.grid_index(t)]
+    return second_order_kernel(-2.0 * (a.T @ np.conj(a)), v_vector(flow, t))
+
+
+def phi_inverse_doubled_by_hand(flow, s) -> np.ndarray:
+    """The doubled matrices of phi_s^-1 = L* - A^T at the times `s`,
+    stacked, transposing the dense output's blocks by hand."""
+    lm, am = flow.phi_on(s)
+    return doubled(np.conj(np.swapaxes(lm, 1, 2)), -np.swapaxes(am, 1, 2))
 
 
 def check_lambda_is_derivative_of_Lambda(flow, hamiltonian, t: float, c: PolySymbol,

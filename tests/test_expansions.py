@@ -9,16 +9,28 @@ from hepp_expand import expansions
 from hepp_expand.expansions import (
     Lambda_of_map,
     Lambda_t,
+    _generator_kernels,
     dyson_expand,
     exp_expand,
     lambda_s,
 )
 from hepp_expand.flow import QuadraticHamiltonian, integrate_flow
-from hepp_expand.symbols import PolySymbol, preset_symbol, random_symbol
-from hepp_expand.symplectic import random_symplectomorphism
+from hepp_expand.symbols import (
+    PolySymbol,
+    apply_second_order_operator,
+    preset_symbol,
+    random_symbol,
+    second_order_kernel,
+)
+from hepp_expand.symplectic import RLinearMap, random_symplectomorphism
 
 from conftest import squeeze_setup
-from reference import check_lambda_is_derivative_of_Lambda, lambda_s_via_bracket
+from reference import (
+    Lambda_t_kernel_by_hand,
+    check_lambda_is_derivative_of_Lambda,
+    lambda_s_via_bracket,
+    phi_inverse_doubled_by_hand,
+)
 
 
 def random_beta(rng, dim):
@@ -114,6 +126,53 @@ class TestLambdaT:
                 hs = np.linalg.norm(t_map.antilinear, "fro")
                 bound = m * (m - 1) * t_map.norm_x() * hs * c.norm_p()
                 assert Lambda_of_map(c, t_map).norm_p() <= bound + 1e-10
+
+
+def ramped_flow(seed, dim):
+    """A random d-mode Hamiltonian whose alpha and beta ramp linearly over
+    [0, 0.5], with its classical flow."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((4, dim, dim)) + 1j * rng.standard_normal((4, dim, dim))
+    alpha = (m[:2] + np.conj(np.swapaxes(m[:2], 1, 2))) / 2
+    beta = (m[2:] + np.swapaxes(m[2:], 1, 2)) / 2
+    h = QuadraticHamiltonian(dim, alpha=([0.0, 0.5], alpha), beta=([0.0, 0.5], beta),
+                             t_end=0.5, dt=1e-2)
+    return rng, h, integrate_flow(h)
+
+
+class TestSharedRoutes:
+    """Lambda^t and phi_s^-1 come from the routes of fixed maps; they must
+    give the bits of the formulas written out by hand."""
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), dim=st.integers(1, 3),
+           degree=st.integers(2, 5))
+    def test_Lambda_t_is_the_hand_kernel(self, seed, dim, degree):
+        rng, _, flow = ramped_flow(seed, dim)
+        c = random_symbol(rng, dim, degree)
+        for t in flow.times[[0, 1, 17, -1]]:
+            got = Lambda_t(c, t, flow)
+            want = apply_second_order_operator(c, Lambda_t_kernel_by_hand(flow, t))
+            assert got.vectors.keys() == want.vectors.keys()
+            for m, v in want.vectors.items():
+                assert np.array_equal(got.vectors[m], v)
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), dim=st.integers(1, 3),
+           nodes=st.integers(1, 8))
+    def test_phi_inverse_is_the_hand_transpose(self, seed, dim, nodes):
+        _, h, flow = ramped_flow(seed, dim)
+        # the first two levels of Dyson node times below t = 0.5, as the
+        # walk stacks them, and a stretch of grid times
+        xs = (np.polynomial.legendre.leggauss(nodes)[0] + 1.0) / 2.0
+        level1 = 0.5 * xs
+        for s in (level1, (level1[:, None] * xs).reshape(-1), flow.times[::7]):
+            n_inv = phi_inverse_doubled_by_hand(flow, s)
+            assert np.array_equal(RLinearMap(*flow.phi_on(s)).inverse().doubled(), n_inv)
+            beta = h.beta_on(s)
+            k_beta = second_order_kernel(np.zeros_like(beta), beta)
+            assert np.array_equal(_generator_kernels(s, flow, h),
+                                  n_inv @ k_beta @ np.swapaxes(n_inv, 1, 2))
 
 
 def node_by_node_dyson(b, t, flow, h, nodes, max_order=None):
@@ -215,7 +274,7 @@ class TestDysonExpand:
             raise AssertionError("the Dyson engine used an exponential-engine operator")
 
         monkeypatch.setattr(expansions, "Lambda_t", forbidden)
-        monkeypatch.setattr(expansions, "v_vector", forbidden)
+        monkeypatch.setattr(expansions, "Lambda_of_map", forbidden)
         h = QuadraticHamiltonian(2, beta=random_beta(rng, 2), t_end=0.4, dt=1e-2)
         dyson_expand(random_symbol(rng, 2, 4), 0.4, integrate_flow(h), h,
                      epsilon=0.5, nodes=3)

@@ -10,7 +10,7 @@ from hepp_expand.flow import (
     integrate_u_alpha,
     v_vector,
 )
-from hepp_expand.symplectic import RLinearMap, is_symplectomorphism
+from hepp_expand.symplectic import RLinearMap, is_symplectomorphism, symplectic_defects
 
 from conftest import random_vector, squeeze_setup
 
@@ -185,6 +185,17 @@ class TestIntegrateFlow:
         for got, r in zip(flow.defects, reports):
             want = max(r.gram_defect, r.cross_defect)
             assert abs(got - want) <= 1e-15 * want
+
+    def test_terminal_gate_reads_the_last_defect(self, rng):
+        # the gate takes the last node alone; the trace gives the same bits
+        for dim in (1, 2, 3):
+            m = rng.standard_normal((4, dim, dim)) + 1j * rng.standard_normal((4, dim, dim))
+            h = QuadraticHamiltonian(dim, alpha=([0.0, 0.5], (m[:2] + np.conj(m[:2].mT)) / 2),
+                                     beta=([0.0, 0.5], (m[2:] + m[2:].mT) / 2),
+                                     t_end=0.5, dt=1e-2)
+            flow = integrate_flow(h)
+            last = symplectic_defects(flow.linear[-1:], flow.antilinear[-1:])
+            assert np.maximum(*last)[0] == flow.defects[-1]
 
     def test_loud_failure_on_symplecticity_drift(self):
         h = QuadraticHamiltonian(1, beta=np.array([[4.0]]), t_end=1.0, dt=0.5)

@@ -648,6 +648,30 @@ class TestMagnusFlow:
         assert np.abs(cf4.leakage_trace - rk4.leakage_trace).max() <= 1e-4 * rk4.max_leakage()
         assert cf4.integrator["refined"] == 0
 
+    def test_top_rows_survive_the_work_refills(self, rng):
+        # the gate refills the top-row matrices at three knots; a CF4
+        # attempt then refills the work matrices.  Each top-row matrix must
+        # still be the top rows of the generator at the last knot.
+        from scipy import sparse
+
+        h = ramped_hamiltonian(rng, t_end=0.2)
+        space = FockSpace(2, 12, 0.5)
+        coefficients = fock._pair_coefficients(h, integrate_u_alpha(h))
+        grid = h.grid()
+        stepper = fock._ColumnStepper(space, 6, coefficients, grid, np.inf)
+        n_h = 40
+        t, dt = grid[0], grid[n_h] - grid[0]
+        stepper.leakage(0, n_h, (stepper.us,) * 3)
+        last = coefficients((t, t + dt / 2, t + dt))[-1]
+        stepper.cf4(stepper.us, t, dt)
+        for blk, top in zip(stepper.blocks, stepper.tops):
+            full = sparse.csr_matrix((blk.values * last[blk.term], blk.indices, blk.indptr),
+                                     shape=blk.shape)
+            shape = (blk.shape[1], 3)
+            state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert top.shape[0] > 0
+            assert np.array_equal(top @ state, (full @ state)[blk.top_lo:])
+
     @pytest.mark.parametrize("case", ["leakage-abort", "example-im-z2"])
     def test_abort_matches_rk4(self, case):
         # the gate re-runs the leaking step by RK4 on the grid
