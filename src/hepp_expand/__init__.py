@@ -59,8 +59,6 @@ from .symplectic import (
     RLinearMap,
     SymplecticityReport,
     SymplectoDecomposition,
-    adjoint,
-    compose,
     decompose,
     exp_antilinear,
     is_symplectomorphism,

@@ -99,10 +99,11 @@ def cmd_expand(scenario: Scenario, args) -> tuple[int, dict]:
     h = scenario.hamiltonian()
     report = _base_report("expand", scenario, args, h)
     b = scenario.observable()
+    method = report["method"] = args.method
+    if method in ("dyson", "both"):
+        scenario.check_dyson()
     flow = integrate_flow(h)
     t = scenario.t_end
-    method = args.method
-    report["method"] = method
     code = EXIT_OK
     if method in ("dyson", "both"):
         dy = dyson_expand(b, t, flow, h, epsilon=scenario.epsilon, nodes=scenario.quad_nodes)
@@ -134,11 +135,13 @@ def cmd_oracle(scenario: Scenario, args) -> tuple[int, dict]:
     m = b.degree()
     if scenario.n_max < m:
         raise ScenarioError(f"fock.n_max {scenario.n_max} is below the observable's degree {m}")
-    space = FockSpace(scenario.dim, scenario.n_max, scenario.epsilon)
     trusted = max(0, scenario.n_max - m - 4)
     if trusted > scenario.n_max - 2:
         raise ScenarioError(f"fock.n_max {scenario.n_max} leaves no untrusted top sectors "
                             f"above the trusted sectors <= {trusted} for the leakage gate")
+    scenario.check_dyson()
+    scenario.check_fock(math.comb(scenario.dim + trusted, trusted))
+    space = FockSpace(scenario.dim, scenario.n_max, scenario.epsilon)
     report["trusted_block"] = trusted
     # only the columns of U that start in the trusted sectors are evolved
     report["total_dim"] = space.total_dim
@@ -189,6 +192,7 @@ def cmd_estimates(scenario: Scenario, args) -> tuple[int, dict]:
     if np.any(beta0) and scenario.n_max < 2:
         raise ScenarioError(f"fock.n_max {scenario.n_max} is below 2: the generator and "
                             "commutator bounds quantize the degree-2 Q_beta")
+    scenario.check_fock()
     space = FockSpace(dim, scenario.n_max, eps)
     fock_rep = check_estimates(beta0, space, n_samples=n_samples, rng=rng)
     rows = [row("generator_bound", fock_rep["max_ratio_generator"], 1.0, fock_rep["vacuous"])]

@@ -178,6 +178,12 @@ def dyson_expand(b: PolySymbol, t: float, flow: FlowResult,
                            quad_spec={"rule": "gauss-legendre-duffy", "nodes": nodes})
 
 
+def dyson_batches(degree: int, nodes: int) -> int:
+    """The most kernel batches of `dyson_expand` at this degree and nodes."""
+    kmax = degree // 2
+    return kmax if kmax < 1 or nodes == 1 else 1 + (nodes ** (kmax - 1) - 1) // (nodes - 1)
+
+
 def exp_expand(b: PolySymbol, t: float, flow: FlowResult, epsilon: float,
                max_order: int = None) -> ExpansionResult:
     """Exponential-formula engine: term k is (1/k!) Lambda_t^k (b o phi).

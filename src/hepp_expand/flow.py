@@ -27,6 +27,7 @@ from .errors import SymplecticityError
 from .symplectic import RLinearMap, doubled, symplectic_defects
 
 _DEFECT_TOL = 1e-6
+HERMITIAN_TOL = 1e-12
 
 
 class _Sampler:
@@ -106,19 +107,19 @@ class QuadraticHamiltonian:
 
     def alpha_on(self, times) -> np.ndarray:
         """alpha at each of `times`, stacked; raises at the first time
-        where it is not Hermitian within 1e-12."""
+        where it is not Hermitian within HERMITIAN_TOL."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         a = self.alpha.on(times)
-        off = np.abs(a - np.conj(np.swapaxes(a, 1, 2))).max(axis=(1, 2))
-        bad = np.flatnonzero(off > 1e-12)
+        off = np.abs(a - np.conj(a.mT)).max(axis=(1, 2))
+        bad = np.flatnonzero(off > HERMITIAN_TOL)
         if bad.size:
-            raise ValueError(f"alpha(t={times[bad[0]]}) is not Hermitian within 1e-12")
+            raise ValueError(f"alpha(t={times[bad[0]]}) is not Hermitian within {HERMITIAN_TOL:g}")
         return a
 
     def beta_on(self, times) -> np.ndarray:
         """The symmetrized beta at each of `times`, stacked."""
         b = self.beta.on(np.atleast_1d(np.asarray(times, dtype=float)))
-        return (b + np.swapaxes(b, 1, 2)) / 2.0
+        return (b + b.mT) / 2.0
 
     def beta_matrix(self, t: float) -> np.ndarray:
         return self.beta_on(t)[0]
@@ -177,15 +178,15 @@ def _linear_rk4(grid, generator, w0):
 
 
 def _hermite(times, values, derivs, ts) -> np.ndarray:
-    """Cubic Hermite interpolant of RK4 output at each of `ts`, clamped
-    to the range; stacked over `ts`."""
+    """Cubic Hermite interpolant of values and slopes (of any shape) at the
+    knots `times`, at each of `ts`, clamped to the range; stacked over `ts`."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     k = np.clip(np.searchsorted(times, ts) - 1, 0, len(times) - 2)
     h = times[k + 1] - times[k]
     tau = np.clip((ts - times[k]) / h, 0.0, 1.0)
     tau[tau < 1e-12] = 0.0
     t2, t3 = tau * tau, tau * tau * tau
-    col = (-1, 1, 1)
+    col = (-1,) + (1,) * (values.ndim - 1)
     return ((2 * t3 - 3 * t2 + 1).reshape(col) * values[k]
             + ((t3 - 2 * t2 + tau) * h).reshape(col) * derivs[k]
             + (-2 * t3 + 3 * t2).reshape(col) * values[k + 1]
@@ -208,8 +209,12 @@ class UnitaryPath:
         return self.on(t)[0]
 
     def unitarity_defect(self) -> float:
-        u = self.matrices[-1]
-        return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2))
+        return unitarity_defect(self.matrices[-1])
+
+
+def unitarity_defect(u) -> float:
+    """||u* u - I||_2 of a matrix u."""
+    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]), 2))
 
 
 def integrate_u_alpha(h: QuadraticHamiltonian) -> UnitaryPath:

@@ -39,9 +39,9 @@ a tolerance, the fourth-order commutator-free Magnus step CF4 (Blanes &
 Moan 2006) takes steps of several grid points, sized by step doubling;
 each exponential acts on the columns as a Taylor series whose length
 follows from the generator's exact sparse 1-norm.  The leakage gate
-still reads every grid point (between step ends from a cubic Hermite
-interpolant), and a step that comes within a factor 10 of the leakage
-threshold is re-run by RK4 on the grid.
+still reads every grid point (between step ends from the flow's cubic
+Hermite rule `flow._hermite`), and a step that comes within a factor 10
+of the leakage threshold is re-run by RK4 on the grid.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ import numpy as np
 
 from . import sectors as sec
 from .errors import DimensionMismatchError, LeakageError
-from .flow import QuadraticHamiltonian, grid_index, integrate_u_alpha, rk4_times
+from .flow import (QuadraticHamiltonian, _hermite, grid_index, integrate_u_alpha, rk4_times,
+                   unitarity_defect)
 from .symbols import PolySymbol, squeezing_hamiltonian_symbol
 from .symplectic import euclidean_norm
 
@@ -82,10 +83,7 @@ class FockSpace:
 
     def number_values(self) -> np.ndarray:
         """Particle number per basis state (unscaled)."""
-        out = np.empty(self.total_dim)
-        for n in range(self.n_max + 1):
-            out[self.sector_slice(n)] = n
-        return out
+        return np.repeat(np.arange(self.n_max + 1, dtype=float), self.sector_dims)
 
     def ladder_product(self, m_occ, n_occ) -> np.ndarray:
         """Dense matrix of prod_i a_i^dag^{m_i} prod_i a_i^{n_i}
@@ -207,7 +205,9 @@ def gamma_u(u, space: FockSpace) -> list:
     kappa + e_j, so the field is scattered from the raise table.
     """
     u = np.asarray(u, dtype=complex)
-    if np.linalg.norm(u.conj().T @ u - np.eye(space.dim), 2) > _UNITARY_TOL:
+    if u.shape != (space.dim, space.dim):
+        raise DimensionMismatchError(f"u of shape {u.shape} on a space of dim {space.dim}")
+    if unitarity_defect(u) > _UNITARY_TOL:
         raise ValueError(f"gamma_u requires a unitary within {_UNITARY_TOL:g}")
     blocks = [np.ones((1, 1), dtype=complex)]
     for n in range(1, space.n_max + 1):
@@ -475,30 +475,21 @@ class _ColumnStepper:
         out[-1] = max(blk.leakage(u) for blk, u in zip(self.blocks, states[-1]))
         if n_h == 1:
             return out
-        knots = (t, t + h / 2, t + h)
+        knots = np.array([t, t + h / 2, t + h])
         coeffs = self.coefficients(knots)
-        # the interpolant at each inner point is sum_i basis_i Y_i over the
-        # values and scaled slopes Y = (y0, h/2 y0', ym, h/2 ym', y1, h/2 y1')
+        # the flow's Hermite rule at each inner point is sum_i basis_i Y_i over
+        # the values and scaled slopes Y = (y0, h/2 y0', ym, h/2 ym', y1, h/2 y1')
         inner = grid[k + 1:k + n_h]
-        second = inner >= knots[1]
-        tau = (inner - np.where(second, knots[1], knots[0])) / (h / 2)
-        herm = np.stack([(1 + 2 * tau) * (1 - tau) ** 2, tau * (1 - tau) ** 2,
-                         tau ** 2 * (3 - 2 * tau), -tau ** 2 * (1 - tau)], axis=-1)
-        basis = np.zeros((len(inner), 6))
-        basis[~second, :4] = herm[~second]
-        basis[second, 2:] = herm[second]
+        basis = _hermite(knots, np.eye(6)[0::2], np.eye(6)[1::2] / (h / 2), inner)
         pairs = (basis[:, :, None] * basis[:, None, :]).reshape(len(inner), 36)
         for b, (blk, top) in enumerate(zip(self.blocks, self.tops)):
             ys = []
             for c, state in zip(coeffs, states):
                 _fill([top], [blk], c)
                 ys += [state[b][blk.top_lo:], (h / 2) * (top @ state[b])]
-            ys = np.stack(ys)
+            ys = _narrow(np.stack(ys))
             if not ys.size:
                 continue
-            if ys.shape[1] > ys.shape[2]:
-                # the smaller Gram matrix: rows^* rows
-                ys = ys.conj().swapaxes(1, 2)
             # Gram(tau) = sum_ij basis_i basis_j Y_i Y_j^*, from the 36 products,
             # for a chunk of the inner points at a time
             n = ys.shape[1]
@@ -510,6 +501,11 @@ class _ColumnStepper:
                 top = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
                 out[lo:lo + len(top)] = np.maximum(out[lo:lo + len(top)], top)
         return out
+
+
+def _narrow(x):
+    """x, or x* if that has fewer rows: the smaller Gram matrix x x*, same ||x||_2^2."""
+    return x.conj().mT if x.shape[-1] < x.shape[-2] else x
 
 
 def _fill(mats, blocks, c):
@@ -576,14 +572,10 @@ class _ParityBlock:
     def leakage(self, u) -> float:
         """2-norm of the top-sector rows of the evolved columns u, from the
         largest eigenvalue of the smaller of the two Gram matrices."""
-        leaked = u[self.top_lo:]
+        leaked = _narrow(u[self.top_lo:])
         if not leaked.size:
             return 0.0
-        if leaked.shape[0] <= leaked.shape[1]:
-            gram = leaked @ leaked.conj().T
-        else:
-            gram = leaked.conj().T @ leaked
-        return math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
+        return math.sqrt(max(np.linalg.eigvalsh(leaked @ leaked.conj().T)[-1], 0.0))
 
     def pattern(self, row: int = 0):
         """A zero CSR matrix of the generator's rows from `row` on, for `_fill`."""
@@ -639,7 +631,7 @@ def _pair_coefficients(hamiltonian: QuadraticHamiltonian, u_path):
         beta = hamiltonian.beta_on(times)
         if u_path is not None:
             u = u_path.on(times)
-            beta = np.conj(np.swapaxes(u, 1, 2)) @ beta @ np.conj(u)
+            beta = np.conj(u.mT) @ beta @ np.conj(u)
         w = weight * np.conj(beta[:, ia, ib] + beta[:, ib, ia])
         return np.concatenate([-0.5 * w, 0.5 * np.conj(w)], axis=1)
 

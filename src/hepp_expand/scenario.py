@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScenarioError
-from .flow import QuadraticHamiltonian
+from .expansions import dyson_batches
+from .flow import HERMITIAN_TOL, QuadraticHamiltonian
 from .symbols import PolySymbol, preset_symbol
 
 SCHEMA_VERSION = 1
@@ -30,17 +31,25 @@ _DEFAULT_TOLERANCES = {
 _KEYS = ("schema_version", "dim", "epsilon", "t_end", "dt", "alpha", "beta",
          "observable", "fock", "quad", "tolerances", "seed")
 
-# the Hermiticity bound QuadraticHamiltonian.alpha_on enforces
-_HERMITIAN_TOL = 1e-12
-
 # Input limits, so an absurd value is refused rather than exhausting
 # memory or overflowing.  Gauss-Legendre gains nothing here past a few
 # hundred nodes; the step cap is 1,000 times the largest grid of any
-# scenario in the repo; the epsilon range keeps the weights eps^k and the
-# quantization scales eps^(m/2) finite.
+# scenario in the repo; the epsilon range keeps eps^k and eps^(m/2) finite.
+# Measured: the flow holds ~110 B per stack entry, so its cap, the stack
+# of d=1 at the step cap, is ~0.45 GB; the oracle at d=6, N=12 (3.9e6 Fock
+# entries) took 0.51 GB and 6.4 s; a Dyson batch takes 0.2-3 ms at d <= 3.
 _MAX_QUAD_NODES = 256
 _MAX_STEPS = 10**6
 _EPSILON_RANGE = (1e-100, 100.0)
+_MAX_FLOW_STACK = 4 * _MAX_STEPS
+_MAX_FOCK_ENTRIES = 2**22
+_MAX_DYSON_BATCHES = 2**10
+
+
+def _cap(count: int, cap: int, what: str) -> None:
+    if count > cap:
+        shown = f"{count:.3g}" if count < 10**300 else "over 1e300"
+        raise ScenarioError(f"{what} is {shown}, above the cap of {cap}")
 
 
 def _check_keys(block: dict, allowed, what: str) -> None:
@@ -104,10 +113,10 @@ def _coefficient_sampler(spec, dim, what, hermitian=False):
     else:
         raise ScenarioError(f"{what}: unknown kind {kind!r}")
     if hermitian:
-        skew = np.abs(values - np.conj(np.swapaxes(values, 1, 2))).max()
-        if skew > _HERMITIAN_TOL:
+        skew = np.abs(values - np.conj(values.mT)).max()
+        if skew > HERMITIAN_TOL:
             raise ScenarioError(f"{what}: not Hermitian (|M - M*| = {skew:.1e} "
-                                f"> {_HERMITIAN_TOL:.0e})")
+                                f"> {HERMITIAN_TOL:.0e})")
     return values[0] if times is None else (times, values)
 
 
@@ -152,7 +161,6 @@ class Scenario:
     dim: int
     epsilon: float
     t_end: float
-    dt: float
     quadratic_hamiltonian: QuadraticHamiltonian
     observable_symbol: PolySymbol | None
     n_max: int
@@ -183,6 +191,8 @@ class Scenario:
         steps = t_end / dt
         if not math.isfinite(steps) or round(steps) > _MAX_STEPS:
             raise ScenarioError(f"t_end / dt = {steps:.3g} exceeds the cap of {_MAX_STEPS} steps")
+        _cap(max(1, round(steps)) * (2 * dim) ** 2, _MAX_FLOW_STACK,
+             "the classical flow's generator stack, (t_end / dt) (2 dim)^2 entries,")
         tol = dict(_DEFAULT_TOLERANCES)
         for name, value in _block(data, "tolerances", tuple(_DEFAULT_TOLERANCES)).items():
             tol[name] = _number(value, f"tolerances.{name}")
@@ -199,18 +209,9 @@ class Scenario:
         hamiltonian = QuadraticHamiltonian(
             dim, alpha=_coefficient_sampler(data.get("alpha"), dim, "alpha", hermitian=True),
             beta=_coefficient_sampler(data.get("beta"), dim, "beta"), t_end=t_end or dt, dt=dt)
-        return cls(
-            dim=dim,
-            epsilon=epsilon,
-            t_end=t_end,
-            dt=dt,
-            quadratic_hamiltonian=hamiltonian,
-            observable_symbol=observable,
-            n_max=n_max,
-            quad_nodes=quad_nodes,
-            tolerances=tol,
-            seed=seed,
-        )
+        return cls(dim=dim, epsilon=epsilon, t_end=t_end, quadratic_hamiltonian=hamiltonian,
+                   observable_symbol=observable, n_max=n_max, quad_nodes=quad_nodes,
+                   tolerances=tol, seed=seed)
 
     @classmethod
     def from_path(cls, path: str) -> "Scenario":
@@ -230,6 +231,18 @@ class Scenario:
         if self.observable_symbol is None:
             raise ScenarioError("scenario has no observable")
         return self.observable_symbol
+
+    def check_fock(self, columns: int = None) -> None:
+        """Refuse C(dim + n_max, n_max) states by `columns` (all by default) past the cap."""
+        states = math.comb(self.dim + self.n_max, self.n_max)
+        held = f"{columns} evolved columns" if columns else "all of them (estimates is dense)"
+        _cap(states * (columns or states), _MAX_FOCK_ENTRIES,
+             f"the dense Fock block, C(dim + n_max, n_max) = {states} states by {held},")
+
+    def check_dyson(self) -> None:
+        """Refuse a Dyson walk of more kernel batches than its cap."""
+        _cap(dyson_batches(self.observable().degree(), self.quad_nodes), _MAX_DYSON_BATCHES,
+             "the Dyson walk, 1 + sum_{j < degree/2 - 1} quad.nodes^j kernel batches,")
 
     def rng(self) -> np.random.Generator:
         """Counter-based generator so parallel reports stay reproducible."""

@@ -255,7 +255,7 @@ class PolySymbol:
             tensor = (c.T / multinomial).take(full, axis=-1)
             for _ in range(m):
                 # contract the leading mode; the new one becomes the last
-                tensor = tensor.reshape(lead + (n, -1)).swapaxes(-1, -2) @ doubled
+                tensor = tensor.reshape(lead + (n, -1)).mT @ doubled
             out[m] = (tensor.reshape(lead + (-1,)).take(rep, axis=-1) * multinomial).T
         return PolySymbol._from_vectors(self.dim, out)
 
@@ -300,15 +300,14 @@ class PolySymbol:
         terms = {}
         for td in data.get("terms", []):
             p, q = int(td["p"]), int(td["q"])
-            arr = np.zeros((sec.sector_dim(dim, q), sec.sector_dim(dim, p)), dtype=complex)
+            arr = terms.setdefault((p, q), np.zeros((sec.sector_dim(dim, q),
+                                                     sec.sector_dim(dim, p)), dtype=complex))
             idx_q = sec.occupation_index(dim, q)
             idx_p = sec.occupation_index(dim, p)
             for m_idx, n_idx, re, im in td["entries"]:
                 mi = idx_q[sec.indices_to_occ(m_idx, dim)]
                 ni = idx_p[sec.indices_to_occ(n_idx, dim)]
-                arr[mi, ni] = re + 1j * im
-            key = (p, q)
-            terms[key] = terms.get(key, 0) + arr
+                arr[mi, ni] += re + 1j * im
         return cls(dim, terms)
 
     def __repr__(self):
@@ -365,7 +364,7 @@ def second_order_kernel(mixed, pair) -> np.ndarray:
     mixed = np.asarray(mixed, dtype=complex)
     pair = np.asarray(pair, dtype=complex)
     top = np.concatenate([pair, mixed / 2.0], axis=-1)
-    bottom = np.concatenate([np.swapaxes(mixed, -1, -2) / 2.0, pair.conj()], axis=-1)
+    bottom = np.concatenate([mixed.mT / 2.0, pair.conj()], axis=-1)
     return np.concatenate([top, bottom], axis=-2)
 
 

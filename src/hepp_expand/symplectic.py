@@ -63,13 +63,12 @@ class RLinearMap:
         anti = self.linear @ other.antilinear + self.antilinear @ np.conj(other.linear)
         return RLinearMap(lin, anti)
 
-    def __matmul__(self, other):
-        return self.compose(other)
+    __matmul__ = compose
 
     def adjoint(self) -> "RLinearMap":
         """L* + A*: conjugate transpose of the linear part, plain transpose
         of the antilinear matrix."""
-        return RLinearMap(np.conj(_t(self.linear)), _t(self.antilinear))
+        return RLinearMap(np.conj(self.linear.mT), self.antilinear.mT)
 
     def doubled(self) -> np.ndarray:
         """The 2d x 2d matrix [[L, A], [conj A, conj L]] by which T acts
@@ -78,7 +77,7 @@ class RLinearMap:
 
     def inverse(self) -> "RLinearMap":
         """Inverse valid for symplectomorphisms: L* - A*."""
-        return RLinearMap(np.conj(_t(self.linear)), -_t(self.antilinear))
+        return RLinearMap(np.conj(self.linear.mT), -self.antilinear.mT)
 
     def __add__(self, other):
         if self.dim != other.dim:
@@ -115,11 +114,6 @@ class SymplecticityReport:
         return self.ok
 
 
-def _t(mat):
-    """Transpose of a matrix or of each matrix of a stack."""
-    return np.swapaxes(mat, -1, -2)
-
-
 def euclidean_norm(x, axes: int = 1):
     """Euclidean norm over the last `axes` axes of x, one per index of the
     leading ones.
@@ -133,14 +127,6 @@ def euclidean_norm(x, axes: int = 1):
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
-def compose(s: RLinearMap, t: RLinearMap) -> RLinearMap:
-    return s.compose(t)
-
-
-def adjoint(t: RLinearMap) -> RLinearMap:
-    return t.adjoint()
-
-
 def doubled(linear, antilinear) -> np.ndarray:
     """[[L, A], [conj A, conj L]] for one (L, A) pair or stacks of them."""
     top = np.concatenate([linear, antilinear], axis=-1)
@@ -151,7 +137,7 @@ def doubled(linear, antilinear) -> np.ndarray:
 def symplectic_defects(linear, antilinear):
     """Operator norms of L*L - A*A - I and L*A - A*L, for one (L, A) pair
     or elementwise over stacks of them."""
-    lh, at = np.conj(np.swapaxes(linear, -1, -2)), np.swapaxes(antilinear, -1, -2)
+    lh, at = np.conj(linear.mT), antilinear.mT
     gram = lh @ linear - at @ np.conj(antilinear) - np.eye(linear.shape[-1])
     cross = lh @ antilinear - at @ np.conj(linear)
     return np.linalg.norm(gram, 2, axis=(-2, -1)), np.linalg.norm(cross, 2, axis=(-2, -1))
@@ -183,7 +169,7 @@ class SymplectoDecomposition:
         self.dim = self.unitary.shape[0]
 
     def reconstruct(self) -> RLinearMap:
-        return compose(RLinearMap(self.unitary), exp_antilinear(self.conj_basis, self.rho_eigs))
+        return RLinearMap(self.unitary).compose(exp_antilinear(self.conj_basis, self.rho_eigs))
 
 
 def exp_antilinear(conj_basis, rho_eigs) -> RLinearMap:
@@ -193,8 +179,8 @@ def exp_antilinear(conj_basis, rho_eigs) -> RLinearMap:
     rho = np.asarray(rho_eigs, dtype=float)[..., None, :]
     if np.any(rho < 0):
         raise ValueError("rho eigenvalues must be non-negative")
-    lin = (e * np.cosh(rho)) @ np.conj(_t(e))
-    anti = (e * np.sinh(rho)) @ _t(e)
+    lin = (e * np.cosh(rho)) @ np.conj(e.mT)
+    anti = (e * np.sinh(rho)) @ e.mT
     return RLinearMap(lin, anti)
 
 
@@ -273,7 +259,7 @@ def random_symplectomorphism(rng: np.random.Generator, dim: int,
     u = _random_unitary(rng, lead + (dim, dim))
     e = _random_unitary(rng, lead + (dim, dim))
     rho = rho_scale * rng.random(lead + (dim,))
-    return compose(RLinearMap(u), exp_antilinear(e, rho))
+    return RLinearMap(u).compose(exp_antilinear(e, rho))
 
 
 def _random_unitary(rng: np.random.Generator, shape) -> np.ndarray:

@@ -6,7 +6,7 @@ dense per-sector ladder matrices, quantization through explicit
 symmetrizers, field and Weyl operators, the JSON entries of a symbol
 one coefficient at a time, the Poisson-bracket form of
 lambda^s, the hand-written kernel of Lambda^t and doubled matrix of
-phi_s^-1, the finite-difference derivative of Lambda, and the
+phi_s^-1, the leakage gate's Hermite basis, the finite-difference derivative of Lambda, and the
 Bogoliubov implementer of a fixed symplectomorphism.  Nothing here is on
 the path of the command line tool.
 """
@@ -222,6 +222,24 @@ def phi_inverse_doubled_by_hand(flow, s) -> np.ndarray:
     stacked, transposing the dense output's blocks by hand."""
     lm, am = flow.phi_on(s)
     return doubled(np.conj(np.swapaxes(lm, 1, 2)), -np.swapaxes(am, 1, 2))
+
+
+def hermite_basis_by_hand(knots, inner) -> np.ndarray:
+    """The leakage gate's cubic Hermite basis at the times `inner`, written
+    out on the two half-steps of knots (t, t + h/2, t + h), one row per
+    time over the values and scaled slopes (y0, h/2 y0', ym, h/2 ym', y1,
+    h/2 y1'): (1 + 2 tau)(1 - tau)^2, tau (1 - tau)^2, tau^2 (3 - 2 tau)
+    and -tau^2 (1 - tau) on the half-step of each time, the second one
+    from the mid knot on."""
+    h = knots[2] - knots[0]
+    second = inner >= knots[1]
+    tau = (inner - np.where(second, knots[1], knots[0])) / (h / 2)
+    herm = np.stack([(1 + 2 * tau) * (1 - tau) ** 2, tau * (1 - tau) ** 2,
+                     tau ** 2 * (3 - 2 * tau), -tau ** 2 * (1 - tau)], axis=-1)
+    basis = np.zeros((len(inner), 6))
+    basis[~second, :4] = herm[~second]
+    basis[second, 2:] = herm[second]
+    return basis
 
 
 def check_lambda_is_derivative_of_Lambda(flow, hamiltonian, t: float, c: PolySymbol,

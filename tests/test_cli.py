@@ -271,6 +271,57 @@ def test_grid_step_cap():
             Scenario.from_dict(base_scenario(t_end=t_end, dt=dt))
 
 
+def test_flow_stack_cap():
+    # the classical flow's (t_end / dt) (2 dim)^2 stack, capped at the
+    # 4 x 10^6 of d=1 at the step cap, for a huge dim alone too
+    zero = {"kind": "zero"}
+    assert Scenario.from_dict(base_scenario(dim=2, t_end=2.5e5, dt=1.0, alpha=zero, beta=zero,
+                                            observable=None)).dim == 2
+    for over in ({"dim": 2, "t_end": 2.5e5 + 1}, {"dim": 10**6, "t_end": 0.1},
+                 {"dim": 3, "t_end": 1e6}):
+        data = base_scenario(dt=1.0, alpha=zero, beta=zero, observable=None, **over)
+        with pytest.raises(ScenarioError, match="generator stack.*above the cap of 4000000"):
+            Scenario.from_dict(data)
+
+
+def limit_probe(tmp_path, capsys, args, data):
+    """The exit code and the one stderr line of a command on `data`."""
+    code = main([args[0], write_scenario(tmp_path, data)] + args[1:])
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) <= 1
+    return code, err
+
+
+def test_fock_entries_cap(tmp_path, capsys):
+    # the oracle holds C(dim + n_max, n_max) states by its evolved columns
+    # densely, estimates all the states by all of them
+    for command in ("oracle", "estimates"):
+        code, err = limit_probe(tmp_path, capsys, [command], base_scenario(fock={"n_max": 10**5}))
+        assert code == 2 and "dense Fock block" in err and "above the cap of 4194304" in err
+    # at the cap: estimates at d=1, N=2047 (2048^2 entries), and the oracle
+    # at d=6, N=12 (18,564 states by 210 columns), are not refused
+    Scenario.from_dict(base_scenario(fock={"n_max": 2047})).check_fock()
+    with pytest.raises(ScenarioError, match="2049 states by all of them"):
+        Scenario.from_dict(base_scenario(fock={"n_max": 2048})).check_fock()
+    Scenario.from_dict(base_scenario(dim=6, beta=None, observable=None,
+                                     fock={"n_max": 12})).check_fock(210)
+
+
+def test_dyson_batch_cap(tmp_path, capsys):
+    # a degree-12 monomial at 12 nodes makes 22,622 kernel batches; only
+    # the commands that run Dyson refuse it
+    with open(os.path.join(REPO, "demos", "scenarios", "oracle-im-z2.json")) as fh:
+        data = json.load(fh)
+    data["observable"] = {"dim": 1, "terms": [
+        {"p": 6, "q": 6, "entries": [[[1] * 6, [1] * 6, 1.0, 0.0]]}]}
+    for args in (["expand", "--method", "dyson"], ["expand"], ["oracle"]):
+        code, err = limit_probe(tmp_path, capsys, args, data)
+        assert code == 2 and "Dyson walk" in err and "2.26e+04, above the cap of 1024" in err
+    assert limit_probe(tmp_path, capsys, ["expand", "--method", "exp"], data)[0] == 0
+    data["quad"] = {"nodes": 5}
+    Scenario.from_dict(data).check_dyson()
+
+
 def test_non_hermitian_alpha_refused_when_read():
     alpha = {"kind": "constant", "data": {"re": [[1.0]], "im": [[0.5]]}}
     with pytest.raises(ScenarioError, match="alpha: not Hermitian"):

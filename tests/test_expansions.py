@@ -10,6 +10,7 @@ from hepp_expand.expansions import (
     Lambda_of_map,
     Lambda_t,
     _generator_kernels,
+    dyson_batches,
     dyson_expand,
     exp_expand,
     lambda_s,
@@ -98,16 +99,6 @@ class TestLambdaT:
             assert abs(mixed - (1 - np.cosh(2 * t))) < 1e-8
             assert abs(holo / 2.0 - 0.5 * np.sinh(2 * t)) < 1e-8
             assert abs(anti / 2.0 - 0.5 * np.sinh(2 * t)) < 1e-8
-
-    def test_matches_map_version(self, rng):
-        h = QuadraticHamiltonian(2, beta=random_beta(rng, 2), t_end=0.5, dt=1e-3)
-        flow = integrate_flow(h)
-        c = random_symbol(rng, 2, 4)
-        t = 0.5
-        phi = flow.phi(t)
-        # T = L*(t) + A*(t) has the same second-order operator as the flow
-        t_map = phi.adjoint()
-        assert Lambda_of_map(c, t_map).distance_max(Lambda_t(c, t, flow)) < 1e-12
 
     def test_degree_corrected_norm_bound(self, rng):
         # ||Lambda[T] c|| <= m(m-1) ||T||_X ||A||_HS ||c|| for order-m input;
@@ -238,6 +229,16 @@ class TestDysonExpand:
         dyson_expand(random_symbol(rng, 2, 6), 0.4, integrate_flow(h), h,
                      epsilon=0.5, nodes=8)
         assert calls == [8, 64] + [64] * 8
+
+    @pytest.mark.parametrize("degree, nodes", [(1, 5), (2, 7), (4, 5), (6, 8), (8, 3), (9, 1)])
+    def test_batch_count_is_dyson_batches(self, rng, monkeypatch, degree, nodes):
+        # a random symbol has no all-zero block of children: the walk makes
+        # every batch the input limit counts
+        calls = self._count_kernel_batches(monkeypatch)
+        h = QuadraticHamiltonian(1, beta=random_beta(rng, 1), t_end=0.4, dt=1e-2)
+        dyson_expand(random_symbol(rng, 1, degree), 0.4, integrate_flow(h), h,
+                     epsilon=0.5, nodes=nodes)
+        assert len(calls) == dyson_batches(degree, nodes)
 
     def test_zero_beta_prunes_the_tree(self, rng, monkeypatch):
         # without beta every generator kernel vanishes: the first block's

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import hepp_expand.fock as fock
 import hepp_expand.sectors as sec
 from hepp_expand.errors import DimensionMismatchError, LeakageError
 from hepp_expand.expansions import exp_expand
-from hepp_expand.flow import QuadraticHamiltonian, integrate_flow, integrate_u_alpha
+from hepp_expand.flow import QuadraticHamiltonian, _hermite, integrate_flow, integrate_u_alpha
 from hepp_expand.fock import (
     FockSpace,
     check_estimates,
@@ -24,6 +25,7 @@ from hepp_expand.fock import (
     wick_block,
     wick_quantize,
 )
+from hepp_expand.scenario import Scenario
 from hepp_expand.symbols import (
     PolySymbol,
     preset_symbol,
@@ -37,6 +39,7 @@ from conftest import random_unitary, random_vector
 from reference import (
     dense_ladder_product,
     field_and_weyl,
+    hermite_basis_by_hand,
     loop_gamma_u,
     sym_mult_map,
     wick_quantize_slow,
@@ -386,6 +389,13 @@ class TestGammaU:
         with pytest.raises(ValueError):
             gamma_u(np.array([[1.5]]), space)
 
+    def test_rejects_a_matrix_of_another_dim(self, rng):
+        # a 3x2 isometry has u* u = I; a 3x3 unitary acts on C^3
+        space = FockSpace(2, 4, 0.5)
+        for u in (random_unitary(rng, 3)[:, :2], random_unitary(rng, 3)):
+            with pytest.raises(DimensionMismatchError):
+                gamma_u(u, space)
+
     def test_fills_no_dense_ladder_cache(self, rng):
         # the creators are applied from the raise table: the sectors
         # module keeps no dense per-sector ladder matrices at all
@@ -702,11 +712,8 @@ class TestMagnusFlow:
 
 def ci_d3_hamiltonian():
     """The constant-coefficient d=3 Hamiltonian of the CI oracle scenario."""
-    alpha = np.array([[0.3, 0.1, 0.0], [0.1, -0.2, 0.05], [0.0, 0.05, 0.1]]) \
-        + 1j * np.array([[0.0, 0.05, 0.0], [-0.05, 0.0, 0.02], [0.0, -0.02, 0.0]])
-    beta = np.array([[0.1, 0.05, 0.0], [0.05, -0.08, 0.03], [0.0, 0.03, 0.06]]) \
-        + 1j * np.array([[0.02, 0.0, 0.04], [0.0, 0.01, 0.0], [0.04, 0.0, -0.03]])
-    return QuadraticHamiltonian(3, alpha=alpha, beta=beta, t_end=0.05, dt=5e-4)
+    return Scenario.from_path(os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "demos", "scenarios", "oracle-d3-quartic.json")).hamiltonian()
 
 
 class TestLeakageGateMemory:
@@ -736,6 +743,29 @@ class TestLeakageGateMemory:
         chunked = run().leakage_trace
         assert np.abs(chunked - whole).max() <= 1e-12 * whole.max()
         assert np.count_nonzero(whole) == len(whole) - 1
+
+
+@pytest.mark.parametrize("grid", [0.125 * np.arange(11), 0.3 + 0.007 * np.arange(13)],
+                         ids=["mid-knot-on-the-grid", "decimal"])
+def test_gate_basis_is_the_flow_hermite_rule(grid):
+    # the gate's basis over one CF4 step is the flow's Hermite rule on the
+    # unit vectors of (y0, h/2 y0', ym, h/2 ym', y1, h/2 y1')
+    t, h = grid[0], grid[-1] - grid[0]
+    knots, inner = np.array([t, t + h / 2, t + h]), grid[1:-1]
+    unit = np.eye(6)
+    got = _hermite(knots, unit[0::2], unit[1::2] / (h / 2), inner)
+    assert np.abs(got - hermite_basis_by_hand(knots, inner)).max() <= 1e-15
+    if len(grid) == 11:
+        assert inner[4] == knots[1] and np.array_equal(got[4], unit[2])
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (3, 7), (5, 5)], ids=["tall", "wide", "square"])
+def test_narrow_gram_gives_the_2_norm(rng, shape):
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    narrow = fock._narrow(x)
+    assert narrow.shape == (min(shape), max(shape))
+    top, want = np.linalg.eigvalsh(narrow @ narrow.conj().T)[-1], np.linalg.norm(x, 2) ** 2
+    assert abs(top - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("tol", [None, 1e-8], ids=["rk4", "magnus"])

@@ -263,6 +263,15 @@ class TestSerialization:
             lists = [index for t in terms for entry in t["entries"] for index in entry[:2]]
             assert len({id(index) for index in lists}) == len(lists)
 
+    def test_repeated_entries_are_summed(self):
+        # 1.0 and 2.0 at the same (1, 1) index, within one block or split
+        # over two blocks of the same (p, q)
+        entries = [[[1], [1], 1.0, 0.0], [[1], [1], 2.0, 0.0]]
+        one = [{"p": 1, "q": 1, "entries": entries}]
+        two = [{"p": 1, "q": 1, "entries": [entry]} for entry in entries]
+        for terms in (one, two):
+            assert PolySymbol.from_json({"dim": 1, "terms": terms}).terms[(1, 1)][0, 0] == 3.0
+
     def test_indices_are_one_based_nondecreasing(self):
         b = PolySymbol.monomial(2, (1, 1), (0, 2))
         data = b.to_json()
