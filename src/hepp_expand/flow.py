@@ -278,14 +278,15 @@ def integrate_flow(h: QuadraticHamiltonian) -> FlowResult:
     """Integrate the classical flow of Q_t over the Hamiltonian's grid.
 
     Symplecticity is monitored, never re-imposed; a terminal defect
-    above 1e-6 raises.
+    above 1e-6 raises, and so does a flow that overflows (defect inf).
     """
     # G is the doubled matrix of the R-linear vector field z -> -i alpha z + beta conj(z)
     def generator(times):
         return doubled(-1j * h.alpha_on(times), h.beta_on(times))
 
     grid = h.grid()
-    values, derivs = _linear_rk4(grid, generator, np.eye(2 * h.dim, h.dim, dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, derivs = _linear_rk4(grid, generator, np.eye(2 * h.dim, h.dim, dtype=complex))
     result = FlowResult(grid, values, derivs)
     terminal = np.maximum(*symplectic_defects(result.linear[-1:], result.antilinear[-1:]))[0]
     if terminal > _DEFECT_TOL:

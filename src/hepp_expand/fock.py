@@ -41,7 +41,9 @@ each exponential acts on the columns as a Taylor series whose length
 follows from the generator's exact sparse 1-norm.  The leakage gate
 still reads every grid point (between step ends from the flow's cubic
 Hermite rule `flow._hermite`), and a step that comes within a factor 10
-of the leakage threshold is re-run by RK4 on the grid.
+of the leakage threshold is re-run by RK4 on the grid.  The gate is
+exact wherever it decides something; elsewhere it keeps a Frobenius
+upper bound, and ``leakage_exact`` marks which points are which.
 """
 
 from __future__ import annotations
@@ -232,16 +234,18 @@ class QuantumFlowResult:
 
     Holds the columns of U(t, 0) that start in sectors 0..trusted_n: a
     total_dim x n_cols block, n_cols the dimension of those sectors, and
-    the leakage at every grid point up to t.  ``integrator`` is None for
-    RK4; for CF4 it counts the kept steps, the rejected attempts and the
-    steps re-run by RK4, and sums the error estimates of the CF4 steps
-    kept (``time_error``).
+    the leakage at every grid point up to t: exact where ``leakage_exact``
+    is set, an upper bound below the exact maximum elsewhere.
+    ``integrator`` is None for RK4; for CF4 it counts the kept steps, the
+    rejected attempts and the steps re-run by RK4, and sums the error
+    estimates of the CF4 steps kept (``time_error``).
     """
 
-    def __init__(self, space, columns, leakage_trace, trusted_n, integrator=None):
+    def __init__(self, space, columns, leakage_trace, leakage_exact, trusted_n, integrator=None):
         self.space = space
         self.columns = columns
         self.leakage_trace = leakage_trace
+        self.leakage_exact = leakage_exact
         self.trusted_n = trusted_n
         self.integrator = integrator
 
@@ -298,7 +302,9 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
     it is read from a cubic Hermite interpolant; any step whose leakage
     reaches leak_threshold / 10 is re-run from its left end by RK4 on the
     grid, so an abort is always decided, timed and reported by the RK4
-    gate of ``tol=None``.  A finite threshold needs
+    gate of ``tol=None``.  An inner point whose Frobenius bound shows that
+    it cannot set its step's maximum keeps that bound (``leakage_exact``
+    False there, True at step ends and RK4 points).  A finite threshold needs
     trusted_n <= n_max - 2: the top two sectors must hold no trusted
     column.
     """
@@ -328,7 +334,7 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
         for n, g in enumerate(gamma_u(u_path.at(grid[-1]), space)):
             s = space.sector_slice(n)
             cols[s] = g @ cols[s]
-    return QuantumFlowResult(space, cols, stepper.leak, trusted_n,
+    return QuantumFlowResult(space, cols, stepper.leak, stepper.exact, trusted_n,
                              None if tol is None else stepper.report())
 
 
@@ -339,8 +345,8 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
 _GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 _W1, _W2 = 0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0
 _UNIT_ROUNDOFF = 2.0 ** -53
-# Gram entries the leakage gate holds at once (complex, 4 MB)
-_GATE_CHUNK = 2 ** 18
+# how far, relative and far above rounding, a bound must fall below a leakage
+_BOUND_MARGIN = 1e-6
 
 
 class _ColumnStepper:
@@ -364,12 +370,12 @@ class _ColumnStepper:
         self.space, self.trusted_n = space, trusted_n
         self.blocks = _parity_blocks(space, trusted_n)
         self.coefficients, self.grid = coefficients, grid
-        self.leak_threshold = leak_threshold
+        self.leak_threshold, self.gate = leak_threshold, leak_threshold / 10
         # the trusted columns are a prefix of each parity block
         self.us = [np.eye(len(blk.states), blk.trusted_hi, dtype=complex) for blk in self.blocks]
         self.work = [[blk.pattern() for blk in self.blocks] for _ in range(3)]
         self.tops = [blk.pattern(blk.top_lo) for blk in self.blocks]
-        self.leak = np.zeros(len(grid))
+        self.leak, self.exact = np.zeros(len(grid)), np.ones(len(grid), dtype=bool)
         self.steps = self.rejected = self.refined = 0
         self.time_error = 0.0
 
@@ -392,6 +398,7 @@ class _ColumnStepper:
         grid = self.grid[k_from:k_to + 1]
         h = np.diff(grid)
         c = self.coefficients(rk4_times(grid))
+        self.exact[k_from:k_to + 1] = True
         g_now, g_mid, g_next = self.work
         _fill(g_now, self.blocks, c[0])
         for j, hj in enumerate(h):
@@ -431,7 +438,7 @@ class _ColumnStepper:
         between is re-run from its left knot by `rk4` (which raises the
         abort).
         """
-        grid, gate = self.grid, self.leak_threshold / 10
+        grid, gate = self.grid, self.gate
         n_steps, span = len(grid) - 1, grid[-1] - grid[0]
         _fill(self.work[0], self.blocks, self.coefficients(grid[:1])[0])
         # the first step has H ||G(t0)||_1 ~ 0.5, or spans the run
@@ -454,7 +461,7 @@ class _ColumnStepper:
                 if err > allowed and n_h > 1:
                     self.rejected += 1
                     continue
-                self.leak[k + 1:k + n_h + 1] = self.leakage(k, n_h, (self.us, mid, fine))
+                self.leakage(k, n_h, (self.us, mid, fine))
                 kept = self.leak[k + 1:k + n_h + 1].max() < gate
                 if kept:
                     self.time_error += err
@@ -467,45 +474,59 @@ class _ColumnStepper:
 
     def leakage(self, k, n_h, states):
         """Leakage at grid points k+1..k+n_h of a step whose left, middle
-        and right states are `states`: exact at the right knot, from a
-        cubic Hermite interpolant of the top-sector rows in between."""
-        grid = self.grid
-        t, h = grid[k], grid[k + n_h] - grid[k]
-        out = np.zeros(n_h)
-        out[-1] = max(blk.leakage(u) for blk, u in zip(self.blocks, states[-1]))
+        and right states are `states`, into the trace and its exact mask:
+        exact at the right knot, from a cubic Hermite interpolant of the
+        top-sector rows in between.  The traces of the interpolant's Gram
+        matrices bound each inner point by a Frobenius norm; the points
+        are visited in decreasing order of that bound, each taking the top
+        eigenvalue, until a bound falls below the exact maximum so far or
+        that maximum reaches the gate.  Points not visited keep the bound.
+        """
+        grid, lo, hi = self.grid, k + 1, k + n_h
+        t, h = grid[k], grid[hi] - grid[k]
+        self.leak[hi] = top = max(blk.leakage(u) for blk, u in zip(self.blocks, states[-1]))
+        self.exact[lo:hi] = False
         if n_h == 1:
-            return out
+            return
         knots = np.array([t, t + h / 2, t + h])
         coeffs = self.coefficients(knots)
         # the flow's Hermite rule at each inner point is sum_i basis_i Y_i over
         # the values and scaled slopes Y = (y0, h/2 y0', ym, h/2 ym', y1, h/2 y1')
-        inner = grid[k + 1:k + n_h]
+        inner = grid[lo:hi]
         basis = _hermite(knots, np.eye(6)[0::2], np.eye(6)[1::2] / (h / 2), inner)
         pairs = (basis[:, :, None] * basis[:, None, :]).reshape(len(inner), 36)
-        for b, (blk, top) in enumerate(zip(self.blocks, self.tops)):
+        grams, bound = [], np.zeros(len(inner))
+        for b, (blk, top_rows) in enumerate(zip(self.blocks, self.tops)):
             ys = []
             for c, state in zip(coeffs, states):
-                _fill([top], [blk], c)
-                ys += [state[b][blk.top_lo:], (h / 2) * (top @ state[b])]
+                _fill([top_rows], [blk], c)
+                ys += [state[b][blk.top_lo:], (h / 2) * (top_rows @ state[b])]
             ys = _narrow(np.stack(ys))
             if not ys.size:
                 continue
-            # Gram(tau) = sum_ij basis_i basis_j Y_i Y_j^*, from the 36 products,
-            # for a chunk of the inner points at a time
+            # Gram(tau) = sum_ij basis_i basis_j Y_i Y_j^*, from the 36 products
             n = ys.shape[1]
             flat = ys.reshape(6 * n, -1)
             prods = (flat @ flat.conj().T).reshape(6, n, 6, n).swapaxes(1, 2).reshape(36, n * n)
-            chunk = max(1, _GATE_CHUNK // (n * n))
-            for lo in range(0, len(inner), chunk):
-                gram = (pairs[lo:lo + chunk] @ prods).reshape(-1, n, n)
-                top = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
-                out[lo:lo + len(top)] = np.maximum(out[lo:lo + len(top)], top)
-        return out
+            grams.append((n, prods))
+            bound = np.maximum(bound, pairs @ prods[:, ::n + 1].sum(axis=1).real)
+        bound = np.sqrt(np.maximum(bound, 0.0))
+        for i in np.argsort(-bound, kind="stable"):
+            if top >= self.gate or bound[i] < top * (1.0 - _BOUND_MARGIN):
+                break
+            bound[i] = max(_gram_norm((pairs[i] @ prods).reshape(n, n)) for n, prods in grams)
+            self.exact[lo + i], top = True, max(top, bound[i])
+        self.leak[lo:hi] = bound
 
 
 def _narrow(x):
     """x, or x* if that has fewer rows: the smaller Gram matrix x x*, same ||x||_2^2."""
     return x.conj().mT if x.shape[-1] < x.shape[-2] else x
+
+
+def _gram_norm(gram) -> float:
+    """||x||_2 from the Gram matrix x x*: the root of its top eigenvalue."""
+    return math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
 
 
 def _fill(mats, blocks, c):
@@ -573,9 +594,7 @@ class _ParityBlock:
         """2-norm of the top-sector rows of the evolved columns u, from the
         largest eigenvalue of the smaller of the two Gram matrices."""
         leaked = _narrow(u[self.top_lo:])
-        if not leaked.size:
-            return 0.0
-        return math.sqrt(max(np.linalg.eigvalsh(leaked @ leaked.conj().T)[-1], 0.0))
+        return _gram_norm(leaked @ leaked.conj().T) if leaked.size else 0.0
 
     def pattern(self, row: int = 0):
         """A zero CSR matrix of the generator's rows from `row` on, for `_fill`."""

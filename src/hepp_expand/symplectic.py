@@ -136,11 +136,24 @@ def doubled(linear, antilinear) -> np.ndarray:
 
 def symplectic_defects(linear, antilinear):
     """Operator norms of L*L - A*A - I and L*A - A*L, for one (L, A) pair
-    or elementwise over stacks of them."""
+    or elementwise over stacks of them.  A pair whose products overflow
+    (an overflowed flow node) has defect inf."""
     lh, at = np.conj(linear.mT), antilinear.mT
-    gram = lh @ linear - at @ np.conj(antilinear) - np.eye(linear.shape[-1])
-    cross = lh @ antilinear - at @ np.conj(linear)
-    return np.linalg.norm(gram, 2, axis=(-2, -1)), np.linalg.norm(cross, 2, axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = lh @ linear - at @ np.conj(antilinear) - np.eye(linear.shape[-1])
+        cross = lh @ antilinear - at @ np.conj(linear)
+    return _finite_norm2(gram), _finite_norm2(cross)
+
+
+def _finite_norm2(x):
+    """Operator norms over a stack, inf where a matrix has a non-finite
+    entry (its SVD would not converge)."""
+    finite = np.isfinite(x).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.norm(x, 2, axis=(-2, -1))
+    out = np.full(finite.shape, np.inf)
+    out[finite] = np.linalg.norm(x[finite], 2, axis=(-2, -1))
+    return out
 
 
 def is_symplectomorphism(t: RLinearMap, tol: float = 1e-10) -> SymplecticityReport:

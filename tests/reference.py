@@ -6,7 +6,8 @@ dense per-sector ladder matrices, quantization through explicit
 symmetrizers, field and Weyl operators, the JSON entries of a symbol
 one coefficient at a time, the Poisson-bracket form of
 lambda^s, the hand-written kernel of Lambda^t and doubled matrix of
-phi_s^-1, the leakage gate's Hermite basis, the finite-difference derivative of Lambda, and the
+phi_s^-1, the leakage gate's Hermite basis and its eigenvalue at every
+grid point, the finite-difference derivative of Lambda, and the
 Bogoliubov implementer of a fixed symplectomorphism.  Nothing here is on
 the path of the command line tool.
 """
@@ -20,8 +21,8 @@ from scipy.linalg import block_diag, expm
 
 import hepp_expand.sectors as sec
 from hepp_expand.expansions import Lambda_of_map, Lambda_t, lambda_s
-from hepp_expand.flow import v_vector
-from hepp_expand.fock import gamma_u, trusted_block_diff, wick_quantize
+from hepp_expand.flow import _hermite, v_vector
+from hepp_expand.fock import _fill, _narrow, gamma_u, trusted_block_diff, wick_quantize
 from hepp_expand.symbols import (
     PolySymbol,
     contraction,
@@ -240,6 +241,40 @@ def hermite_basis_by_hand(knots, inner) -> np.ndarray:
     basis[~second, :4] = herm[~second]
     basis[second, 2:] = herm[second]
     return basis
+
+
+def every_point_gate(stepper, k, n_h, states):
+    """The leakage gate of a CF4 step with the top eigenvalue taken at every
+    grid point k+1..k+n_h, a drop-in for `_ColumnStepper.leakage`: exact at
+    the right knot, and from the Gram matrices of the cubic Hermite
+    interpolant of the top-sector rows at every inner point, all of them
+    as one stack.  Every point it writes is marked exact."""
+    grid = stepper.grid
+    t, h = grid[k], grid[k + n_h] - grid[k]
+    out = np.zeros(n_h)
+    out[-1] = max(blk.leakage(u) for blk, u in zip(stepper.blocks, states[-1]))
+    if n_h > 1:
+        knots = np.array([t, t + h / 2, t + h])
+        coeffs = stepper.coefficients(knots)
+        inner = grid[k + 1:k + n_h]
+        basis = _hermite(knots, np.eye(6)[0::2], np.eye(6)[1::2] / (h / 2), inner)
+        pairs = (basis[:, :, None] * basis[:, None, :]).reshape(len(inner), 36)
+        for b, (blk, top) in enumerate(zip(stepper.blocks, stepper.tops)):
+            ys = []
+            for c, state in zip(coeffs, states):
+                _fill([top], [blk], c)
+                ys += [state[b][blk.top_lo:], (h / 2) * (top @ state[b])]
+            ys = _narrow(np.stack(ys))
+            if not ys.size:
+                continue
+            n = ys.shape[1]
+            flat = ys.reshape(6 * n, -1)
+            prods = (flat @ flat.conj().T).reshape(6, n, 6, n).swapaxes(1, 2).reshape(36, n * n)
+            gram = (pairs @ prods).reshape(-1, n, n)
+            top_eig = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+            out[:-1] = np.maximum(out[:-1], top_eig)
+    stepper.leak[k + 1:k + n_h + 1] = out
+    stepper.exact[k + 1:k + n_h + 1] = True
 
 
 def check_lambda_is_derivative_of_Lambda(flow, hamiltonian, t: float, c: PolySymbol,

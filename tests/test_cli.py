@@ -353,6 +353,21 @@ def test_unexpected_exception_exit_codes(tmp_path, capsys, monkeypatch, exc, cod
     assert err.startswith(prefix) and len(err.splitlines()) == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("beta", [400.0, 4000.0], ids=["products-overflow", "flow-overflows"])
+@pytest.mark.parametrize("command", ["flow", "expand", "oracle", "estimates"])
+def test_overflowed_flow_is_a_tolerance_failure(tmp_path, capsys, command, beta):
+    # at beta 400, sinh(400 t) overflows the symplecticity products before
+    # t = 1; at 4000 the flow itself overflows.  Either way the terminal
+    # gate reads an infinite defect, not a failed SVD, and prints no warning.
+    data = base_scenario(beta={"kind": "constant", "data": {"re": [[beta]]}}, t_end=1.0)
+    assert main([command, write_scenario(tmp_path, data)]) == 1
+    out, err = capsys.readouterr()
+    assert not out.strip()
+    assert err.strip() == ("hepp-expand: tolerance failure: terminal symplecticity defect inf "
+                           "exceeds 1.0e-06; reduce dt or check the Hamiltonian samplers")
+
+
 @pytest.mark.parametrize("flags", [["--samples", "0"], ["--seed", "-1"], ["--threads", "0"],
                                    ["--threads", "-2"]],
                          ids=["zero-samples", "negative-seed", "zero-threads", "negative-threads"])

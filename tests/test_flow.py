@@ -202,6 +202,17 @@ class TestIntegrateFlow:
         with pytest.raises(SymplecticityError):
             integrate_flow(h)
 
+    def test_overflowed_node_has_infinite_defect(self):
+        # cosh, sinh(400 t) overflow the products L*L and A*A by t = 1
+        h = QuadraticHamiltonian(1, beta=np.array([[400.0]]), t_end=1.0, dt=5e-4)
+        with pytest.raises(SymplecticityError, match="defect inf"):
+            integrate_flow(h)
+        # a stack of the identity and an overflowing pair
+        linear, antilinear = np.array([[[1.0]], [[1e200]]]), np.array([[[0.0]], [[1e200]]])
+        with np.errstate(all="raise"):
+            gram, cross = symplectic_defects(linear, antilinear)
+        assert gram[0] == cross[0] == 0.0 and gram[1] == cross[1] == np.inf
+
     def test_off_grid_time_raises(self):
         _, flow = squeeze_setup(dt=1e-2)
         with pytest.raises(ValueError):

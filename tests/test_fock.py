@@ -38,6 +38,7 @@ from hepp_expand.symplectic import RLinearMap
 from conftest import random_unitary, random_vector
 from reference import (
     dense_ladder_product,
+    every_point_gate,
     field_and_weyl,
     hermite_basis_by_hand,
     loop_gamma_u,
@@ -654,8 +655,12 @@ class TestMagnusFlow:
         rk4 = quantum_flow(h, space, 0.2, trusted_n=6, leak_threshold=np.inf)
         cf4 = quantum_flow(h, space, 0.2, trusted_n=6, leak_threshold=np.inf, tol=1e-7)
         assert cf4.leakage_trace.shape == rk4.leakage_trace.shape
+        assert rk4.leakage_exact.all()
         # measured <= 2e-5 relative; a Hermite fit without slopes gives ~1e-2
-        assert np.abs(cf4.leakage_trace - rk4.leakage_trace).max() <= 1e-4 * rk4.max_leakage()
+        slack, exact = 1e-4 * rk4.max_leakage(), cf4.leakage_exact
+        assert np.abs(cf4.leakage_trace - rk4.leakage_trace)[exact].max() <= slack
+        # where the gate kept a Frobenius bound, it bounds the leakage from above
+        assert np.all(cf4.leakage_trace[~exact] >= rk4.leakage_trace[~exact] - slack)
         assert cf4.integrator["refined"] == 0
 
     def test_top_rows_survive_the_work_refills(self, rng):
@@ -720,8 +725,8 @@ class TestLeakageGateMemory:
     """The Hermite gate of a CF4 step spanning the d=3, N=16 grid."""
 
     def test_memory_bound(self):
-        # the gate takes the inner points' Gram matrices in chunks: the
-        # whole stack of 99 would be ~13 MB on its own
+        # the gate forms the Gram matrices of the points it visits only:
+        # the whole stack of 99 would be ~13 MB on its own
         h, space = ci_d3_hamiltonian(), FockSpace(3, 16, 0.5)
         quantum_flow(h, space, trusted_n=8, leak_threshold=1e-4, tol=1e-7)
         tracemalloc.start()
@@ -731,18 +736,36 @@ class TestLeakageGateMemory:
         finally:
             tracemalloc.stop()
         assert qf.integrator["steps"] == 1
-        assert peak < 27e6
+        assert peak < 21e6
 
-    def test_chunks_match_one_stack(self, monkeypatch):
-        h, space = ci_d3_hamiltonian(), FockSpace(3, 16, 0.5)
-        run = lambda: quantum_flow(h, space, trusted_n=8, leak_threshold=1e-4, tol=1e-7)
-        monkeypatch.setattr(fock, "_GATE_CHUNK", 2 ** 40)
-        whole = run().leakage_trace
-        # a few inner points per chunk, the last chunk short
-        monkeypatch.setattr(fock, "_GATE_CHUNK", 7 * 90 ** 2)
-        chunked = run().leakage_trace
-        assert np.abs(chunked - whole).max() <= 1e-12 * whole.max()
-        assert np.count_nonzero(whole) == len(whole) - 1
+
+@pytest.mark.parametrize("case", ["d2-n12-ramped", "d2-n12-refined", "d3-n16-ci"])
+def test_gate_is_exact_where_it_decides(monkeypatch, case):
+    # the bound-first gate against the reference gate, which takes the top
+    # eigenvalue at every grid point of each CF4 step
+    if case.startswith("d2"):
+        h, space = ramped_hamiltonian(np.random.default_rng(7), t_end=0.2), FockSpace(2, 12, 0.5)
+        # trusted 6 leaks most from the even block, trusted 5 from the odd
+        # one; at trusted 5 the leakage peaks at 0.27, so with threshold
+        # 0.5 the late steps reach the gate at 0.05 and are re-run by RK4
+        trusted, threshold = (6, np.inf) if case == "d2-n12-ramped" else (5, 0.5)
+    else:
+        h, space, trusted, threshold = ci_d3_hamiltonian(), FockSpace(3, 16, 0.5), 8, 1e-4
+    run = lambda: quantum_flow(h, space, trusted_n=trusted, leak_threshold=threshold, tol=1e-7)
+    got = run()
+    monkeypatch.setattr(fock._ColumnStepper, "leakage", every_point_gate)
+    want = run()
+    assert got.integrator == want.integrator
+    assert np.array_equal(got.columns, want.columns)
+    trace, exact, ref = got.leakage_trace, got.leakage_exact, want.leakage_trace
+    assert want.leakage_exact.all() and exact[0] and not exact.all()
+    assert np.all(np.abs(trace - ref)[exact] <= 1e-12 * ref[exact])
+    assert np.all(trace[~exact] >= ref[~exact])
+    assert got.max_leakage() == want.max_leakage()
+    assert np.count_nonzero(trace) == len(trace) - 1
+    # only RK4 points, all exact, reach the gate
+    assert np.all(exact[trace >= threshold / 10])
+    assert (got.integrator["refined"] > 0) == (case == "d2-n12-refined")
 
 
 @pytest.mark.parametrize("grid", [0.125 * np.arange(11), 0.3 + 0.007 * np.arange(13)],
