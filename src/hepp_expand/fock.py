@@ -16,10 +16,10 @@ nonzeros of b^Wick on sectors 0..n_top are the cached entries of each
 monomial with a nonzero coefficient, scaled by it.  They are read
 three ways: summed into a dense matrix (``wick_quantize``), or
 into its leading block on sectors 0..n_top alone (``wick_block``), or
-as a sparse matrix applied to a block of vectors (``wick_apply``).
+as a matrix applied to a block of vectors (``wick_apply``).
 
 The quantum flow uses the same ladder maps for its pair generator: a
-CSR matrix with a pattern fixed per run, whose data at time t is the
+matrix with a pattern fixed per run, whose nonzeros at time t are the
 pattern values times d(d+1) pair coefficients.  The generator changes
 the particle number by 2, so the even and odd sectors evolve as two
 separate dense blocks of U.  Only the columns of U that start in the
@@ -28,17 +28,19 @@ block of the conjugated observable and the leakage gate read.  The flow
 runs on the Hamiltonian's own grid up to one grid time t, where the
 columns are joined into one total_dim x n_cols block and the sector
 blocks of Gamma(u_alpha) act on them.  The comparison stage stays on
-those columns too: the observable acts on them as a sparse matrix, and
-their unitarity defect comes from one Gram block per parity.
+those columns too: the observable acts on them as a matrix, and
+their unitarity defect comes from one Gram block per parity.  The
+generator and b^Wick are dense on at most _DENSE_MAX_STATES states, where
+a dense product is faster and scipy is never imported, and CSR above.
 
 One stepper advances the columns by either of two integrators, reading
 the pair coefficients of all the times a stretch needs in one call, and
-refills the generator's CSR matrices and those of its top-sector rows
+refills the generator's matrices and those of its top-sector rows
 (the leakage gate's) in place.  RK4 on the grid is the reference.  Given
 a tolerance, the fourth-order commutator-free Magnus step CF4 (Blanes &
 Moan 2006) takes steps of several grid points, sized by step doubling;
 each exponential acts on the columns as a Taylor series whose length
-follows from the generator's exact sparse 1-norm.  The leakage gate
+follows from the generator's exact 1-norm.  The leakage gate
 still reads every grid point (between step ends from the flow's cubic
 Hermite rule `flow._hermite`), and a step that comes within a factor 10
 of the leakage threshold is re-run by RK4 on the grid.  The gate is
@@ -61,6 +63,18 @@ from .symplectic import euclidean_norm
 
 _EPS_DEFAULT = 0.5
 _UNITARY_TOL = 1e-10
+# The most states of a space whose oracle matrices are dense, not CSR.
+# One parity block times its columns on a 2-vCPU Xeon took, CSR vs dense:
+# 8 vs 4-5 us at d=1, N=24 (25 states), 6-7 vs 2 us at d=2, N=8 (45), a
+# tie at d=1, N=48 (49), 64-88 vs 127-153 us at d=2, N=24 (325).  Blocks
+# this small (<= ~36 rows) stay below products OpenBLAS may thread: on 2
+# threads a 49 x 49 by 45 one spiked to milliseconds, typically ~15 us.
+_DENSE_MAX_STATES = 64
+
+
+def _dense(space) -> bool:
+    """Whether the oracle's matrices on the space are dense arrays."""
+    return space.total_dim <= _DENSE_MAX_STATES
 
 
 class FockSpace:
@@ -186,11 +200,13 @@ def wick_quantize(b: PolySymbol, space: FockSpace) -> np.ndarray:
 
 
 def wick_apply(b: PolySymbol, space: FockSpace, vectors: np.ndarray) -> np.ndarray:
-    """b^Wick @ vectors on the truncated space, through a sparse matrix:
-    the dense total_dim x total_dim quantization is never formed."""
-    from scipy import sparse
-
+    """b^Wick @ vectors on the truncated space: as the dense quantization
+    on at most _DENSE_MAX_STATES states (the constant gives the measured
+    crossover), above as a CSR matrix, never forming the dense one."""
     _check_degree(b, space)
+    if _dense(space):
+        return wick_block(b, space, space.n_max) @ vectors
+    from scipy import sparse
     rows, cols, values = _wick_entries(b, space, space.n_max)
     n = space.total_dim
     return sparse.csr_matrix((values, (rows, cols)), shape=(n, n)) @ vectors
@@ -352,7 +368,7 @@ _BOUND_MARGIN = 1e-6
 class _ColumnStepper:
     """The parity blocks' evolved columns, advanced along a time grid.
 
-    Owns the columns, three CSR work matrices per block (the generator
+    Owns the columns, three work matrices per block (the generator
     at the start, middle and end of an RK4 step; CF4 uses the first for
     its exponents) and one of its top-sector rows (the leakage gate's
     slopes), all refilled in place by `_fill`, the leakage at every grid
@@ -530,21 +546,27 @@ def _gram_norm(gram) -> float:
 
 
 def _fill(mats, blocks, c):
-    """Refill the data of each fixed-pattern CSR matrix, a suffix of its
-    block's pattern, in place from the pair coefficients c."""
+    """Refill each `_ParityBlock.pattern` matrix (CSR or dense) in place
+    from the pair coefficients c, writing its nonzeros in CSR order."""
     for mat, blk in zip(mats, blocks):
-        lo = len(blk.values) - len(mat.data)
-        np.multiply(blk.values[lo:], c[blk.term[lo:]], out=mat.data)
+        row = blk.shape[0] - mat.shape[0]
+        lo = blk.indptr[row]
+        if isinstance(mat, np.ndarray):
+            mat[blk.rows[lo:] - row, blk.indices[lo:]] = blk.values[lo:] * c[blk.term[lo:]]
+        else:
+            np.multiply(blk.values[lo:], c[blk.term[lo:]], out=mat.data)
 
 
 def _norm1(mat) -> float:
-    """Exact 1-norm (largest column sum) of a CSR matrix."""
+    """Exact 1-norm (largest column sum) of a CSR matrix or a dense array."""
+    if isinstance(mat, np.ndarray):
+        return float(np.abs(mat).sum(axis=0).max(initial=0.0))
     sums = np.bincount(mat.indices, weights=np.abs(mat.data), minlength=mat.shape[1])
     return float(sums.max(initial=0.0))
 
 
 def _expm_apply(mat, norm, u):
-    """exp(mat) u for a sparse mat of 1-norm `norm`.
+    """exp(mat) u for a CSR or dense mat of 1-norm `norm`.
 
     A truncated Taylor series in ceil(norm) sub-steps of 1-norm x <= 1,
     with the fewest terms m for which the remainder bound
@@ -568,27 +590,28 @@ def _expm_apply(mat, norm, u):
 
 class _ParityBlock:
     """States of one particle-number parity, with the pair generator's
-    fixed CSR pattern on them.
+    fixed pattern on them, in CSR order.
 
     Entry j of the pattern carries values[j] times the pair coefficient
     number term[j]; within the block, states keep their direct-sum order,
     so the trusted columns are a prefix and the top-sector rows a suffix.
+    `pattern` makes dense arrays when `dense` is set (a space of at most
+    _DENSE_MAX_STATES states), scipy CSR matrices otherwise.
     """
 
-    def __init__(self, states, rows, cols, values, term, top_lo, trusted_hi):
+    def __init__(self, states, rows, cols, values, term, top_lo, trusted_hi, dense):
         self.states = states
         n = len(states)
         local = np.empty(states.max() + 1, dtype=np.int64)
         local[states] = np.arange(n)
         rows, cols = local[rows], local[cols]
         order = np.lexsort((cols, rows))
-        self.indices = cols[order]
+        self.rows, self.indices = rows[order], cols[order]
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
         self.values = values[order]
         self.term = term[order]
         self.shape = (n, n)
-        self.top_lo = top_lo
-        self.trusted_hi = trusted_hi
+        self.top_lo, self.trusted_hi, self.dense = top_lo, trusted_hi, dense
 
     def leakage(self, u) -> float:
         """2-norm of the top-sector rows of the evolved columns u, from the
@@ -597,7 +620,9 @@ class _ParityBlock:
         return _gram_norm(leaked @ leaked.conj().T) if leaked.size else 0.0
 
     def pattern(self, row: int = 0):
-        """A zero CSR matrix of the generator's rows from `row` on, for `_fill`."""
+        """A zero matrix of the generator's rows from `row` on, for `_fill`."""
+        if self.dense:
+            return np.zeros((self.shape[0] - row, self.shape[1]), dtype=complex)
         from scipy import sparse
 
         lo = self.indptr[row]
@@ -633,7 +658,7 @@ def _parity_blocks(space: FockSpace, trusted_n: int) -> list:
         blocks.append(_ParityBlock(
             states, rows[mine], cols[mine], values[mine], term[mine],
             top_lo=int(np.count_nonzero(number[states] < top)),
-            trusted_hi=int(np.count_nonzero(number[states] <= trusted_n))))
+            trusted_hi=int(np.count_nonzero(number[states] <= trusted_n)), dense=_dense(space)))
     return blocks
 
 
@@ -662,8 +687,8 @@ def conjugate_observable(qflow: QuantumFlowResult, b: PolySymbol) -> np.ndarray:
     flow's time t and on its space.
 
     That block is U[:, s]^* (b^Wick U[:, s]) over the evolved columns s,
-    an n_cols x n_cols array; b^Wick acts on the columns as a sparse
-    matrix.
+    an n_cols x n_cols array; b^Wick acts on the columns through
+    `wick_apply`.
     """
     u = qflow.columns
     return u.conj().T @ wick_apply(b, qflow.space, u)

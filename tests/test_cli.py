@@ -601,3 +601,25 @@ def test_estimates_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 []"
     assert json.loads(out.read_text())["pass"] is True
+
+
+@pytest.mark.parametrize("name, code", [("oracle-im-z2", 0), ("example-im-z2", 3)])
+def test_small_oracle_loads_no_scipy(tmp_path, name, code):
+    # the demo spaces (d=1, N=24: 25 states) are under the dense cut, so
+    # the oracle's generator and b^Wick are numpy arrays: a whole oracle
+    # run, a pass or the documented leakage abort, needs no scipy module
+    path = os.path.join(REPO, "demos", "scenarios", f"{name}.json")
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from hepp_expand.cli import main; "
+         f"code = main(['oracle', {path!r}, '--out', {str(out)!r}]); "
+         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"{code} []"
+    report = json.loads(out.read_text())
+    if code == 0:
+        assert report["pass"] is True
+    else:
+        assert "leakage" in report["error"]

@@ -663,29 +663,29 @@ class TestMagnusFlow:
         assert np.all(cf4.leakage_trace[~exact] >= rk4.leakage_trace[~exact] - slack)
         assert cf4.integrator["refined"] == 0
 
-    def test_top_rows_survive_the_work_refills(self, rng):
+    def test_top_rows_survive_the_work_refills(self, monkeypatch, rng):
         # the gate refills the top-row matrices at three knots; a CF4
         # attempt then refills the work matrices.  Each top-row matrix must
-        # still be the top rows of the generator at the last knot.
-        from scipy import sparse
-
+        # still be the top rows of the generator at the last knot, on
+        # either side of the dense cut.
         h = ramped_hamiltonian(rng, t_end=0.2)
         space = FockSpace(2, 12, 0.5)
         coefficients = fock._pair_coefficients(h, integrate_u_alpha(h))
         grid = h.grid()
-        stepper = fock._ColumnStepper(space, 6, coefficients, grid, np.inf)
         n_h = 40
         t, dt = grid[0], grid[n_h] - grid[0]
-        stepper.leakage(0, n_h, (stepper.us,) * 3)
         last = coefficients((t, t + dt / 2, t + dt))[-1]
-        stepper.cf4(stepper.us, t, dt)
-        for blk, top in zip(stepper.blocks, stepper.tops):
-            full = sparse.csr_matrix((blk.values * last[blk.term], blk.indices, blk.indptr),
-                                     shape=blk.shape)
-            shape = (blk.shape[1], 3)
-            state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            assert top.shape[0] > 0
-            assert np.array_equal(top @ state, (full @ state)[blk.top_lo:])
+        for dense in (False, True):
+            monkeypatch.setattr(fock, "_DENSE_MAX_STATES", space.total_dim if dense else 0)
+            stepper = fock._ColumnStepper(space, 6, coefficients, grid, np.inf)
+            stepper.leakage(0, n_h, (stepper.us,) * 3)
+            stepper.cf4(stepper.us, t, dt)
+            for blk, top in zip(stepper.blocks, stepper.tops):
+                full = np.zeros(blk.shape, dtype=complex)
+                full[blk.rows, blk.indices] = blk.values * last[blk.term]
+                assert isinstance(top, np.ndarray) == dense
+                assert top.shape[0] > 0
+                assert np.array_equal(top if dense else top.toarray(), full[blk.top_lo:])
 
     @pytest.mark.parametrize("case", ["leakage-abort", "example-im-z2"])
     def test_abort_matches_rk4(self, case):
@@ -766,6 +766,51 @@ def test_gate_is_exact_where_it_decides(monkeypatch, case):
     # only RK4 points, all exact, reach the gate
     assert np.all(exact[trace >= threshold / 10])
     assert (got.integrator["refined"] > 0) == (case == "d2-n12-refined")
+
+
+@pytest.mark.parametrize("case", ["d1-n24", "d2-n8"])
+def test_dense_and_csr_kernels_agree(monkeypatch, rng, case):
+    # forced to either side of the cut, the oracle's dense and CSR
+    # matrices give the same flow and b^Wick to rounding, the same exact
+    # leakage points and the same CF4 step counts
+    if case == "d1-n24":
+        space, trusted = FockSpace(1, 24, 0.5), 20
+        h = QuadraticHamiltonian(1, alpha=np.array([[0.4]]), beta=np.array([[0.8 + 0.3j]]),
+                                 t_end=0.2, dt=1e-3)
+    else:
+        space, trusted, h = FockSpace(2, 8, 0.5), 6, ramped_hamiltonian(rng, t_end=0.1)
+    b, vectors = random_symbol(rng, space.dim, 4), space.random_state(rng, space.n_max, 5)
+    runs, applied = {}, {}
+    for dense, cut in ((True, space.total_dim), (False, space.total_dim - 1)):
+        monkeypatch.setattr(fock, "_DENSE_MAX_STATES", cut)
+        assert isinstance(fock._parity_blocks(space, trusted)[0].pattern(), np.ndarray) == dense
+        applied[dense] = wick_apply(b, space, vectors)
+        for tol in (None, 1e-8):
+            runs[dense, tol] = quantum_flow(h, space, trusted_n=trusted, leak_threshold=np.inf,
+                                            tol=tol)
+    assert np.abs(applied[True] - applied[False]).max() <= 1e-13 * np.abs(applied[False]).max()
+    for tol in (None, 1e-8):
+        got, want = runs[True, tol], runs[False, tol]
+        assert np.abs(got.columns - want.columns).max() <= 1e-13
+        exact = want.leakage_exact
+        assert np.array_equal(got.leakage_exact, exact)
+        ref = want.leakage_trace[exact]
+        assert ref.max() > 1e-3
+        assert np.all(np.abs(got.leakage_trace[exact] - ref) <= 1e-13 * ref)
+        if tol is not None:
+            counts = ("steps", "rejected", "refined")
+            assert [got.integrator[k] for k in counts] == [want.integrator[k] for k in counts]
+
+
+def test_dense_cut_sits_at_64_states():
+    # the documented cut: the d=1, N=24 demo spaces (25 states) and d=2,
+    # N=8 (45) run dense, d=2, N=12 (91) runs CSR, and the edge is 64 states
+    for dim, n_max, dense in ((1, 24, True), (2, 8, True), (1, 63, True), (1, 64, False),
+                              (2, 12, False)):
+        space = FockSpace(dim, n_max, 0.5)
+        assert fock._dense(space) == dense == (space.total_dim <= 64)
+        assert all(isinstance(blk.pattern(), np.ndarray) == dense
+                   for blk in fock._parity_blocks(space, n_max - 4))
 
 
 @pytest.mark.parametrize("grid", [0.125 * np.arange(11), 0.3 + 0.007 * np.arange(13)],
