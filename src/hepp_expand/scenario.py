@@ -144,6 +144,8 @@ def _observable(spec, dim: int) -> PolySymbol:
             raise ScenarioError(str(exc)) from exc
     try:
         sym = PolySymbol.from_json(spec)
+    except ScenarioError:
+        raise
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise ScenarioError(f"bad observable spec: {exc!r}") from exc
     if not all(np.isfinite(c).all() for c in sym.vectors.values()):

@@ -8,8 +8,24 @@ non-decreasing index tuples.  Keeping a single convention here removes
 all symmetrization-factor ambiguity between the symbol algebra and the
 truncated Fock oracle.
 
-Ladder matrices carry no epsilon factor; the semiclassical scale is
-applied at quantization time.
+One rule gives every position in that order (`rank`).  With a_i the
+number of particles in the modes after i, the states before kappa are,
+mode by mode, those that agree with kappa on the modes before i and put
+more particles in mode i:
+
+    rank(kappa) = sum_{i < d-1, a_i >= 1} C(a_i - 1 + d - i - 1, d - i - 1).
+
+The C(n - 1 + d, d) states of fewer than n particles precede sector n,
+so in the direct sum of the sectors a state of n particles sits at
+C(n - 1 + d, d) + rank.  The raise maps, merge maps, doubled-variable
+grids and ladder maps are that rule applied to sums of occupation
+arrays; nothing looks an occupation up entry by entry.
+
+The tables are cached per (dim, n) with at most 128 keys each, more
+than the sectors of one d=1, N=48 space; `tensor_positions`, whose
+table at 12 modes and n=6 alone holds 24 MB, keeps 16.  Ladder matrices
+carry no epsilon factor; the semiclassical scale is applied at
+quantization time.
 """
 
 from __future__ import annotations
@@ -26,13 +42,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=None)
 def sector_dim(dim: int, n: int) -> int:
     """Dimension of the n-particle sector over C^dim: C(n+d-1, d-1)."""
     return math.comb(n + dim - 1, dim - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def occupations(dim: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Occupation vectors of the n-particle sector, in canonical order.
 
@@ -55,19 +70,37 @@ def pair_modes(dim: int) -> np.ndarray:
     return np.array(list(itertools.combinations_with_replacement(range(dim), 2))).reshape(-1, 2).T
 
 
-@lru_cache(maxsize=None)
-def occupation_index(dim: int, n: int) -> dict:
-    """Map occupation vector -> position in the canonical enumeration."""
-    return {occ: k for k, occ in enumerate(occupations(dim, n))}
+@lru_cache(maxsize=128)
+def _fewer(top: int, dim: int) -> np.ndarray:
+    """Table of C(a - 1 + k, k), the number of states of fewer than a
+    particles over C^k, for a <= top and k <= dim."""
+    return _frozen(np.array([[math.comb(a - 1 + k, k) if a else 0 for k in range(dim + 1)]
+                            for a in range(top + 1)], dtype=np.int64))
 
 
-@lru_cache(maxsize=None)
+def rank(occ) -> np.ndarray:
+    """Position of occupation rows (last axis = modes) in their sector's
+    canonical order, by the rule of the module docstring."""
+    occ = np.asarray(occ, dtype=np.int64)
+    dim = occ.shape[-1]
+    # a_i for i = d-2 down to 0, each read with its d - i - 1 = 1, ..., d-1 later modes
+    after = np.cumsum(occ[..., :0:-1], axis=-1)
+    return _fewer(int(after.max(initial=0)), dim)[after, np.arange(1, dim)].sum(axis=-1)
+
+
+def _stacked_rank(occ: np.ndarray) -> np.ndarray:
+    """Position of occupation rows in the direct sum of the sectors."""
+    n = occ.sum(axis=-1)
+    return _fewer(int(n.max(initial=0)), occ.shape[-1])[n, -1] + rank(occ)
+
+
+@lru_cache(maxsize=128)
 def occupation_array(dim: int, n: int) -> np.ndarray:
     """Occupations as an integer array of shape (sector_dim, dim)."""
     return _frozen(np.array(occupations(dim, n), dtype=np.int64).reshape(sector_dim(dim, n), dim))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def index_tuples(dim: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Non-decreasing 1-based index tuples of the n-particle sector, in
     canonical order (the JSON form of the occupations)."""
@@ -75,35 +108,25 @@ def index_tuples(dim: int, n: int) -> tuple[tuple[int, ...], ...]:
                  for combo in itertools.combinations_with_replacement(range(dim), n))
 
 
-def indices_to_occ(indices, dim: int) -> tuple[int, ...]:
-    """Non-decreasing 1-based index tuple -> occupation vector."""
-    occ = [0] * dim
-    for i in indices:
-        if not 1 <= i <= dim:
-            raise ValueError(f"index {i} out of range 1..{dim}")
-        occ[i - 1] += 1
-    return tuple(occ)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def occ_factorials(dim: int, n: int) -> np.ndarray:
     """Array of kappa! = prod_i kappa_i! over the sector, canonical order."""
     occ = occupation_array(dim, n)
+    factorial = np.array([float(math.factorial(k)) for k in range(n + 1)])
     vals = np.ones(occ.shape[0])
     for i in range(dim):
-        for row in range(occ.shape[0]):
-            vals[row] *= math.factorial(int(occ[row, i]))
+        vals *= factorial[occ[:, i]]
     return _frozen(vals)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def coeff_scale(dim: int, n: int) -> np.ndarray:
     """sqrt(n!/kappa!) per basis vector: converts operator coefficients
     to plain monomial coefficients of z^kappa (and back by division)."""
     return _frozen(np.sqrt(math.factorial(n) / occ_factorials(dim, n)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def raise_table(dim: int, n: int):
     """Arrays (up, weight) of shape (sector_dim(n), dim): the position of
     kappa + delta_i in sector n+1, and kappa_i + 1.
@@ -111,23 +134,8 @@ def raise_table(dim: int, n: int):
     The derivative d/dz_i of a degree-(n+1) coefficient vector c (plain
     monomial coefficients) is c[up[:, i]] * weight[:, i].
     """
-    idx_hi = occupation_index(dim, n + 1)
-    up = np.array([[idx_hi[kappa[:i] + (kappa[i] + 1,) + kappa[i + 1:]] for i in range(dim)]
-                   for kappa in occupations(dim, n)], dtype=np.int64)
-    return _frozen(up), _frozen(occupation_array(dim, n) + 1.0)
-
-
-@lru_cache(maxsize=None)
-def _direct_sum_tables(dim: int, n_max: int):
-    """Occupations of sectors 0..n_max stacked in direct-sum order, and per
-    mode i the direct-sum position of kappa + delta_i for every kappa below
-    the top sector."""
-    offsets = np.cumsum([0] + [sector_dim(dim, n) for n in range(n_max + 1)])
-    occ = np.concatenate([occupation_array(dim, n) for n in range(n_max + 1)])
-    up = np.zeros((dim, offsets[n_max]), dtype=np.int64)
-    for n in range(n_max):
-        up[:, offsets[n]:offsets[n + 1]] = raise_table(dim, n)[0].T + offsets[n + 1]
-    return _frozen(occ), _frozen(up)
+    occ = occupation_array(dim, n)
+    return _frozen(rank(occ[:, None, :] + np.eye(dim, dtype=np.int64))), _frozen(occ + 1.0)
 
 
 @lru_cache(maxsize=4096)
@@ -143,23 +151,21 @@ def ladder_entries(dim: int, n_max: int, mu: tuple, kappa: tuple):
     not keep every map); the arrays are frozen.
     """
     top = n_max - max(sum(mu), sum(kappa))
-    occ, up = _direct_sum_tables(dim, n_max)
-    # residues r fill exactly the sectors 0..top, a prefix of the direct sum
-    res = occ[:sector_dim(dim + 1, top)] if top >= 0 else occ[:0]
-    rows = cols = np.arange(res.shape[0])
+    # the residues r fill the sectors 0..top in direct-sum order: sector
+    # top over C^(dim+1) with a leading slack mode
+    res = occupation_array(dim + 1, top)[:, 1:] if top >= 0 else np.zeros((0, dim), np.int64)
+    rows, cols = _stacked_rank(res + mu), _stacked_rank(res + kappa)
     values = np.ones(res.shape[0])
     for i in range(dim):
         for j in range(kappa[i]):
-            cols = up[i, cols]
             values = values * np.sqrt(res[:, i] + kappa[i] - j)
     for i in range(dim):
         for j in range(mu[i]):
-            rows = up[i, rows]
             values = values * np.sqrt(res[:, i] + j + 1)
     return _frozen(rows), _frozen(cols), _frozen(values)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def tensor_positions(dim: int, n: int):
     """Sector position of every entry of the full tensor power
     (C^dim)^(x n), in row-major order, and per sector position one entry
@@ -172,7 +178,7 @@ def tensor_positions(dim: int, n: int):
     return _frozen(full), _frozen(rep)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def doubled_positions(dim: int, m: int) -> tuple:
     """Where the (p, q) blocks sit in the m-sector of C^{2 dim}.
 
@@ -181,25 +187,16 @@ def doubled_positions(dim: int, m: int) -> tuple:
     variables (z, conj z), and the factors sqrt(q!/mu!) sqrt(p!/nu!)
     that turn canonical coefficients into plain monomial ones.
     """
-    index = occupation_index(2 * dim, m)
     out = []
     for p in range(m + 1):
         q = m - p
-        grid = np.array([[index[nu + mu] for nu in occupations(dim, p)]
-                         for mu in occupations(dim, q)], dtype=np.int64)
+        pair = np.broadcast_arrays(occupation_array(dim, p)[None], occupation_array(dim, q)[:, None])
         scale = coeff_scale(dim, q)[:, None] * coeff_scale(dim, p)[None, :]
-        out.append((_frozen(grid), _frozen(scale)))
+        out.append((_frozen(rank(np.concatenate(pair, axis=-1))), _frozen(scale)))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def merge_map(dim: int, n1: int, n2: int) -> np.ndarray:
     """Index grid: position of kappa1 + kappa2 in sector n1+n2."""
-    idx_hi = occupation_index(dim, n1 + n2)
-    occ1 = occupations(dim, n1)
-    occ2 = occupations(dim, n2)
-    out = np.empty((len(occ1), len(occ2)), dtype=np.int64)
-    for a, ka in enumerate(occ1):
-        for b, kb in enumerate(occ2):
-            out[a, b] = idx_hi[tuple(x + y for x, y in zip(ka, kb))]
-    return _frozen(out)
+    return _frozen(rank(occupation_array(dim, n1)[:, None] + occupation_array(dim, n2)[None]))

@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from . import sectors as sec
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ScenarioError
 from .symplectic import euclidean_norm
 
 
@@ -133,7 +133,7 @@ class PolySymbol:
             raise DimensionMismatchError(f"occupations {m_occ}, {n_occ} for dim {dim}")
         m = sum(m_occ) + sum(n_occ)
         c = np.zeros(sec.sector_dim(2 * dim, m), dtype=complex)
-        c[sec.occupation_index(2 * dim, m)[n_occ + m_occ]] = coeff
+        c[sec.rank(n_occ + m_occ)] = coeff
         return cls._from_vectors(dim, {m: c})
 
     # -- structure ----------------------------------------------------------
@@ -302,12 +302,20 @@ class PolySymbol:
             p, q = int(td["p"]), int(td["q"])
             arr = terms.setdefault((p, q), np.zeros((sec.sector_dim(dim, q),
                                                      sec.sector_dim(dim, p)), dtype=complex))
-            idx_q = sec.occupation_index(dim, q)
-            idx_p = sec.occupation_index(dim, p)
-            for m_idx, n_idx, re, im in td["entries"]:
-                mi = idx_q[sec.indices_to_occ(m_idx, dim)]
-                ni = idx_p[sec.indices_to_occ(n_idx, dim)]
-                arr[mi, ni] += re + 1j * im
+            idx, vals = [], []
+            for k, (m_idx, n_idx, re, im) in enumerate(td["entries"]):
+                if (len(m_idx), len(n_idx)) != (q, p) or not all(
+                        isinstance(i, int) and 1 <= i <= dim for i in [*m_idx, *n_idx]):
+                    raise ScenarioError(f"observable term (p={p}, q={q}), entry {k}: index "
+                                        f"lists {m_idx} and {n_idx} must hold {q} and {p} "
+                                        f"integers in 1..{dim}")
+                idx.append([*m_idx, *n_idx])
+                vals.append(re + 1j * im)
+            # occupations of the conj(z) side (q indices) and of the z side (p)
+            hits = np.array(idx, dtype=np.int64).reshape(len(idx), q + p, 1) == np.arange(1, dim + 1)
+            # unbuffered: the entries of one position are summed in the order given
+            np.add.at(arr, (sec.rank(hits[:, :q].sum(axis=1)), sec.rank(hits[:, q:].sum(axis=1))),
+                      np.array(vals, dtype=complex))
         return cls(dim, terms)
 
     def __repr__(self):

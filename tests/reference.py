@@ -2,14 +2,14 @@
 
 Each function recomputes a quantity of the package by a slower,
 separately derived route, or checks an identity the expansions rest on:
-dense per-sector ladder matrices, quantization through explicit
-symmetrizers, field and Weyl operators, the JSON entries of a symbol
-one coefficient at a time, the Poisson-bracket form of
-lambda^s, the hand-written kernel of Lambda^t and doubled matrix of
-phi_s^-1, the leakage gate's Hermite basis and its eigenvalue at every
-grid point, the finite-difference derivative of Lambda, and the
-Bogoliubov implementer of a fixed symplectomorphism.  Nothing here is on
-the path of the command line tool.
+the occupation index read off the enumeration, dense per-sector ladder
+matrices, quantization through explicit symmetrizers, field and Weyl
+operators, the JSON entries of a symbol one coefficient at a time, the
+Poisson-bracket form of lambda^s, the hand-written kernel of Lambda^t
+and doubled matrix of phi_s^-1, the leakage gate's Hermite basis and its
+eigenvalue at every grid point, the finite-difference derivative of
+Lambda, and the Bogoliubov implementer of a fixed symplectomorphism.
+Nothing here is on the path of the command line tool.
 """
 
 import itertools
@@ -38,13 +38,20 @@ from hepp_expand.weylwick import weyl_from_wick, wick_from_weyl
 # sector matrices
 
 @lru_cache(maxsize=None)
+def occupation_index(dim: int, n: int) -> dict:
+    """Map occupation vector -> position in the canonical enumeration,
+    read off the enumeration itself rather than `sectors.rank`."""
+    return {occ: k for k, occ in enumerate(sec.occupations(dim, n))}
+
+
+@lru_cache(maxsize=None)
 def annihilators(dim: int, n: int) -> tuple:
     """Mode annihilation matrices a_i mapping sector n >= 1 -> n-1, dense.
 
     a_i|kappa> = sqrt(kappa_i) |kappa - delta_i>, no epsilon factor; the
     creators a_i^dag from sector n-1 to n are their transposes.
     """
-    idx_lo = sec.occupation_index(dim, n - 1)
+    idx_lo = occupation_index(dim, n - 1)
     mats = []
     for i in range(dim):
         m = np.zeros((sec.sector_dim(dim, n - 1), sec.sector_dim(dim, n)), dtype=complex)
@@ -109,7 +116,7 @@ def onb_embedding(dim: int, n: int) -> np.ndarray:
     """
     v = np.zeros((dim**n, sec.sector_dim(dim, n)))
     fk = sec.occ_factorials(dim, n)
-    idx = sec.occupation_index(dim, n)
+    idx = occupation_index(dim, n)
     for pos, word in enumerate(itertools.product(range(dim), repeat=n)):
         occ = [0] * dim
         for i in word:

@@ -13,6 +13,7 @@ from hepp_expand import cli, fock
 from hepp_expand.cli import main
 from hepp_expand.errors import ScenarioError, SymplecticityError
 from hepp_expand.scenario import Scenario
+from hepp_expand.symbols import PolySymbol
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -242,6 +243,14 @@ MALFORMED_OBSERVABLE = {
     "observable-not-object": {"observable": 3},
     "observable-index-out-of-range": {"observable": {"dim": 1, "terms": [
         {"p": 1, "q": 1, "entries": [[[1], [5], 1.0, 0.0]]}]}},
+    "observable-index-zero": {"observable": {"dim": 1, "terms": [
+        {"p": 1, "q": 1, "entries": [[[0], [1], 1.0, 0.0]]}]}},
+    "observable-short-p-side": {"observable": {"dim": 1, "terms": [
+        {"p": 2, "q": 1, "entries": [[[1], [1], 1.0, 0.0]]}]}},
+    "observable-long-q-side": {"observable": {"dim": 1, "terms": [
+        {"p": 1, "q": 1, "entries": [[[1, 1], [1], 1.0, 0.0]]}]}},
+    "observable-coefficient-string": {"observable": {"dim": 1, "terms": [
+        {"p": 1, "q": 1, "entries": [[[1], [1], "x", 0.0]]}]}},
     "observable-nan": {"observable": {"dim": 1, "terms": [
         {"p": 1, "q": 1, "entries": [[[1], [1], float("nan"), 0.0]]}]}},
 }
@@ -261,6 +270,16 @@ def test_malformed_scenario_exit_two(tmp_path, capsys, command, override):
     assert main([command, write_scenario(tmp_path, data)]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("hepp-expand: scenario error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("entry", [[[1, 2], [1], 1.0, 0.0], [[1], [], 1.0, 0.0],
+                                   [[1], [3], 1.0, 0.0], [[1], [1.0], 1.0, 0.0]],
+                         ids=["q-side-length", "p-side-length", "out-of-range", "non-integer"])
+def test_bad_observable_entry_is_named(entry):
+    # a wrong index count would otherwise be ranked in another sector
+    spec = {"dim": 2, "terms": [{"p": 1, "q": 1, "entries": [[[1], [2], 1.0, 0.0], entry]}]}
+    with pytest.raises(ScenarioError, match=r"term \(p=1, q=1\), entry 1:"):
+        PolySymbol.from_json(spec)
 
 
 def test_grid_step_cap():

@@ -11,7 +11,7 @@ from scipy.linalg import block_diag, expm
 import hepp_expand.fock as fock
 import hepp_expand.sectors as sec
 from hepp_expand.errors import DimensionMismatchError, LeakageError
-from hepp_expand.expansions import exp_expand
+from hepp_expand.expansions import Lambda_of_map, exp_expand
 from hepp_expand.flow import QuadraticHamiltonian, _hermite, integrate_flow, integrate_u_alpha
 from hepp_expand.fock import (
     FockSpace,
@@ -33,7 +33,7 @@ from hepp_expand.symbols import (
     squeezing_hamiltonian_symbol,
     wick_product_symbol,
 )
-from hepp_expand.symplectic import RLinearMap
+from hepp_expand.symplectic import RLinearMap, random_symplectomorphism
 
 from conftest import random_unitary, random_vector
 from reference import (
@@ -42,6 +42,7 @@ from reference import (
     field_and_weyl,
     hermite_basis_by_hand,
     loop_gamma_u,
+    occupation_index,
     sym_mult_map,
     wick_quantize_slow,
 )
@@ -248,21 +249,15 @@ class TestWickBlock:
 class TestLadderMaps:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_raise_tables_match_the_enumeration(self, dim):
-        offsets = np.cumsum([0] + [sec.sector_dim(dim, n) for n in range(7)])
-        occ, stacked = sec._direct_sum_tables(dim, 6)
-        assert len(occ) == offsets[-1]
         for n in range(7):
             up, weight = sec.raise_table(dim, n)
-            index = sec.occupation_index(dim, n + 1)
+            index = occupation_index(dim, n + 1)
             for k, kappa in enumerate(sec.occupations(dim, n)):
-                assert tuple(occ[offsets[n] + k]) == kappa
                 for i in range(dim):
                     hi = list(kappa)
                     hi[i] += 1
                     assert up[k, i] == index[tuple(hi)]
                     assert weight[k, i] == kappa[i] + 1
-                    if n < 6:
-                        assert stacked[i, offsets[n] + k] == offsets[n + 1] + index[tuple(hi)]
 
     def test_entries_are_cached_and_frozen(self):
         space = FockSpace(2, 6, 0.5)
@@ -273,6 +268,31 @@ class TestLadderMaps:
         got = space.ladder_product(np.array([1, 0]), [0, 2])
         assert np.array_equal(got, dense_ladder_product(space, (1, 0), (0, 2)))
         assert sec.ladder_entries.cache_info().maxsize is not None
+
+    def test_sector_caches_are_bounded_over_a_sweep(self, rng):
+        # one process, no cache_clear: a sweep whose largest tables come
+        # first must evict them.  In a fresh process the sweep retained
+        # 14.7 MB (51.8 MB when every sector cache was unbounded) and
+        # peaked at 123 MB, the d=6 degree-6 composition's (2d)^6 tensor
+        caches = [f for f in vars(sec).values() if hasattr(f, "cache_info")]
+        assert caches and all(f.cache_info().maxsize is not None for f in caches)
+        tracemalloc.start()
+        try:
+            for dim in range(6, 0, -1):
+                b, t = random_symbol(rng, dim, 6), random_symplectomorphism(rng, dim)
+                b.compose_rlinear(t).norm_p()
+                Lambda_of_map(b, t).norm_p()
+            for dim in range(3, 0, -1):
+                b = preset_symbol("quartic-cross" if dim > 1 else "n-squared", dim)
+                for n_max in range(4, 25):
+                    space = FockSpace(dim, n_max, 0.5)
+                    fock._parity_blocks(space, n_max - 4)
+                    fock._wick_entries(b, space, n_max)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 25 * 2**20
+        assert peak < 160 * 2**20
 
 
 class TestWickApply:

@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hepp_expand.sectors as sec
 from hepp_expand.expansions import exp_expand, lambda_s
 from hepp_expand.flow import QuadraticHamiltonian, integrate_flow
 from hepp_expand.fock import FockSpace, wick_apply, wick_quantize
@@ -289,3 +290,31 @@ def test_draw_of_one_is_the_single_draw(seed, dim, order):
     assert all(np.array_equal(b1[m], b2[m][:, 0]) for m in b1)
     assert np.array_equal(l1, l2[0]) and np.array_equal(a1, a2[0])
     assert np.array_equal(psi1, psi2[:, 0]) and next1 == next2
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=8), n=st.integers(min_value=0, max_value=10))
+def test_rank_is_the_enumeration_order(dim, n):
+    # rank reads each position off the occupation alone; the enumeration
+    # order of combinations_with_replacement is the one it must reproduce
+    occ = sec.occupation_array(dim, n)
+    assert np.array_equal(sec.rank(occ), np.arange(len(occ)))
+    # the raise table points at kappa + e_i, with weight kappa_i + 1
+    if n < 10:
+        up, weight = sec.raise_table(dim, n)
+        raised = sec.occupation_array(dim, n + 1)[up]
+        assert np.array_equal(raised, occ[:, None, :] + np.eye(dim, dtype=np.int64))
+        assert np.array_equal(weight, occ + 1.0)
+
+
+@fast
+@given(dim=st.integers(min_value=1, max_value=4), n_max=st.integers(min_value=0, max_value=12))
+def test_stacked_rank_is_the_direct_sum_order(dim, n_max):
+    space = FockSpace(dim, n_max)
+    stacked = np.concatenate([sec.occupation_array(dim, n) for n in range(n_max + 1)])
+    positions = sec._stacked_rank(stacked)
+    assert np.array_equal(positions, np.arange(space.total_dim))
+    for n in range(n_max + 1):
+        first = np.zeros(dim, dtype=np.int64)
+        first[0] = n
+        assert sec._stacked_rank(first) == space.offsets[n]
