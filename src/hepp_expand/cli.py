@@ -197,7 +197,8 @@ def cmd_estimates(scenario: Scenario, args) -> tuple[int, dict]:
 
     # Each symbol row draws a stack of `size` samples and takes all their
     # ratios in one pass; sample_max feeds it blocks of samples, sized by
-    # the (2d)^order entries of one sample's composition tensor.
+    # (2d)^order entries per sample, which bounds the largest array one
+    # sample's composition holds.
     def worst(ratios):
         return sample_max(ratios, n_samples, entries=(2 * dim) ** order)
 

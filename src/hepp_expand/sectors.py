@@ -22,10 +22,10 @@ grids and ladder maps are that rule applied to sums of occupation
 arrays; nothing looks an occupation up entry by entry.
 
 The tables are cached per (dim, n) with at most 128 keys each, more
-than the sectors of one d=1, N=48 space; `tensor_positions`, whose
-table at 12 modes and n=6 alone holds 24 MB, keeps 16.  Ladder matrices
-carry no epsilon factor; the semiclassical scale is applied at
-quantization time.
+than the sectors of one d=1, N=48 space.  Every table is indexed by
+sector positions, so none grows like the full tensor power
+(C^dim)^(x n).  Ladder matrices carry no epsilon factor; the
+semiclassical scale is applied at quantization time.
 """
 
 from __future__ import annotations
@@ -165,17 +165,14 @@ def ladder_entries(dim: int, n_max: int, mu: tuple, kappa: tuple):
     return _frozen(rows), _frozen(cols), _frozen(values)
 
 
-@lru_cache(maxsize=16)
-def tensor_positions(dim: int, n: int):
-    """Sector position of every entry of the full tensor power
-    (C^dim)^(x n), in row-major order, and per sector position one entry
-    that holds it."""
-    full = np.zeros(1, dtype=np.int64)
-    for k in range(n):
-        full = raise_table(dim, k)[0][full].ravel()
-    rep = np.empty(sector_dim(dim, n), dtype=np.int64)
-    rep[full] = np.arange(full.size)
-    return _frozen(full), _frozen(rep)
+@lru_cache(maxsize=128)
+def raise_pick(dim: int, n: int) -> np.ndarray:
+    """Per position of sector n+1, one flat index into the raise table of
+    sector n, (position, mode), whose raise lands on it."""
+    up = raise_table(dim, n)[0].ravel()
+    pick = np.empty(sector_dim(dim, n + 1), dtype=np.int64)
+    pick[up] = np.arange(up.size)
+    return _frozen(pick)
 
 
 @lru_cache(maxsize=128)

@@ -16,7 +16,8 @@ JSON, the norms and the reference quantization.  On the vectors
   otherwise), and the pointwise product adds occupations;
 - an R-linear map T = L + A acts on w by its doubled matrix
   [[L, A], [conj A, conj L]], so b o T applies the m-th symmetric power
-  of that matrix to c_m, mode by mode on the full tensor;
+  of that matrix to c_m, one index at a time through the raise tables
+  on arrays of sector size times 2d;
 - every second-order operator is sum_ij K_ij d_wi d_wj b for a symmetric
   2d x 2d matrix K (`apply_second_order_operator`).
 
@@ -221,26 +222,20 @@ class PolySymbol:
 
     # -- calculus ------------------------------------------------------------
 
-    def derivative_poly(self, m_occ, n_occ) -> "PolySymbol":
-        """Iterated Wirtinger derivative D_zbar^m D_z^n as a polynomial."""
-        d = self.dim
-        axes = np.concatenate([np.repeat(np.arange(d), n_occ),
-                               d + np.repeat(np.arange(d), m_occ)])
-        vectors = self.vectors
-        for i in axes:
-            vectors = {m - 1: _grad(c, m, 2 * d, [i])[:, 0]
-                       for m, c in vectors.items() if m > 0}
-        return PolySymbol._from_vectors(d, vectors)
-
     def compose_rlinear(self, t) -> "PolySymbol":
         """The polynomial z -> b(T z) for an R-linear map T.
 
         T acts on w = (z, conj z) by its doubled matrix N, so each order m
-        maps by the m-th symmetric power of N: the coefficients are spread
-        over the full tensor and N is contracted into one mode at a time.
-        An antilinear part mixes the (p, q) grading but preserves total
-        order.  For a stack of P polynomials, T is one map or a stack of
-        P maps, sample p composed with map p.
+        maps by the m-th symmetric power of N, contracted into one index
+        at a time on sector-sized arrays: after k steps the tensor entries
+        c / multinomial are held as (S_{m-k} free indices) x (S_k new
+        ones), both sides symmetric.  A step gathers the free index out
+        through the raise table, contracts it with N into a new index j,
+        and keeps, per position of sector k + 1, one (position in sector
+        k, j) pair that raises onto it.  An antilinear part mixes the
+        (p, q) grading but preserves total order.  For a stack of P
+        polynomials, T is one map or a stack of P maps, sample p composed
+        with map p; one map takes every sample's rows in one product.
         """
         if self.dim != t.dim:
             raise DimensionMismatchError(f"dim {self.dim} vs {t.dim}")
@@ -248,35 +243,18 @@ class PolySymbol:
         doubled = t.doubled()
         out = {}
         for m, c in self.vectors.items():
-            full, rep = sec.tensor_positions(n, m)
             multinomial = math.factorial(m) / sec.occ_factorials(n, m)
-            # the full tensor, one per sample of a stack: (P, n^m)
+            # (samples, free positions, held positions) for a stack
             lead = c.shape[1:]
-            tensor = (c.T / multinomial).take(full, axis=-1)
-            for _ in range(m):
-                # contract the leading mode; the new one becomes the last
-                tensor = tensor.reshape(lead + (n, -1)).mT @ doubled
-            out[m] = (tensor.reshape(lead + (-1,)).take(rep, axis=-1) * multinomial).T
-        return PolySymbol._from_vectors(self.dim, out)
-
-    def translate(self, z0) -> "PolySymbol":
-        """The polynomial z -> b(z0 + z): the nilpotent series
-        exp(w0 . grad_w) b with w0 = (z0, conj z0).
-
-        Pins the Weyl translation property: conjugating b^Wick by the Weyl
-        operator of z0 quantizes b(z0 + .).
-        """
-        z0 = np.asarray(z0, dtype=complex)
-        w0 = np.concatenate([z0, z0.conj()])
-        power = self.vectors
-        out = dict(power)
-        k = 1
-        while power:
-            power = {m - 1: (_grad(c, m, 2 * self.dim) @ w0) / k
-                     for m, c in power.items() if m > 0}
-            for m, c in power.items():
-                out[m] = out[m] + c if m in out else c
-            k += 1
+            held = (c.T / multinomial)[..., None]
+            for k in range(m):
+                up = sec.raise_table(n, m - k - 1)[0]
+                # (samples, free positions left, held positions, free index i)
+                rows = held.take(up, axis=-2).swapaxes(-1, -2)
+                rows = rows.reshape((-1, n) if doubled.ndim == 2 else lead + (-1, n))
+                held = (rows @ doubled).reshape(lead + (len(up), -1)).take(
+                    sec.raise_pick(n, k), axis=-1)
+            out[m] = (held[..., 0, :] * multinomial).T
         return PolySymbol._from_vectors(self.dim, out)
 
     # -- serialization -------------------------------------------------------

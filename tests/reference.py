@@ -4,12 +4,14 @@ Each function recomputes a quantity of the package by a slower,
 separately derived route, or checks an identity the expansions rest on:
 the occupation index read off the enumeration, dense per-sector ladder
 matrices, quantization through explicit symmetrizers, field and Weyl
-operators, the JSON entries of a symbol one coefficient at a time, the
-Poisson-bracket form of lambda^s, the hand-written kernel of Lambda^t
-and doubled matrix of phi_s^-1, the leakage gate's Hermite basis and its
-eigenvalue at every grid point, the finite-difference derivative of
-Lambda, and the Bogoliubov implementer of a fixed symplectomorphism.
-Nothing here is on the path of the command line tool.
+operators, the JSON entries of a symbol one coefficient at a time,
+derivatives, translates and compositions of a symbol (the last on the
+full tensor power), the Poisson-bracket form of lambda^s, the
+hand-written kernel of Lambda^t and doubled matrix of phi_s^-1, the
+leakage gate's Hermite basis and its eigenvalue at every grid point,
+the finite-difference derivative of Lambda, and the Bogoliubov
+implementer of a fixed symplectomorphism.  Nothing here is on the path
+of the command line tool.
 """
 
 import itertools
@@ -25,6 +27,7 @@ from hepp_expand.flow import _hermite, v_vector
 from hepp_expand.fock import _fill, _narrow, gamma_u, trusted_block_diff, wick_quantize
 from hepp_expand.symbols import (
     PolySymbol,
+    _grad,
     contraction,
     preset_symbol,
     second_order_kernel,
@@ -194,6 +197,63 @@ def json_terms_loop(b: PolySymbol) -> list:
             [indices(occ_q[mi]), indices(occ_p[ni]), float(v.real), float(v.imag)]
             for (mi, ni), v in np.ndenumerate(block) if v != 0]})
     return out
+
+
+# ---------------------------------------------------------------------------
+# the calculus of one symbol
+
+def derivative_poly(b: PolySymbol, m_occ, n_occ) -> PolySymbol:
+    """Iterated Wirtinger derivative D_zbar^m D_z^n b as a polynomial."""
+    d = b.dim
+    axes = np.concatenate([np.repeat(np.arange(d), n_occ),
+                           d + np.repeat(np.arange(d), m_occ)])
+    vectors = b.vectors
+    for i in axes:
+        vectors = {m - 1: _grad(c, m, 2 * d, [i])[:, 0]
+                   for m, c in vectors.items() if m > 0}
+    return PolySymbol._from_vectors(d, vectors)
+
+
+def translate(b: PolySymbol, z0) -> PolySymbol:
+    """The polynomial z -> b(z0 + z): the nilpotent series
+    exp(w0 . grad_w) b with w0 = (z0, conj z0)."""
+    z0 = np.asarray(z0, dtype=complex)
+    w0 = np.concatenate([z0, z0.conj()])
+    power = b.vectors
+    out = dict(power)
+    k = 1
+    while power:
+        power = {m - 1: (_grad(c, m, 2 * b.dim) @ w0) / k
+                 for m, c in power.items() if m > 0}
+        for m, c in power.items():
+            out[m] = out[m] + c if m in out else c
+        k += 1
+    return PolySymbol._from_vectors(b.dim, out)
+
+
+def compose_full_tensor(b: PolySymbol, t_map) -> PolySymbol:
+    """b o T on the full tensor power: each order-m vector is spread over
+    the (2d)^m tensor, whose positions and multinomials are read off
+    itertools.product, and the doubled matrix is contracted into one
+    index at a time.  For a stack of P symbols, T is one map or P maps."""
+    n = 2 * b.dim
+    doubled_map = t_map.doubled()
+    out = {}
+    for m, c in b.vectors.items():
+        index = {combo: k for k, combo in
+                 enumerate(itertools.combinations_with_replacement(range(n), m))}
+        full = np.array([index[tuple(sorted(word))]
+                         for word in itertools.product(range(n), repeat=m)])
+        multinomial = np.bincount(full, minlength=len(index))
+        rep = np.empty(len(index), dtype=np.int64)
+        rep[full] = np.arange(full.size)
+        lead = c.shape[1:]
+        tensor = (c.T / multinomial).take(full, axis=-1)
+        for _ in range(m):
+            # contract the leading index; the new one becomes the last
+            tensor = tensor.reshape(lead + (n, -1)).mT @ doubled_map
+        out[m] = (tensor.reshape(lead + (-1,)).take(rep, axis=-1) * multinomial).T
+    return PolySymbol._from_vectors(b.dim, out)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from conftest import squeeze_setup
 from reference import (
     Lambda_t_kernel_by_hand,
     check_lambda_is_derivative_of_Lambda,
+    derivative_poly,
     lambda_s_via_bracket,
     phi_inverse_doubled_by_hand,
 )
@@ -53,7 +54,7 @@ class TestLambdaS:
         h, flow = squeeze_setup()
         c = random_symbol(rng, 1, 4)
         got = lambda_s(c, 0.0, flow, h)
-        want = c.derivative_poly((0,), (2,)) + c.derivative_poly((2,), (0,))
+        want = derivative_poly(c, (0,), (2,)) + derivative_poly(c, (2,), (0,))
         assert got.distance_max(want) < 1e-12
 
     def test_two_forms_agree(self, rng):
@@ -294,9 +295,9 @@ class TestDysonExpand:
         t = 0.5
         res = dyson_expand(b, t, flow, h, epsilon=0.5, nodes=16)
         comp = b.compose_rlinear(flow.phi(t))
-        want = 0.5 * np.sinh(2 * t) * (comp.derivative_poly((0,), (2,))
-                                       + comp.derivative_poly((2,), (0,))) \
-            + (1 - np.cosh(2 * t)) * comp.derivative_poly((1,), (1,))
+        want = 0.5 * np.sinh(2 * t) * (derivative_poly(comp, (0,), (2,))
+                                       + derivative_poly(comp, (2,), (0,))) \
+            + (1 - np.cosh(2 * t)) * derivative_poly(comp, (1,), (1,))
         assert res.terms[1].distance_p(want) < 1e-8
 
     def test_cross_engine_low_orders(self, rng):

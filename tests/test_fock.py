@@ -44,6 +44,7 @@ from reference import (
     loop_gamma_u,
     occupation_index,
     sym_mult_map,
+    translate,
     wick_quantize_slow,
 )
 
@@ -272,8 +273,9 @@ class TestLadderMaps:
     def test_sector_caches_are_bounded_over_a_sweep(self, rng):
         # one process, no cache_clear: a sweep whose largest tables come
         # first must evict them.  In a fresh process the sweep retained
-        # 14.7 MB (51.8 MB when every sector cache was unbounded) and
-        # peaked at 123 MB, the d=6 degree-6 composition's (2d)^6 tensor
+        # 14.2 MB (51.8 MB when every sector cache was unbounded) and
+        # peaked at 20 MB (122 MB when the d=6 degree-6 composition spread
+        # its order-6 vector over the (2d)^6 full tensor)
         caches = [f for f in vars(sec).values() if hasattr(f, "cache_info")]
         assert caches and all(f.cache_info().maxsize is not None for f in caches)
         tracemalloc.start()
@@ -291,8 +293,8 @@ class TestLadderMaps:
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert retained < 25 * 2**20
-        assert peak < 160 * 2**20
+        assert retained < 20 * 2**20
+        assert peak < 40 * 2**20
 
 
 class TestWickApply:
@@ -351,7 +353,7 @@ class TestFieldAndWeyl:
         b = preset_symbol("number", 1)
         _, w = field_and_weyl(np.sqrt(2.0) / (1j * space.epsilon) * z0, space)
         lhs = w.conj().T @ wick_quantize(b, space) @ w
-        rhs = wick_quantize(b.translate(z0), space)
+        rhs = wick_quantize(translate(b, z0), space)
         assert trusted_block_diff(lhs, rhs, space, 12) < 1e-7
 
     def test_weyl_derivative_formula(self, rng):

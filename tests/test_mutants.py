@@ -16,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from hepp_expand import expansions, fock
+from hepp_expand import expansions, fock, sectors
 from hepp_expand.cli import main
 from hepp_expand.expansions import ExpansionResult
 from hepp_expand.symbols import PolySymbol
@@ -31,6 +31,18 @@ def compose_conjugated(monkeypatch):
     original = PolySymbol.compose_rlinear
     monkeypatch.setattr(PolySymbol, "compose_rlinear", lambda self, t: original(
         self, RLinearMap(np.conj(t.linear), np.conj(t.antilinear))))
+
+
+def compose_pick_mode_major(monkeypatch):
+    # the composition's (position, mode) pairs read off the raise table
+    # flattened mode by mode instead of position by position
+    def pick(dim, n):
+        up = sectors.raise_table(dim, n)[0]
+        out = np.empty(sectors.sector_dim(dim, n + 1), dtype=np.int64)
+        out[up.T.ravel()] = np.arange(up.size)
+        return out
+
+    monkeypatch.setattr(sectors, "raise_pick", pick)
 
 
 def kernel_pair_unconjugated(monkeypatch):
@@ -85,8 +97,8 @@ def wick_sector_scale(monkeypatch):
     monkeypatch.setattr(fock, "_wick_entries", entries)
 
 
-MUTANTS = [compose_conjugated, kernel_pair_unconjugated, kernel_mixed_untransposed,
-           kernel_mixed_doubled, assembled_eps_k, wick_sector_scale]
+MUTANTS = [compose_conjugated, compose_pick_mode_major, kernel_pair_unconjugated,
+           kernel_mixed_untransposed, kernel_mixed_doubled, assembled_eps_k, wick_sector_scale]
 
 
 def test_unpatched_oracle_passes(capsys):

@@ -28,7 +28,7 @@ from hepp_expand.symplectic import (
 )
 from hepp_expand.weylwick import weyl_from_wick, wick_from_weyl
 
-from reference import lambda_s_via_bracket
+from reference import compose_full_tensor, lambda_s_via_bracket
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=3)
@@ -245,6 +245,54 @@ def _assert_close(stacked, one, rel=1e-14):
     assert stacked.distance_max(one) <= rel * scale
 
 
+maps = st.sampled_from(["one symbol", "one map", "per-sample maps"])
+
+
+def _symbol_and_map(seed, dim, order, case):
+    """One symbol and one map, a stack of 3 and one map, or a stack of 3
+    and a map per sample."""
+    rng = np.random.default_rng(seed)
+    b = random_symbol(rng, dim, order, samples=None if case == "one symbol" else 3)
+    return b, random_symplectomorphism(rng, dim, samples=3 if case == "per-sample maps" else None)
+
+
+@fast
+@given(seed=seeds, dim=dims, order=st.integers(min_value=0, max_value=6), case=maps)
+def test_composition_matches_the_full_tensor(seed, dim, order, case):
+    b, t = _symbol_and_map(seed, dim, order, case)
+    _assert_close(b.compose_rlinear(t), compose_full_tensor(b, t), rel=1e-13)
+
+
+def _padded(b):
+    """b on C^d as a symbol on C^{d+1} that leaves the last mode out."""
+    def positions(n):
+        return sec.rank(np.pad(sec.occupation_array(b.dim, n), ((0, 0), (0, 1))))
+
+    terms = {}
+    for (p, q), a in b.terms.items():
+        terms[(p, q)] = np.zeros(a.shape[:-2] + (sec.sector_dim(b.dim + 1, q),
+                                                 sec.sector_dim(b.dim + 1, p)), dtype=complex)
+        terms[(p, q)][..., positions(q)[:, None], positions(p)] = a
+    return PolySymbol(b.dim + 1, terms)
+
+
+def _plus_one(t):
+    """T (+) 1 on C^{d+1}: the new mode is fixed."""
+    pad = [(0, 0)] * (t.linear.ndim - 2) + [(0, 1), (0, 1)]
+    linear = np.pad(t.linear, pad)
+    linear[..., -1, -1] = 1.0
+    return RLinearMap(linear, np.pad(t.antilinear, pad))
+
+
+@fast
+@given(seed=seeds, dim=dims, order=st.integers(min_value=0, max_value=6), case=maps)
+def test_composition_embeds_in_one_more_mode(seed, dim, order, case):
+    # C^d in C^{d+1}: composing with T (+) 1 never reaches the new mode
+    b, t = _symbol_and_map(seed, dim, order, case)
+    _assert_close(_padded(b).compose_rlinear(_plus_one(t)), _padded(b.compose_rlinear(t)),
+                  rel=1e-13)
+
+
 @fast
 @given(seed=seeds, dim=dims, order=st.integers(min_value=0, max_value=6),
        samples=st.integers(min_value=1, max_value=4))
@@ -305,6 +353,9 @@ def test_rank_is_the_enumeration_order(dim, n):
         raised = sec.occupation_array(dim, n + 1)[up]
         assert np.array_equal(raised, occ[:, None, :] + np.eye(dim, dtype=np.int64))
         assert np.array_equal(weight, occ + 1.0)
+        # the pick names, per position of sector n + 1, a raise landing there
+        assert np.array_equal(up.ravel()[sec.raise_pick(dim, n)],
+                              np.arange(sec.sector_dim(dim, n + 1)))
 
 
 @fast

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hepp_expand.sectors as sec
 from hepp_expand.errors import DimensionMismatchError
 from hepp_expand.symbols import (
     PolySymbol,
@@ -21,7 +22,13 @@ from hepp_expand.symbols import (
 from hepp_expand.symplectic import RLinearMap, random_symplectomorphism
 
 from conftest import random_vector
-from reference import json_terms_loop, onb_embedding, poisson_bracket
+from reference import (
+    derivative_poly,
+    json_terms_loop,
+    onb_embedding,
+    poisson_bracket,
+    translate,
+)
 
 
 class TestEvaluate:
@@ -65,18 +72,18 @@ class TestDerivative:
         b = preset_symbol("number", 3)
         z = random_vector(rng, 3)
         unit = np.eye(3, dtype=int)
-        d = np.array([[b.derivative_poly(unit[i], unit[j]).evaluate(z) for j in range(3)]
+        d = np.array([[derivative_poly(b, unit[i], unit[j]).evaluate(z) for j in range(3)]
                       for i in range(3)])
         assert np.allclose(d, np.eye(3), atol=1e-14)
 
     def test_vanishes_above_degree(self, rng):
         b = PolySymbol.monomial(1, (2,), (3,))  # order (p=3, q=2)
-        d = b.derivative_poly((3,), (0,)).evaluate(random_vector(rng, 1))
+        d = derivative_poly(b, (3,), (0,)).evaluate(random_vector(rng, 1))
         assert np.allclose(d, 0.0)
 
     def test_quartic_1d_value(self):
         b = PolySymbol.monomial(1, (2,), (2,))
-        d = b.derivative_poly((1,), (1,)).evaluate(np.array([2.0 + 0j]))
+        d = derivative_poly(b, (1,), (1,)).evaluate(np.array([2.0 + 0j]))
         assert abs(d - 16.0) < 1e-12
 
     def test_finite_difference_oracle(self, rng):
@@ -85,8 +92,8 @@ class TestDerivative:
         z = random_vector(rng, 2)
         h = 1e-5
         unit, none = np.eye(2, dtype=int), (0, 0)
-        dzbar = [b.derivative_poly(unit[i], none).evaluate(z) for i in range(2)]
-        dz = [b.derivative_poly(none, unit[i]).evaluate(z) for i in range(2)]
+        dzbar = [derivative_poly(b, unit[i], none).evaluate(z) for i in range(2)]
+        dz = [derivative_poly(b, none, unit[i]).evaluate(z) for i in range(2)]
         for i in range(2):
             step = np.zeros(2, dtype=complex)
             step[i] = h
@@ -170,8 +177,9 @@ class TestComposeRLinear:
                 assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
     def test_memory_bound(self, rng):
-        # the full tensor at d=4, degree 6 holds 8^6 entries (4 MB); a dense
-        # symmetric-power matrix on the 1716-dim sector would take ~50 MB
+        # at d=4, degree 6 the largest array holds S_3 * 8 * S_2 = 120 * 8 * 36
+        # entries (0.6 MB); a dense symmetric-power matrix on the 1716-dim
+        # sector would take ~50 MB
         b = random_symbol(rng, 4, 6)
         t = random_symplectomorphism(rng, 4)
         tracemalloc.start()
@@ -182,10 +190,27 @@ class TestComposeRLinear:
             tracemalloc.stop()
         assert peak < 20e6
 
+    def test_memory_from_cold_tables_at_d6(self, rng):
+        # one degree-6 composition at d=6, its sector tables built under
+        # the trace: it peaked at 20 MB, and at 122 MB when the order-6
+        # vector was spread over the 12^6 entries of the full tensor
+        b = random_symbol(rng, 6, 6)
+        t = random_symplectomorphism(rng, 6)
+        for table in vars(sec).values():
+            if hasattr(table, "cache_clear"):
+                table.cache_clear()
+        tracemalloc.start()
+        try:
+            b.compose_rlinear(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 2**20
+
     def test_translate(self, rng):
         b = random_symbol(rng, 2, 3)
         z0 = random_vector(rng, 2)
-        shifted = b.translate(z0)
+        shifted = translate(b, z0)
         z = random_vector(rng, 2)
         assert abs(shifted.evaluate(z) - b.evaluate(z0 + z)) < 1e-10
 
@@ -312,7 +337,7 @@ def test_second_order_kernel_against_derivatives(rng):
             m_occ, n_occ = np.zeros(dim, int), np.zeros(dim, int)
             for w in (i, j):
                 (n_occ if w < dim else m_occ)[w % dim] += 1
-            want = want + k[i, j] * b.derivative_poly(m_occ, n_occ)
+            want = want + k[i, j] * derivative_poly(b, m_occ, n_occ)
     assert apply_second_order_operator(b, k).distance_max(want) < 1e-12
 
 
