@@ -47,8 +47,6 @@ from .symbols import (
     apply_second_order_operator,
     contraction,
     laplacian,
-    linear_form_bra,
-    linear_form_ket,
     preset_symbol,
     random_symbol,
     second_order_kernel,

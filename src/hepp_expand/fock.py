@@ -33,19 +33,20 @@ their unitarity defect comes from one Gram block per parity.  The
 generator and b^Wick are dense on at most _DENSE_MAX_STATES states, where
 a dense product is faster and scipy is never imported, and CSR above.
 
-One stepper advances the columns by either of two integrators, reading
-the pair coefficients of all the times a stretch needs in one call, and
-refills the generator's matrices and those of its top-sector rows
-(the leakage gate's) in place.  RK4 on the grid is the reference.  Given
-a tolerance, the fourth-order commutator-free Magnus step CF4 (Blanes &
-Moan 2006) takes steps of several grid points, sized by step doubling;
-each exponential acts on the columns as a Taylor series whose length
-follows from the generator's exact 1-norm.  The leakage gate
-still reads every grid point (between step ends from the flow's cubic
-Hermite rule `flow._hermite`), and a step that comes within a factor 10
-of the leakage threshold is re-run by RK4 on the grid.  The gate is
-exact wherever it decides something; elsewhere it keeps a Frobenius
-upper bound, and ``leakage_exact`` marks which points are which.
+One stepper advances the columns by the fourth-order commutator-free
+Magnus step CF4 (Blanes & Moan 2006), reading the pair coefficients of
+the times a step needs in one call, and refills the generator's
+matrices and those of its top-sector rows (the leakage gate's) in
+place.  A step spans several grid points, sized by step doubling; each
+exponential acts on the columns as a Taylor series whose length
+follows from the generator's exact 1-norm.  The leakage gate reads
+every grid point: exactly at step ends, from the flow's cubic Hermite
+rule `flow._hermite` in between.  A step that comes within a factor 10
+of the leakage threshold is retried as one grid step, so every value
+from a tenth of the threshold up, and the abort, is taken at a step
+end.  The gate is exact wherever it decides something; elsewhere it
+keeps a Frobenius upper bound, and ``leakage_exact`` marks which points
+are which.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ import numpy as np
 
 from . import sectors as sec
 from .errors import DimensionMismatchError, LeakageError
-from .flow import (QuadraticHamiltonian, _hermite, grid_index, integrate_u_alpha, rk4_times,
-                   unitarity_defect)
+from .flow import QuadraticHamiltonian, _hermite, grid_index, integrate_u_alpha, unitarity_defect
 from .symbols import PolySymbol, squeezing_hamiltonian_symbol
 from .symplectic import euclidean_norm
 
@@ -252,12 +252,13 @@ class QuantumFlowResult:
     total_dim x n_cols block, n_cols the dimension of those sectors, and
     the leakage at every grid point up to t: exact where ``leakage_exact``
     is set, an upper bound below the exact maximum elsewhere.
-    ``integrator`` is None for RK4; for CF4 it counts the kept steps, the
-    rejected attempts and the steps re-run by RK4, and sums the error
-    estimates of the CF4 steps kept (``time_error``).
+    ``integrator`` counts the kept CF4 steps, the attempts rejected by the
+    error estimate and the steps retried as one grid step at the leakage
+    gate (``refined``), and sums the error estimates of the steps kept
+    (``time_error``).
     """
 
-    def __init__(self, space, columns, leakage_trace, leakage_exact, trusted_n, integrator=None):
+    def __init__(self, space, columns, leakage_trace, leakage_exact, trusted_n, integrator):
         self.space = space
         self.columns = columns
         self.leakage_trace = leakage_trace
@@ -295,7 +296,7 @@ class QuantumFlowResult:
 
 def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float = None,
                  trusted_n: int = None, leak_threshold: float = 1e-6,
-                 tol: float = None) -> QuantumFlowResult:
+                 tol: float = 1e-9) -> QuantumFlowResult:
     """Integrate the quantum flow i eps dU/dt = Q_t^Wick U up to time t.
 
     The flow runs on the Hamiltonian's grid from t_start to t (default
@@ -306,21 +307,21 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
     with the second-quantized unitary path, sector by sector, at t.  The
     generator is applied to the even- and odd-sector columns separately.
 
-    With ``tol=None`` the integrator is RK4 on the grid.  With a float
-    ``tol`` it is the commutator-free Magnus step CF4, whose step is a
-    multiple of the grid step chosen by step doubling so that the
+    The integrator is the commutator-free Magnus step CF4, whose step is
+    a multiple of the grid step chosen by step doubling so that the
     estimated global error stays below ``tol``.  The step counts and the
     summed error estimate are in ``QuantumFlowResult.integrator``.
 
     The leakage of the evolved columns into the top two sectors, the
     2-norm of their rows there, is recorded at every grid point and
-    aborts the run above ``leak_threshold``.  Between Magnus step ends
-    it is read from a cubic Hermite interpolant; any step whose leakage
-    reaches leak_threshold / 10 is re-run from its left end by RK4 on the
-    grid, so an abort is always decided, timed and reported by the RK4
-    gate of ``tol=None``.  An inner point whose Frobenius bound shows that
-    it cannot set its step's maximum keeps that bound (``leakage_exact``
-    False there, True at step ends and RK4 points).  A finite threshold needs
+    aborts the run above ``leak_threshold``.  Between step ends it is
+    read from a cubic Hermite interpolant.  A step whose leakage reaches
+    leak_threshold / 10 is retried from its left end as one grid step,
+    and a left end at that gate takes one grid step, so every value from
+    the gate up is exact and the abort comes at the first grid point
+    above the threshold.  An inner point whose Frobenius bound shows
+    that it cannot set its step's maximum keeps that bound
+    (``leakage_exact`` False there).  A finite threshold needs
     trusted_n <= n_max - 2: the top two sectors must hold no trusted
     column.
     """
@@ -331,7 +332,7 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
     if trusted_n is None:
         trusted_n = space.n_max - 4
     trusted_n = max(0, min(trusted_n, space.n_max))
-    if tol is not None and not tol >= 0:
+    if not tol >= 0:
         raise ValueError(f"tol must be a non-negative number, got {tol!r}")
     if math.isfinite(leak_threshold) and trusted_n > space.n_max - 2:
         raise ValueError(
@@ -341,17 +342,14 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
     u_path = None if hamiltonian.alpha.is_zero() else integrate_u_alpha(hamiltonian)
     stepper = _ColumnStepper(space, trusted_n, _pair_coefficients(hamiltonian, u_path), grid,
                              leak_threshold)
-    if tol is None:
-        stepper.rk4(0, len(grid) - 1)
-    else:
-        stepper.march(tol)
+    stepper.march(tol)
     cols = stepper.assemble()
     if u_path is not None:
         for n, g in enumerate(gamma_u(u_path.at(grid[-1]), space)):
             s = space.sector_slice(n)
             cols[s] = g @ cols[s]
     return QuantumFlowResult(space, cols, stepper.leak, stepper.exact, trusted_n,
-                             None if tol is None else stepper.report())
+                             stepper.report())
 
 
 # Gauss nodes on [0, 1] and the weights of CF4 (Blanes & Moan 2006):
@@ -368,18 +366,16 @@ _BOUND_MARGIN = 1e-6
 class _ColumnStepper:
     """The parity blocks' evolved columns, advanced along a time grid.
 
-    Owns the columns, three work matrices per block (the generator
-    at the start, middle and end of an RK4 step; CF4 uses the first for
-    its exponents) and one of its top-sector rows (the leakage gate's
-    slopes), all refilled in place by `_fill`, the leakage at every grid
-    point and the CF4 counters.  `rk4` advances grid step by grid step.
-    `march` takes CF4 steps of several grid points with step-doubling
-    control: one attempt from knot k advances n_h grid steps once with
-    step H and twice with H/2; max|difference| / 15 estimates the error
-    of the two-half-step result, which is kept when the estimate is at
-    most tol H / T (a single grid step is always kept).  The next n_h
-    scales with (allowed / estimate)^(1/5).  The first H has
-    H ||G(t0)||_1 ~ 0.5.
+    Owns the columns, one work matrix per block (the generator, refilled
+    for each CF4 exponent) and one of its top-sector rows (the leakage
+    gate's slopes), all refilled in place by `_fill`, the leakage at
+    every grid point and the CF4 counters.  `march` takes CF4 steps of
+    several grid points with step-doubling control: one attempt from
+    knot k advances n_h grid steps once with step H and twice with H/2;
+    max|difference| / 15 estimates the error of the two-half-step
+    result, which is kept when the estimate is at most tol H / T (a
+    single grid step is always kept).  The next n_h scales with
+    (allowed / estimate)^(1/5).  The first H has H ||G(t0)||_1 ~ 0.5.
     """
 
     def __init__(self, space, trusted_n, coefficients, grid, leak_threshold):
@@ -389,7 +385,7 @@ class _ColumnStepper:
         self.leak_threshold, self.gate = leak_threshold, leak_threshold / 10
         # the trusted columns are a prefix of each parity block
         self.us = [np.eye(len(blk.states), blk.trusted_hi, dtype=complex) for blk in self.blocks]
-        self.work = [[blk.pattern() for blk in self.blocks] for _ in range(3)]
+        self.work = [blk.pattern() for blk in self.blocks]
         self.tops = [blk.pattern(blk.top_lo) for blk in self.blocks]
         self.leak, self.exact = np.zeros(len(grid)), np.ones(len(grid), dtype=bool)
         self.steps = self.rejected = self.refined = 0
@@ -407,86 +403,57 @@ class _ColumnStepper:
             cols[np.ix_(blk.states, blk.states[:blk.trusted_hi])] = u
         return cols
 
-    def rk4(self, k_from, k_to):
-        """RK4 on the columns over grid steps k_from..k_to, with the
-        leakage gate; the pair coefficients at every grid point and step
-        midpoint come from one call."""
-        grid = self.grid[k_from:k_to + 1]
-        h = np.diff(grid)
-        c = self.coefficients(rk4_times(grid))
-        self.exact[k_from:k_to + 1] = True
-        g_now, g_mid, g_next = self.work
-        _fill(g_now, self.blocks, c[0])
-        for j, hj in enumerate(h):
-            _fill(g_mid, self.blocks, c[2 * j + 1])
-            _fill(g_next, self.blocks, c[2 * j + 2])
-            for b, u in enumerate(self.us):
-                k1 = g_now[b] @ u
-                k2 = g_mid[b] @ (u + hj / 2 * k1)
-                k3 = g_mid[b] @ (u + hj / 2 * k2)
-                k4 = g_next[b] @ (u + hj * k3)
-                self.us[b] = u + (hj / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            g_now, g_next = g_next, g_now
-            k = k_from + j + 1
-            # the leaked block is block-diagonal in parity: its 2-norm is the
-            # larger of the two block norms
-            self.leak[k] = max(blk.leakage(u) for blk, u in zip(self.blocks, self.us))
-            if self.leak[k] > self.leak_threshold:
-                raise LeakageError(
-                    f"top-sector leakage {self.leak[k]:.3e} exceeded "
-                    f"{self.leak_threshold:.1e} at t={grid[j + 1]:.4f}; raise n_max or "
-                    "shorten the time span",
-                    diagnostics={"t": float(grid[j + 1]), "leakage": float(self.leak[k]),
-                                 "n_max": self.space.n_max, "trusted_n": self.trusted_n})
-
     def cf4(self, us, t, h):
         c1, c2 = self.coefficients(t + _GAUSS * h)
-        work = self.work[0]
         for w1, w2 in ((_W1, _W2), (_W2, _W1)):
-            _fill(work, self.blocks, h * (w1 * c1 + w2 * c2))
-            us = [_expm_apply(mat, _norm1(mat), u) for mat, u in zip(work, us)]
+            _fill(self.work, self.blocks, h * (w1 * c1 + w2 * c2))
+            us = [_expm_apply(mat, _norm1(mat), u) for mat, u in zip(self.work, us)]
         return us
 
     def march(self, tol):
         """CF4 over the whole grid, filling the leakage trace.
 
-        A step whose leakage reaches leak_threshold / 10 at a knot or in
-        between is re-run from its left knot by `rk4` (which raises the
-        abort).
+        A left knot at leak_threshold / 10 takes one grid step, and a
+        longer step whose leakage reaches it at a knot or in between is
+        retried from its left knot as one grid step.  A right knot above
+        the threshold raises the abort.
         """
         grid, gate = self.grid, self.gate
         n_steps, span = len(grid) - 1, grid[-1] - grid[0]
-        _fill(self.work[0], self.blocks, self.coefficients(grid[:1])[0])
+        _fill(self.work, self.blocks, self.coefficients(grid[:1])[0])
         # the first step has H ||G(t0)||_1 ~ 0.5, or spans the run
-        spans = 2.0 * span * max(_norm1(mat) for mat in self.work[0])
+        spans = 2.0 * span * max(_norm1(mat) for mat in self.work)
         size = n_steps if spans <= 1.0 else max(1, round(n_steps / spans))
         k = 0
         while k < n_steps:
-            n_h = min(size, n_steps - k)
-            kept = False
-            # a left knot at the gate already dooms the step to RK4
-            if self.leak[k] < gate:
-                t, h = grid[k], grid[k + n_h] - grid[k]
-                coarse = self.cf4(self.us, t, h)
-                mid = self.cf4(self.us, t, h / 2)
-                fine = self.cf4(mid, t + h / 2, h / 2)
-                err = max(np.abs(a - b).max(initial=0.0) for a, b in zip(fine, coarse)) / 15.0
-                allowed = tol * h / span
-                factor = 4.0 if err == 0 else min(4.0, 0.9 * (allowed / err) ** 0.2)
-                size = max(1, int(n_h * factor))
-                if err > allowed and n_h > 1:
-                    self.rejected += 1
-                    continue
-                self.leakage(k, n_h, (self.us, mid, fine))
-                kept = self.leak[k + 1:k + n_h + 1].max() < gate
-                if kept:
-                    self.time_error += err
-                    self.us = fine
-            if not kept:
+            n_h = 1 if self.leak[k] >= gate else min(size, n_steps - k)
+            t, h = grid[k], grid[k + n_h] - grid[k]
+            coarse = self.cf4(self.us, t, h)
+            mid = self.cf4(self.us, t, h / 2)
+            fine = self.cf4(mid, t + h / 2, h / 2)
+            err = max(np.abs(a - b).max(initial=0.0) for a, b in zip(fine, coarse)) / 15.0
+            allowed = tol * h / span
+            factor = 4.0 if err == 0 else min(4.0, 0.9 * (allowed / err) ** 0.2)
+            size = max(1, int(n_h * factor))
+            if err > allowed and n_h > 1:
+                self.rejected += 1
+                continue
+            self.leakage(k, n_h, (self.us, mid, fine))
+            if n_h > 1 and self.leak[k + 1:k + n_h + 1].max() >= gate:
                 self.refined += 1
-                self.rk4(k, k + n_h)
+                size = 1
+                continue
+            self.time_error += err
+            self.us = fine
             self.steps += 1
             k += n_h
+            if self.leak[k] > self.leak_threshold:
+                raise LeakageError(
+                    f"top-sector leakage {self.leak[k]:.3e} exceeded "
+                    f"{self.leak_threshold:.1e} at t={grid[k]:.4f}; raise n_max or "
+                    "shorten the time span",
+                    diagnostics={"t": float(grid[k]), "leakage": float(self.leak[k]),
+                                 "n_max": self.space.n_max, "trusted_n": self.trusted_n})
 
     def leakage(self, k, n_h, states):
         """Leakage at grid points k+1..k+n_h of a step whose left, middle
@@ -501,7 +468,7 @@ class _ColumnStepper:
         grid, lo, hi = self.grid, k + 1, k + n_h
         t, h = grid[k], grid[hi] - grid[k]
         self.leak[hi] = top = max(blk.leakage(u) for blk, u in zip(self.blocks, states[-1]))
-        self.exact[lo:hi] = False
+        self.exact[lo:hi], self.exact[hi] = False, True
         if n_h == 1:
             return
         knots = np.array([t, t + h / 2, t + h])

@@ -235,7 +235,8 @@ class PolySymbol:
         k, j) pair that raises onto it.  An antilinear part mixes the
         (p, q) grading but preserves total order.  For a stack of P
         polynomials, T is one map or a stack of P maps, sample p composed
-        with map p; one map takes every sample's rows in one product.
+        with map p; one map takes every sample's rows in one product.  A
+        stack of maps with any other number of samples is refused.
         """
         if self.dim != t.dim:
             raise DimensionMismatchError(f"dim {self.dim} vs {t.dim}")
@@ -246,6 +247,10 @@ class PolySymbol:
             multinomial = math.factorial(m) / sec.occ_factorials(n, m)
             # (samples, free positions, held positions) for a stack
             lead = c.shape[1:]
+            if doubled.ndim == 3 and lead != doubled.shape[:1]:
+                raise DimensionMismatchError(
+                    f"a stack of {len(doubled)} maps needs as many polynomial samples, got "
+                    + (f"{lead[0]}" if lead else "one polynomial with no sample axis"))
             held = (c.T / multinomial)[..., None]
             for k in range(m):
                 up = sec.raise_table(n, m - k - 1)[0]
@@ -422,21 +427,7 @@ def squeezing_hamiltonian_symbol(beta) -> PolySymbol:
 
 
 # ---------------------------------------------------------------------------
-# building blocks and presets
-
-def linear_form_bra(xi) -> PolySymbol:
-    """The polynomial <z, xi> (antilinear in z)."""
-    xi = np.asarray(xi, dtype=complex)
-    dim = xi.shape[0]
-    return PolySymbol(dim, {(0, 1): xi.reshape(-1, 1)})
-
-
-def linear_form_ket(eta) -> PolySymbol:
-    """The polynomial <eta, z> (linear in z)."""
-    eta = np.asarray(eta, dtype=complex)
-    dim = eta.shape[0]
-    return PolySymbol(dim, {(1, 0): eta.conj().reshape(1, -1)})
-
+# presets and random symbols
 
 def preset_symbol(name: str, dim: int, xi=None) -> PolySymbol:
     """Named observables: number, n-squared, field, quartic-cross."""
@@ -449,8 +440,9 @@ def preset_symbol(name: str, dim: int, xi=None) -> PolySymbol:
         if xi is None:
             xi = np.zeros(dim, dtype=complex)
             xi[0] = 1.0
-        s = 1.0 / math.sqrt(2.0)
-        return s * (linear_form_bra(xi) + linear_form_ket(xi))
+        # (<z, xi> + <xi, z>) / sqrt(2)
+        xi = (1.0 / math.sqrt(2.0)) * np.asarray(xi, dtype=complex)
+        return PolySymbol(dim, {(0, 1): xi.reshape(-1, 1), (1, 0): xi.conj().reshape(1, -1)})
     if name == "quartic-cross":
         if dim < 2:
             raise ValueError("quartic-cross needs dim >= 2")

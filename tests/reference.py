@@ -5,12 +5,12 @@ separately derived route, or checks an identity the expansions rest on:
 the occupation index read off the enumeration, dense per-sector ladder
 matrices, quantization through explicit symmetrizers, field and Weyl
 operators, the JSON entries of a symbol one coefficient at a time,
-derivatives, translates and compositions of a symbol (the last on the
-full tensor power), the Poisson-bracket form of lambda^s, the
-hand-written kernel of Lambda^t and doubled matrix of phi_s^-1, the
-leakage gate's Hermite basis and its eigenvalue at every grid point,
-the finite-difference derivative of Lambda, and the Bogoliubov
-implementer of a fixed symplectomorphism.  Nothing here is on the path
+the linear forms <z, xi> and <eta, z>, derivatives, translates and
+compositions of a symbol (the last on the full tensor power), the
+Poisson-bracket form of lambda^s, the hand-written kernel of Lambda^t
+and doubled matrix of phi_s^-1, the leakage gate's Hermite basis and
+its eigenvalue at every grid point, the finite-difference derivative of
+Lambda, and the Bogoliubov implementer of a fixed symplectomorphism.  Nothing here is on the path
 of the command line tool.
 """
 
@@ -201,6 +201,20 @@ def json_terms_loop(b: PolySymbol) -> list:
 
 # ---------------------------------------------------------------------------
 # the calculus of one symbol
+
+def linear_form_bra(xi) -> PolySymbol:
+    """The polynomial <z, xi> (antilinear in z)."""
+    xi = np.asarray(xi, dtype=complex)
+    dim = xi.shape[0]
+    return PolySymbol(dim, {(0, 1): xi.reshape(-1, 1)})
+
+
+def linear_form_ket(eta) -> PolySymbol:
+    """The polynomial <eta, z> (linear in z)."""
+    eta = np.asarray(eta, dtype=complex)
+    dim = eta.shape[0]
+    return PolySymbol(dim, {(1, 0): eta.conj().reshape(1, -1)})
+
 
 def derivative_poly(b: PolySymbol, m_occ, n_occ) -> PolySymbol:
     """Iterated Wirtinger derivative D_zbar^m D_z^n b as a polynomial."""

@@ -31,8 +31,8 @@ class TestUnitaryPath:
         assert path.unitarity_defect() < 1e-8
 
     def test_midpoints_match_expm(self, rng):
-        # the Fock oracle reads u_alpha at RK4 midpoints from the Hermite
-        # interpolant between grid points
+        # the Fock oracle reads u_alpha between grid points (at CF4's Gauss
+        # nodes and step midpoints) from the Hermite interpolant
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         a = (a + a.conj().T) / 2
         h = QuadraticHamiltonian(3, alpha=a, t_end=1.0, dt=1e-3)

@@ -12,8 +12,6 @@ from hepp_expand.symbols import (
     apply_second_order_operator,
     contraction,
     laplacian,
-    linear_form_bra,
-    linear_form_ket,
     preset_symbol,
     random_symbol,
     squeezing_hamiltonian_symbol,
@@ -25,6 +23,8 @@ from conftest import random_vector
 from reference import (
     derivative_poly,
     json_terms_loop,
+    linear_form_bra,
+    linear_form_ket,
     onb_embedding,
     poisson_bracket,
     translate,
@@ -165,6 +165,15 @@ class TestComposeRLinear:
             zv = np.array([z])
             want = (z * np.cosh(t) + np.conj(z) * np.sinh(t)) ** 2
             assert abs(got.evaluate(zv) - want) < 1e-12
+
+    def test_map_stack_needs_as_many_samples(self, rng):
+        maps = random_symplectomorphism(rng, 2, samples=3)
+        for samples, got in ((None, "one polynomial"), (1, "got 1"), (2, "got 2")):
+            b = random_symbol(rng, 2, 3, samples=samples)
+            with pytest.raises(DimensionMismatchError, match=f"3 maps .* {got}"):
+                b.compose_rlinear(maps)
+        composed = random_symbol(rng, 2, 3, samples=3).compose_rlinear(maps)
+        assert composed.vectors[3].shape == (20, 3)
 
     def test_evaluation_property_random(self, rng):
         for dim, order in ((1, 4), (2, 4), (3, 6)):
