@@ -28,8 +28,10 @@ block of the conjugated observable and the leakage gate read.  The flow
 runs on the Hamiltonian's own grid up to one grid time t, where the
 columns are joined into one total_dim x n_cols block and the sector
 blocks of Gamma(u_alpha) act on them.  The comparison stage stays on
-those columns too: the observable acts on them as a matrix, and
-their unitarity defect comes from one Gram block per parity.  The
+those columns too, one parity at a time on that parity's rows: the
+observable acts on them through its blocks between the parities (the
+two that couple them skipped for an even observable), and their
+unitarity defect comes from one Gram block per parity.  The
 generator and b^Wick are dense on at most _DENSE_MAX_STATES states, where
 a dense product is faster and scipy is never imported, and CSR above.
 
@@ -39,14 +41,20 @@ the times a step needs in one call, and refills the generator's
 matrices and those of its top-sector rows (the leakage gate's) in
 place.  A step spans several grid points, sized by step doubling; each
 exponential acts on the columns as a Taylor series whose length
-follows from the generator's exact 1-norm.  The leakage gate reads
-every grid point: exactly at step ends, from the flow's cubic Hermite
-rule `flow._hermite` in between.  A step that comes within a factor 10
-of the leakage threshold is retried as one grid step, so every value
-from a tenth of the threshold up, and the abort, is taken at a step
-end.  The gate is exact wherever it decides something; elsewhere it
-keeps a Frobenius upper bound, and ``leakage_exact`` marks which points
-are which.
+follows from the generator's exact 1-norm and a remainder target: the
+unit roundoff for the two half steps whose columns are kept, a
+thousandth of the step's error budget for the full step that only
+feeds the error estimate.  The leakage gate reads every grid point:
+exactly at step ends, from the flow's cubic Hermite rule
+`flow._hermite` in between.  A step that comes within a factor 10 of
+the leakage threshold is retried as one grid step, so every value from
+a tenth of the threshold up, and the abort, is taken at a step end.
+The gate is exact wherever it decides something: it bounds every inner
+point by a Frobenius norm from the knot rows' 6 x 6 inner products,
+bounds again by Gershgorin row sums the points that bound leaves open,
+and takes an eigenvalue only where both leave it open.  Elsewhere it
+keeps the smaller bound, and ``leakage_exact`` marks which points are
+which.
 """
 
 from __future__ import annotations
@@ -178,12 +186,19 @@ def wick_block(b: PolySymbol, space: FockSpace, n_top: int) -> np.ndarray:
     """
     if not 0 <= n_top <= space.n_max:
         raise ValueError(f"n_top {n_top} is outside the sectors 0..{space.n_max}")
-    rows, cols, values = _wick_entries(b, space, n_top)
     n = space.span_slice(n_top).stop
-    out = np.zeros(n * n, dtype=complex)
-    # unbuffered: the entries of one position are summed in the order given
-    np.add.at(out, rows * n + cols, values)
-    return out.reshape(n, n)
+    return _matrix(*_wick_entries(b, space, n_top), (n, n), dense=True)
+
+
+def _matrix(rows, cols, values, shape, dense):
+    """The matrix with these nonzeros, those at one position summed in
+    the order given: a dense array, or a CSR matrix."""
+    if dense:
+        out = np.zeros(shape[0] * shape[1], dtype=complex)
+        np.add.at(out, rows * shape[1] + cols, values)
+        return out.reshape(shape)
+    from scipy import sparse
+    return sparse.csr_matrix((values, (rows, cols)), shape=shape)
 
 
 def wick_quantize(b: PolySymbol, space: FockSpace) -> np.ndarray:
@@ -204,12 +219,8 @@ def wick_apply(b: PolySymbol, space: FockSpace, vectors: np.ndarray) -> np.ndarr
     on at most _DENSE_MAX_STATES states (the constant gives the measured
     crossover), above as a CSR matrix, never forming the dense one."""
     _check_degree(b, space)
-    if _dense(space):
-        return wick_block(b, space, space.n_max) @ vectors
-    from scipy import sparse
-    rows, cols, values = _wick_entries(b, space, space.n_max)
     n = space.total_dim
-    return sparse.csr_matrix((values, (rows, cols)), shape=(n, n)) @ vectors
+    return _matrix(*_wick_entries(b, space, space.n_max), (n, n), _dense(space)) @ vectors
 
 
 def gamma_u(u, space: FockSpace) -> list:
@@ -259,15 +270,26 @@ class QuantumFlowResult:
     """
 
     def __init__(self, space, columns, leakage_trace, leakage_exact, trusted_n, integrator):
-        self.space = space
-        self.columns = columns
-        self.leakage_trace = leakage_trace
-        self.leakage_exact = leakage_exact
-        self.trusted_n = trusted_n
+        self.space, self.columns, self.trusted_n = space, columns, trusted_n
+        self.leakage_trace, self.leakage_exact = leakage_trace, leakage_exact
         self.integrator = integrator
 
     def max_leakage(self) -> float:
         return float(self.leakage_trace.max()) if len(self.leakage_trace) else 0.0
+
+    def _parities(self, n_top: int = None):
+        """Per particle-number parity with columns among sectors <= n_top
+        (default trusted_n): the states of that parity, which are the only
+        rows its columns reach, its columns, and U on those rows and columns."""
+        n_top = self.trusted_n if n_top is None else n_top
+        if n_top > self.trusted_n:
+            raise ValueError(f"n_top {n_top} exceeds the evolved sectors <= {self.trusted_n}")
+        number = self.space.number_values()
+        for p in (0, 1):
+            states = np.flatnonzero(number % 2 == p)
+            cols = states[:np.searchsorted(states, self.space.span_slice(n_top).stop)]
+            if len(cols):
+                yield states, cols, self.columns[np.ix_(states, cols)]
 
     def unitarity_defect(self, n_top: int = None) -> float:
         """Norm ||U*U - I||_2 on the columns of sectors <= n_top (default
@@ -276,22 +298,11 @@ class QuantumFlowResult:
         Columns of one parity have their rows in the sectors of that
         parity only, so U*U is block-diagonal in parity with exact zeros
         across: the norm is the largest |eigenvalue| of the two Hermitian
-        Gram blocks, one per parity of the columns.
+        Gram blocks, one per parity of the columns, each from that
+        parity's rows only.
         """
-        if n_top is None:
-            n_top = self.trusted_n
-        if n_top > self.trusted_n:
-            raise ValueError(f"n_top {n_top} exceeds the evolved sectors <= {self.trusted_n}")
-        n_cols = self.space.span_slice(n_top).stop
-        parity = self.space.number_values()[:n_cols] % 2
-        defect = 0.0
-        for p in (0, 1):
-            u = self.columns[:, :n_cols][:, parity == p]
-            if not u.shape[1]:
-                continue
-            gram = u.conj().T @ u - np.eye(u.shape[1])
-            defect = max(defect, float(np.abs(np.linalg.eigvalsh(gram)).max()))
-        return defect
+        grams = (u.conj().T @ u - np.eye(u.shape[1]) for _, _, u in self._parities(n_top))
+        return max((float(np.abs(np.linalg.eigvalsh(g)).max()) for g in grams), default=0.0)
 
 
 def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float = None,
@@ -319,9 +330,12 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
     leak_threshold / 10 is retried from its left end as one grid step,
     and a left end at that gate takes one grid step, so every value from
     the gate up is exact and the abort comes at the first grid point
-    above the threshold.  An inner point whose Frobenius bound shows
-    that it cannot set its step's maximum keeps that bound
-    (``leakage_exact`` False there).  A finite threshold needs
+    above the threshold; later steps end before the first grid point at
+    the gate of a retried step, and single grid steps cross it.  An
+    inner point whose Frobenius or Gershgorin bound shows that it can
+    neither set its step's maximum nor be the first to reach the gate
+    keeps the smaller bound (``leakage_exact`` False there).  A finite
+    threshold needs
     trusted_n <= n_max - 2: the top two sectors must hold no trusted
     column.
     """
@@ -361,6 +375,8 @@ _W1, _W2 = 0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0
 _UNIT_ROUNDOFF = 2.0 ** -53
 # how far, relative and far above rounding, a bound must fall below a leakage
 _BOUND_MARGIN = 1e-6
+# the most entries of the interpolated top rows one batch of the gate forms, per block
+_GATE_ENTRIES = 2 ** 16
 
 
 class _ColumnStepper:
@@ -371,11 +387,12 @@ class _ColumnStepper:
     gate's slopes), all refilled in place by `_fill`, the leakage at
     every grid point and the CF4 counters.  `march` takes CF4 steps of
     several grid points with step-doubling control: one attempt from
-    knot k advances n_h grid steps once with step H and twice with H/2;
-    max|difference| / 15 estimates the error of the two-half-step
-    result, which is kept when the estimate is at most tol H / T (a
-    single grid step is always kept).  The next n_h scales with
-    (allowed / estimate)^(1/5).  The first H has H ||G(t0)||_1 ~ 0.5.
+    knot k advances n_h grid steps twice with H/2, at the unit roundoff,
+    and once with H, whose Taylor series stop at a thousandth of the
+    allowed error tol H / T; max|difference| / 15 estimates the error of
+    the two-half-step result, which is kept when the estimate is at most
+    tol H / T (a single grid step is always kept).  The next n_h scales
+    with (allowed / estimate)^(1/5).  The first H has H ||G(t0)||_1 ~ 0.5.
     """
 
     def __init__(self, space, trusted_n, coefficients, grid, leak_threshold):
@@ -403,11 +420,11 @@ class _ColumnStepper:
             cols[np.ix_(blk.states, blk.states[:blk.trusted_hi])] = u
         return cols
 
-    def cf4(self, us, t, h):
+    def cf4(self, us, t, h, target=_UNIT_ROUNDOFF):
         c1, c2 = self.coefficients(t + _GAUSS * h)
         for w1, w2 in ((_W1, _W2), (_W2, _W1)):
             _fill(self.work, self.blocks, h * (w1 * c1 + w2 * c2))
-            us = [_expm_apply(mat, _norm1(mat), u) for mat, u in zip(self.work, us)]
+            us = [_expm_apply(mat, _norm1(mat), u, target) for mat, u in zip(self.work, us)]
         return us
 
     def march(self, tol):
@@ -415,8 +432,10 @@ class _ColumnStepper:
 
         A left knot at leak_threshold / 10 takes one grid step, and a
         longer step whose leakage reaches it at a knot or in between is
-        retried from its left knot as one grid step.  A right knot above
-        the threshold raises the abort.
+        retried from its left knot as one grid step.  Until the first grid
+        point where a retried step reached it, later steps end before that
+        point, and single grid steps cross it.  A right knot above the
+        threshold raises the abort.
         """
         grid, gate = self.grid, self.gate
         n_steps, span = len(grid) - 1, grid[-1] - grid[0]
@@ -424,15 +443,19 @@ class _ColumnStepper:
         # the first step has H ||G(t0)||_1 ~ 0.5, or spans the run
         spans = 2.0 * span * max(_norm1(mat) for mat in self.work)
         size = n_steps if spans <= 1.0 else max(1, round(n_steps / spans))
-        k = 0
+        k = wall = 0
         while k < n_steps:
             n_h = 1 if self.leak[k] >= gate else min(size, n_steps - k)
+            if k < wall:
+                n_h = min(n_h, max(1, wall - 1 - k))
             t, h = grid[k], grid[k + n_h] - grid[k]
-            coarse = self.cf4(self.us, t, h)
+            allowed = tol * h / span
             mid = self.cf4(self.us, t, h / 2)
             fine = self.cf4(mid, t + h / 2, h / 2)
-            err = max(np.abs(a - b).max(initial=0.0) for a, b in zip(fine, coarse)) / 15.0
-            allowed = tol * h / span
+            # the coarse solve only feeds this estimate: its Taylor remainder
+            # may reach a thousandth of the attempt's budget, and it is dropped here
+            err = max(np.abs(a - b).max(initial=0.0) for a, b in zip(
+                fine, self.cf4(self.us, t, h, max(_UNIT_ROUNDOFF, allowed / 1000)))) / 15.0
             factor = 4.0 if err == 0 else min(4.0, 0.9 * (allowed / err) ** 0.2)
             size = max(1, int(n_h * factor))
             if err > allowed and n_h > 1:
@@ -441,7 +464,8 @@ class _ColumnStepper:
             self.leakage(k, n_h, (self.us, mid, fine))
             if n_h > 1 and self.leak[k + 1:k + n_h + 1].max() >= gate:
                 self.refined += 1
-                size = 1
+                # the first grid point at the gate: later attempts end before it
+                size, wall = 1, k + 1 + int(np.argmax(self.leak[k + 1:] >= gate))
                 continue
             self.time_error += err
             self.us = fine
@@ -458,12 +482,15 @@ class _ColumnStepper:
     def leakage(self, k, n_h, states):
         """Leakage at grid points k+1..k+n_h of a step whose left, middle
         and right states are `states`, into the trace and its exact mask:
-        exact at the right knot, from a cubic Hermite interpolant of the
-        top-sector rows in between.  The traces of the interpolant's Gram
-        matrices bound each inner point by a Frobenius norm; the points
-        are visited in decreasing order of that bound, each taking the top
-        eigenvalue, until a bound falls below the exact maximum so far or
-        that maximum reaches the gate.  Points not visited keep the bound.
+        exact at the right knot, from the cubic Hermite interpolant Y(tau)
+        of the top-sector rows in between, in three tiers.  The 6 x 6
+        inner products of the knot rows bound every inner point by
+        ||Y(tau)||_F.  The points are visited in decreasing order of that
+        bound, in batches: each forms its Y(tau) and narrow Gram matrix,
+        whose Gershgorin row sums bound it again, and takes the top
+        eigenvalue only where that bound reaches the exact maximum so
+        far.  The visits end when a bound falls below that maximum or it
+        reaches the gate; every other point keeps its smaller bound.
         """
         grid, lo, hi = self.grid, k + 1, k + n_h
         t, h = grid[k], grid[hi] - grid[k]
@@ -475,31 +502,45 @@ class _ColumnStepper:
         coeffs = self.coefficients(knots)
         # the flow's Hermite rule at each inner point is sum_i basis_i Y_i over
         # the values and scaled slopes Y = (y0, h/2 y0', ym, h/2 ym', y1, h/2 y1')
-        inner = grid[lo:hi]
-        basis = _hermite(knots, np.eye(6)[0::2], np.eye(6)[1::2] / (h / 2), inner)
-        pairs = (basis[:, :, None] * basis[:, None, :]).reshape(len(inner), 36)
-        grams, bound = [], np.zeros(len(inner))
+        basis = _hermite(knots, np.eye(6)[0::2], np.eye(6)[1::2] / (h / 2), grid[lo:hi])
+        stacks, bound = [], np.zeros(n_h - 1)
         for b, (blk, top_rows) in enumerate(zip(self.blocks, self.tops)):
             ys = []
             for c, state in zip(coeffs, states):
                 _fill([top_rows], [blk], c)
                 ys += [state[b][blk.top_lo:], (h / 2) * (top_rows @ state[b])]
-            ys = _narrow(np.stack(ys))
-            if not ys.size:
-                continue
-            # Gram(tau) = sum_ij basis_i basis_j Y_i Y_j^*, from the 36 products
-            n = ys.shape[1]
-            flat = ys.reshape(6 * n, -1)
-            prods = (flat @ flat.conj().T).reshape(6, n, 6, n).swapaxes(1, 2).reshape(36, n * n)
-            grams.append((n, prods))
-            bound = np.maximum(bound, pairs @ prods[:, ::n + 1].sum(axis=1).real)
-        bound = np.sqrt(np.maximum(bound, 0.0))
-        for i in np.argsort(-bound, kind="stable"):
-            if top >= self.gate or bound[i] < top * (1.0 - _BOUND_MARGIN):
+            ys = np.stack(ys)
+            # ||Y(tau)||_F^2 = sum_ij basis_i basis_j Re<Y_i, Y_j>, the real
+            # parts read as the dot products of the rows as float vectors
+            flat = ys.reshape(6, -1).view(float)
+            bound = np.maximum(bound, np.einsum("pi,ij,pj->p", basis, flat @ flat.T, basis))
+            stacks.append(np.ascontiguousarray(_narrow(ys)))
+        # the trace's inner points hold the bounds, tightened in place
+        self.leak[lo:hi] = np.sqrt(np.maximum(bound, 0.0))
+        bound = self.leak[lo:hi]
+        size = max(1, _GATE_ENTRIES // max(ys[0].size for ys in stacks))
+        order = np.argsort(-bound, kind="stable")
+        first = np.count_nonzero(bound >= self.gate)
+        # points whose bound reaches the gate go first and in time order, so
+        # the first of them to reach it is exact (`march` ends attempts there);
+        # with the right knot at the gate no other point decides anything
+        order[:first] = np.sort(order[:first])
+        order = order if top < self.gate else order[:first]
+        floor = min(top * (1.0 - _BOUND_MARGIN), self.gate)
+        for start in range(0, len(order), size):
+            batch = order[start:start + size]
+            batch = batch[bound[batch] >= floor]
+            if not batch.size:
                 break
-            bound[i] = max(_gram_norm((pairs[i] @ prods).reshape(n, n)) for n, prods in grams)
-            self.exact[lo + i], top = True, max(top, bound[i])
-        self.leak[lo:hi] = bound
+            grams = [_gram(np.tensordot(basis[batch], ys, axes=1)) for ys in stacks]
+            bound[batch] = np.minimum(bound[batch], np.max([_gram_bound(g) for g in grams], 0))
+            for j, i in enumerate(batch):
+                if bound[i] >= floor:
+                    bound[i] = max(_gram_norm(g[j]) for g in grams)
+                    self.exact[lo + i], top = True, max(top, bound[i])
+                    if bound[i] >= self.gate:
+                        return
+                    floor = min(top * (1.0 - _BOUND_MARGIN), self.gate)
 
 
 def _narrow(x):
@@ -507,9 +548,21 @@ def _narrow(x):
     return x.conj().mT if x.shape[-1] < x.shape[-2] else x
 
 
+def _gram(x):
+    """The Gram matrix x x* (of each matrix of a stack)."""
+    return x @ x.conj().mT
+
+
 def _gram_norm(gram) -> float:
     """||x||_2 from the Gram matrix x x*: the root of its top eigenvalue."""
     return math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
+
+
+def _gram_bound(grams) -> np.ndarray:
+    """Upper bounds on ||x||_2 from a stack of Gram matrices x x*: the
+    root of the largest absolute row sum, which no eigenvalue exceeds
+    (Gershgorin)."""
+    return np.sqrt(np.abs(grams).sum(axis=-1).max(axis=-1))
 
 
 def _fill(mats, blocks, c):
@@ -532,18 +585,20 @@ def _norm1(mat) -> float:
     return float(sums.max(initial=0.0))
 
 
-def _expm_apply(mat, norm, u):
+def _expm_apply(mat, norm, u, target=_UNIT_ROUNDOFF):
     """exp(mat) u for a CSR or dense mat of 1-norm `norm`.
 
     A truncated Taylor series in ceil(norm) sub-steps of 1-norm x <= 1,
     with the fewest terms m for which the remainder bound
-    x^(m+1) e^x / (m+1)! is below the unit roundoff (Al-Mohy & Higham
-    2011 choose (m, s) by a sharper backward-error bound).
+    x^(m+1) e^x / (m+1)! is below `target`: the unit roundoff for every
+    state the flow keeps, looser only for the coarse solve of step
+    doubling (Al-Mohy & Higham 2011 choose (m, s) by a sharper
+    backward-error bound).
     """
     s = max(1, math.ceil(norm))
     x = norm / s
     m = 1
-    while x ** (m + 1) * math.exp(x) / math.factorial(m + 1) > _UNIT_ROUNDOFF:
+    while x ** (m + 1) * math.exp(x) / math.factorial(m + 1) > target:
         m += 1
     for _ in range(s):
         out, term = u.copy(), u
@@ -583,8 +638,7 @@ class _ParityBlock:
     def leakage(self, u) -> float:
         """2-norm of the top-sector rows of the evolved columns u, from the
         largest eigenvalue of the smaller of the two Gram matrices."""
-        leaked = _narrow(u[self.top_lo:])
-        return _gram_norm(leaked @ leaked.conj().T) if leaked.size else 0.0
+        return _gram_norm(_gram(_narrow(u[self.top_lo:])))
 
     def pattern(self, row: int = 0):
         """A zero matrix of the generator's rows from `row` on, for `_fill`."""
@@ -602,7 +656,8 @@ def _parity_blocks(space: FockSpace, trusted_n: int) -> list:
 
     Pair terms change the particle number by 2, so no entry couples the
     two parities.  Term k < P (P pair occupations) is the annihilator
-    a^kappa_k, term P + k its adjoint.
+    a^kappa_k, term P + k its adjoint.  A parity with no state in sectors
+    <= trusted_n has no column to evolve and no block.
     """
     pairs = sec.occupations(space.dim, 2)
     zero = (0,) * space.dim
@@ -619,7 +674,7 @@ def _parity_blocks(space: FockSpace, trusted_n: int) -> list:
     blocks = []
     for parity in (0, 1):
         states = np.flatnonzero(number % 2 == parity)
-        if not len(states):
+        if not np.any(number[states] <= trusted_n):
             continue
         mine = number[rows] % 2 == parity
         blocks.append(_ParityBlock(
@@ -654,11 +709,26 @@ def conjugate_observable(qflow: QuantumFlowResult, b: PolySymbol) -> np.ndarray:
     flow's time t and on its space.
 
     That block is U[:, s]^* (b^Wick U[:, s]) over the evolved columns s,
-    an n_cols x n_cols array; b^Wick acts on the columns through
-    `wick_apply`.
+    an n_cols x n_cols array, taken per pair of parities (p, q): the
+    columns of parity q live on the states of q, so they meet the columns
+    of p through the block of b^Wick between those states only (dense or
+    CSR as in `wick_apply`).  An observable of even degrees only keeps
+    the parity, and its blocks p != q are zero and skipped.
     """
-    u = qflow.columns
-    return u.conj().T @ wick_apply(b, qflow.space, u)
+    space, n = qflow.space, qflow.space.total_dim
+    _check_degree(b, space)
+    w = _matrix(*_wick_entries(b, space, space.n_max), (n, n), _dense(space))
+    odd = any(m % 2 and np.any(c) for m, c in b.vectors.items())
+    parts = list(qflow._parities())
+    # the adjoint of the result, block by block: (b^Wick u_q)^* u_p needs no
+    # conjugate copy of the columns
+    adj = np.zeros((qflow.columns.shape[1],) * 2, dtype=complex)
+    for q, (states_q, cols_q, u_q) in enumerate(parts):
+        for p, (states_p, cols_p, u_p) in enumerate(parts):
+            if p == q or odd:
+                applied = w[np.ix_(states_p, states_q)] @ u_q
+                adj[np.ix_(cols_q, cols_p)] = np.conjugate(applied, out=applied).T @ u_p
+    return np.conjugate(adj, out=adj).T
 
 
 # ---------------------------------------------------------------------------
