@@ -6,7 +6,10 @@ start there (the only ones the flow evolves), and compared entrywise
 against the quantization of the assembled expansion symbol.  Operators
 are plain numpy arrays: ``quantum_flow(ham, space, t)`` runs on the
 Hamiltonian's own grid up to the grid time t and holds the evolved
-columns at t as ``qf.columns``; ``conjugate_observable(qf, b)`` returns
+columns at t as ``qf.parity_blocks``, one (states, u) pair per
+particle-number parity (``qf.columns`` assembles them into the
+total_dim x n_cols direct-sum block on each read);
+``conjugate_observable(qf, b)`` returns
 the trusted block, and ``trusted_block_diff(a, b, space, n)`` compares
 two arrays on sectors <= n.  The comparison is only meaningful
 on sectors the cutoff cannot pollute; the last block of this script

@@ -25,25 +25,28 @@ the particle number by 2, so the even and odd sectors evolve as two
 separate dense blocks of U.  Only the columns of U that start in the
 trusted sectors 0..trusted_n are evolved: they are all that the trusted
 block of the conjugated observable and the leakage gate read.  The flow
-runs on the Hamiltonian's own grid up to one grid time t, where the
-columns are joined into one total_dim x n_cols block and the sector
-blocks of Gamma(u_alpha) act on them.  The comparison stage stays on
-those columns too, one parity at a time on that parity's rows: the
-observable acts on them through its blocks between the parities (the
-two that couple them skipped for an even observable), and their
-unitarity defect comes from one Gram block per parity.  The
-generator and b^Wick are dense on at most _DENSE_MAX_STATES states, where
-a dense product is faster and scipy is never imported, and CSR above.
+runs on the Hamiltonian's own grid up to one grid time t, where each
+sector block of Gamma(u_alpha) acts on that sector's rows, one run of
+the states of its parity.  The result keeps the two parity blocks, each
+its states by its trusted columns; the total_dim x n_cols layout, half
+of it zeros between the parities, is assembled only when the result's
+``columns`` property is read, and nothing here reads it.  The
+comparison stage reads the parity blocks: the observable acts on them
+through its blocks between the parities (the two that couple them
+skipped for an even observable), and their unitarity defect comes from
+one Gram block per parity.  The generator and b^Wick are dense on at
+most _DENSE_MAX_STATES states, where a dense product is faster and
+scipy is never imported, and CSR above.
 
 One stepper advances the columns by the fourth-order commutator-free
 Magnus step CF4 (Blanes & Moan 2006), reading the pair coefficients of
-the times a step needs in one call, and refills the generator's
-matrices and those of its top-sector rows (the leakage gate's) in
-place.  A step spans several grid points, sized by step doubling; each
-exponential acts on the columns as a Taylor series whose length
-follows from the generator's exact 1-norm and a remainder target: the
-unit roundoff for the two half steps whose columns are kept, a
-thousandth of the step's error budget for the full step that only
+all six Gauss times of a step-doubling attempt in one call, and
+refills the generator's matrices and those of its top-sector rows (the
+leakage gate's) in place.  A step spans several grid points, sized by
+step doubling; each exponential acts on the columns as a Taylor series
+whose length follows from the generator's exact 1-norm and a remainder
+target: the unit roundoff for the two half steps whose columns are
+kept, a thousandth of the step's error budget for the full step that only
 feeds the error estimate.  The leakage gate reads every grid point:
 exactly at step ends, from the flow's cubic Hermite rule
 `flow._hermite` in between.  A step that comes within a factor 10 of
@@ -54,7 +57,8 @@ point by a Frobenius norm from the knot rows' 6 x 6 inner products,
 bounds again by Gershgorin row sums the points that bound leaves open,
 and takes an eigenvalue only where both leave it open.  Elsewhere it
 keeps the smaller bound, and ``leakage_exact`` marks which points are
-which.
+which.  The real Hermite basis interpolates the knot rows' float view
+by real products, with no complex cast of the basis.
 """
 
 from __future__ import annotations
@@ -259,37 +263,49 @@ def gamma_u(u, space: FockSpace) -> list:
 class QuantumFlowResult:
     """Quantum flow on the truncated space at one time t.
 
-    Holds the columns of U(t, 0) that start in sectors 0..trusted_n: a
-    total_dim x n_cols block, n_cols the dimension of those sectors, and
-    the leakage at every grid point up to t: exact where ``leakage_exact``
-    is set, an upper bound below the exact maximum elsewhere.
-    ``integrator`` counts the kept CF4 steps, the attempts rejected by the
-    error estimate and the steps retried as one grid step at the leakage
-    gate (``refined``), and sums the error estimates of the steps kept
-    (``time_error``).
+    Holds the columns of U(t, 0) that start in sectors 0..trusted_n as
+    the parity blocks the flow evolved them in: ``parity_blocks`` is a
+    list of pairs (states, u), one per particle-number parity with such
+    columns, of that parity's states in direct-sum order and U on those
+    rows and on the columns of its first u.shape[1] states (the trusted
+    prefix); no entry of U links the two parities.  ``columns`` assembles
+    the direct-sum layout on each read.  Also holds the leakage at every
+    grid point up to t: exact where ``leakage_exact`` is set, an upper
+    bound below the exact maximum elsewhere.  ``integrator`` counts the
+    kept CF4 steps, the attempts rejected by the error estimate and the
+    steps retried as one grid step at the leakage gate (``refined``), and
+    sums the error estimates of the steps kept (``time_error``).
     """
 
-    def __init__(self, space, columns, leakage_trace, leakage_exact, trusted_n, integrator):
-        self.space, self.columns, self.trusted_n = space, columns, trusted_n
+    def __init__(self, space, parity_blocks, leakage_trace, leakage_exact, trusted_n, integrator):
+        self.space, self.parity_blocks, self.trusted_n = space, parity_blocks, trusted_n
         self.leakage_trace, self.leakage_exact = leakage_trace, leakage_exact
         self.integrator = integrator
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The evolved columns as one total_dim x n_cols block, n_cols the
+        dimension of sectors 0..trusted_n, with exact zeros between the
+        parities: a new array on each read, for inspection."""
+        cols = np.zeros((self.space.total_dim, self.space.span_slice(self.trusted_n).stop), complex)
+        for states, u in self.parity_blocks:
+            cols[np.ix_(states, states[:u.shape[1]])] = u
+        return cols
 
     def max_leakage(self) -> float:
         return float(self.leakage_trace.max()) if len(self.leakage_trace) else 0.0
 
     def _parities(self, n_top: int = None):
-        """Per particle-number parity with columns among sectors <= n_top
-        (default trusted_n): the states of that parity, which are the only
-        rows its columns reach, its columns, and U on those rows and columns."""
+        """Per parity block with columns among sectors <= n_top (default
+        trusted_n): its states, which are the only rows its columns reach,
+        those columns, and a view of U on those rows and columns."""
         n_top = self.trusted_n if n_top is None else n_top
         if n_top > self.trusted_n:
             raise ValueError(f"n_top {n_top} exceeds the evolved sectors <= {self.trusted_n}")
-        number = self.space.number_values()
-        for p in (0, 1):
-            states = np.flatnonzero(number % 2 == p)
-            cols = states[:np.searchsorted(states, self.space.span_slice(n_top).stop)]
-            if len(cols):
-                yield states, cols, self.columns[np.ix_(states, cols)]
+        for states, u in self.parity_blocks:
+            k = np.searchsorted(states, self.space.span_slice(n_top).stop)
+            if k:
+                yield states, states[:k], u[:, :k]
 
     def unitarity_defect(self, n_top: int = None) -> float:
         """Norm ||U*U - I||_2 on the columns of sectors <= n_top (default
@@ -313,10 +329,12 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
     The flow runs on the Hamiltonian's grid from t_start to t (default
     t_end), which must be a grid point.  Only the columns of U that
     start in sectors 0..trusted_n (default n_max - 4) are evolved; the
-    result holds that total_dim x n_cols block.  Runs the beta-only
-    generator (rotated by u_alpha when alpha is present) and composes
-    with the second-quantized unitary path, sector by sector, at t.  The
-    generator is applied to the even- and odd-sector columns separately.
+    result holds them as the even- and odd-sector parity blocks they are
+    evolved in (``QuantumFlowResult.parity_blocks``).  Runs the beta-only
+    generator (rotated by u_alpha when alpha is present) on each parity
+    block and composes with the second-quantized unitary path at t, each
+    sector block of Gamma(u_alpha) on that sector's rows of its parity
+    block.
 
     The integrator is the commutator-free Magnus step CF4, whose step is
     a multiple of the grid step chosen by step doubling so that the
@@ -357,13 +375,17 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
     stepper = _ColumnStepper(space, trusted_n, _pair_coefficients(hamiltonian, u_path), grid,
                              leak_threshold)
     stepper.march(tol)
-    cols = stepper.assemble()
+    blocks = [(blk.states, u) for blk, u in zip(stepper.blocks, stepper.us)]
     if u_path is not None:
         for n, g in enumerate(gamma_u(u_path.at(grid[-1]), space)):
-            s = space.sector_slice(n)
-            cols[s] = g @ cols[s]
-    return QuantumFlowResult(space, cols, stepper.leak, stepper.exact, trusted_n,
-                             stepper.report())
+            # sector n's rows in a parity block: one run, empty in the other parity
+            for states, u in blocks:
+                lo, hi = np.searchsorted(states, space.offsets[n:n + 2])
+                if hi > lo:
+                    u[lo:hi] = g @ u[lo:hi]
+    counts = {"steps": stepper.steps, "rejected": stepper.rejected, "refined": stepper.refined,
+              "time_error": float(stepper.time_error)}
+    return QuantumFlowResult(space, blocks, stepper.leak, stepper.exact, trusted_n, counts)
 
 
 # Gauss nodes on [0, 1] and the weights of CF4 (Blanes & Moan 2006):
@@ -408,22 +430,14 @@ class _ColumnStepper:
         self.steps = self.rejected = self.refined = 0
         self.time_error = 0.0
 
-    def report(self) -> dict:
-        return {"steps": self.steps, "rejected": self.rejected, "refined": self.refined,
-                "time_error": float(self.time_error)}
-
-    def assemble(self) -> np.ndarray:
-        """The evolved columns as one total_dim x n_cols block."""
-        cols = np.zeros((self.space.total_dim, sum(blk.trusted_hi for blk in self.blocks)),
-                        dtype=complex)
-        for blk, u in zip(self.blocks, self.us):
-            cols[np.ix_(blk.states, blk.states[:blk.trusted_hi])] = u
-        return cols
-
-    def cf4(self, us, t, h, target=_UNIT_ROUNDOFF):
-        c1, c2 = self.coefficients(t + _GAUSS * h)
+    def cf4(self, us, coeffs, h, target=_UNIT_ROUNDOFF):
+        """One CF4 step of length h from the columns us, given the pair
+        coefficients at its two Gauss times."""
         for w1, w2 in ((_W1, _W2), (_W2, _W1)):
-            _fill(self.work, self.blocks, h * (w1 * c1 + w2 * c2))
+            _fill(self.work, self.blocks, h * (w1 * coeffs[0] + w2 * coeffs[1]))
+            # the parity blocks run one after the other: scipy's CSR product holds
+            # the GIL, and two threads gave 1.00-1.07x on the product and a paired
+            # ratio of 1.02-1.05 per d=2, N=24 oracle solve (2-vCPU Xeon)
             us = [_expm_apply(mat, _norm1(mat), u, target) for mat, u in zip(self.work, us)]
         return us
 
@@ -450,12 +464,15 @@ class _ColumnStepper:
                 n_h = min(n_h, max(1, wall - 1 - k))
             t, h = grid[k], grid[k + n_h] - grid[k]
             allowed = tol * h / span
-            mid = self.cf4(self.us, t, h / 2)
-            fine = self.cf4(mid, t + h / 2, h / 2)
+            # the Gauss times of both half steps and of the full step, in one call
+            c = self.coefficients(np.concatenate(
+                [t + _GAUSS * (h / 2), t + h / 2 + _GAUSS * (h / 2), t + _GAUSS * h]))
+            mid = self.cf4(self.us, c[:2], h / 2)
+            fine = self.cf4(mid, c[2:4], h / 2)
             # the coarse solve only feeds this estimate: its Taylor remainder
             # may reach a thousandth of the attempt's budget, and it is dropped here
             err = max(np.abs(a - b).max(initial=0.0) for a, b in zip(
-                fine, self.cf4(self.us, t, h, max(_UNIT_ROUNDOFF, allowed / 1000)))) / 15.0
+                fine, self.cf4(self.us, c[4:], h, max(_UNIT_ROUNDOFF, allowed / 1000)))) / 15.0
             factor = 4.0 if err == 0 else min(4.0, 0.9 * (allowed / err) ** 0.2)
             size = max(1, int(n_h * factor))
             if err > allowed and n_h > 1:
@@ -486,8 +503,9 @@ class _ColumnStepper:
         of the top-sector rows in between, in three tiers.  The 6 x 6
         inner products of the knot rows bound every inner point by
         ||Y(tau)||_F.  The points are visited in decreasing order of that
-        bound, in batches: each forms its Y(tau) and narrow Gram matrix,
-        whose Gershgorin row sums bound it again, and takes the top
+        bound, in batches: each forms its Y(tau), by one real product on
+        the knot rows' float view, and its narrow Gram matrix, whose
+        Gershgorin row sums bound it again, and takes the top
         eigenvalue only where that bound reaches the exact maximum so
         far.  The visits end when a bound falls below that maximum or it
         reaches the gate; every other point keeps its smaller bound.
@@ -532,7 +550,9 @@ class _ColumnStepper:
             batch = batch[bound[batch] >= floor]
             if not batch.size:
                 break
-            grams = [_gram(np.tensordot(basis[batch], ys, axes=1)) for ys in stacks]
+            # Y(tau) by real GEMM: the real basis times the rows' float view
+            grams = [_gram(np.tensordot(basis[batch], ys.view(float), axes=1).view(complex))
+                     for ys in stacks]
             bound[batch] = np.minimum(bound[batch], np.max([_gram_bound(g) for g in grams], 0))
             for j, i in enumerate(batch):
                 if bound[i] >= floor:
@@ -544,8 +564,9 @@ class _ColumnStepper:
 
 
 def _narrow(x):
-    """x, or x* if that has fewer rows: the smaller Gram matrix x x*, same ||x||_2^2."""
-    return x.conj().mT if x.shape[-1] < x.shape[-2] else x
+    """x, or the view x^T if that has fewer rows: the smaller Gram matrix,
+    x x* or x^T conj(x) = conj(x* x), whose top eigenvalue is ||x||_2^2."""
+    return x.mT if x.shape[-1] < x.shape[-2] else x
 
 
 def _gram(x):
@@ -722,7 +743,7 @@ def conjugate_observable(qflow: QuantumFlowResult, b: PolySymbol) -> np.ndarray:
     parts = list(qflow._parities())
     # the adjoint of the result, block by block: (b^Wick u_q)^* u_p needs no
     # conjugate copy of the columns
-    adj = np.zeros((qflow.columns.shape[1],) * 2, dtype=complex)
+    adj = np.zeros((sum(len(cols) for _, cols, _ in parts),) * 2, dtype=complex)
     for q, (states_q, cols_q, u_q) in enumerate(parts):
         for p, (states_p, cols_p, u_p) in enumerate(parts):
             if p == q or odd:
