@@ -23,7 +23,6 @@ from .expansions import (
 from .flow import (
     FlowResult,
     QuadraticHamiltonian,
-    UnitaryPath,
     integrate_flow,
     integrate_u_alpha,
     v_vector,

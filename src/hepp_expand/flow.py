@@ -12,9 +12,11 @@ P = I + h/6 (K1 + 2 K2 + 2 K3 + K4); all step propagators are built as
 batched products, and one pass of small products W_{k+1} = P_k W_k
 follows.  The slopes G W at the grid points feed the dense output, a
 cubic Hermite interpolant that matches the integrator's own order and
-is evaluated for many times at once.  The same stepper with
-G = -i alpha gives the unitary path u_alpha, which only the Fock
-oracle uses.
+is evaluated for many times at once.  The unitary path u_alpha, which
+only the Fock oracle uses, is the classical flow of alpha alone: the
+same integration with beta = 0, whose antilinear part stays exactly
+zero and whose linear part is u_alpha.  ``unitarity_defect`` is the one
+rule for ||u*u - I||_2.
 """
 
 from __future__ import annotations
@@ -193,40 +195,26 @@ def _hermite(times, values, derivs, ts) -> np.ndarray:
             + ((t3 - t2) * h).reshape(col) * derivs[k + 1])
 
 
-class UnitaryPath:
-    """u_alpha(t, t_start) on the Hamiltonian's grid with its derivative."""
-
-    def __init__(self, times, mats, derivs):
-        self.times = times
-        self.matrices = mats
-        self.derivs = derivs
-
-    def on(self, times) -> np.ndarray:
-        """u_alpha at each of `times`, stacked."""
-        return _hermite(self.times, self.matrices, self.derivs, times)
-
-    def at(self, t: float) -> np.ndarray:
-        return self.on(t)[0]
-
-    def unitarity_defect(self) -> float:
-        return unitarity_defect(self.matrices[-1])
-
-
 def unitarity_defect(u) -> float:
-    """||u* u - I||_2 of a matrix u."""
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]), 2))
+    """||u*u - I||_2 of a complex array u with at least as many rows as
+    columns: the largest |eigenvalue| of the Hermitian u*u - I.
 
-
-def integrate_u_alpha(h: QuadraticHamiltonian) -> UnitaryPath:
-    """Solve i du/dt = alpha_t u with u(t_start) = I by RK4 on the grid.
-
-    The classical flow does not use this path; the Fock oracle takes
-    its interaction picture from it.
+    u*u comes from the float view F of u, interleaving the real and
+    imaginary parts of each column, by one real product F^T F and no
+    conjugate copy of u: its real part is the even/even block of F^T F
+    plus the odd/odd block, its imaginary part the even/odd block minus
+    the odd/even block.
     """
-    grid = h.grid()
-    mats, derivs = _linear_rk4(grid, lambda times: -1j * h.alpha_on(times),
-                               np.eye(h.dim, dtype=complex))
-    return UnitaryPath(grid, mats, derivs)
+    # the float view needs unit stride along the rows
+    f = (u if u.strides[-1] == u.itemsize else np.ascontiguousarray(u)).view(float)
+    g = f.T @ f
+    gram = np.empty((u.shape[1],) * 2, dtype=complex)
+    np.add(g[0::2, 0::2], g[1::2, 1::2], out=gram.real)
+    np.subtract(g[0::2, 1::2], g[1::2, 0::2], out=gram.imag)
+    # F^T F is twice the Gram's size: freed before eigvalsh copies the Gram
+    del g
+    gram[np.diag_indices(len(gram))] -= 1.0
+    return float(np.abs(np.linalg.eigvalsh(gram)).max())
 
 
 class FlowResult:
@@ -274,15 +262,13 @@ def _split(w):
     return w[:, :d], np.conj(w[:, d:])
 
 
-def integrate_flow(h: QuadraticHamiltonian) -> FlowResult:
-    """Integrate the classical flow of Q_t over the Hamiltonian's grid.
-
-    Symplecticity is monitored, never re-imposed; a terminal defect
-    above 1e-6 raises, and so does a flow that overflows (defect inf).
-    """
-    # G is the doubled matrix of the R-linear vector field z -> -i alpha z + beta conj(z)
+def _classical_flow(h: QuadraticHamiltonian, beta_on) -> FlowResult:
+    """RK4 for the flow of z -> -i alpha z + beta conj(z) on the
+    Hamiltonian's grid, beta stacked over times by `beta_on`; raises if
+    the terminal symplecticity defect exceeds 1e-6 or is inf."""
+    # G is the doubled matrix of the R-linear vector field
     def generator(times):
-        return doubled(-1j * h.alpha_on(times), h.beta_on(times))
+        return doubled(-1j * h.alpha_on(times), beta_on(times))
 
     grid = h.grid()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -294,6 +280,28 @@ def integrate_flow(h: QuadraticHamiltonian) -> FlowResult:
             f"terminal symplecticity defect {terminal:.3e} exceeds {_DEFECT_TOL:.1e}; "
             "reduce dt or check the Hamiltonian samplers")
     return result
+
+
+def integrate_flow(h: QuadraticHamiltonian) -> FlowResult:
+    """Integrate the classical flow of Q_t over the Hamiltonian's grid.
+
+    Symplecticity is monitored, never re-imposed; a terminal defect
+    above 1e-6 raises, and so does a flow that overflows (defect inf).
+    """
+    return _classical_flow(h, h.beta_on)
+
+
+def integrate_u_alpha(h: QuadraticHamiltonian) -> FlowResult:
+    """The unitary path u_alpha(t, t_start), i du/dt = alpha_t u with
+    u(t_start) = I, as the classical flow of alpha alone (beta = 0).
+
+    The result's antilinear part is exactly zero and its linear part is
+    u_alpha, read at grid times by ``phi(t).linear`` and anywhere in
+    between by ``phi_on(times)[0]``; the terminal check is that of
+    `integrate_flow`.  The classical flow does not use this path; the
+    Fock oracle takes its interaction picture from it.
+    """
+    return _classical_flow(h, lambda times: np.zeros((len(times), h.dim, h.dim), dtype=complex))
 
 
 def v_vector(flow: FlowResult, t: float) -> np.ndarray:

@@ -33,10 +33,10 @@ of it zeros between the parities, is assembled only when the result's
 ``columns`` property is read, and nothing here reads it.  The
 comparison stage reads the parity blocks: the observable acts on them
 through its blocks between the parities (the two that couple them
-skipped for an even observable), and their unitarity defect comes from
-one Gram block per parity.  The generator and b^Wick are dense on at
-most _DENSE_MAX_STATES states, where a dense product is faster and
-scipy is never imported, and CSR above.
+skipped for an even observable), and their unitarity defect is the
+larger of `flow.unitarity_defect` on the two blocks.  The generator
+and b^Wick are dense on at most _DENSE_MAX_STATES states, where a
+dense product is faster and scipy is never imported, and CSR above.
 
 One stepper advances the columns by the fourth-order commutator-free
 Magnus step CF4 (Blanes & Moan 2006), reading the pair coefficients of
@@ -68,7 +68,7 @@ import math
 import numpy as np
 
 from . import sectors as sec
-from .errors import DimensionMismatchError, LeakageError
+from .errors import DimensionMismatchError, LeakageError, SymplecticityError
 from .flow import QuadraticHamiltonian, _hermite, grid_index, integrate_u_alpha, unitarity_defect
 from .symbols import PolySymbol, squeezing_hamiltonian_symbol
 from .symplectic import euclidean_norm
@@ -313,12 +313,10 @@ class QuantumFlowResult:
 
         Columns of one parity have their rows in the sectors of that
         parity only, so U*U is block-diagonal in parity with exact zeros
-        across: the norm is the largest |eigenvalue| of the two Hermitian
-        Gram blocks, one per parity of the columns, each from that
-        parity's rows only.
+        across: the norm is the larger of `flow.unitarity_defect` on the
+        two parity blocks, each on that parity's rows only.
         """
-        grams = (u.conj().T @ u - np.eye(u.shape[1]) for _, _, u in self._parities(n_top))
-        return max((float(np.abs(np.linalg.eigvalsh(g)).max()) for g in grams), default=0.0)
+        return max((unitarity_defect(u) for _, _, u in self._parities(n_top)), default=0.0)
 
 
 def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float = None,
@@ -334,7 +332,9 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
     generator (rotated by u_alpha when alpha is present) on each parity
     block and composes with the second-quantized unitary path at t, each
     sector block of Gamma(u_alpha) on that sector's rows of its parity
-    block.
+    block.  u_alpha (`flow.integrate_u_alpha`) must be unitary at t
+    within 1e-10, the bound of `gamma_u`: a path that drifted further
+    raises SymplecticityError before any step is taken.
 
     The integrator is the commutator-free Magnus step CF4, whose step is
     a multiple of the grid step chosen by step doubling so that the
@@ -372,12 +372,18 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
             f"{space.n_max}: the leakage gate needs trusted_n <= n_max - 2")
 
     u_path = None if hamiltonian.alpha.is_zero() else integrate_u_alpha(hamiltonian)
+    if u_path is not None:
+        u_t = u_path.phi(grid[-1]).linear
+        if unitarity_defect(u_t) > _UNITARY_TOL:
+            raise SymplecticityError(
+                f"u_alpha(t={grid[-1]:g}) is unitary only within {unitarity_defect(u_t):.3e}, "
+                f"above the {_UNITARY_TOL:.0e} that Gamma(u_alpha) needs; reduce dt")
     stepper = _ColumnStepper(space, trusted_n, _pair_coefficients(hamiltonian, u_path), grid,
                              leak_threshold)
     stepper.march(tol)
     blocks = [(blk.states, u) for blk, u in zip(stepper.blocks, stepper.us)]
     if u_path is not None:
-        for n, g in enumerate(gamma_u(u_path.at(grid[-1]), space)):
+        for n, g in enumerate(gamma_u(u_t, space)):
             # sector n's rows in a parity block: one run, empty in the other parity
             for states, u in blocks:
                 lo, hi = np.searchsorted(states, space.offsets[n:n + 2])
@@ -717,7 +723,7 @@ def _pair_coefficients(hamiltonian: QuadraticHamiltonian, u_path):
     def coefficients(times):
         beta = hamiltonian.beta_on(times)
         if u_path is not None:
-            u = u_path.on(times)
+            u = u_path.phi_on(times)[0]
             beta = np.conj(u.mT) @ beta @ np.conj(u)
         w = weight * np.conj(beta[:, ia, ib] + beta[:, ib, ia])
         return np.concatenate([-0.5 * w, 0.5 * np.conj(w)], axis=1)

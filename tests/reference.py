@@ -8,7 +8,8 @@ operators, the JSON entries of a symbol one coefficient at a time,
 the linear forms <z, xi> and <eta, z>, derivatives, translates and
 compositions of a symbol (the last on the full tensor power), the
 Poisson-bracket form of lambda^s, the hand-written kernel of Lambda^t
-and doubled matrix of phi_s^-1, the leakage gate's Hermite basis and
+and doubled matrix of phi_s^-1, u_alpha by RK4 on C^d alone, the
+leakage gate's Hermite basis and
 its eigenvalue at every grid point, the finite-difference derivative of
 Lambda, and the Bogoliubov implementer of a fixed symplectomorphism.  Nothing here is on the path
 of the command line tool.
@@ -304,6 +305,27 @@ def phi_inverse_doubled_by_hand(flow, s) -> np.ndarray:
     stacked, transposing the dense output's blocks by hand."""
     lm, am = flow.phi_on(s)
     return doubled(np.conj(np.swapaxes(lm, 1, 2)), -np.swapaxes(am, 1, 2))
+
+
+def u_alpha_rk4(h) -> np.ndarray:
+    """u_alpha on the Hamiltonian's grid by RK4 on the d x d system
+    du/dt = -i alpha u alone, one step at a time: each step's increment
+    P - I = h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = G(t), K2 = G(t + h/2)(I +
+    h/2 K1), K3 = G(t + h/2)(I + h/2 K2), K4 = G(t + h)(I + h K3), is
+    applied as u + (P - I) u.  Stacked over the grid."""
+    grid, eye = h.grid(), np.eye(h.dim)
+    u = np.eye(h.dim, dtype=complex)
+    out = [u]
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        step = t1 - t0
+        g_now, g_mid, g_next = -1j * h.alpha_on([t0, t0 + step / 2, t1])
+        k1 = g_now
+        k2 = g_mid @ (eye + step / 2 * k1)
+        k3 = g_mid @ (eye + step / 2 * k2)
+        k4 = g_next @ (eye + step * k3)
+        u = u + (step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)) @ u
+        out.append(u)
+    return np.stack(out)
 
 
 def hermite_basis_by_hand(knots, inner) -> np.ndarray:

@@ -169,6 +169,28 @@ class TestOracleCommand:
         assert "leakage" in report["error"]
         assert report["diagnostics"]["n_max"] == 8
 
+    def test_drifting_u_alpha_is_a_tolerance_failure(self, tmp_path, capsys):
+        # alpha of HS norm 8 on dt = 0.01: by t_end u_alpha is 6.4e-8 off the
+        # unitary group, under the flow's 1e-6 terminal gate but above the
+        # 1e-10 that Gamma(u_alpha) needs; the classical flow's own defect
+        # is the same 6.4e-8, above the scenario's flow tolerance
+        alpha = {"kind": "constant", "data": {
+            "re": [[1.298461272382126, 2.62479042405227], [2.62479042405227, 1.0833412874570005]],
+            "im": [[0.0, -4.866277860882063], [4.866277860882063, 0.0]]}}
+        data = base_scenario(dim=2, t_end=0.5, dt=0.01, alpha=alpha,
+                             beta={"kind": "constant", "data": {"re": [[0.05, 0.0], [0.0, 0.05]]}},
+                             observable={"preset": "quartic-cross"}, fock={"n_max": 12},
+                             tolerances={"oracle": 1e-5, "leakage": 1e-3})
+        path = write_scenario(tmp_path, data)
+        code, report = run_main(["flow", path], capsys)
+        assert code == 1 and report["pass"] is False
+        assert main(["oracle", path]) == 1
+        out, err = capsys.readouterr()
+        err = err.strip()
+        assert not out.strip() and len(err.splitlines()) == 1
+        assert err.startswith("hepp-expand: tolerance failure: u_alpha(t=0.5)")
+        assert "reduce dt" in err
+
     @pytest.mark.parametrize("n_max", [-3, 2.5, 1], ids=["negative", "non-integer",
                                                          "below-degree"])
     def test_bad_n_max_exit_two(self, tmp_path, capsys, n_max):

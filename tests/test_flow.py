@@ -8,27 +8,29 @@ from hepp_expand.flow import (
     QuadraticHamiltonian,
     integrate_flow,
     integrate_u_alpha,
+    unitarity_defect,
     v_vector,
 )
 from hepp_expand.symplectic import RLinearMap, is_symplectomorphism, symplectic_defects
 
 from conftest import random_vector, squeeze_setup
+from reference import u_alpha_rk4
 
 
 class TestUnitaryPath:
     def test_zero_alpha_is_identity(self):
         h = QuadraticHamiltonian(2, t_end=1.0)
         path = integrate_u_alpha(h)
-        assert np.allclose(path.matrices[-1], np.eye(2))
-        assert path.unitarity_defect() == 0.0
+        assert np.allclose(path.linear[-1], np.eye(2))
+        assert unitarity_defect(path.linear[-1]) == 0.0
 
     def test_constant_alpha_matches_expm(self, rng):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         a = (a + a.conj().T) / 2
         h = QuadraticHamiltonian(3, alpha=a, t_end=1.0, dt=1e-3)
         path = integrate_u_alpha(h)
-        assert np.abs(path.at(1.0) - expm(-1j * a)).max() < 1e-8
-        assert path.unitarity_defect() < 1e-8
+        assert np.abs(path.phi(1.0).linear - expm(-1j * a)).max() < 1e-8
+        assert unitarity_defect(path.linear[-1]) < 1e-8
 
     def test_midpoints_match_expm(self, rng):
         # the Fock oracle reads u_alpha between grid points (at CF4's Gauss
@@ -38,7 +40,7 @@ class TestUnitaryPath:
         h = QuadraticHamiltonian(3, alpha=a, t_end=1.0, dt=1e-3)
         path = integrate_u_alpha(h)
         grid = h.grid()
-        worst = max(np.abs(path.at(t) - expm(-1j * a * t)).max()
+        worst = max(np.abs(path.phi_at(t).linear - expm(-1j * a * t)).max()
                     for t in (grid[:-1] + grid[1:]) / 2)
         assert worst < 1e-10
 
@@ -51,7 +53,7 @@ class TestUnitaryPath:
         path = integrate_u_alpha(h)
         primitive = 1.0 + 0.5 * (1 - np.cos(1.0))
         want = np.diag(np.exp(-1j * primitive * np.array([1.0, 2.0])))
-        assert np.abs(path.at(1.0) - want).max() < 1e-9
+        assert np.abs(path.phi(1.0).linear - want).max() < 1e-9
 
     def test_rejects_non_hermitian_alpha(self):
         h = QuadraticHamiltonian(2, alpha=np.array([[0, 1], [0, 0]], dtype=complex),
@@ -72,6 +74,35 @@ class TestUnitaryPath:
         for integrate in (integrate_u_alpha, integrate_flow):
             with pytest.raises(ValueError, match=r"alpha\(t=0\.15"):
                 integrate(h)
+
+    @pytest.mark.parametrize("kind", ["ramped", "callable"])
+    def test_is_the_classical_flow_of_alpha_alone(self, rng, kind):
+        # beta = 0 keeps the antilinear part exactly zero, and the linear
+        # part is the d x d RK4 of alpha alone to rounding
+        m = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        a = (m + np.conj(m.mT)) / 2
+        if kind == "ramped":
+            alpha = (np.array([0.0, 0.5]), a)
+        else:
+            alpha = lambda t: np.cos(3 * t) * a[0] + t * a[1]
+        h = QuadraticHamiltonian(3, alpha=alpha, t_end=0.5, dt=1e-3)
+        path = integrate_u_alpha(h)
+        assert isinstance(path, FlowResult)
+        assert not np.any(path.antilinear)
+        assert np.abs(path.linear - u_alpha_rk4(h)).max() <= 1e-15
+
+    @pytest.mark.parametrize("shape", [(3, 3), (40, 12)])
+    def test_unitarity_defect_is_the_spectral_norm(self, rng, shape):
+        # columns 1e-6 off orthonormal, so the defect is far above rounding;
+        # a column slice is read through its float view, a Fortran-ordered
+        # copy through a contiguous one
+        z = rng.standard_normal((2,) + shape) + 1j * rng.standard_normal((2,) + shape)
+        u = np.linalg.qr(z[0])[0] + 1e-6 * z[1]
+        wide = np.concatenate([u, u], axis=1)
+        for x in (u, wide[:, :shape[1]], np.asfortranarray(u)):
+            want = np.linalg.norm(x.conj().T @ x - np.eye(shape[1]), 2)
+            assert want > 1e-7
+            assert abs(unitarity_defect(x) - want) <= 1e-15
 
 
 class TestIntegrateFlow:
@@ -253,7 +284,8 @@ class TestIntegrateFlow:
         h = QuadraticHamiltonian(2, alpha=a, beta=m, t_end=0.7, dt=1e-3)
         flow = integrate_flow(h)
         assert flow.max_defect() < 1e-8
-        u = integrate_u_alpha(h).at
+        path = integrate_u_alpha(h)
+        u = lambda s: path.phi_at(s).linear
         hatted = integrate_flow(QuadraticHamiltonian(
             2, beta=lambda s: u(s).conj().T @ m @ np.conj(u(s)), t_end=0.7, dt=1e-3))
         t = 0.7

@@ -91,7 +91,7 @@ def dense_reference_generator(h, space):
     def generator(t):
         beta = h.beta_matrix(t)
         if u_path is not None:
-            u = u_path.at(t)
+            u = u_path.phi_at(t).linear
             beta = u.conj().T @ beta @ np.conj(u)
         g = sum(np.conj(beta[a, b]) * pab for (a, b), pab in pair.items())
         return -0.5 * (g - g.conj().T)
@@ -575,7 +575,7 @@ class TestQuantumFlow:
         cols = space.span_slice(trusted)
         h = QuadraticHamiltonian(3, alpha=alpha, t_end=0.1, dt=1e-3)
         qf = quantum_flow(h, space, trusted_n=trusted, leak_threshold=np.inf, tol=tol)
-        gamma = loop_gamma_u(integrate_u_alpha(h).at(0.1), space)
+        gamma = loop_gamma_u(integrate_u_alpha(h).phi(0.1).linear, space)
         assert np.abs(qf.columns - gamma[:, cols]).max() < 1e-12
         h = QuadraticHamiltonian(3, alpha=alpha, beta=(m + m.T) / 4, t_end=0.1, dt=1e-3)
         qf = quantum_flow(h, space, trusted_n=trusted, leak_threshold=np.inf, tol=tol)
@@ -688,7 +688,7 @@ class TestMagnusFlow:
         cols = space.span_slice(trusted)
         h8 = ramped_hamiltonian(np.random.default_rng(11), dt=1e-3 / 8)
         u, _ = dense_reference_flow(h8, space, trusted)
-        want = block_diag(*gamma_u(integrate_u_alpha(h8).at(0.3), space)) @ u[:, cols]
+        want = block_diag(*gamma_u(integrate_u_alpha(h8).phi(0.3).linear, space)) @ u[:, cols]
         # the reference's own error, bounded by its distance to itself at dt/4
         h4 = ramped_hamiltonian(np.random.default_rng(11), dt=1e-3 / 4)
         own = np.abs(dense_reference_flow(h4, space, trusted)[0][:, cols] - u[:, cols]).max()
@@ -933,6 +933,27 @@ def test_dense_and_csr_kernels_agree(monkeypatch, rng, case):
     assert np.all(np.abs(got.leakage_trace[exact] - ref) <= 1e-13 * ref)
     counts = ("steps", "rejected", "refined")
     assert [got.integrator[k] for k in counts] == [want.integrator[k] for k in counts]
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+@pytest.mark.parametrize("norm, subs", [(0.7, 1), (3.5, 4)], ids=["one-sub-step", "four-sub-steps"])
+def test_taylor_kernel_matches_expm(rng, kind, norm, subs):
+    # exp(G) u for a sparse anti-Hermitian G of the given 1-norm, which
+    # sets the ceil(norm) sub-steps: to rounding at the unit roundoff,
+    # and within target ||u|| (2-norms) at a loose target
+    from scipy import sparse
+
+    n = 40
+    m = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * (rng.random((n, n)) < 0.2)
+    gen = (m - m.conj().T) / 2
+    gen *= norm / np.abs(gen).sum(axis=0).max()
+    mat = gen if kind == "dense" else sparse.csr_matrix(gen)
+    assert math.ceil(fock._norm1(mat)) == subs
+    u = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
+    want, scale = expm(gen) @ u, np.linalg.norm(u, 2)
+    for target, bound in ((fock._UNIT_ROUNDOFF, 1e-14), (1e-4, 1e-4)):
+        got = fock._expm_apply(mat, fock._norm1(mat), u, target)
+        assert np.linalg.norm(got - want, 2) <= bound * scale
 
 
 def test_dense_cut_sits_at_64_states():
