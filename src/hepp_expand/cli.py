@@ -9,8 +9,10 @@ and emits a JSON report (stdout or --out).  Exit codes: 0 pass,
 1 tolerance fail (including a classical flow that drifts off the
 symplectic group), 2 input error, 3 truncation/leakage abort, 4
 internal error (any other exception; a one-line message, with the
-traceback under HEPP_LOG=debug).  Set HEPP_LOG=debug|info for progress
-logging on stderr.
+traceback under HEPP_LOG=debug).  Every exit 1 prints one stderr line
+``hepp-expand: tolerance failure: ...``; a failed report is written
+first and the line names the quantity, its value and its bound.  Set
+HEPP_LOG=debug|info for progress logging on stderr.
 """
 
 from __future__ import annotations
@@ -294,6 +296,19 @@ def _fail(what: str, exc, code: int) -> int:
     return code
 
 
+def _excess(command: str, report: dict) -> str:
+    """The quantity of a failed report that broke its bound, its value and
+    the bound: the first failed row of `estimates`, whose limits are 1 up
+    to rounding."""
+    if command == "estimates":
+        row = next(r for r in report["rows"] if not r["pass"])
+        return f"{row['name']} {row['max_ratio']:.3e} above 1"
+    name = {"flow": "max_symplectic_defect", "expand": "max_distance",
+            "oracle": "max_matrix_element_error"}[command]
+    value = report[name] if command != "oracle" else max(report[name].values())
+    return f"{name} {value:.3e} above {report['tolerance']:.1e}"
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("HEPP_LOG", "WARNING").upper(),
                         stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
@@ -330,6 +345,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _fail("cannot write report", exc, EXIT_INPUT)
     log.info("command %s finished with exit code %d", args.command, code)
+    if code == EXIT_TOLERANCE:
+        return _fail("tolerance failure", f"{args.command}: {_excess(args.command, report)}", code)
     return code
 
 

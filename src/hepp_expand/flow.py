@@ -262,15 +262,18 @@ def _split(w):
     return w[:, :d], np.conj(w[:, d:])
 
 
-def _classical_flow(h: QuadraticHamiltonian, beta_on) -> FlowResult:
+def _classical_flow(h: QuadraticHamiltonian, beta_on, t: float = None) -> FlowResult:
     """RK4 for the flow of z -> -i alpha z + beta conj(z) on the
-    Hamiltonian's grid, beta stacked over times by `beta_on`; raises if
-    the terminal symplecticity defect exceeds 1e-6 or is inf."""
+    Hamiltonian's grid up to its point t (default t_end), and at least
+    its first step, beta stacked over times by `beta_on`; raises if the
+    terminal symplecticity defect exceeds 1e-6 or is inf."""
     # G is the doubled matrix of the R-linear vector field
     def generator(times):
         return doubled(-1j * h.alpha_on(times), beta_on(times))
 
     grid = h.grid()
+    # one step at least: the dense output interpolates between two knots
+    grid = grid if t is None else grid[:max(grid_index(grid, t), 1) + 1]
     with np.errstate(over="ignore", invalid="ignore"):
         values, derivs = _linear_rk4(grid, generator, np.eye(2 * h.dim, h.dim, dtype=complex))
     result = FlowResult(grid, values, derivs)
@@ -291,17 +294,19 @@ def integrate_flow(h: QuadraticHamiltonian) -> FlowResult:
     return _classical_flow(h, h.beta_on)
 
 
-def integrate_u_alpha(h: QuadraticHamiltonian) -> FlowResult:
-    """The unitary path u_alpha(t, t_start), i du/dt = alpha_t u with
-    u(t_start) = I, as the classical flow of alpha alone (beta = 0).
+def integrate_u_alpha(h: QuadraticHamiltonian, t: float = None) -> FlowResult:
+    """The unitary path u_alpha(s, t_start), i du/ds = alpha_s u with
+    u(t_start) = I, as the classical flow of alpha alone (beta = 0), on
+    the Hamiltonian's grid up to its point t (default t_end), and at
+    least its first step.
 
     The result's antilinear part is exactly zero and its linear part is
-    u_alpha, read at grid times by ``phi(t).linear`` and anywhere in
+    u_alpha, read at grid times by ``phi(s).linear`` and anywhere in
     between by ``phi_on(times)[0]``; the terminal check is that of
-    `integrate_flow`.  The classical flow does not use this path; the
-    Fock oracle takes its interaction picture from it.
+    `integrate_flow`, at t.  The classical flow does not use this path;
+    the Fock oracle takes its interaction picture from it.
     """
-    return _classical_flow(h, lambda times: np.zeros((len(times), h.dim, h.dim), dtype=complex))
+    return _classical_flow(h, lambda times: np.zeros((len(times), h.dim, h.dim), dtype=complex), t)
 
 
 def v_vector(flow: FlowResult, t: float) -> np.ndarray:

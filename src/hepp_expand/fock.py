@@ -34,9 +34,12 @@ of it zeros between the parities, is assembled only when the result's
 comparison stage reads the parity blocks: the observable acts on them
 through its blocks between the parities (the two that couple them
 skipped for an even observable), and their unitarity defect is the
-larger of `flow.unitarity_defect` on the two blocks.  The generator
-and b^Wick are dense on at most _DENSE_MAX_STATES states, where a
-dense product is faster and scipy is never imported, and CSR above.
+larger of `flow.unitarity_defect` on the two blocks.  Each pair term
+of the generator is a ladder map with at most one entry per row, so on
+at most _NUMPY_MAX_STATES states a parity block's generator is a
+neighbour table, per row one slot per term: a product is one gather of
+rows and one batched product.  b^Wick is a dense array there, and the
+oracle never imports scipy; above the cut both are CSR matrices.
 
 One stepper advances the columns by the fourth-order commutator-free
 Magnus step CF4 (Blanes & Moan 2006), reading the pair coefficients of
@@ -75,18 +78,16 @@ from .symplectic import euclidean_norm
 
 _EPS_DEFAULT = 0.5
 _UNITARY_TOL = 1e-10
-# The most states of a space whose oracle matrices are dense, not CSR.
-# One parity block times its columns on a 2-vCPU Xeon took, CSR vs dense:
-# 8 vs 4-5 us at d=1, N=24 (25 states), 6-7 vs 2 us at d=2, N=8 (45), a
-# tie at d=1, N=48 (49), 64-88 vs 127-153 us at d=2, N=24 (325).  Blocks
-# this small (<= ~36 rows) stay below products OpenBLAS may thread: on 2
-# threads a 49 x 49 by 45 one spiked to milliseconds, typically ~15 us.
-_DENSE_MAX_STATES = 64
-
-
-def _dense(space) -> bool:
-    """Whether the oracle's matrices on the space are dense arrays."""
-    return space.total_dim <= _DENSE_MAX_STATES
+# The most states of a space on which the oracle runs on numpy alone, its
+# generator as neighbour tables and b^Wick dense; a fresh `oracle` at d=2,
+# N=24 without the scipy.sparse import took 0.28 s and 38 MB peak RSS, not
+# 0.51 s and 56 MB.  Warm `quantum_flow` as `oracle` runs it (quartic
+# observable, trusted sectors <= N - 8), tables over CSR, median of 21
+# alternating pairs on a 2-vCPU Xeon: d=2, N=8 (45 states) 0.92, N=16
+# (153) 0.98, N=20 (231) 0.98, N=24 (325) 1.10, d=3, N=10 (286) 1.07;
+# above the cut d=2, N=28 (435) 1.22, d=3, N=12 (455) 1.19, d=4, N=8
+# (495) 1.05.
+_NUMPY_MAX_STATES = 400
 
 
 class FockSpace:
@@ -220,11 +221,11 @@ def wick_quantize(b: PolySymbol, space: FockSpace) -> np.ndarray:
 
 def wick_apply(b: PolySymbol, space: FockSpace, vectors: np.ndarray) -> np.ndarray:
     """b^Wick @ vectors on the truncated space: as the dense quantization
-    on at most _DENSE_MAX_STATES states (the constant gives the measured
-    crossover), above as a CSR matrix, never forming the dense one."""
+    on at most _NUMPY_MAX_STATES states, where the oracle runs on numpy
+    alone, above as a CSR matrix, never forming the dense one."""
     _check_degree(b, space)
     n = space.total_dim
-    return _matrix(*_wick_entries(b, space, space.n_max), (n, n), _dense(space)) @ vectors
+    return _matrix(*_wick_entries(b, space, space.n_max), (n, n), n <= _NUMPY_MAX_STATES) @ vectors
 
 
 def gamma_u(u, space: FockSpace) -> list:
@@ -332,9 +333,10 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
     generator (rotated by u_alpha when alpha is present) on each parity
     block and composes with the second-quantized unitary path at t, each
     sector block of Gamma(u_alpha) on that sector's rows of its parity
-    block.  u_alpha (`flow.integrate_u_alpha`) must be unitary at t
-    within 1e-10, the bound of `gamma_u`: a path that drifted further
-    raises SymplecticityError before any step is taken.
+    block.  u_alpha (`flow.integrate_u_alpha`, integrated up to t only)
+    must be unitary at t within 1e-10, the bound of `gamma_u`: a path
+    that drifted further raises SymplecticityError before any step is
+    taken.
 
     The integrator is the commutator-free Magnus step CF4, whose step is
     a multiple of the grid step chosen by step doubling so that the
@@ -371,7 +373,7 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
             f"trusted sectors <= {trusted_n} reach the top two sectors of n_max "
             f"{space.n_max}: the leakage gate needs trusted_n <= n_max - 2")
 
-    u_path = None if hamiltonian.alpha.is_zero() else integrate_u_alpha(hamiltonian)
+    u_path = None if hamiltonian.alpha.is_zero() else integrate_u_alpha(hamiltonian, grid[-1])
     if u_path is not None:
         u_t = u_path.phi(grid[-1]).linear
         if unitarity_defect(u_t) > _UNITARY_TOL:
@@ -593,27 +595,26 @@ def _gram_bound(grams) -> np.ndarray:
 
 
 def _fill(mats, blocks, c):
-    """Refill each `_ParityBlock.pattern` matrix (CSR or dense) in place
-    from the pair coefficients c, writing its nonzeros in CSR order."""
+    """Refill each `_ParityBlock.pattern` operator in place from the pair
+    coefficients c: a table's weights, or a CSR matrix's nonzeros in CSR
+    order."""
     for mat, blk in zip(mats, blocks):
         row = blk.shape[0] - mat.shape[0]
-        lo = blk.indptr[row]
-        if isinstance(mat, np.ndarray):
-            mat[blk.rows[lo:] - row, blk.indices[lo:]] = blk.values[lo:] * c[blk.term[lo:]]
+        if isinstance(mat, _Table):
+            np.multiply(blk.val[row:], c, out=mat.W)
         else:
+            lo = blk.indptr[row]
             np.multiply(blk.values[lo:], c[blk.term[lo:]], out=mat.data)
 
 
 def _norm1(mat) -> float:
-    """Exact 1-norm (largest column sum) of a CSR matrix or a dense array."""
-    if isinstance(mat, np.ndarray):
-        return float(np.abs(mat).sum(axis=0).max(initial=0.0))
-    sums = np.bincount(mat.indices, weights=np.abs(mat.data), minlength=mat.shape[1])
-    return float(sums.max(initial=0.0))
+    """Exact 1-norm (largest column sum) of a neighbour table or a CSR matrix."""
+    cols, weights = (mat.src, mat.W) if isinstance(mat, _Table) else (mat.indices, mat.data)
+    return float(np.bincount(cols.ravel(), weights=np.abs(weights).ravel()).max(initial=0.0))
 
 
 def _expm_apply(mat, norm, u, target=_UNIT_ROUNDOFF):
-    """exp(mat) u for a CSR or dense mat of 1-norm `norm`.
+    """exp(mat) u for a neighbour table or CSR mat of 1-norm `norm`.
 
     A truncated Taylor series in ceil(norm) sub-steps of 1-norm x <= 1,
     with the fewest terms m for which the remainder bound
@@ -637,30 +638,48 @@ def _expm_apply(mat, norm, u, target=_UNIT_ROUNDOFF):
     return u
 
 
+class _Table:
+    """Rows of a parity block's generator as a neighbour table (the ELLPACK
+    layout of Bell & Garland 2009): row i of the product with g is
+    sum_k W[i, k] g[src[i, k]], one slot per pair term, whose weight is
+    zero where that term has no entry in the row."""
+
+    def __init__(self, src, n_cols):
+        self.src, self.shape = src, (len(src), n_cols)
+        self.W = np.zeros(src.shape, dtype=complex)
+
+    def __matmul__(self, g):
+        return (self.W[:, None, :] @ np.take(g, self.src, axis=0))[:, 0]
+
+
 class _ParityBlock:
     """States of one particle-number parity, with the pair generator's
-    fixed pattern on them, in CSR order.
+    fixed pattern on them, in CSR order and as a neighbour table.
 
     Entry j of the pattern carries values[j] times the pair coefficient
     number term[j]; within the block, states keep their direct-sum order,
     so the trusted columns are a prefix and the top-sector rows a suffix.
-    `pattern` makes dense arrays when `dense` is set (a space of at most
-    _DENSE_MAX_STATES states), scipy CSR matrices otherwise.
+    Each pair term has at most one entry per row, so the table holds, per
+    row i and term k, that entry's column src[i, k] and ladder weight
+    val[i, k] (0, at column 0, where the term has none).  `pattern` makes
+    `_Table` operators when `table` is set (a space of at most
+    _NUMPY_MAX_STATES states), scipy CSR matrices otherwise.
     """
 
-    def __init__(self, states, rows, cols, values, term, top_lo, trusted_hi, dense):
+    def __init__(self, states, rows, cols, values, term, n_terms, top_lo, trusted_hi, table):
         self.states = states
         n = len(states)
-        local = np.empty(states.max() + 1, dtype=np.int64)
-        local[states] = np.arange(n)
-        rows, cols = local[rows], local[cols]
+        # positions within the block: the states are in increasing order
+        rows, cols = np.searchsorted(states, rows), np.searchsorted(states, cols)
         order = np.lexsort((cols, rows))
         self.rows, self.indices = rows[order], cols[order]
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
         self.values = values[order]
         self.term = term[order]
         self.shape = (n, n)
-        self.top_lo, self.trusted_hi, self.dense = top_lo, trusted_hi, dense
+        self.src, self.val = np.zeros((n, n_terms), dtype=np.int64), np.zeros((n, n_terms))
+        self.src[rows, term], self.val[rows, term] = cols, values
+        self.top_lo, self.trusted_hi, self.table = top_lo, trusted_hi, table
 
     def leakage(self, u) -> float:
         """2-norm of the top-sector rows of the evolved columns u, from the
@@ -668,9 +687,9 @@ class _ParityBlock:
         return _gram_norm(_gram(_narrow(u[self.top_lo:])))
 
     def pattern(self, row: int = 0):
-        """A zero matrix of the generator's rows from `row` on, for `_fill`."""
-        if self.dense:
-            return np.zeros((self.shape[0] - row, self.shape[1]), dtype=complex)
+        """A zero operator of the generator's rows from `row` on, for `_fill`."""
+        if self.table:
+            return _Table(self.src[row:], self.shape[1])
         from scipy import sparse
 
         lo = self.indptr[row]
@@ -705,9 +724,10 @@ def _parity_blocks(space: FockSpace, trusted_n: int) -> list:
             continue
         mine = number[rows] % 2 == parity
         blocks.append(_ParityBlock(
-            states, rows[mine], cols[mine], values[mine], term[mine],
+            states, rows[mine], cols[mine], values[mine], term[mine], 2 * len(pairs),
             top_lo=int(np.count_nonzero(number[states] < top)),
-            trusted_hi=int(np.count_nonzero(number[states] <= trusted_n)), dense=_dense(space)))
+            trusted_hi=int(np.count_nonzero(number[states] <= trusted_n)),
+            table=space.total_dim <= _NUMPY_MAX_STATES))
     return blocks
 
 
@@ -744,7 +764,7 @@ def conjugate_observable(qflow: QuantumFlowResult, b: PolySymbol) -> np.ndarray:
     """
     space, n = qflow.space, qflow.space.total_dim
     _check_degree(b, space)
-    w = _matrix(*_wick_entries(b, space, space.n_max), (n, n), _dense(space))
+    w = _matrix(*_wick_entries(b, space, space.n_max), (n, n), n <= _NUMPY_MAX_STATES)
     odd = any(m % 2 and np.any(c) for m, c in b.vectors.items())
     parts = list(qflow._parities())
     # the adjoint of the result, block by block: (b^Wick u_q)^* u_p needs no

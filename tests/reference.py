@@ -3,8 +3,8 @@
 Each function recomputes a quantity of the package by a slower,
 separately derived route, or checks an identity the expansions rest on:
 the occupation index read off the enumeration, dense per-sector ladder
-matrices, quantization through explicit symmetrizers, field and Weyl
-operators, the JSON entries of a symbol one coefficient at a time,
+matrices, the dense array of a generator operator, quantization
+through explicit symmetrizers, field and Weyl operators, the JSON entries of a symbol one coefficient at a time,
 the linear forms <z, xi> and <eta, z>, derivatives, translates and
 compositions of a symbol (the last on the full tensor power), the
 Poisson-bracket form of lambda^s, the hand-written kernel of Lambda^t
@@ -67,6 +67,12 @@ def annihilators(dim: int, n: int) -> tuple:
         m.setflags(write=False)  # cached: every caller gets the same array
         mats.append(m)
     return tuple(mats)
+
+
+def densify(mat):
+    """The dense array of one of the oracle's generator operators, a
+    neighbour table or a CSR matrix: its product with the identity."""
+    return mat @ np.eye(mat.shape[1], dtype=complex)
 
 
 def dense_ladder_product(space, m_occ, n_occ):

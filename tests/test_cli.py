@@ -409,6 +409,36 @@ def test_overflowed_flow_is_a_tolerance_failure(tmp_path, capsys, command, beta)
                            "exceeds 1.0e-06; reduce dt or check the Hamiltonian samplers")
 
 
+@pytest.mark.parametrize("command, quantity", [("flow", "max_symplectic_defect"),
+                                               ("expand", "max_distance"),
+                                               ("oracle", "max_matrix_element_error")])
+def test_failed_report_names_its_bound_on_stderr(tmp_path, capsys, command, quantity):
+    # a tolerance failure read off the report writes the report, then one
+    # stderr line with the quantity that broke its bound: flow on the
+    # u_alpha-drift scenario (defect 6.4e-8 against 1e-8), expand and
+    # oracle with their tolerance at 1e-30
+    if command == "flow":
+        alpha = {"kind": "constant", "data": {
+            "re": [[1.298461272382126, 2.62479042405227], [2.62479042405227, 1.0833412874570005]],
+            "im": [[0.0, -4.866277860882063], [4.866277860882063, 0.0]]}}
+        data = base_scenario(dim=2, t_end=0.5, dt=0.01, alpha=alpha,
+                             beta={"kind": "constant", "data": {"re": [[0.05, 0.0], [0.0, 0.05]]}},
+                             observable={"preset": "quartic-cross"})
+    else:
+        key = {"expand": "cross_engine", "oracle": "oracle"}[command]
+        data = base_scenario(t_end=0.05, dt=5e-4, fock={"n_max": 24},
+                             tolerances={key: 1e-30, "leakage": 1e-2})
+    assert main([command, write_scenario(tmp_path, data)]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["pass"] is False
+    value = report[quantity]
+    value = max(value.values()) if command == "oracle" else value
+    assert value > report["tolerance"]
+    assert err.splitlines() == [f"hepp-expand: tolerance failure: {command}: {quantity} "
+                                f"{value:.3e} above {report['tolerance']:.1e}"]
+
+
 @pytest.mark.parametrize("flags", [["--samples", "0"], ["--seed", "-1"], ["--threads", "0"],
                                    ["--threads", "-2"]],
                          ids=["zero-samples", "negative-seed", "zero-threads", "negative-threads"])
@@ -644,11 +674,13 @@ def test_estimates_loads_no_scipy(tmp_path):
     assert json.loads(out.read_text())["pass"] is True
 
 
-@pytest.mark.parametrize("name, code", [("oracle-im-z2", 0), ("example-im-z2", 3)])
+@pytest.mark.parametrize("name, code", [("oracle-im-z2", 0), ("example-im-z2", 3),
+                                        ("oracle-d2-complex", 0)])
 def test_small_oracle_loads_no_scipy(tmp_path, name, code):
-    # the demo spaces (d=1, N=24: 25 states) are under the dense cut, so
-    # the oracle's generator and b^Wick are numpy arrays: a whole oracle
-    # run, a pass or the documented leakage abort, needs no scipy module
+    # the d=1 demo spaces (N=24: 25 states) and oracle-d2-complex (d=2,
+    # N=24: 325 states) are under the numpy/CSR cut, so the oracle's
+    # generator is a neighbour table and b^Wick a numpy array: a whole
+    # oracle run, a pass or the documented leakage abort, needs no scipy
     path = os.path.join(REPO, "demos", "scenarios", f"{name}.json")
     out = tmp_path / "report.json"
     proc = subprocess.run(

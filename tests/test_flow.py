@@ -91,6 +91,18 @@ class TestUnitaryPath:
         assert not np.any(path.antilinear)
         assert np.abs(path.linear - u_alpha_rk4(h)).max() <= 1e-15
 
+    def test_stops_at_t_after_one_step_at_least(self, rng):
+        # cut at a grid time t, the path is the full path's prefix; at
+        # t_start it keeps one step, so its dense output reads I there
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        h = QuadraticHamiltonian(2, alpha=(a + a.conj().T) / 2, t_end=1.0, dt=0.1)
+        full = integrate_u_alpha(h)
+        for t, n_times in ((0.5, 6), (0.0, 2)):
+            path = integrate_u_alpha(h, t)
+            assert len(path.times) == n_times
+            assert np.array_equal(path.linear, full.linear[:n_times])
+        assert np.array_equal(path.phi_on([0.0])[0][0], np.eye(2))
+
     @pytest.mark.parametrize("shape", [(3, 3), (40, 12)])
     def test_unitarity_defect_is_the_spectral_norm(self, rng, shape):
         # columns 1e-6 off orthonormal, so the defect is far above rounding;

@@ -10,7 +10,7 @@ from scipy.linalg import block_diag, expm
 
 import hepp_expand.fock as fock
 import hepp_expand.sectors as sec
-from hepp_expand.errors import DimensionMismatchError, LeakageError
+from hepp_expand.errors import DimensionMismatchError, LeakageError, SymplecticityError
 from hepp_expand.expansions import Lambda_of_map, exp_expand
 from hepp_expand.flow import QuadraticHamiltonian, _hermite, integrate_flow, integrate_u_alpha
 from hepp_expand.fock import (
@@ -39,6 +39,7 @@ from hepp_expand.symplectic import RLinearMap, random_symplectomorphism
 from conftest import random_unitary, random_vector
 from reference import (
     dense_ladder_product,
+    densify,
     every_point_gate,
     field_and_weyl,
     hermite_basis_by_hand,
@@ -559,7 +560,8 @@ class TestQuantumFlow:
             mats = [blk.pattern() for blk in blocks]
             fock._fill(mats, blocks, coefficients([t])[0])
             for blk, mat in zip(blocks, mats):
-                got = mat if isinstance(mat, np.ndarray) else mat.toarray()
+                assert isinstance(mat, fock._Table)
+                got = densify(mat)
                 assert np.abs(got - want[np.ix_(blk.states, blk.states)]).max() <= \
                     1e-14 * np.abs(want).max()
 
@@ -633,6 +635,21 @@ class TestQuantumFlow:
         assert np.array_equal(qf.columns, np.eye(space.total_dim, cols))
         assert qf.leakage_trace.tolist() == [0.0]
         assert qf.integrator["steps"] == 0
+
+    def test_u_alpha_is_integrated_up_to_t_only(self):
+        # alpha of HS norm 8 on dt = 0.01: RK4 takes u_alpha off the unitary
+        # group by 6.4e-8 at t = 0.5 and past the classical flow's 1e-6
+        # terminal gate by t_end = 50, which a run stopping at t never reads
+        alpha = np.array([[1.298461272382126, 2.62479042405227 - 4.866277860882063j],
+                          [2.62479042405227 + 4.866277860882063j, 1.0833412874570005]])
+        h = QuadraticHamiltonian(2, alpha=alpha, beta=0.05 * np.eye(2), t_end=50.0, dt=0.01)
+        space = FockSpace(2, 12)
+        qf = quantum_flow(h, space, 0.0, trusted_n=6)
+        assert np.array_equal(qf.columns, np.eye(space.total_dim, space.span_slice(6).stop))
+        assert qf.integrator["steps"] == 0
+        with pytest.raises(SymplecticityError, match=r"u_alpha\(t=0.5\) is unitary only within "
+                                                     r"6\.\d+e-08, above the 1e-10"):
+            quantum_flow(h, space, 0.5, trusted_n=6)
 
     def test_interior_time_matches_a_shorter_hamiltonian(self, rng):
         # alpha and beta ramp over [0, 0.3]; the run stops at t = 0.1
@@ -731,7 +748,7 @@ class TestMagnusFlow:
         # the gate refills the top-row matrices at three knots; a CF4
         # attempt then refills the work matrices.  Each top-row matrix must
         # still be the top rows of the generator at the last knot, on
-        # either side of the dense cut.
+        # either side of the numpy/CSR cut.
         h = ramped_hamiltonian(rng, t_end=0.2)
         space = FockSpace(2, 12, 0.5)
         coefficients = fock._pair_coefficients(h, integrate_u_alpha(h))
@@ -739,17 +756,17 @@ class TestMagnusFlow:
         n_h = 40
         t, dt = grid[0], grid[n_h] - grid[0]
         last = coefficients((t, t + dt / 2, t + dt))[-1]
-        for dense in (False, True):
-            monkeypatch.setattr(fock, "_DENSE_MAX_STATES", space.total_dim if dense else 0)
+        for table in (False, True):
+            monkeypatch.setattr(fock, "_NUMPY_MAX_STATES", space.total_dim if table else 0)
             stepper = fock._ColumnStepper(space, 6, coefficients, grid, np.inf)
             stepper.leakage(0, n_h, (stepper.us,) * 3)
             stepper.cf4(stepper.us, coefficients(t + fock._GAUSS * dt), dt)
             for blk, top in zip(stepper.blocks, stepper.tops):
                 full = np.zeros(blk.shape, dtype=complex)
                 full[blk.rows, blk.indices] = blk.values * last[blk.term]
-                assert isinstance(top, np.ndarray) == dense
+                assert isinstance(top, fock._Table) == table
                 assert top.shape[0] > 0
-                assert np.array_equal(top if dense else top.toarray(), full[blk.top_lo:])
+                assert np.array_equal(densify(top), full[blk.top_lo:])
 
     @pytest.mark.parametrize("case", ["leakage-abort", "example-im-z2"])
     def test_abort_matches_the_dense_reference(self, case):
@@ -905,24 +922,26 @@ def test_gate_is_exact_where_it_decides(monkeypatch, case):
     assert (got.integrator["refined"] > 0) == (case == "d2-n12-refined")
 
 
-@pytest.mark.parametrize("case", ["d1-n24", "d2-n8"])
-def test_dense_and_csr_kernels_agree(monkeypatch, rng, case):
-    # forced to either side of the cut, the oracle's dense and CSR
-    # matrices give the same flow and b^Wick to rounding, the same exact
-    # leakage points and the same CF4 step counts
+@pytest.mark.parametrize("case", ["d1-n24", "d2-n8", "d2-n24"])
+def test_table_and_csr_kernels_agree(monkeypatch, rng, case):
+    # forced to either side of the cut, the oracle's neighbour tables and
+    # dense b^Wick, and its CSR matrices, give the same flow and b^Wick to
+    # rounding, the same exact leakage points and the same CF4 step counts
     if case == "d1-n24":
         space, trusted = FockSpace(1, 24, 0.5), 20
         h = QuadraticHamiltonian(1, alpha=np.array([[0.4]]), beta=np.array([[0.8 + 0.3j]]),
                                  t_end=0.2, dt=1e-3)
-    else:
+    elif case == "d2-n8":
         space, trusted, h = FockSpace(2, 8, 0.5), 6, ramped_hamiltonian(rng, t_end=0.1)
+    else:
+        space, trusted, h = FockSpace(2, 24, 0.5), 20, ramped_hamiltonian(rng, t_end=0.1)
     b, vectors = random_symbol(rng, space.dim, 4), space.random_state(rng, space.n_max, 5)
     runs, applied = {}, {}
-    for dense, cut in ((True, space.total_dim), (False, space.total_dim - 1)):
-        monkeypatch.setattr(fock, "_DENSE_MAX_STATES", cut)
-        assert isinstance(fock._parity_blocks(space, trusted)[0].pattern(), np.ndarray) == dense
-        applied[dense] = wick_apply(b, space, vectors)
-        runs[dense] = quantum_flow(h, space, trusted_n=trusted, leak_threshold=np.inf, tol=1e-8)
+    for table, cut in ((True, space.total_dim), (False, space.total_dim - 1)):
+        monkeypatch.setattr(fock, "_NUMPY_MAX_STATES", cut)
+        assert isinstance(fock._parity_blocks(space, trusted)[0].pattern(), fock._Table) == table
+        applied[table] = wick_apply(b, space, vectors)
+        runs[table] = quantum_flow(h, space, trusted_n=trusted, leak_threshold=np.inf, tol=1e-8)
     assert np.abs(applied[True] - applied[False]).max() <= 1e-13 * np.abs(applied[False]).max()
     got, want = runs[True], runs[False]
     assert np.abs(got.columns - want.columns).max() <= 1e-13
@@ -935,19 +954,40 @@ def test_dense_and_csr_kernels_agree(monkeypatch, rng, case):
     assert [got.integrator[k] for k in counts] == [want.integrator[k] for k in counts]
 
 
-@pytest.mark.parametrize("kind", ["dense", "csr"])
+@pytest.mark.parametrize("dim, n_max", [(1, 30), (2, 16), (3, 10)])
+def test_pair_terms_have_one_entry_per_row(dim, n_max):
+    # the neighbour table's premise: each pair term a^kappa (|kappa| = 2),
+    # and its adjoint, has at most one entry in each row, so one slot per
+    # term and row holds every nonzero of the generator
+    for kappa in sec.occupations(dim, 2):
+        rows, cols, _ = sec.ladder_entries(dim, n_max, (0,) * dim, kappa)
+        assert len(np.unique(rows)) == len(rows) and len(np.unique(cols)) == len(cols)
+    for blk in fock._parity_blocks(FockSpace(dim, n_max, 0.5), n_max - 4):
+        assert np.count_nonzero(blk.val) == len(blk.values)
+
+
+@pytest.mark.parametrize("kind", ["table", "csr"])
 @pytest.mark.parametrize("norm, subs", [(0.7, 1), (3.5, 4)], ids=["one-sub-step", "four-sub-steps"])
 def test_taylor_kernel_matches_expm(rng, kind, norm, subs):
     # exp(G) u for a sparse anti-Hermitian G of the given 1-norm, which
     # sets the ceil(norm) sub-steps: to rounding at the unit roundoff,
-    # and within target ||u|| (2-norms) at a loose target
+    # and within target ||u|| (2-norms) at a loose target.  As a table,
+    # row i's nonzeros fill its first slots, the rest point at column 0.
     from scipy import sparse
 
     n = 40
     m = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * (rng.random((n, n)) < 0.2)
     gen = (m - m.conj().T) / 2
     gen *= norm / np.abs(gen).sum(axis=0).max()
-    mat = gen if kind == "dense" else sparse.csr_matrix(gen)
+    if kind == "table":
+        src = np.zeros((n, np.count_nonzero(gen, axis=1).max()), dtype=np.int64)
+        mat = fock._Table(src, n)
+        for i, row in enumerate(gen):
+            cols = np.flatnonzero(row)
+            src[i, :len(cols)], mat.W[i, :len(cols)] = cols, row[cols]
+        assert np.array_equal(densify(mat), gen)
+    else:
+        mat = sparse.csr_matrix(gen)
     assert math.ceil(fock._norm1(mat)) == subs
     u = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
     want, scale = expm(gen) @ u, np.linalg.norm(u, 2)
@@ -956,14 +996,15 @@ def test_taylor_kernel_matches_expm(rng, kind, norm, subs):
         assert np.linalg.norm(got - want, 2) <= bound * scale
 
 
-def test_dense_cut_sits_at_64_states():
-    # the documented cut: the d=1, N=24 demo spaces (25 states) and d=2,
-    # N=8 (45) run dense, d=2, N=12 (91) runs CSR, and the edge is 64 states
-    for dim, n_max, dense in ((1, 24, True), (2, 8, True), (1, 63, True), (1, 64, False),
-                              (2, 12, False)):
+def test_numpy_cut_sits_at_400_states():
+    # the documented cut: the d=1, N=24 demo spaces (25 states), d=2, N=24
+    # (325) and d=3, N=10 (286) run on numpy alone, d=2, N=28 (435) and
+    # d=3, N=12 (455) on CSR, and the edge is 400 states
+    for dim, n_max, table in ((1, 24, True), (2, 24, True), (3, 10, True), (1, 399, True),
+                              (1, 400, False), (2, 28, False), (3, 12, False)):
         space = FockSpace(dim, n_max, 0.5)
-        assert fock._dense(space) == dense == (space.total_dim <= 64)
-        assert all(isinstance(blk.pattern(), np.ndarray) == dense
+        assert (space.total_dim <= fock._NUMPY_MAX_STATES) == table == (space.total_dim <= 400)
+        assert all(isinstance(blk.pattern(), fock._Table) == table
                    for blk in fock._parity_blocks(space, n_max - 4))
 
 
