@@ -11,8 +11,10 @@ symplectic group), 2 input error, 3 truncation/leakage abort, 4
 internal error (any other exception; a one-line message, with the
 traceback under HEPP_LOG=debug).  Every exit 1 prints one stderr line
 ``hepp-expand: tolerance failure: ...``; a failed report is written
-first and the line names the quantity, its value and its bound.  Set
-HEPP_LOG=debug|info for progress logging on stderr.
+first and the line names the quantity, its value and its bound.  Exit 3
+writes its report, then prints ``hepp-expand: leakage abort: ...`` with
+the report's error.  Set HEPP_LOG=debug|info for progress logging on
+stderr.
 """
 
 from __future__ import annotations
@@ -333,8 +335,6 @@ def main(argv=None) -> int:
         code, report = _COMMANDS[args.command](scenario, args)
     except ScenarioError as exc:
         return _fail("scenario error", exc, EXIT_INPUT)
-    except LeakageError as exc:
-        return _fail("leakage abort", exc, EXIT_LEAKAGE)
     except SymplecticityError as exc:
         return _fail("tolerance failure", exc, EXIT_TOLERANCE)
     except Exception as exc:
@@ -347,6 +347,8 @@ def main(argv=None) -> int:
     log.info("command %s finished with exit code %d", args.command, code)
     if code == EXIT_TOLERANCE:
         return _fail("tolerance failure", f"{args.command}: {_excess(args.command, report)}", code)
+    if code == EXIT_LEAKAGE:
+        return _fail("leakage abort", report["error"], code)
     return code
 
 

@@ -10,13 +10,14 @@ blocks.
 
 Quantization of a plain monomial conj(z)^m z^n is the normally ordered
 ladder product eps^((|m|+|n|)/2) prod a_i^dag^{m_i} prod a_i^{n_i}.
-That product is a ladder map with at most one nonzero per column
-(``sectors.ladder_entries``, cached per cutoff and monomial), so the
-nonzeros of b^Wick on sectors 0..n_top are the cached entries of each
-monomial with a nonzero coefficient, scaled by it.  They are read
-three ways: summed into a dense matrix (``wick_quantize``), or
-into its leading block on sectors 0..n_top alone (``wick_block``), or
-as a matrix applied to a block of vectors (``wick_apply``).
+That product is a ladder map with at most one nonzero per row and per
+column (``sectors.ladder_entries``, cached per cutoff and monomial), so
+the nonzeros of b^Wick on sectors 0..n_top are the cached entries of
+each monomial with a nonzero coefficient, scaled by it.  They are read
+two ways: summed into a dense matrix (``wick_quantize``, or its leading
+block on sectors 0..n_top alone, ``wick_block``), or as a `_Table`, one
+slot per monomial, applied to vectors (``wick_apply``,
+``conjugate_observable``).
 
 The quantum flow uses the same ladder maps for its pair generator: a
 matrix with a pattern fixed per run, whose nonzeros at time t are the
@@ -35,11 +36,11 @@ comparison stage reads the parity blocks: the observable acts on them
 through its blocks between the parities (the two that couple them
 skipped for an even observable), and their unitarity defect is the
 larger of `flow.unitarity_defect` on the two blocks.  Each pair term
-of the generator is a ladder map with at most one entry per row, so on
-at most _NUMPY_MAX_STATES states a parity block's generator is a
-neighbour table, per row one slot per term: a product is one gather of
-rows and one batched product.  b^Wick is a dense array there, and the
-oracle never imports scipy; above the cut both are CSR matrices.
+of the generator is a ladder map too, so a parity block's generator is
+a `_Table` with one slot per term, as b^Wick is one with a slot per
+monomial: one operator type, whose product is a gather of rows and one
+batched product on a space of at most _NUMPY_MAX_STATES states, where
+the oracle never imports scipy, and a CSR product above.
 
 One stepper advances the columns by the fourth-order commutator-free
 Magnus step CF4 (Blanes & Moan 2006), reading the pair coefficients of
@@ -79,7 +80,7 @@ from .symplectic import euclidean_norm
 _EPS_DEFAULT = 0.5
 _UNITARY_TOL = 1e-10
 # The most states of a space on which the oracle runs on numpy alone, its
-# generator as neighbour tables and b^Wick dense; a fresh `oracle` at d=2,
+# `_Table` products as gathers, not CSR products; a fresh `oracle` at d=2,
 # N=24 without the scipy.sparse import took 0.28 s and 38 MB peak RSS, not
 # 0.51 s and 56 MB.  Warm `quantum_flow` as `oracle` runs it (quartic
 # observable, trusted sectors <= N - 8), tables over CSR, median of 21
@@ -156,24 +157,30 @@ def trusted_block_diff(a: np.ndarray, b: np.ndarray, space: FockSpace, n_trust: 
 
 
 def _wick_entries(b: PolySymbol, space: FockSpace, n_top: int):
-    """Nonzeros (rows, cols, values) of b^Wick on sectors 0..n_top, one
-    per ladder entry of each monomial, degree by degree; entries at the
-    same position are still to be summed.  A monomial of degree above
-    n_top has no entry there."""
+    """Ladder entries (rows, cols, values, maps) of b^Wick on sectors
+    0..n_top, one map per monomial with a nonzero coefficient, degree by
+    degree, and the coefficients of the maps: entry j carries values[j]
+    times the coefficient of map maps[j], and entries at one position
+    are still to be summed.  A monomial of degree above n_top has no
+    entry there."""
     if b.dim != space.dim:
         raise DimensionMismatchError(f"dim {b.dim} vs {space.dim}")
-    rows, cols, values = [], [], []
+    maps, coeffs = [], []
     for m, c in b.vectors.items():
         occ, scale = sec.occupations(2 * space.dim, m), space.epsilon ** (m / 2.0)
         # w^kappa = conj(z)^mu z^nu for the doubled occupation kappa = (nu, mu)
         for j in np.flatnonzero(c):
-            r, k, v = sec.ladder_entries(space.dim, n_top, occ[j][space.dim:], occ[j][:space.dim])
-            rows.append(r)
-            cols.append(k)
-            values.append((c[j] * scale) * v)
-    if not rows:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+            maps.append(sec.ladder_entries(space.dim, n_top, occ[j][space.dim:], occ[j][:space.dim]))
+            coeffs.append(c[j] * scale)
+    return _stack(maps), np.array(coeffs, dtype=complex)
+
+
+def _stack(maps):
+    """The ladder entries (rows, cols, values, map numbers) of a list of
+    ladder maps (rows, cols, values), map k numbered k."""
+    empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+    rows, cols, values = (np.concatenate(x) for x in zip(empty, *maps))
+    return rows, cols, values, np.repeat(np.arange(len(maps)), [len(v) for _, _, v in maps])
 
 
 def _check_degree(b: PolySymbol, space: FockSpace):
@@ -192,18 +199,10 @@ def wick_block(b: PolySymbol, space: FockSpace, n_top: int) -> np.ndarray:
     if not 0 <= n_top <= space.n_max:
         raise ValueError(f"n_top {n_top} is outside the sectors 0..{space.n_max}")
     n = space.span_slice(n_top).stop
-    return _matrix(*_wick_entries(b, space, n_top), (n, n), dense=True)
-
-
-def _matrix(rows, cols, values, shape, dense):
-    """The matrix with these nonzeros, those at one position summed in
-    the order given: a dense array, or a CSR matrix."""
-    if dense:
-        out = np.zeros(shape[0] * shape[1], dtype=complex)
-        np.add.at(out, rows * shape[1] + cols, values)
-        return out.reshape(shape)
-    from scipy import sparse
-    return sparse.csr_matrix((values, (rows, cols)), shape=shape)
+    (rows, cols, values, maps), coeffs = _wick_entries(b, space, n_top)
+    out = np.zeros(n * n, dtype=complex)
+    np.add.at(out, rows * n + cols, values * coeffs[maps])
+    return out.reshape(n, n)
 
 
 def wick_quantize(b: PolySymbol, space: FockSpace) -> np.ndarray:
@@ -220,12 +219,13 @@ def wick_quantize(b: PolySymbol, space: FockSpace) -> np.ndarray:
 
 
 def wick_apply(b: PolySymbol, space: FockSpace, vectors: np.ndarray) -> np.ndarray:
-    """b^Wick @ vectors on the truncated space: as the dense quantization
-    on at most _NUMPY_MAX_STATES states, where the oracle runs on numpy
-    alone, above as a CSR matrix, never forming the dense one."""
+    """b^Wick @ vectors on the truncated space, for one vector or a block
+    of them: the product of a `_Table` with one slot per monomial, never
+    forming the dense quantization."""
     _check_degree(b, space)
-    n = space.total_dim
-    return _matrix(*_wick_entries(b, space, space.n_max), (n, n), n <= _NUMPY_MAX_STATES) @ vectors
+    entries, coeffs = _wick_entries(b, space, space.n_max)
+    states = np.arange(space.total_dim)
+    return _Table(space, entries, len(coeffs), states, states).fill(coeffs) @ vectors
 
 
 def gamma_u(u, space: FockSpace) -> list:
@@ -407,22 +407,25 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 _BOUND_MARGIN = 1e-6
 # the most entries of the interpolated top rows one batch of the gate forms, per block
 _GATE_ENTRIES = 2 ** 16
+# the most entries of one gather of a `_Table` product below the cut: the
+# generator's on the d=2, N=24 oracle, 82,134 at most, is one gather
+_GATHER_ENTRIES = 2 ** 17
 
 
 class _ColumnStepper:
     """The parity blocks' evolved columns, advanced along a time grid.
 
-    Owns the columns, one work matrix per block (the generator, refilled
-    for each CF4 exponent) and one of its top-sector rows (the leakage
-    gate's slopes), all refilled in place by `_fill`, the leakage at
-    every grid point and the CF4 counters.  `march` takes CF4 steps of
-    several grid points with step-doubling control: one attempt from
-    knot k advances n_h grid steps twice with H/2, at the unit roundoff,
-    and once with H, whose Taylor series stop at a thousandth of the
-    allowed error tol H / T; max|difference| / 15 estimates the error of
-    the two-half-step result, which is kept when the estimate is at most
-    tol H / T (a single grid step is always kept).  The next n_h scales
-    with (allowed / estimate)^(1/5).  The first H has H ||G(t0)||_1 ~ 0.5.
+    Owns the columns, the parity blocks, whose generator tables it
+    refills in place (``work`` for each CF4 exponent, ``top`` for the
+    leakage gate's slopes), the leakage at every grid point and the CF4
+    counters.  `march` takes CF4 steps of several grid points with
+    step-doubling control: one attempt from knot k advances n_h grid
+    steps twice with H/2, at the unit roundoff, and once with H, whose
+    Taylor series stop at a thousandth of the allowed error tol H / T;
+    max|difference| / 15 estimates the error of the two-half-step
+    result, which is kept when the estimate is at most tol H / T (a
+    single grid step is always kept).  The next n_h scales with
+    (allowed / estimate)^(1/5).  The first H has H ||G(t0)||_1 ~ 0.5.
     """
 
     def __init__(self, space, trusted_n, coefficients, grid, leak_threshold):
@@ -432,8 +435,6 @@ class _ColumnStepper:
         self.leak_threshold, self.gate = leak_threshold, leak_threshold / 10
         # the trusted columns are a prefix of each parity block
         self.us = [np.eye(len(blk.states), blk.trusted_hi, dtype=complex) for blk in self.blocks]
-        self.work = [blk.pattern() for blk in self.blocks]
-        self.tops = [blk.pattern(blk.top_lo) for blk in self.blocks]
         self.leak, self.exact = np.zeros(len(grid)), np.ones(len(grid), dtype=bool)
         self.steps = self.rejected = self.refined = 0
         self.time_error = 0.0
@@ -442,11 +443,14 @@ class _ColumnStepper:
         """One CF4 step of length h from the columns us, given the pair
         coefficients at its two Gauss times."""
         for w1, w2 in ((_W1, _W2), (_W2, _W1)):
-            _fill(self.work, self.blocks, h * (w1 * coeffs[0] + w2 * coeffs[1]))
+            c = h * (w1 * coeffs[0] + w2 * coeffs[1])
+            for blk in self.blocks:
+                blk.work.fill(c)
             # the parity blocks run one after the other: scipy's CSR product holds
             # the GIL, and two threads gave 1.00-1.07x on the product and a paired
             # ratio of 1.02-1.05 per d=2, N=24 oracle solve (2-vCPU Xeon)
-            us = [_expm_apply(mat, _norm1(mat), u, target) for mat, u in zip(self.work, us)]
+            us = [_expm_apply(blk.work, blk.work.norm1(), u, target)
+                  for blk, u in zip(self.blocks, us)]
         return us
 
     def march(self, tol):
@@ -461,9 +465,11 @@ class _ColumnStepper:
         """
         grid, gate = self.grid, self.gate
         n_steps, span = len(grid) - 1, grid[-1] - grid[0]
-        _fill(self.work, self.blocks, self.coefficients(grid[:1])[0])
+        c = self.coefficients(grid[:1])[0]
+        for blk in self.blocks:
+            blk.work.fill(c)
         # the first step has H ||G(t0)||_1 ~ 0.5, or spans the run
-        spans = 2.0 * span * max(_norm1(mat) for mat in self.work)
+        spans = 2.0 * span * max(blk.work.norm1() for blk in self.blocks)
         size = n_steps if spans <= 1.0 else max(1, round(n_steps / spans))
         k = wall = 0
         while k < n_steps:
@@ -530,11 +536,11 @@ class _ColumnStepper:
         # the values and scaled slopes Y = (y0, h/2 y0', ym, h/2 ym', y1, h/2 y1')
         basis = _hermite(knots, np.eye(6)[0::2], np.eye(6)[1::2] / (h / 2), grid[lo:hi])
         stacks, bound = [], np.zeros(n_h - 1)
-        for b, (blk, top_rows) in enumerate(zip(self.blocks, self.tops)):
+        for b, blk in enumerate(self.blocks):
             ys = []
             for c, state in zip(coeffs, states):
-                _fill([top_rows], [blk], c)
-                ys += [state[b][blk.top_lo:], (h / 2) * (top_rows @ state[b])]
+                blk.top.fill(c)
+                ys += [state[b][blk.top_lo:], (h / 2) * (blk.top @ state[b])]
             ys = np.stack(ys)
             # ||Y(tau)||_F^2 = sum_ij basis_i basis_j Re<Y_i, Y_j>, the real
             # parts read as the dot products of the rows as float vectors
@@ -594,27 +600,8 @@ def _gram_bound(grams) -> np.ndarray:
     return np.sqrt(np.abs(grams).sum(axis=-1).max(axis=-1))
 
 
-def _fill(mats, blocks, c):
-    """Refill each `_ParityBlock.pattern` operator in place from the pair
-    coefficients c: a table's weights, or a CSR matrix's nonzeros in CSR
-    order."""
-    for mat, blk in zip(mats, blocks):
-        row = blk.shape[0] - mat.shape[0]
-        if isinstance(mat, _Table):
-            np.multiply(blk.val[row:], c, out=mat.W)
-        else:
-            lo = blk.indptr[row]
-            np.multiply(blk.values[lo:], c[blk.term[lo:]], out=mat.data)
-
-
-def _norm1(mat) -> float:
-    """Exact 1-norm (largest column sum) of a neighbour table or a CSR matrix."""
-    cols, weights = (mat.src, mat.W) if isinstance(mat, _Table) else (mat.indices, mat.data)
-    return float(np.bincount(cols.ravel(), weights=np.abs(weights).ravel()).max(initial=0.0))
-
-
 def _expm_apply(mat, norm, u, target=_UNIT_ROUNDOFF):
-    """exp(mat) u for a neighbour table or CSR mat of 1-norm `norm`.
+    """exp(mat) u for a `_Table` mat of 1-norm `norm`.
 
     A truncated Taylor series in ceil(norm) sub-steps of 1-norm x <= 1,
     with the fewest terms m for which the remainder bound
@@ -639,62 +626,84 @@ def _expm_apply(mat, norm, u, target=_UNIT_ROUNDOFF):
 
 
 class _Table:
-    """Rows of a parity block's generator as a neighbour table (the ELLPACK
-    layout of Bell & Garland 2009): row i of the product with g is
-    sum_k W[i, k] g[src[i, k]], one slot per pair term, whose weight is
-    zero where that term has no entry in the row."""
+    """A sum of ladder maps, each with at most one entry per row, between a
+    set of row states and one of column states (positions in the direct
+    sum), as a neighbour table: the ELLPACK layout of Bell & Garland
+    2009.  Slot k of row i holds map k's entry there, its column
+    src[i, k] and ladder weight val[i, k] (0, at column 0, where map k has
+    none); `fill` sets the weights W = val c from one coefficient per map,
+    and row i of the product with g is sum_k W[i, k] g[src[i, k]].
 
-    def __init__(self, src, n_cols):
-        self.src, self.shape = src, (len(src), n_cols)
-        self.W = np.zeros(src.shape, dtype=complex)
+    The one reader of the numpy/CSR cut: on a space of more than
+    _NUMPY_MAX_STATES states the table also keeps a CSR matrix of its
+    nonzero slots in (row, column) order, refilled by `fill`, and the
+    product is scipy's.  Below the cut it is a gather of rows and one
+    batched product, in row batches whose gather holds at most
+    _GATHER_ENTRIES entries.
+    """
+
+    def __init__(self, space, entries, n_maps, row_states, col_states):
+        self.shape = (len(row_states), len(col_states))
+        # positions within the row and column states; -1 off them
+        at = np.full((2, space.total_dim), -1)
+        at[0, row_states], at[1, col_states] = np.arange(self.shape[0]), np.arange(self.shape[1])
+        rows, cols = at[0, entries[0]], at[1, entries[1]]
+        mine = (rows >= 0) & (cols >= 0)
+        rows, cols, values, maps = rows[mine], cols[mine], entries[2][mine], entries[3][mine]
+        self.src = np.zeros((self.shape[0], n_maps), dtype=np.int64)
+        self.val = np.zeros(self.src.shape)
+        self.src[rows, maps], self.val[rows, maps] = cols, values
+        self.W = np.zeros(self.src.shape, dtype=complex)
+        self.csr = None
+        if space.total_dim > _NUMPY_MAX_STATES:
+            from scipy import sparse
+
+            order = np.argsort(rows * self.shape[1] + cols, kind="stable")
+            self.slots = (rows * n_maps + maps)[order]
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.shape[0]))])
+            self.csr = sparse.csr_matrix((np.zeros(len(order), dtype=complex), cols[order], indptr),
+                                         shape=self.shape)
+
+    def fill(self, c):
+        """Set the weights from the coefficients c, one per map; returns
+        the table."""
+        np.multiply(self.val, c, out=self.W)
+        if self.csr is not None:
+            np.take(self.W, self.slots, out=self.csr.data)
+        return self
+
+    def norm1(self) -> float:
+        """Exact 1-norm (largest column sum)."""
+        return float(np.bincount(self.src.ravel(), weights=np.abs(self.W).ravel()).max(initial=0.0))
 
     def __matmul__(self, g):
-        return (self.W[:, None, :] @ np.take(g, self.src, axis=0))[:, 0]
+        if self.csr is not None:
+            return self.csr @ g
+        flat = g.reshape(len(g), -1)
+        out = np.empty((self.shape[0], 1, flat.shape[1]), dtype=complex)
+        step = max(1, _GATHER_ENTRIES // max(1, self.W.shape[1] * flat.shape[1]))
+        for lo in range(0, self.shape[0], step):
+            np.matmul(self.W[lo:lo + step, None, :], np.take(flat, self.src[lo:lo + step], axis=0),
+                      out=out[lo:lo + step])
+        return out.reshape(self.shape[:1] + g.shape[1:])
 
 
 class _ParityBlock:
-    """States of one particle-number parity, with the pair generator's
-    fixed pattern on them, in CSR order and as a neighbour table.
+    """States of one particle-number parity, in direct-sum order, so the
+    trusted columns are a prefix and the top-sector rows a suffix, with
+    the pair generator on them as two `_Table`s, slot k pair term k:
+    ``work`` on all its rows, refilled for each CF4 exponent, and ``top``
+    on its top-sector rows, for the leakage gate's slopes."""
 
-    Entry j of the pattern carries values[j] times the pair coefficient
-    number term[j]; within the block, states keep their direct-sum order,
-    so the trusted columns are a prefix and the top-sector rows a suffix.
-    Each pair term has at most one entry per row, so the table holds, per
-    row i and term k, that entry's column src[i, k] and ladder weight
-    val[i, k] (0, at column 0, where the term has none).  `pattern` makes
-    `_Table` operators when `table` is set (a space of at most
-    _NUMPY_MAX_STATES states), scipy CSR matrices otherwise.
-    """
-
-    def __init__(self, states, rows, cols, values, term, n_terms, top_lo, trusted_hi, table):
-        self.states = states
-        n = len(states)
-        # positions within the block: the states are in increasing order
-        rows, cols = np.searchsorted(states, rows), np.searchsorted(states, cols)
-        order = np.lexsort((cols, rows))
-        self.rows, self.indices = rows[order], cols[order]
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        self.values = values[order]
-        self.term = term[order]
-        self.shape = (n, n)
-        self.src, self.val = np.zeros((n, n_terms), dtype=np.int64), np.zeros((n, n_terms))
-        self.src[rows, term], self.val[rows, term] = cols, values
-        self.top_lo, self.trusted_hi, self.table = top_lo, trusted_hi, table
+    def __init__(self, space, states, entries, n_terms, top_lo, trusted_hi):
+        self.states, self.top_lo, self.trusted_hi = states, top_lo, trusted_hi
+        self.work = _Table(space, entries, n_terms, states, states)
+        self.top = _Table(space, entries, n_terms, states[top_lo:], states)
 
     def leakage(self, u) -> float:
         """2-norm of the top-sector rows of the evolved columns u, from the
         largest eigenvalue of the smaller of the two Gram matrices."""
         return _gram_norm(_gram(_narrow(u[self.top_lo:])))
-
-    def pattern(self, row: int = 0):
-        """A zero operator of the generator's rows from `row` on, for `_fill`."""
-        if self.table:
-            return _Table(self.src[row:], self.shape[1])
-        from scipy import sparse
-
-        lo = self.indptr[row]
-        return sparse.csr_matrix((np.zeros(len(self.values) - lo, dtype=complex), self.indices[lo:],
-                                  self.indptr[row:] - lo), shape=(self.shape[0] - row, self.shape[1]))
 
 
 def _parity_blocks(space: FockSpace, trusted_n: int) -> list:
@@ -705,16 +714,10 @@ def _parity_blocks(space: FockSpace, trusted_n: int) -> list:
     a^kappa_k, term P + k its adjoint.  A parity with no state in sectors
     <= trusted_n has no column to evolve and no block.
     """
-    pairs = sec.occupations(space.dim, 2)
-    zero = (0,) * space.dim
-    rows, cols, values, term = [], [], [], []
-    for k, kappa in enumerate(pairs):
-        r, c, v = sec.ladder_entries(space.dim, space.n_max, zero, kappa)
-        rows += [r, c]
-        cols += [c, r]
-        values += [v, v]
-        term += [np.full(len(v), k), np.full(len(v), len(pairs) + k)]
-    rows, cols, values, term = map(np.concatenate, (rows, cols, values, term))
+    terms = [sec.ladder_entries(space.dim, space.n_max, (0,) * space.dim, kappa)
+             for kappa in sec.occupations(space.dim, 2)]
+    terms += [(c, r, v) for r, c, v in terms]
+    entries = _stack(terms)
     number = space.number_values()
     top = max(space.n_max - 1, 0)
     blocks = []
@@ -722,12 +725,10 @@ def _parity_blocks(space: FockSpace, trusted_n: int) -> list:
         states = np.flatnonzero(number % 2 == parity)
         if not np.any(number[states] <= trusted_n):
             continue
-        mine = number[rows] % 2 == parity
         blocks.append(_ParityBlock(
-            states, rows[mine], cols[mine], values[mine], term[mine], 2 * len(pairs),
+            space, states, entries, len(terms),
             top_lo=int(np.count_nonzero(number[states] < top)),
-            trusted_hi=int(np.count_nonzero(number[states] <= trusted_n)),
-            table=space.total_dim <= _NUMPY_MAX_STATES))
+            trusted_hi=int(np.count_nonzero(number[states] <= trusted_n))))
     return blocks
 
 
@@ -758,13 +759,14 @@ def conjugate_observable(qflow: QuantumFlowResult, b: PolySymbol) -> np.ndarray:
     That block is U[:, s]^* (b^Wick U[:, s]) over the evolved columns s,
     an n_cols x n_cols array, taken per pair of parities (p, q): the
     columns of parity q live on the states of q, so they meet the columns
-    of p through the block of b^Wick between those states only (dense or
-    CSR as in `wick_apply`).  An observable of even degrees only keeps
-    the parity, and its blocks p != q are zero and skipped.
+    of p through the block of b^Wick between those states only, a
+    `_Table` with one slot per monomial as in `wick_apply`.  An
+    observable of even degrees only keeps the parity, and its blocks
+    p != q are zero and skipped.
     """
-    space, n = qflow.space, qflow.space.total_dim
+    space = qflow.space
     _check_degree(b, space)
-    w = _matrix(*_wick_entries(b, space, space.n_max), (n, n), n <= _NUMPY_MAX_STATES)
+    entries, coeffs = _wick_entries(b, space, space.n_max)
     odd = any(m % 2 and np.any(c) for m, c in b.vectors.items())
     parts = list(qflow._parities())
     # the adjoint of the result, block by block: (b^Wick u_q)^* u_p needs no
@@ -773,7 +775,7 @@ def conjugate_observable(qflow: QuantumFlowResult, b: PolySymbol) -> np.ndarray:
     for q, (states_q, cols_q, u_q) in enumerate(parts):
         for p, (states_p, cols_p, u_p) in enumerate(parts):
             if p == q or odd:
-                applied = w[np.ix_(states_p, states_q)] @ u_q
+                applied = _Table(space, entries, len(coeffs), states_p, states_q).fill(coeffs) @ u_q
                 adj[np.ix_(cols_q, cols_p)] = np.conjugate(applied, out=applied).T @ u_p
     return np.conjugate(adj, out=adj).T
 

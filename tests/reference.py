@@ -25,7 +25,7 @@ from scipy.linalg import block_diag, expm
 import hepp_expand.sectors as sec
 from hepp_expand.expansions import Lambda_of_map, Lambda_t, lambda_s
 from hepp_expand.flow import _hermite, v_vector
-from hepp_expand.fock import _fill, _narrow, gamma_u, trusted_block_diff, wick_quantize
+from hepp_expand.fock import _narrow, gamma_u, trusted_block_diff, wick_quantize
 from hepp_expand.symbols import (
     PolySymbol,
     _grad,
@@ -70,8 +70,8 @@ def annihilators(dim: int, n: int) -> tuple:
 
 
 def densify(mat):
-    """The dense array of one of the oracle's generator operators, a
-    neighbour table or a CSR matrix: its product with the identity."""
+    """The dense array of one of the oracle's `_Table` operators, on
+    either side of the numpy/CSR cut: its product with the identity."""
     return mat @ np.eye(mat.shape[1], dtype=complex)
 
 
@@ -368,11 +368,11 @@ def every_point_gate(stepper, k, n_h, states):
         inner = grid[k + 1:k + n_h]
         basis = _hermite(knots, np.eye(6)[0::2], np.eye(6)[1::2] / (h / 2), inner)
         pairs = (basis[:, :, None] * basis[:, None, :]).reshape(len(inner), 36)
-        for b, (blk, top) in enumerate(zip(stepper.blocks, stepper.tops)):
+        for b, blk in enumerate(stepper.blocks):
             ys = []
             for c, state in zip(coeffs, states):
-                _fill([top], [blk], c)
-                ys += [state[b][blk.top_lo:], (h / 2) * (top @ state[b])]
+                blk.top.fill(c)
+                ys += [state[b][blk.top_lo:], (h / 2) * (blk.top @ state[b])]
             ys = _narrow(np.stack(ys))
             if not ys.size:
                 continue

@@ -164,10 +164,14 @@ class TestOracleCommand:
     def test_leakage_abort_exit_three(self, tmp_path, capsys):
         data = base_scenario(t_end=0.3, fock={"n_max": 8},
                              tolerances={"leakage": 1e-6})
-        code, report = run_main(["oracle", write_scenario(tmp_path, data)], capsys)
+        code = main(["oracle", write_scenario(tmp_path, data)])
+        out, err = capsys.readouterr()
+        report = json.loads(out)
         assert code == 3
         assert "leakage" in report["error"]
         assert report["diagnostics"]["n_max"] == 8
+        # after the report, one stderr line names the abort
+        assert err == f"hepp-expand: leakage abort: {report['error']}\n"
 
     def test_drifting_u_alpha_is_a_tolerance_failure(self, tmp_path, capsys):
         # alpha of HS norm 8 on dt = 0.01: by t_end u_alpha is 6.4e-8 off the

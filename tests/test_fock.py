@@ -327,6 +327,15 @@ class TestWickApply:
         assert got.shape == vectors.shape
         assert not np.any(got)
 
+    @pytest.mark.parametrize("dim, n_max", [(1, 6), (2, 28)])
+    def test_one_vector_gives_the_dense_product(self, rng, dim, n_max):
+        # a 1-D vector, on either side of the cut (d=2, N=28: 435 states)
+        space = FockSpace(dim, n_max, 0.5)
+        b, v = random_symbol(rng, dim, 4), space.random_state(rng, n_max)
+        got, want = wick_apply(b, space, v), wick_quantize(b, space) @ v
+        assert got.shape == v.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_cold_monomial_memory(self):
         # a preset monomial reads its own ladder map only: a first call at
         # d=3, N=24 builds none of the other 125 degree-4 monomials' maps
@@ -557,11 +566,10 @@ class TestQuantumFlow:
         for t in grid[[0, len(grid) // 3, -1]]:
             want = reference(t)
             assert not np.any(want[np.ix_(parity == 0, parity == 1)])
-            mats = [blk.pattern() for blk in blocks]
-            fock._fill(mats, blocks, coefficients([t])[0])
-            for blk, mat in zip(blocks, mats):
-                assert isinstance(mat, fock._Table)
-                got = densify(mat)
+            for blk in blocks:
+                blk.work.fill(coefficients([t])[0])
+                assert blk.work.csr is None
+                got = densify(blk.work)
                 assert np.abs(got - want[np.ix_(blk.states, blk.states)]).max() <= \
                     1e-14 * np.abs(want).max()
 
@@ -745,10 +753,11 @@ class TestMagnusFlow:
         assert cf4.integrator["refined"] == 0
 
     def test_top_rows_survive_the_work_refills(self, monkeypatch, rng):
-        # the gate refills the top-row matrices at three knots; a CF4
-        # attempt then refills the work matrices.  Each top-row matrix must
+        # the gate refills the top-row tables at three knots; a CF4
+        # attempt then refills the work tables.  Each top-row table must
         # still be the top rows of the generator at the last knot, on
-        # either side of the numpy/CSR cut.
+        # either side of the numpy/CSR cut: those of a fresh block's work
+        # table filled there.
         h = ramped_hamiltonian(rng, t_end=0.2)
         space = FockSpace(2, 12, 0.5)
         coefficients = fock._pair_coefficients(h, integrate_u_alpha(h))
@@ -761,12 +770,11 @@ class TestMagnusFlow:
             stepper = fock._ColumnStepper(space, 6, coefficients, grid, np.inf)
             stepper.leakage(0, n_h, (stepper.us,) * 3)
             stepper.cf4(stepper.us, coefficients(t + fock._GAUSS * dt), dt)
-            for blk, top in zip(stepper.blocks, stepper.tops):
-                full = np.zeros(blk.shape, dtype=complex)
-                full[blk.rows, blk.indices] = blk.values * last[blk.term]
-                assert isinstance(top, fock._Table) == table
-                assert top.shape[0] > 0
-                assert np.array_equal(densify(top), full[blk.top_lo:])
+            for blk, fresh in zip(stepper.blocks, fock._parity_blocks(space, 6)):
+                fresh.work.fill(last)
+                assert (blk.top.csr is None) == table
+                assert blk.top.shape[0] > 0
+                assert np.array_equal(densify(blk.top), densify(fresh.work)[blk.top_lo:])
 
     @pytest.mark.parametrize("case", ["leakage-abort", "example-im-z2"])
     def test_abort_matches_the_dense_reference(self, case):
@@ -924,9 +932,12 @@ def test_gate_is_exact_where_it_decides(monkeypatch, case):
 
 @pytest.mark.parametrize("case", ["d1-n24", "d2-n8", "d2-n24"])
 def test_table_and_csr_kernels_agree(monkeypatch, rng, case):
-    # forced to either side of the cut, the oracle's neighbour tables and
-    # dense b^Wick, and its CSR matrices, give the same flow and b^Wick to
-    # rounding, the same exact leakage points and the same CF4 step counts
+    # forced to either side of the cut, the oracle's gathers and its CSR
+    # products give the same flow and b^Wick to rounding, the same exact
+    # leakage points and the same CF4 step counts.  Through
+    # conjugate_observable, each kernel gives columns^* b^Wick columns for
+    # an odd dense observable, which fills the blocks between the
+    # parities, and for n-squared, whose monomials share the diagonal
     if case == "d1-n24":
         space, trusted = FockSpace(1, 24, 0.5), 20
         h = QuadraticHamiltonian(1, alpha=np.array([[0.4]]), beta=np.array([[0.8 + 0.3j]]),
@@ -936,12 +947,18 @@ def test_table_and_csr_kernels_agree(monkeypatch, rng, case):
     else:
         space, trusted, h = FockSpace(2, 24, 0.5), 20, ramped_hamiltonian(rng, t_end=0.1)
     b, vectors = random_symbol(rng, space.dim, 4), space.random_state(rng, space.n_max, 5)
+    observables = [random_symbol(rng, space.dim, 3), preset_symbol("n-squared", space.dim)]
     runs, applied = {}, {}
     for table, cut in ((True, space.total_dim), (False, space.total_dim - 1)):
         monkeypatch.setattr(fock, "_NUMPY_MAX_STATES", cut)
-        assert isinstance(fock._parity_blocks(space, trusted)[0].pattern(), fock._Table) == table
+        assert (fock._parity_blocks(space, trusted)[0].work.csr is None) == table
         applied[table] = wick_apply(b, space, vectors)
         runs[table] = quantum_flow(h, space, trusted_n=trusted, leak_threshold=np.inf, tol=1e-8)
+        cols = runs[table].columns
+        for obs in observables:
+            want = cols.conj().T @ wick_quantize(obs, space) @ cols
+            got = conjugate_observable(runs[table], obs)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert np.abs(applied[True] - applied[False]).max() <= 1e-13 * np.abs(applied[False]).max()
     got, want = runs[True], runs[False]
     assert np.abs(got.columns - want.columns).max() <= 1e-13
@@ -959,40 +976,43 @@ def test_pair_terms_have_one_entry_per_row(dim, n_max):
     # the neighbour table's premise: each pair term a^kappa (|kappa| = 2),
     # and its adjoint, has at most one entry in each row, so one slot per
     # term and row holds every nonzero of the generator
+    entry_rows = []
     for kappa in sec.occupations(dim, 2):
         rows, cols, _ = sec.ladder_entries(dim, n_max, (0,) * dim, kappa)
         assert len(np.unique(rows)) == len(rows) and len(np.unique(cols)) == len(cols)
+        # the rows of the term's entries and of its adjoint's
+        entry_rows += [rows, cols]
+    entry_rows = np.concatenate(entry_rows)
     for blk in fock._parity_blocks(FockSpace(dim, n_max, 0.5), n_max - 4):
-        assert np.count_nonzero(blk.val) == len(blk.values)
+        assert np.count_nonzero(blk.work.val) == np.count_nonzero(np.isin(entry_rows, blk.states))
 
 
 @pytest.mark.parametrize("kind", ["table", "csr"])
 @pytest.mark.parametrize("norm, subs", [(0.7, 1), (3.5, 4)], ids=["one-sub-step", "four-sub-steps"])
-def test_taylor_kernel_matches_expm(rng, kind, norm, subs):
+def test_taylor_kernel_matches_expm(monkeypatch, rng, kind, norm, subs):
     # exp(G) u for a sparse anti-Hermitian G of the given 1-norm, which
     # sets the ceil(norm) sub-steps: to rounding at the unit roundoff,
-    # and within target ||u|| (2-norms) at a loose target.  As a table,
-    # row i's nonzeros fill its first slots, the rest point at column 0.
-    from scipy import sparse
-
+    # and within target ||u|| (2-norms) at a loose target.  G is a table
+    # of one map per nonzero, of ladder weight 1 and the nonzero as its
+    # coefficient, on the 40 states of d=1, N=39, with the cut forced to
+    # either side of them.
     n = 40
     m = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * (rng.random((n, n)) < 0.2)
     gen = (m - m.conj().T) / 2
     gen *= norm / np.abs(gen).sum(axis=0).max()
-    if kind == "table":
-        src = np.zeros((n, np.count_nonzero(gen, axis=1).max()), dtype=np.int64)
-        mat = fock._Table(src, n)
-        for i, row in enumerate(gen):
-            cols = np.flatnonzero(row)
-            src[i, :len(cols)], mat.W[i, :len(cols)] = cols, row[cols]
-        assert np.array_equal(densify(mat), gen)
-    else:
-        mat = sparse.csr_matrix(gen)
-    assert math.ceil(fock._norm1(mat)) == subs
+    monkeypatch.setattr(fock, "_NUMPY_MAX_STATES", n if kind == "table" else n - 1)
+    rows, cols = np.nonzero(gen)
+    states = np.arange(n)
+    entries = (rows, cols, np.ones(len(rows)), np.arange(len(rows)))
+    mat = fock._Table(FockSpace(1, n - 1, 0.5), entries, len(rows), states, states)
+    mat.fill(gen[rows, cols])
+    assert (mat.csr is None) == (kind == "table")
+    assert np.array_equal(densify(mat), gen)
+    assert math.ceil(mat.norm1()) == subs
     u = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
     want, scale = expm(gen) @ u, np.linalg.norm(u, 2)
     for target, bound in ((fock._UNIT_ROUNDOFF, 1e-14), (1e-4, 1e-4)):
-        got = fock._expm_apply(mat, fock._norm1(mat), u, target)
+        got = fock._expm_apply(mat, mat.norm1(), u, target)
         assert np.linalg.norm(got - want, 2) <= bound * scale
 
 
@@ -1004,7 +1024,7 @@ def test_numpy_cut_sits_at_400_states():
                               (1, 400, False), (2, 28, False), (3, 12, False)):
         space = FockSpace(dim, n_max, 0.5)
         assert (space.total_dim <= fock._NUMPY_MAX_STATES) == table == (space.total_dim <= 400)
-        assert all(isinstance(blk.pattern(), fock._Table) == table
+        assert all((blk.work.csr is None) == (blk.top.csr is None) == table
                    for blk in fock._parity_blocks(space, n_max - 4))
 
 
@@ -1149,6 +1169,26 @@ class TestConjugateObservable:
             tracemalloc.stop()
         assert got.shape == (qf.columns.shape[1],) * 2
         assert peak < space.total_dim ** 2 * 16
+
+    def test_dense_observable_memory(self, rng):
+        # a dense degree-4 observable at d=2, N=24 (the oracle's trusted
+        # sectors <= 16) is a b^Wick table of 70 slots, whose product
+        # gathers rows in batches of at most 2^17 entries.  Measured peak
+        # 3.85 MB (2.9 MB for the dense block product it replaces); one
+        # gather of every row took 16.9 MB.
+        space = FockSpace(2, 24, 0.5)
+        qf = quantum_flow(ramped_hamiltonian(rng, t_end=0.01), space, trusted_n=16,
+                          leak_threshold=np.inf)
+        b = random_symbol(rng, 2, 4)
+        # a first call fills the shared ladder tables; the bound is on the call
+        conjugate_observable(qf, b)
+        tracemalloc.start()
+        try:
+            conjugate_observable(qf, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5e6
 
     def test_comparison_memory_bound(self):
         # conjugate_observable and unitarity_defect read the parity blocks
