@@ -3,10 +3,11 @@
 The space keeps every symmetric sector up to a cutoff N_max and shares
 the occupation bases of :mod:`hepp_expand.sectors`, so quantized
 matrices here and symbol coefficients elsewhere never disagree about
-normalization.  Operators are plain dense arrays over the truncated
-direct sum, cut into sector blocks by ``FockSpace.sector_slice`` and
-``span_slice``; Gamma(u) is block-diagonal and kept as its sector
-blocks.
+normalization.  The oracle's operators are `_Table`s of ladder maps
+applied to blocks of vectors; dense arrays over the truncated direct
+sum (``wick_quantize``, ``wick_block``, ``FockSpace.ladder_product``)
+serve the inequality checks and the tests, and ``gamma_u`` returns the
+sector blocks of Gamma(u).
 
 Quantization of a plain monomial conj(z)^m z^n is the normally ordered
 ladder product eps^((|m|+|n|)/2) prod a_i^dag^{m_i} prod a_i^{n_i}.
@@ -26,9 +27,11 @@ the particle number by 2, so the even and odd sectors evolve as two
 separate dense blocks of U.  Only the columns of U that start in the
 trusted sectors 0..trusted_n are evolved: they are all that the trusted
 block of the conjugated observable and the leakage gate read.  The flow
-runs on the Hamiltonian's own grid up to one grid time t, where each
-sector block of Gamma(u_alpha) acts on that sector's rows, one run of
-the states of its parity.  The result keeps the two parity blocks, each
+runs on the Hamiltonian's own grid up to one grid time t, where
+Gamma(u_alpha) = e^{i phi n} exp(dGamma(H)), u_alpha = e^{i phi} e^H,
+acts on each parity block: dGamma(H) = sum_ij H_ij a_i^dag a_j is one
+more `_Table`, with a slot per (i, j), and its exponential is the
+flow's Taylor kernel.  The result keeps the two parity blocks, each
 its states by its trusted columns; the total_dim x n_cols layout, half
 of it zeros between the parities, is assembled only when the result's
 ``columns`` property is read, and nothing here reads it.  The
@@ -38,9 +41,10 @@ skipped for an even observable), and their unitarity defect is the
 larger of `flow.unitarity_defect` on the two blocks.  Each pair term
 of the generator is a ladder map too, so a parity block's generator is
 a `_Table` with one slot per term, as b^Wick is one with a slot per
-monomial: one operator type, whose product is a gather of rows and one
-batched product on a space of at most _NUMPY_MAX_STATES states, where
-the oracle never imports scipy, and a CSR product above.
+monomial of each parity pair's degree parity and dGamma(H) one with a
+slot per mode pair: one operator type, whose product is a gather of
+rows and one batched product on a space of at most _NUMPY_MAX_STATES
+states, where the oracle never imports scipy, and a CSR product above.
 
 One stepper advances the columns by the fourth-order commutator-free
 Magnus step CF4 (Blanes & Moan 2006), reading the pair coefficients of
@@ -232,44 +236,68 @@ def gamma_u(u, space: FockSpace) -> list:
     """Second quantization: the sector blocks 0..n_max of Gamma(u), which
     is block-diagonal with the n-th tensor power of u on sector n.
 
-    Sector n follows from sector n-1 by the ladder recursion
-    Gamma(u)|k> = (sum_j u_ji a_j^dag) Gamma(u)|k - e_i> / sqrt(k_i),
-    with i the first occupied mode of k: one matmul per mode and sector.
-    Each a_j^dag has one nonzero per column, sqrt(kappa_j + 1) at row
-    kappa + e_j, so the field is scattered from the raise table.
+    Block n is Gamma(u) applied to the identity on sector n by `_gamma`,
+    as `quantum_flow` applies it to the evolved columns.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (space.dim, space.dim):
         raise DimensionMismatchError(f"u of shape {u.shape} on a space of dim {space.dim}")
     if unitarity_defect(u) > _UNITARY_TOL:
         raise ValueError(f"gamma_u requires a unitary within {_UNITARY_TOL:g}")
-    blocks = [np.ones((1, 1), dtype=complex)]
-    for n in range(1, space.n_max + 1):
-        low = sec.occupation_array(space.dim, n - 1)
-        up, weight = sec.raise_table(space.dim, n - 1)
-        root, cols = np.sqrt(weight), np.arange(len(low))
-        # every mode's entries of the field land on the same positions
-        field = np.zeros((space.sector_dims[n], len(low)), dtype=complex)
-        new = np.zeros((space.sector_dims[n], space.sector_dims[n]), dtype=complex)
-        for i in range(space.dim):
-            for j in range(space.dim):
-                field[up[:, j], cols] = u[j, i] * root[:, j]
-            # k = kappa + e_i has first occupied mode i iff kappa_j = 0 for j < i
-            sel = np.flatnonzero(~low[:, :i].any(axis=1))
-            new[:, up[sel, i]] = (field @ blocks[-1][:, sel]) / np.sqrt(low[sel, i] + 1)
-        blocks.append(new)
-    return blocks
+    return [_gamma(space, u, np.arange(space.offsets[n], space.offsets[n + 1]),
+                   np.eye(space.sector_dims[n], dtype=complex)) for n in range(space.n_max + 1)]
+
+
+def _log_unitary(u):
+    """(phi, H, spread) with u = e^{i phi} e^H, from the eigenvalues
+    w_j = |w_j| e^{i theta_j} of u.
+
+    The branch cut of the angles sits in the widest gap between them, so
+    angles close on either side of it get close logs.  Re phi is the
+    midpoint of the arc they span and Im phi minus the mean log|w_j|
+    (0 for a unitary u), so H = V diag(log w_j - i phi) V^-1 is
+    anti-Hermitian to within u's unitarity defect, spread is the largest
+    |log w_j - i phi|, and at d = 1, H = 0.
+    """
+    w, v = np.linalg.eig(u)
+    ordered = np.sort(np.angle(w))
+    k = int(np.argmax(np.diff(ordered, append=ordered[0] + 2.0 * np.pi)))
+    # the arc runs from the angle after the widest gap to the one before it
+    start = ordered[(k + 1) % len(ordered)]
+    half = (ordered[k] - start) % (2.0 * np.pi) / 2.0
+    mag = np.log(np.abs(w))
+    logs = mag - mag.mean() + 1j * ((np.angle(w) - start) % (2.0 * np.pi) - half)
+    return start + half - 1j * mag.mean(), (v * logs) @ np.linalg.inv(v), float(np.abs(logs).max())
+
+
+def _gamma(space: FockSpace, u, states, g) -> np.ndarray:
+    """Gamma(u) g = e^{i phi n} exp(dGamma(H)) g for columns g on `states`,
+    whole sectors of the space, with u = e^{i phi} e^H (`_log_unitary`).
+
+    dGamma(H) = sum_ij H_ij a_i^dag a_j keeps every sector: a `_Table`
+    with one slot per (i, j), applied by `_expm_apply` at the unit
+    roundoff with the top particle number times the spread as its norm,
+    the spectral norm of an anti-Hermitian H.
+    """
+    phi, h, spread = _log_unitary(u)
+    ones = sec.occupations(space.dim, 1)
+    terms = [sec.ladder_entries(space.dim, space.n_max, ei, ej) for ei in ones for ej in ones]
+    number = space.number_values()[states]
+    table = _Table(space, _stack(terms), len(terms), states, states).fill(h.ravel())
+    g = _expm_apply(table, number.max() * spread, g, _UNIT_ROUNDOFF)
+    return np.exp(1j * phi * number)[:, None] * g
 
 
 class QuantumFlowResult:
     """Quantum flow on the truncated space at one time t.
 
-    Holds the columns of U(t, 0) that start in sectors 0..trusted_n as
-    the parity blocks the flow evolved them in: ``parity_blocks`` is a
-    list of pairs (states, u), one per particle-number parity with such
-    columns, of that parity's states in direct-sum order and U on those
-    rows and on the columns of its first u.shape[1] states (the trusted
-    prefix); no entry of U links the two parities.  ``columns`` assembles
+    Holds the columns of U(t, 0) that start in sectors 0..trusted_n,
+    Gamma(u_alpha) included, as the parity blocks the flow evolved them
+    in: ``parity_blocks`` is a list of pairs (states, u), one per
+    particle-number parity with such columns, of that parity's states in
+    direct-sum order and the dense array of U on those rows and on the
+    columns of its first u.shape[1] states (the trusted prefix); no
+    entry of U links the two parities.  ``columns`` assembles
     the direct-sum layout on each read.  Also holds the leakage at every
     grid point up to t: exact where ``leakage_exact`` is set, an upper
     bound below the exact maximum elsewhere.  ``integrator`` counts the
@@ -331,12 +359,14 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
     result holds them as the even- and odd-sector parity blocks they are
     evolved in (``QuantumFlowResult.parity_blocks``).  Runs the beta-only
     generator (rotated by u_alpha when alpha is present) on each parity
-    block and composes with the second-quantized unitary path at t, each
-    sector block of Gamma(u_alpha) on that sector's rows of its parity
-    block.  u_alpha (`flow.integrate_u_alpha`, integrated up to t only)
-    must be unitary at t within 1e-10, the bound of `gamma_u`: a path
-    that drifted further raises SymplecticityError before any step is
-    taken.
+    block and composes with the second-quantized unitary path at t:
+    Gamma(u_alpha) acts on the columns of each parity block as the
+    exponential of a `_Table`, e^{i phi n} exp(dGamma(H)) for
+    u_alpha = e^{i phi} e^H (`_gamma`), and no dense block of a sector
+    is formed.  u_alpha (`flow.integrate_u_alpha`, integrated up to t
+    only) must be unitary at t within 1e-10, the bound of `gamma_u`: a
+    path that drifted further raises SymplecticityError before any step
+    is taken.
 
     The integrator is the commutator-free Magnus step CF4, whose step is
     a multiple of the grid step chosen by step doubling so that the
@@ -385,12 +415,7 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
     stepper.march(tol)
     blocks = [(blk.states, u) for blk, u in zip(stepper.blocks, stepper.us)]
     if u_path is not None:
-        for n, g in enumerate(gamma_u(u_t, space)):
-            # sector n's rows in a parity block: one run, empty in the other parity
-            for states, u in blocks:
-                lo, hi = np.searchsorted(states, space.offsets[n:n + 2])
-                if hi > lo:
-                    u[lo:hi] = g @ u[lo:hi]
+        blocks = [(states, _gamma(space, u_t, states, u)) for states, u in blocks]
     counts = {"steps": stepper.steps, "rejected": stepper.rejected, "refined": stepper.refined,
               "time_error": float(stepper.time_error)}
     return QuantumFlowResult(space, blocks, stepper.leak, stepper.exact, trusted_n, counts)
@@ -405,11 +430,14 @@ _W1, _W2 = 0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0
 _UNIT_ROUNDOFF = 2.0 ** -53
 # how far, relative and far above rounding, a bound must fall below a leakage
 _BOUND_MARGIN = 1e-6
-# the most entries of the interpolated top rows one batch of the gate forms, per block
-_GATE_ENTRIES = 2 ** 16
-# the most entries of one gather of a `_Table` product below the cut: the
-# generator's on the d=2, N=24 oracle, 82,134 at most, is one gather
-_GATHER_ENTRIES = 2 ** 17
+# the most entries of the interpolated top rows one batch of the gate forms,
+# per block, and of one gather of a `_Table` product below the cut.  On the
+# d=2, N=24 oracle (bench/run.py, seed 1, 3 alternating runs, 2-vCPU guest)
+# a worker's peak RSS went 46.4 -> 45.6 MB from 2^16 and 2^17 at the same
+# solve time; 2^12 was ~25 % slower, and 2^14 without the reused gather
+# buffer ~45 % slower
+_GATE_ENTRIES = 2 ** 14
+_GATHER_ENTRIES = 2 ** 14
 
 
 class _ColumnStepper:
@@ -635,11 +663,12 @@ class _Table:
     and row i of the product with g is sum_k W[i, k] g[src[i, k]].
 
     The one reader of the numpy/CSR cut: on a space of more than
-    _NUMPY_MAX_STATES states the table also keeps a CSR matrix of its
-    nonzero slots in (row, column) order, refilled by `fill`, and the
-    product is scipy's.  Below the cut it is a gather of rows and one
-    batched product, in row batches whose gather holds at most
-    _GATHER_ENTRIES entries.
+    _NUMPY_MAX_STATES states the table also keeps a CSR matrix with one
+    nonzero per (row, column) that a slot reaches, which `fill` sets to
+    the sum of those slots' weights, and the product is scipy's.  Below
+    the cut it is a gather of rows into one buffer and one batched
+    product, in row batches whose gather holds at most _GATHER_ENTRIES
+    entries.
     """
 
     def __init__(self, space, entries, n_maps, row_states, col_states):
@@ -658,18 +687,20 @@ class _Table:
         if space.total_dim > _NUMPY_MAX_STATES:
             from scipy import sparse
 
-            order = np.argsort(rows * self.shape[1] + cols, kind="stable")
-            self.slots = (rows * n_maps + maps)[order]
-            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.shape[0]))])
-            self.csr = sparse.csr_matrix((np.zeros(len(order), dtype=complex), cols[order], indptr),
-                                         shape=self.shape)
+            keys, at = np.unique(rows * self.shape[1] + cols, return_inverse=True)
+            # the nonzero at each position is the sum of the weights of its slots
+            self.sums = sparse.csr_matrix((np.ones(len(at)), (at, rows * n_maps + maps)),
+                                          shape=(len(keys), self.W.size))
+            indptr = np.searchsorted(keys, np.arange(self.shape[0] + 1) * self.shape[1])
+            self.csr = sparse.csr_matrix(
+                (np.zeros(len(keys), complex), keys % self.shape[1], indptr), shape=self.shape)
 
     def fill(self, c):
         """Set the weights from the coefficients c, one per map; returns
         the table."""
         np.multiply(self.val, c, out=self.W)
         if self.csr is not None:
-            np.take(self.W, self.slots, out=self.csr.data)
+            self.csr.data[:] = self.sums @ self.W.ravel()
         return self
 
     def norm1(self) -> float:
@@ -682,9 +713,11 @@ class _Table:
         flat = g.reshape(len(g), -1)
         out = np.empty((self.shape[0], 1, flat.shape[1]), dtype=complex)
         step = max(1, _GATHER_ENTRIES // max(1, self.W.shape[1] * flat.shape[1]))
+        buf = np.empty((min(step, self.shape[0]), self.W.shape[1], flat.shape[1]), flat.dtype)
         for lo in range(0, self.shape[0], step):
-            np.matmul(self.W[lo:lo + step, None, :], np.take(flat, self.src[lo:lo + step], axis=0),
-                      out=out[lo:lo + step])
+            # mode "clip" gathers into the buffer directly; "raise" copies it once more
+            rows = np.take(flat, self.src[lo:lo + step], 0, buf[:self.shape[0] - lo], "clip")
+            np.matmul(self.W[lo:lo + step, None, :], rows, out=out[lo:lo + step])
         return out.reshape(self.shape[:1] + g.shape[1:])
 
 
@@ -720,16 +753,11 @@ def _parity_blocks(space: FockSpace, trusted_n: int) -> list:
     entries = _stack(terms)
     number = space.number_values()
     top = max(space.n_max - 1, 0)
-    blocks = []
-    for parity in (0, 1):
-        states = np.flatnonzero(number % 2 == parity)
-        if not np.any(number[states] <= trusted_n):
-            continue
-        blocks.append(_ParityBlock(
-            space, states, entries, len(terms),
-            top_lo=int(np.count_nonzero(number[states] < top)),
-            trusted_hi=int(np.count_nonzero(number[states] <= trusted_n))))
-    return blocks
+    parities = [np.flatnonzero(number % 2 == parity) for parity in (0, 1)]
+    return [_ParityBlock(space, states, entries, len(terms),
+                         top_lo=int(np.count_nonzero(number[states] < top)),
+                         trusted_hi=int(np.count_nonzero(number[states] <= trusted_n)))
+            for states in parities if np.any(number[states] <= trusted_n)]
 
 
 def _pair_coefficients(hamiltonian: QuadraticHamiltonian, u_path):
@@ -760,21 +788,24 @@ def conjugate_observable(qflow: QuantumFlowResult, b: PolySymbol) -> np.ndarray:
     an n_cols x n_cols array, taken per pair of parities (p, q): the
     columns of parity q live on the states of q, so they meet the columns
     of p through the block of b^Wick between those states only, a
-    `_Table` with one slot per monomial as in `wick_apply`.  An
-    observable of even degrees only keeps the parity, and its blocks
-    p != q are zero and skipped.
+    `_Table` with one slot per monomial of the degree parity that links
+    p and q, as in `wick_apply`.  A pair that no monomial links (p != q
+    for an observable of even degrees only) is zero and skipped.
     """
     space = qflow.space
     _check_degree(b, space)
-    entries, coeffs = _wick_entries(b, space, space.n_max)
-    odd = any(m % 2 and np.any(c) for m, c in b.vectors.items())
+    # the monomials of even degree link a parity to itself, those of odd degree to the
+    # other; each pair stacks the entries it needs, so one table's are alive at a time
+    halves = [PolySymbol._from_vectors(b.dim, {m: c for m, c in b.vectors.items() if m % 2 == r})
+              for r in (0, 1)]
     parts = list(qflow._parities())
     # the adjoint of the result, block by block: (b^Wick u_q)^* u_p needs no
     # conjugate copy of the columns
     adj = np.zeros((sum(len(cols) for _, cols, _ in parts),) * 2, dtype=complex)
     for q, (states_q, cols_q, u_q) in enumerate(parts):
         for p, (states_p, cols_p, u_p) in enumerate(parts):
-            if p == q or odd:
+            entries, coeffs = _wick_entries(halves[p != q], space, space.n_max)
+            if len(coeffs):
                 applied = _Table(space, entries, len(coeffs), states_p, states_q).fill(coeffs) @ u_q
                 adj[np.ix_(cols_q, cols_p)] = np.conjugate(applied, out=applied).T @ u_p
     return np.conjugate(adj, out=adj).T

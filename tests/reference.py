@@ -3,8 +3,9 @@
 Each function recomputes a quantity of the package by a slower,
 separately derived route, or checks an identity the expansions rest on:
 the occupation index read off the enumeration, dense per-sector ladder
-matrices, the dense array of a generator operator, quantization
-through explicit symmetrizers, field and Weyl operators, the JSON entries of a symbol one coefficient at a time,
+matrices and Gamma(u) built state by state from them, the dense array
+of a generator operator, quantization through explicit symmetrizers,
+field and Weyl operators, the JSON entries of a symbol one coefficient at a time,
 the linear forms <z, xi> and <eta, z>, derivatives, translates and
 compositions of a symbol (the last on the full tensor power), the
 Poisson-bracket form of lambda^s, the hand-written kernel of Lambda^t
@@ -20,12 +21,12 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import block_diag, expm
+from scipy.linalg import expm
 
 import hepp_expand.sectors as sec
 from hepp_expand.expansions import Lambda_of_map, Lambda_t, lambda_s
 from hepp_expand.flow import _hermite, v_vector
-from hepp_expand.fock import _narrow, gamma_u, trusted_block_diff, wick_quantize
+from hepp_expand.fock import _narrow, trusted_block_diff, wick_quantize
 from hepp_expand.symbols import (
     PolySymbol,
     _grad,
@@ -435,7 +436,7 @@ def bogoliubov_implementer(t_map, space) -> np.ndarray:
     e = dec.conj_basis
     q_rho = squeezing_hamiltonian_symbol((e * dec.rho_eigs) @ e.T)
     squeeze = expm(-1j * wick_quantize(q_rho, space) / space.epsilon)
-    return squeeze @ block_diag(*gamma_u(dec.unitary, space)).conj().T
+    return squeeze @ loop_gamma_u(dec.unitary, space).conj().T
 
 
 def check_weyl_conjugation(t_map, b: PolySymbol, space, n_trust: int = None) -> dict:
