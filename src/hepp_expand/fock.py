@@ -42,21 +42,23 @@ larger of `flow.unitarity_defect` on the two blocks.  Each pair term
 of the generator is a ladder map too, so a parity block's generator is
 a `_Table` with one slot per term, as b^Wick is one with a slot per
 monomial of each parity pair's degree parity and dGamma(H) one with a
-slot per mode pair: one operator type, whose product is a gather of
-rows and one batched product on a space of at most _NUMPY_MAX_STATES
-states, where the oracle never imports scipy, and a CSR product above.
+slot per mode pair: one operator type, held once in the form its
+product reads, a neighbour table whose product is a gather of rows and
+one batched product on a space of at most _NUMPY_MAX_STATES states,
+where the oracle never imports scipy, and a CSR matrix alone above.
 
 One stepper advances the columns by the fourth-order commutator-free
 Magnus step CF4 (Blanes & Moan 2006), reading the pair coefficients of
 all six Gauss times of a step-doubling attempt in one call, and
-refills the generator's matrices and those of its top-sector rows (the
-leakage gate's) in place.  A step spans several grid points, sized by
-step doubling; each exponential acts on the columns as a Taylor series
-whose length follows from the generator's exact 1-norm and a remainder
-target: the unit roundoff for the two half steps whose columns are
-kept, a thousandth of the step's error budget for the full step that only
-feeds the error estimate.  The leakage gate reads every grid point:
-exactly at step ends, from the flow's cubic Hermite rule
+refills each parity block's one generator table in place, for each
+exponential and at each knot of the leakage gate, whose slopes are the
+top-sector rows of its products.  A step spans several grid points,
+sized by step doubling; each exponential acts on the columns as a
+Taylor series whose length follows from the generator's exact 1-norm
+and a remainder target: the unit roundoff for the two half steps whose
+columns are kept, a thousandth of the step's error budget for the full
+step that only feeds the error estimate.  The leakage gate reads every
+grid point: exactly at step ends, from the flow's cubic Hermite rule
 `flow._hermite` in between.  A step that comes within a factor 10 of
 the leakage threshold is retried as one grid step, so every value from
 a tenth of the threshold up, and the abort, is taken at a step end.
@@ -443,9 +445,9 @@ _GATHER_ENTRIES = 2 ** 14
 class _ColumnStepper:
     """The parity blocks' evolved columns, advanced along a time grid.
 
-    Owns the columns, the parity blocks, whose generator tables it
-    refills in place (``work`` for each CF4 exponent, ``top`` for the
-    leakage gate's slopes), the leakage at every grid point and the CF4
+    Owns the columns, the parity blocks, whose one generator table each
+    (``work``) it refills in place, for each CF4 exponent and at each
+    knot of the leakage gate, the leakage at every grid point and the CF4
     counters.  `march` takes CF4 steps of several grid points with
     step-doubling control: one attempt from knot k advances n_h grid
     steps twice with H/2, at the unit roundoff, and once with H, whose
@@ -542,14 +544,17 @@ class _ColumnStepper:
         """Leakage at grid points k+1..k+n_h of a step whose left, middle
         and right states are `states`, into the trace and its exact mask:
         exact at the right knot, from the cubic Hermite interpolant Y(tau)
-        of the top-sector rows in between, in three tiers.  The 6 x 6
-        inner products of the knot rows bound every inner point by
-        ||Y(tau)||_F.  The points are visited in decreasing order of that
-        bound, in batches: each forms its Y(tau), by one real product on
-        the knot rows' float view, and its narrow Gram matrix, whose
-        Gershgorin row sums bound it again, and takes the top
-        eigenvalue only where that bound reaches the exact maximum so
-        far.  The visits end when a bound falls below that maximum or it
+        of the top-sector rows in between, in three tiers.  At each knot
+        each block's ``work`` table is filled there, and the slope rows
+        are h/2 times the top-sector rows of its product with the knot's
+        state; values and slopes are written once, into the narrow stack
+        that the batches read.  The 6 x 6 inner products of the knot rows
+        bound every inner point by ||Y(tau)||_F.  The points are visited
+        in decreasing order of that bound, in batches: each forms its
+        Y(tau), by one real product on the knot rows' float view, and its
+        narrow Gram matrix, whose Gershgorin row sums bound it again, and
+        takes the top eigenvalue only where that bound reaches the exact
+        maximum so far.  The visits end when a bound falls below that maximum or it
         reaches the gate; every other point keeps its smaller bound.
         """
         grid, lo, hi = self.grid, k + 1, k + n_h
@@ -565,16 +570,17 @@ class _ColumnStepper:
         basis = _hermite(knots, np.eye(6)[0::2], np.eye(6)[1::2] / (h / 2), grid[lo:hi])
         stacks, bound = [], np.zeros(n_h - 1)
         for b, blk in enumerate(self.blocks):
-            ys = []
-            for c, state in zip(coeffs, states):
-                blk.top.fill(c)
-                ys += [state[b][blk.top_lo:], (h / 2) * (blk.top @ state[b])]
-            ys = np.stack(ys)
+            # the knot rows and slopes, written once into the narrow stack
+            # that the batches read (`_narrow` of each is a view)
+            ys = np.empty((6,) + _narrow(states[0][b][blk.top_lo:]).shape, dtype=complex)
+            for i, (c, state) in enumerate(zip(coeffs, states)):
+                ys[2 * i] = _narrow(state[b][blk.top_lo:])
+                ys[2 * i + 1] = _narrow((h / 2) * (blk.work.fill(c) @ state[b])[blk.top_lo:])
             # ||Y(tau)||_F^2 = sum_ij basis_i basis_j Re<Y_i, Y_j>, the real
             # parts read as the dot products of the rows as float vectors
             flat = ys.reshape(6, -1).view(float)
             bound = np.maximum(bound, np.einsum("pi,ij,pj->p", basis, flat @ flat.T, basis))
-            stacks.append(np.ascontiguousarray(_narrow(ys)))
+            stacks.append(ys)
         # the trace's inner points hold the bounds, tightened in place
         self.leak[lo:hi] = np.sqrt(np.maximum(bound, 0.0))
         bound = self.leak[lo:hi]
@@ -656,19 +662,21 @@ def _expm_apply(mat, norm, u, target=_UNIT_ROUNDOFF):
 class _Table:
     """A sum of ladder maps, each with at most one entry per row, between a
     set of row states and one of column states (positions in the direct
-    sum), as a neighbour table: the ELLPACK layout of Bell & Garland
-    2009.  Slot k of row i holds map k's entry there, its column
-    src[i, k] and ladder weight val[i, k] (0, at column 0, where map k has
-    none); `fill` sets the weights W = val c from one coefficient per map,
-    and row i of the product with g is sum_k W[i, k] g[src[i, k]].
+    sum), held once, in the form its product reads.
 
-    The one reader of the numpy/CSR cut: on a space of more than
-    _NUMPY_MAX_STATES states the table also keeps a CSR matrix with one
-    nonzero per (row, column) that a slot reaches, which `fill` sets to
-    the sum of those slots' weights, and the product is scipy's.  Below
-    the cut it is a gather of rows into one buffer and one batched
-    product, in row batches whose gather holds at most _GATHER_ENTRIES
-    entries.
+    The one reader of the numpy/CSR cut.  On a space of at most
+    _NUMPY_MAX_STATES states it is a neighbour table, the ELLPACK layout
+    of Bell & Garland 2009: slot k of row i holds map k's entry there, its
+    column src[i, k] and ladder weight val[i, k] (0, at column 0, where
+    map k has none); `fill` sets the weights W = val c from one
+    coefficient per map, and row i of the product with g is
+    sum_k W[i, k] g[src[i, k]], a gather of rows into one buffer and one
+    batched product, in row batches whose gather holds at most
+    _GATHER_ENTRIES entries.  Above the cut it is a CSR matrix alone, with
+    one nonzero per (row, column) that a map reaches, and the product is
+    scipy's: `fill` sets the nonzeros to coef c, coef holding each map's
+    ladder value at each nonzero, so a nonzero that several maps reach
+    is the sum of their weights.
     """
 
     def __init__(self, space, entries, n_maps, row_states, col_states):
@@ -679,33 +687,40 @@ class _Table:
         rows, cols = at[0, entries[0]], at[1, entries[1]]
         mine = (rows >= 0) & (cols >= 0)
         rows, cols, values, maps = rows[mine], cols[mine], entries[2][mine], entries[3][mine]
-        self.src = np.zeros((self.shape[0], n_maps), dtype=np.int64)
-        self.val = np.zeros(self.src.shape)
-        self.src[rows, maps], self.val[rows, maps] = cols, values
-        self.W = np.zeros(self.src.shape, dtype=complex)
         self.csr = None
         if space.total_dim > _NUMPY_MAX_STATES:
             from scipy import sparse
 
             keys, at = np.unique(rows * self.shape[1] + cols, return_inverse=True)
-            # the nonzero at each position is the sum of the weights of its slots
-            self.sums = sparse.csr_matrix((np.ones(len(at)), (at, rows * n_maps + maps)),
-                                          shape=(len(keys), self.W.size))
+            self.coef = sparse.csr_matrix((values, (at, maps)), shape=(len(keys), n_maps))
             indptr = np.searchsorted(keys, np.arange(self.shape[0] + 1) * self.shape[1])
             self.csr = sparse.csr_matrix(
                 (np.zeros(len(keys), complex), keys % self.shape[1], indptr), shape=self.shape)
+        else:
+            self.src = np.zeros((self.shape[0], n_maps), dtype=np.int64)
+            self.val = np.zeros(self.src.shape)
+            self.src[rows, maps], self.val[rows, maps] = cols, values
+            self.W = np.zeros(self.src.shape, dtype=complex)
 
     def fill(self, c):
         """Set the weights from the coefficients c, one per map; returns
         the table."""
-        np.multiply(self.val, c, out=self.W)
-        if self.csr is not None:
-            self.csr.data[:] = self.sums @ self.W.ravel()
+        if self.csr is None:
+            np.multiply(self.val, c, out=self.W)
+        else:
+            self.csr.data[:] = self.coef @ c
         return self
 
     def norm1(self) -> float:
-        """Exact 1-norm (largest column sum)."""
-        return float(np.bincount(self.src.ravel(), weights=np.abs(self.W).ravel()).max(initial=0.0))
+        """The 1-norm (largest column sum) of the table's absolute weights.
+
+        Above the cut these are the CSR's nonzeros, and the norm is exact
+        for any table.  Below it they are the slots' weights: exact where
+        no two maps share a position, as no two pair terms of the
+        generator do, and an upper bound otherwise.
+        """
+        cols, w = (self.src, self.W) if self.csr is None else (self.csr.indices, self.csr.data)
+        return float(np.bincount(cols.ravel(), weights=np.abs(w).ravel()).max(initial=0.0))
 
     def __matmul__(self, g):
         if self.csr is not None:
@@ -724,14 +739,13 @@ class _Table:
 class _ParityBlock:
     """States of one particle-number parity, in direct-sum order, so the
     trusted columns are a prefix and the top-sector rows a suffix, with
-    the pair generator on them as two `_Table`s, slot k pair term k:
-    ``work`` on all its rows, refilled for each CF4 exponent, and ``top``
-    on its top-sector rows, for the leakage gate's slopes."""
+    the pair generator on them as one `_Table`, slot k pair term k:
+    ``work``, refilled for each CF4 exponent and at each knot of the
+    leakage gate."""
 
     def __init__(self, space, states, entries, n_terms, top_lo, trusted_hi):
         self.states, self.top_lo, self.trusted_hi = states, top_lo, trusted_hi
         self.work = _Table(space, entries, n_terms, states, states)
-        self.top = _Table(space, entries, n_terms, states[top_lo:], states)
 
     def leakage(self, u) -> float:
         """2-norm of the top-sector rows of the evolved columns u, from the

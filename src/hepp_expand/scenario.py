@@ -37,9 +37,10 @@ _KEYS = ("schema_version", "dim", "epsilon", "t_end", "dt", "alpha", "beta",
 # scenario in the repo; the epsilon range keeps eps^k and eps^(m/2) finite.
 # Measured: the flow holds ~110 B per stack entry, so its cap, the stack
 # of d=1 at the step cap, is ~0.45 GB; the oracle at d=6, N=12 (3.9e6 Fock
-# entries) with alpha present takes 0.43 GB and ~5 s (2.16 GB and 21-25 s
-# while Gamma(u_alpha) was formed as dense sector blocks); a Dyson batch
-# takes 0.2-3 ms at d <= 3.
+# entries) with alpha present takes 0.31 GB and ~5.5 s (0.43 GB while its
+# tables kept copies their products never read, 2.16 GB and 21-25 s while
+# Gamma(u_alpha) was formed as dense sector blocks); a Dyson batch takes
+# 0.2-3 ms at d <= 3.
 _MAX_QUAD_NODES = 256
 _MAX_STEPS = 10**6
 _EPSILON_RANGE = (1e-100, 100.0)

@@ -26,7 +26,7 @@ from scipy.linalg import expm
 import hepp_expand.sectors as sec
 from hepp_expand.expansions import Lambda_of_map, Lambda_t, lambda_s
 from hepp_expand.flow import _hermite, v_vector
-from hepp_expand.fock import _narrow, trusted_block_diff, wick_quantize
+from hepp_expand.fock import _narrow, _parity_blocks, trusted_block_diff, wick_quantize
 from hepp_expand.symbols import (
     PolySymbol,
     _grad,
@@ -358,7 +358,9 @@ def every_point_gate(stepper, k, n_h, states):
     grid point k+1..k+n_h, a drop-in for `_ColumnStepper.leakage`: exact at
     the right knot, and from the Gram matrices of the cubic Hermite
     interpolant of the top-sector rows at every inner point, all of them
-    as one stack.  Every point it writes is marked exact."""
+    as one stack.  The knot slopes come from a fresh `_parity_blocks`
+    generator, densified at each knot, so nothing here reads the
+    stepper's own tables.  Every point it writes is marked exact."""
     grid = stepper.grid
     t, h = grid[k], grid[k + n_h] - grid[k]
     out = np.zeros(n_h)
@@ -366,14 +368,15 @@ def every_point_gate(stepper, k, n_h, states):
     if n_h > 1:
         knots = np.array([t, t + h / 2, t + h])
         coeffs = stepper.coefficients(knots)
+        fresh = _parity_blocks(stepper.space, stepper.trusted_n)
         inner = grid[k + 1:k + n_h]
         basis = _hermite(knots, np.eye(6)[0::2], np.eye(6)[1::2] / (h / 2), inner)
         pairs = (basis[:, :, None] * basis[:, None, :]).reshape(len(inner), 36)
         for b, blk in enumerate(stepper.blocks):
             ys = []
             for c, state in zip(coeffs, states):
-                blk.top.fill(c)
-                ys += [state[b][blk.top_lo:], (h / 2) * (blk.top @ state[b])]
+                gen = densify(fresh[b].work.fill(c))
+                ys += [state[b][blk.top_lo:], (h / 2) * (gen @ state[b])[blk.top_lo:]]
             ys = _narrow(np.stack(ys))
             if not ys.size:
                 continue

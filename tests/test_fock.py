@@ -529,9 +529,12 @@ class TestGammaOnColumns:
     def test_quantum_flow_memory_bound_at_d5(self):
         # with alpha present at d=5, N=10 (3,003 states, sector 10 alone
         # 1,001 states), the 21 columns of sectors <= 2 take Gamma(u_alpha)
-        # as one table exponential per parity block: measured 12.8 MB,
-        # against 72 MB when each sector block of Gamma(u_alpha) was formed
-        # densely; 16 MB leaves 25 % for allocator noise
+        # as one table exponential per parity block: measured 6.38 MB with
+        # each table in one form (a CSR matrix alone above the 400-state
+        # cut), against 12.8 MB when every table also kept its slot arrays
+        # and each parity block a second table for the leakage gate, and
+        # 72 MB when each sector block of Gamma(u_alpha) was formed densely;
+        # 8 MB leaves 25 % for allocator noise
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
@@ -547,7 +550,7 @@ class TestGammaOnColumns:
         finally:
             tracemalloc.stop()
         assert qf.unitarity_defect() < 1e-13
-        assert peak < 16e6
+        assert peak < 8e6
 
 
 class TestQuantumFlow:
@@ -836,29 +839,48 @@ class TestMagnusFlow:
         assert np.all(cf4.leakage_trace[~exact] >= ref[~exact] - slack)
         assert cf4.integrator["refined"] == 0
 
-    def test_top_rows_survive_the_work_refills(self, monkeypatch, rng):
-        # the gate refills the top-row tables at three knots; a CF4
-        # attempt then refills the work tables.  Each top-row table must
-        # still be the top rows of the generator at the last knot, on
-        # either side of the numpy/CSR cut: those of a fresh block's work
-        # table filled there.
+    def test_gate_slopes_are_the_generator_at_each_knot(self, monkeypatch, rng):
+        # a CF4 attempt leaves each block's work table filled for its last
+        # exponent; the gate then refills it at each of its three knots.
+        # The slope rows it takes there are those of a fresh block's
+        # generator filled at that knot, on either side of the numpy/CSR
+        # cut, and it writes the leakage of a fresh stepper's gate
         h = ramped_hamiltonian(rng, t_end=0.2)
         space = FockSpace(2, 12, 0.5)
         coefficients = fock._pair_coefficients(h, integrate_u_alpha(h))
         grid = h.grid()
         n_h = 40
         t, dt = grid[0], grid[n_h] - grid[0]
-        last = coefficients((t, t + dt / 2, t + dt))[-1]
+        knots = coefficients((t, t + dt / 2, t + dt))
+        products, matmul = [], fock._Table.__matmul__
+
+        def recorded(table, g):
+            products.append((table, matmul(table, g)))
+            return products[-1][1]
+
         for table in (False, True):
             monkeypatch.setattr(fock, "_NUMPY_MAX_STATES", space.total_dim if table else 0)
             stepper = fock._ColumnStepper(space, 6, coefficients, grid, np.inf)
-            stepper.leakage(0, n_h, (stepper.us,) * 3)
             stepper.cf4(stepper.us, coefficients(t + fock._GAUSS * dt), dt)
-            for blk, fresh in zip(stepper.blocks, fock._parity_blocks(space, 6)):
-                fresh.work.fill(last)
-                assert (blk.top.csr is None) == table
-                assert blk.top.shape[0] > 0
-                assert np.array_equal(densify(blk.top), densify(fresh.work)[blk.top_lo:])
+            # knot states with rows in every sector, so every slope row is nonzero
+            states = [[rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+                       for u in stepper.us] for _ in range(3)]
+            products.clear()
+            with monkeypatch.context() as spy:
+                spy.setattr(fock._Table, "__matmul__", recorded)
+                stepper.leakage(0, n_h, states)
+            for b, (blk, fresh) in enumerate(zip(stepper.blocks, fock._parity_blocks(space, 6))):
+                assert (blk.work.csr is None) == table
+                slopes = [out[blk.top_lo:] for tab, out in products if tab is blk.work]
+                assert len(slopes) == 3
+                for c, state, slope in zip(knots, states, slopes):
+                    want = (fresh.work.fill(c) @ state[b])[blk.top_lo:]
+                    assert np.abs(want).max() > 0
+                    assert np.array_equal(slope, want)
+            again = fock._ColumnStepper(space, 6, coefficients, grid, np.inf)
+            again.leakage(0, n_h, states)
+            assert np.array_equal(stepper.leak, again.leak)
+            assert np.array_equal(stepper.exact, again.exact)
 
     @pytest.mark.parametrize("case", ["leakage-abort", "example-im-z2"])
     def test_abort_matches_the_dense_reference(self, case):
@@ -1108,8 +1130,38 @@ def test_numpy_cut_sits_at_400_states():
                               (1, 400, False), (2, 28, False), (3, 12, False)):
         space = FockSpace(dim, n_max, 0.5)
         assert (space.total_dim <= fock._NUMPY_MAX_STATES) == table == (space.total_dim <= 400)
-        assert all((blk.work.csr is None) == (blk.top.csr is None) == table
-                   for blk in fock._parity_blocks(space, n_max - 4))
+        assert all((blk.work.csr is None) == table for blk in fock._parity_blocks(space, n_max - 4))
+
+
+@pytest.mark.parametrize("table", [True, False], ids=["table", "csr"])
+@pytest.mark.parametrize("dim, n_max", [(1, 30), (2, 16), (3, 10)])
+def test_generator_norm1_is_exact(monkeypatch, rng, dim, n_max, table):
+    # no two pair terms share a position, so on either side of the cut
+    # the work table's 1-norm, which sets the CF4 Taylor lengths, is the
+    # largest absolute column sum of its dense array
+    space = FockSpace(dim, n_max, 0.5)
+    monkeypatch.setattr(fock, "_NUMPY_MAX_STATES", space.total_dim if table else 0)
+    n_terms = 2 * len(sec.occupations(dim, 2))
+    c = rng.standard_normal(n_terms) + 1j * rng.standard_normal(n_terms)
+    for blk in fock._parity_blocks(space, n_max - 4):
+        assert (blk.work.csr is None) == table
+        assert blk.work.fill(c).norm1() == np.abs(densify(blk.work)).sum(0).max()
+
+
+@pytest.mark.parametrize("table", [True, False], ids=["table", "csr"])
+def test_norm1_where_maps_share_positions(monkeypatch, table):
+    # two maps on the diagonal, the number operator of mode 0 with
+    # coefficients 1 and -1/2: above the cut the CSR sums them first and
+    # the 1-norm is exact, below it the slots' weights are summed apart
+    # and bound it from above, here 3 times over
+    space = FockSpace(2, 8, 0.5)
+    monkeypatch.setattr(fock, "_NUMPY_MAX_STATES", space.total_dim if table else 0)
+    number = sec.ladder_entries(2, space.n_max, (1, 0), (1, 0))
+    states = np.arange(space.total_dim)
+    mat = fock._Table(space, fock._stack([number] * 2), 2, states, states).fill([1.0, -0.5])
+    exact = np.abs(densify(mat)).sum(0).max()
+    assert exact == pytest.approx(0.5 * space.n_max, rel=1e-15)
+    assert mat.norm1() == pytest.approx((3 if table else 1) * exact, rel=1e-15)
 
 
 @pytest.mark.parametrize("grid", [0.125 * np.arange(11), 0.3 + 0.007 * np.arange(13)],
@@ -1237,8 +1289,10 @@ class TestConjugateObservable:
         # N=16 the call stays below the 969^2 x 16 B = 15 MB of the dense
         # quantization alone.  Each parity pair's table holds only the
         # monomials of the degree parity that links the pair, stacked for
-        # that pair alone: measured 9.99 MB, against 11.92 MB when every
-        # table held all of them
+        # that pair alone, as a CSR matrix filled from the coefficients
+        # through a sparse map of ladder values: measured 7.51 MB, against
+        # 9.99 MB when each table also kept its slot arrays and 11.92 MB
+        # when every table held all the monomials; 9.4 MB leaves 25 %
         space = FockSpace(3, 16, 0.5)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         h = QuadraticHamiltonian(3, alpha=np.diag([0.3, -0.2, 0.1]), beta=(m + m.T) / 4,
@@ -1255,7 +1309,7 @@ class TestConjugateObservable:
         finally:
             tracemalloc.stop()
         assert got.shape == (qf.columns.shape[1],) * 2
-        assert peak < 11.5e6
+        assert peak < 9.4e6
 
     def test_dense_observable_memory(self, rng):
         # a dense degree-4 observable at d=2, N=24 (the oracle's trusted
