@@ -12,11 +12,14 @@ P = I + h/6 (K1 + 2 K2 + 2 K3 + K4); all step propagators are built as
 batched products, and one pass of small products W_{k+1} = P_k W_k
 follows.  The slopes G W at the grid points feed the dense output, a
 cubic Hermite interpolant that matches the integrator's own order and
-is evaluated for many times at once.  The unitary path u_alpha, which
-only the Fock oracle uses, is the classical flow of alpha alone: the
-same integration with beta = 0, whose antilinear part stays exactly
-zero and whose linear part is u_alpha.  ``unitarity_defect`` is the one
-rule for ||u*u - I||_2.
+is evaluated for many times at once.  The unitary path u_alpha is the
+classical flow of alpha alone (``integrate_u_alpha``): the same
+integration with beta = 0, whose antilinear part stays exactly zero and
+whose linear part is u_alpha.  It is a reference for the tests; the
+Fock oracle integrates its own u_alpha on C^d with the generic RK4
+(``_linear_rk4``) and Hermite rule (``_hermite``) here, so that it
+shares no reading of alpha with the classical flow.
+``unitarity_defect`` is the one rule for ||u*u - I||_2.
 """
 
 from __future__ import annotations
@@ -303,8 +306,10 @@ def integrate_u_alpha(h: QuadraticHamiltonian, t: float = None) -> FlowResult:
     The result's antilinear part is exactly zero and its linear part is
     u_alpha, read at grid times by ``phi(s).linear`` and anywhere in
     between by ``phi_on(times)[0]``; the terminal check is that of
-    `integrate_flow`, at t.  The classical flow does not use this path;
-    the Fock oracle takes its interaction picture from it.
+    `integrate_flow`, at t.  Neither the classical flow nor the Fock
+    oracle uses this path: it is the reference for the oracle's own
+    u_alpha, which RK4 integrates on C^d from alpha itself and which
+    matches it to rounding.
     """
     return _classical_flow(h, lambda times: np.zeros((len(times), h.dim, h.dim), dtype=complex), t)
 

@@ -27,8 +27,13 @@ the particle number by 2, so the even and odd sectors evolve as two
 separate dense blocks of U.  Only the columns of U that start in the
 trusted sectors 0..trusted_n are evolved: they are all that the trusted
 block of the conjugated observable and the leakage gate read.  The flow
-runs on the Hamiltonian's own grid up to one grid time t, where
-Gamma(u_alpha) = e^{i phi n} exp(dGamma(H)), u_alpha = e^{i phi} e^H,
+runs in the interaction picture of alpha, on the Hamiltonian's own grid
+up to one grid time t, for every Hamiltonian, alpha zero included.  Its
+u_alpha, i du/ds = alpha_s u on C^d, is integrated here from alpha
+itself, by the generic RK4 and Hermite rule of :mod:`hepp_expand.flow`
+but not by the classical flow that both expansion engines share, so a
+slip in how that flow reads alpha cannot cancel in the comparison.  At
+t, Gamma(u_alpha) = e^{i phi n} exp(dGamma(H)), u_alpha = e^{i phi} e^H,
 acts on each parity block: dGamma(H) = sum_ij H_ij a_i^dag a_j is one
 more `_Table`, with a slot per (i, j), and its exponential is the
 flow's Taylor kernel.  The result keeps the two parity blocks, each
@@ -79,7 +84,7 @@ import numpy as np
 
 from . import sectors as sec
 from .errors import DimensionMismatchError, LeakageError, SymplecticityError
-from .flow import QuadraticHamiltonian, _hermite, grid_index, integrate_u_alpha, unitarity_defect
+from .flow import QuadraticHamiltonian, _hermite, _linear_rk4, grid_index, unitarity_defect
 from .symbols import PolySymbol, squeezing_hamiltonian_symbol
 from .symplectic import euclidean_norm
 
@@ -244,7 +249,8 @@ def gamma_u(u, space: FockSpace) -> list:
     u = np.asarray(u, dtype=complex)
     if u.shape != (space.dim, space.dim):
         raise DimensionMismatchError(f"u of shape {u.shape} on a space of dim {space.dim}")
-    if unitarity_defect(u) > _UNITARY_TOL:
+    # NaN, from a non-finite u, fails too
+    if not unitarity_defect(u) <= _UNITARY_TOL:
         raise ValueError(f"gamma_u requires a unitary within {_UNITARY_TOL:g}")
     return [_gamma(space, u, np.arange(space.offsets[n], space.offsets[n + 1]),
                    np.eye(space.sector_dims[n], dtype=complex)) for n in range(space.n_max + 1)]
@@ -360,15 +366,18 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
     start in sectors 0..trusted_n (default n_max - 4) are evolved; the
     result holds them as the even- and odd-sector parity blocks they are
     evolved in (``QuantumFlowResult.parity_blocks``).  Runs the beta-only
-    generator (rotated by u_alpha when alpha is present) on each parity
-    block and composes with the second-quantized unitary path at t:
-    Gamma(u_alpha) acts on the columns of each parity block as the
-    exponential of a `_Table`, e^{i phi n} exp(dGamma(H)) for
-    u_alpha = e^{i phi} e^H (`_gamma`), and no dense block of a sector
-    is formed.  u_alpha (`flow.integrate_u_alpha`, integrated up to t
-    only) must be unitary at t within 1e-10, the bound of `gamma_u`: a
-    path that drifted further raises SymplecticityError before any step
-    is taken.
+    generator, beta rotated by u_alpha, on each parity block and composes
+    with the second-quantized unitary path at t: Gamma(u_alpha) acts on
+    the columns of each parity block as the exponential of a `_Table`,
+    e^{i phi n} exp(dGamma(H)) for u_alpha = e^{i phi} e^H (`_gamma`),
+    and no dense block of a sector is formed.  u_alpha solves
+    i du/ds = alpha_s u, u(t_start) = I, by RK4 on C^d (`flow._linear_rk4`)
+    on the grid up to t, one step at least, and is read between grid
+    points by the cubic Hermite rule `flow._hermite`; with alpha zero it
+    is exactly I at every time, and Gamma(I) leaves the columns as they
+    are.  It must be unitary at t within 1e-10, the bound of `gamma_u`: a
+    path that drifted further, or overflowed, raises SymplecticityError
+    before any step is taken.
 
     The integrator is the commutator-free Magnus step CF4, whose step is
     a multiple of the grid step chosen by step doubling so that the
@@ -405,19 +414,24 @@ def quantum_flow(hamiltonian: QuadraticHamiltonian, space: FockSpace, t: float =
             f"trusted sectors <= {trusted_n} reach the top two sectors of n_max "
             f"{space.n_max}: the leakage gate needs trusted_n <= n_max - 2")
 
-    u_path = None if hamiltonian.alpha.is_zero() else integrate_u_alpha(hamiltonian, grid[-1])
-    if u_path is not None:
-        u_t = u_path.phi(grid[-1]).linear
-        if unitarity_defect(u_t) > _UNITARY_TOL:
-            raise SymplecticityError(
-                f"u_alpha(t={grid[-1]:g}) is unitary only within {unitarity_defect(u_t):.3e}, "
-                f"above the {_UNITARY_TOL:.0e} that Gamma(u_alpha) needs; reduce dt")
-    stepper = _ColumnStepper(space, trusted_n, _pair_coefficients(hamiltonian, u_path), grid,
-                             leak_threshold)
+    # u_alpha by RK4 on C^d, on the grid up to t and one step at least: the
+    # Hermite rule reads it between two knots
+    knots = hamiltonian.grid()[:max(len(grid), 2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, slopes = _linear_rk4(knots, lambda s: -1j * hamiltonian.alpha_on(s),
+                                np.eye(space.dim, dtype=complex))
+    u_t = u[len(grid) - 1]
+    defect = unitarity_defect(u_t)
+    # NaN, from an overflowed path, fails too
+    if not defect <= _UNITARY_TOL:
+        raise SymplecticityError(
+            f"u_alpha(t={grid[-1]:g}) is unitary only within {defect:.3e}, "
+            f"above the {_UNITARY_TOL:.0e} that Gamma(u_alpha) needs; reduce dt")
+    coefficients = _pair_coefficients(hamiltonian, lambda s: _hermite(knots, u, slopes, s))
+    stepper = _ColumnStepper(space, trusted_n, coefficients, grid, leak_threshold)
     stepper.march(tol)
-    blocks = [(blk.states, u) for blk, u in zip(stepper.blocks, stepper.us)]
-    if u_path is not None:
-        blocks = [(states, _gamma(space, u_t, states, u)) for states, u in blocks]
+    blocks = [(blk.states, _gamma(space, u_t, blk.states, v))
+              for blk, v in zip(stepper.blocks, stepper.us)]
     counts = {"steps": stepper.steps, "rejected": stepper.rejected, "refined": stepper.refined,
               "time_error": float(stepper.time_error)}
     return QuantumFlowResult(space, blocks, stepper.leak, stepper.exact, trusted_n, counts)
@@ -774,20 +788,19 @@ def _parity_blocks(space: FockSpace, trusted_n: int) -> list:
             for states in parities if np.any(number[states] <= trusted_n)]
 
 
-def _pair_coefficients(hamiltonian: QuadraticHamiltonian, u_path):
+def _pair_coefficients(hamiltonian: QuadraticHamiltonian, u_alpha):
     """times -> (n_times, 2P) table of the coefficients of the generator
     -(1/2)(g - g^dag), where g = sum_ab conj(beta_ab) a_a a_b and beta is
-    rotated by u_alpha(t) when alpha is present; each row ordered as the
-    terms of `_parity_blocks`."""
+    rotated by u_alpha(t), `u_alpha(times)` stacking it over the times
+    (the identity at every time when alpha is zero, and the rotation then
+    exact); each row ordered as the terms of `_parity_blocks`."""
     ia, ib = sec.pair_modes(hamiltonian.dim)
     # a != b: a_a a_b = a_b a_a collects beta_ab and beta_ba
     weight = np.where(ia == ib, 0.5, 1.0)
 
     def coefficients(times):
-        beta = hamiltonian.beta_on(times)
-        if u_path is not None:
-            u = u_path.phi_on(times)[0]
-            beta = np.conj(u.mT) @ beta @ np.conj(u)
+        u = u_alpha(times)
+        beta = np.conj(u.mT) @ hamiltonian.beta_on(times) @ np.conj(u)
         w = weight * np.conj(beta[:, ia, ib] + beta[:, ib, ia])
         return np.concatenate([-0.5 * w, 0.5 * np.conj(w)], axis=1)
 
@@ -874,7 +887,7 @@ def check_estimates(beta_mat, space: FockSpace, n_samples: int = 100,
     bounds weigh by N/eps + 1 for the scaled number operator N = eps n
     (|z|^2 quantizes to eps a*a), that is by n + 1, so no row depends on
     eps.  The states are drawn and checked in blocks (`sample_max`), with
-    one product by Q^Wick per block.
+    one product by Q^Wick per block, through its table (`wick_apply`).
     """
     rng, beta_mat, bnorm, weight = _check_setup(beta_mat, space, rng)
     report = {"n_samples": n_samples, "beta_norm": bnorm, "vacuous": bnorm == 0.0}
@@ -882,11 +895,11 @@ def check_estimates(beta_mat, space: FockSpace, n_samples: int = 100,
         report["max_ratio_generator"] = 0.0
         report["max_ratio_commutator"] = {k: 0.0 for k in _KS}
         return report
-    q_op = wick_quantize(squeezing_hamiltonian_symbol(beta_mat), space) / space.epsilon
+    q_sym = squeezing_hamiltonian_symbol(beta_mat)
 
     def ratios(size):
         psi = space.random_state(rng, space.n_max - 2, size)
-        qpsi = q_op @ psi
+        qpsi = wick_apply(q_sym, space, psi) / space.epsilon
         rows = [euclidean_norm(qpsi.T) / (1.5 * bnorm * euclidean_norm((weight * psi).T))]
         for k in _KS:
             wpsi = (weight ** k) * psi

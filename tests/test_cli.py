@@ -144,6 +144,17 @@ class TestOracleCommand:
         assert report["leakage"] == 0.0
         assert report["integrator"]["steps"] == 0
 
+    def test_time_zero_with_alpha_is_exact(self, tmp_path, capsys):
+        # oracle-d2-complex cut to t_end = 0: u_alpha is the identity at the
+        # start of its own path, Gamma(I) leaves the columns as they are,
+        # and both engines give the observable itself
+        with open(os.path.join(REPO, "demos", "scenarios", "oracle-d2-complex.json")) as fh:
+            data = dict(json.load(fh), t_end=0.0)
+        code, report = run_main(["oracle", write_scenario(tmp_path, data)], capsys)
+        assert code == 0 and report["pass"] is True
+        assert report["max_matrix_element_error"] == {"dyson": 0.0, "exponential": 0.0}
+        assert report["integrator"]["steps"] == 0
+
     def test_short_time_scenario_passes(self, capsys):
         path = os.path.join(REPO, "demos", "scenarios", "oracle-im-z2.json")
         code, report = run_main(["oracle", path], capsys)
@@ -399,13 +410,18 @@ def test_unexpected_exception_exit_codes(tmp_path, capsys, monkeypatch, exc, cod
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("beta", [400.0, 4000.0], ids=["products-overflow", "flow-overflows"])
+@pytest.mark.parametrize("coefficient, value", [("beta", 400.0), ("beta", 4000.0),
+                                                ("alpha", 1e200)],
+                         ids=["products-overflow", "flow-overflows", "alpha-overflows"])
 @pytest.mark.parametrize("command", ["flow", "expand", "oracle", "estimates"])
-def test_overflowed_flow_is_a_tolerance_failure(tmp_path, capsys, command, beta):
+def test_overflowed_flow_is_a_tolerance_failure(tmp_path, capsys, command, coefficient, value):
     # at beta 400, sinh(400 t) overflows the symplecticity products before
-    # t = 1; at 4000 the flow itself overflows.  Either way the terminal
-    # gate reads an infinite defect, not a failed SVD, and prints no warning.
-    data = base_scenario(beta={"kind": "constant", "data": {"re": [[beta]]}}, t_end=1.0)
+    # t = 1; at 4000 the flow itself overflows, and at alpha 1e200 its first
+    # step does.  Either way the terminal gate reads an infinite defect, not
+    # a failed SVD, and prints no warning; `oracle` runs it before the
+    # quantum flow integrates its own u_alpha.
+    data = base_scenario(**{coefficient: {"kind": "constant", "data": {"re": [[value]]}}},
+                         t_end=1.0)
     assert main([command, write_scenario(tmp_path, data)]) == 1
     out, err = capsys.readouterr()
     assert not out.strip()

@@ -100,6 +100,14 @@ def dense_reference_generator(h, space):
     return generator
 
 
+def reference_u_alpha(h):
+    """Reference: times -> u_alpha stacked over them, the dense output of
+    the classical flow of alpha alone (`flow.integrate_u_alpha`), the
+    identity at every time when alpha is zero."""
+    path = integrate_u_alpha(h)
+    return lambda times: path.phi_on(times)[0]
+
+
 def dense_reference_flow(h, space, trusted_n):
     """Reference: RK4 on the full dense generator over the whole space,
     leakage by the SVD of the full top-sector x trusted-column block.
@@ -435,6 +443,13 @@ class TestGammaU:
         with pytest.raises(ValueError):
             gamma_u(np.array([[1.5]]), space)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        # the unitarity defect of a non-finite u is NaN, and fails the bound
+        space = FockSpace(2, 3, 0.5)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="requires a unitary"):
+            gamma_u(np.full((2, 2), value), space)
+
     def test_rejects_a_matrix_of_another_dim(self, rng):
         # a 3x2 isometry has u* u = I; a 3x3 unitary acts on C^3
         space = FockSpace(2, 4, 0.5)
@@ -645,8 +660,7 @@ class TestQuantumFlow:
         # each filled parity-block matrix is the dense generator's block on
         # the states of that parity, and no entry of it crosses parities
         reference = dense_reference_generator(h, space)
-        coefficients = fock._pair_coefficients(
-            h, None if h.alpha.is_zero() else integrate_u_alpha(h))
+        coefficients = fock._pair_coefficients(h, reference_u_alpha(h))
         blocks = fock._parity_blocks(space, trusted)
         parity = space.number_values() % 2
         grid = h.grid()
@@ -723,6 +737,8 @@ class TestQuantumFlow:
                 quantum_flow(h, space, t, leak_threshold=np.inf)
 
     def test_time_zero_is_identity(self, rng):
+        # with alpha present: u_alpha starts at I exactly, and Gamma(I)
+        # leaves the identity columns as they are
         space = FockSpace(2, 8, 0.5)
         h = ramped_hamiltonian(rng, t_end=0.2)
         qf = quantum_flow(h, space, 0.0, trusted_n=4, leak_threshold=1e-6, tol=1e-8)
@@ -745,6 +761,15 @@ class TestQuantumFlow:
         with pytest.raises(SymplecticityError, match=r"u_alpha\(t=0.5\) is unitary only within "
                                                      r"6\.\d+e-08, above the 1e-10"):
             quantum_flow(h, space, 0.5, trusted_n=6)
+
+    def test_overflowing_alpha_raises(self):
+        # RK4 on C^d overflows in its first step, so u_alpha(t) is NaN and its
+        # unitarity defect too, which the 1e-10 bound must not let through
+        h = QuadraticHamiltonian(2, alpha=1e200 * np.diag([1.0, -1.0]), beta=0.05 * np.eye(2),
+                                 t_end=0.05, dt=5e-4)
+        with pytest.raises(SymplecticityError, match=r"u_alpha\(t=0.05\) is unitary only within "
+                                                     r"nan, above the 1e-10"):
+            quantum_flow(h, FockSpace(2, 8), trusted_n=4)
 
     def test_interior_time_matches_a_shorter_hamiltonian(self, rng):
         # alpha and beta ramp over [0, 0.3]; the run stops at t = 0.1
@@ -778,6 +803,51 @@ def ramped_hamiltonian(rng, t_end=0.3, dt=1e-3):
     beta = (m[2:] + np.swapaxes(m[2:], 1, 2)) / 2
     return QuadraticHamiltonian(2, alpha=(times, alpha), beta=(times, beta),
                                 t_end=t_end, dt=dt)
+
+
+def oracle_u_alpha(monkeypatch, h, t=None):
+    """The u_alpha that `quantum_flow` integrates for itself, as the
+    callable it hands `_pair_coefficients`."""
+    seen, original = [], fock._pair_coefficients
+    monkeypatch.setattr(fock, "_pair_coefficients",
+                        lambda ham, u_alpha: seen.append(u_alpha) or original(ham, u_alpha))
+    quantum_flow(h, FockSpace(h.dim, 4, 0.5), t, trusted_n=0, leak_threshold=np.inf)
+    return seen[0]
+
+
+class TestOracleUAlpha:
+    """The oracle's interaction picture: u_alpha by RK4 on C^d from alpha
+    itself, independent of the classical flow that the engines share."""
+
+    @pytest.mark.parametrize("kind", ["constant", "ramped", "callable"])
+    def test_matches_the_classical_flow_of_alpha(self, monkeypatch, rng, kind):
+        # the same RK4 and Hermite rule as `flow.integrate_u_alpha`, on the
+        # d x d system rather than the doubled one: equal to rounding at the
+        # grid points and at the Gauss times of each grid step and half step
+        m = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        a = (m + np.conj(np.swapaxes(m, 1, 2))) / 2
+        alpha = {"constant": a[0], "ramped": (np.array([0.0, 0.1]), a),
+                 "callable": lambda t: math.cos(20 * t) * a[0] + math.sin(20 * t) * a[1]}[kind]
+        h = QuadraticHamiltonian(2, alpha=alpha, beta=0.1 * np.eye(2), t_end=0.1, dt=1e-3)
+        got, want, grid = oracle_u_alpha(monkeypatch, h), reference_u_alpha(h), h.grid()
+        starts, steps = grid[:-1, None], np.diff(grid)[:, None]
+        for times in (grid, (starts + fock._GAUSS * steps).ravel(),
+                      (starts + steps / 2 + fock._GAUSS * steps / 2).ravel()):
+            assert np.abs(got(times) - want(times)).max() <= 1e-14
+        assert np.array_equal(got(grid[:1]), np.eye(2)[None])
+
+    def test_zero_alpha_is_the_identity(self, monkeypatch, rng):
+        # with alpha zero every RK4 increment and slope is zero, and the
+        # Hermite weights of the two knots sum to exactly 1: u_alpha is I at
+        # every time, and Gamma(I) returns the columns bit for bit
+        h = QuadraticHamiltonian(2, beta=0.1 * np.eye(2), t_end=0.1, dt=1e-3)
+        u_alpha = oracle_u_alpha(monkeypatch, h)
+        times = np.concatenate([h.grid(), rng.uniform(0.0, 0.1, 1000)])
+        assert np.array_equal(u_alpha(times), np.broadcast_to(np.eye(2), (len(times), 2, 2)))
+        space = FockSpace(2, 8, 0.5)
+        states = np.flatnonzero(space.number_values() % 2 == 0)
+        g = rng.standard_normal((len(states), 5)) + 1j * rng.standard_normal((len(states), 5))
+        assert np.array_equal(fock._gamma(space, np.eye(2), states, g), g)
 
 
 class TestMagnusFlow:
@@ -847,7 +917,7 @@ class TestMagnusFlow:
         # cut, and it writes the leakage of a fresh stepper's gate
         h = ramped_hamiltonian(rng, t_end=0.2)
         space = FockSpace(2, 12, 0.5)
-        coefficients = fock._pair_coefficients(h, integrate_u_alpha(h))
+        coefficients = fock._pair_coefficients(h, reference_u_alpha(h))
         grid = h.grid()
         n_h = 40
         t, dt = grid[0], grid[n_h] - grid[0]
@@ -895,8 +965,8 @@ class TestMagnusFlow:
         _, ref = dense_reference_flow(h, space, trusted)
         k = int(np.argmax(ref > threshold))
         assert k > 0
-        stepper = fock._ColumnStepper(space, trusted, fock._pair_coefficients(h, None), h.grid(),
-                                      threshold)
+        coefficients = fock._pair_coefficients(h, reference_u_alpha(h))
+        stepper = fock._ColumnStepper(space, trusted, coefficients, h.grid(), threshold)
         with pytest.raises(LeakageError) as err:
             stepper.march(tol)
         got = err.value.diagnostics
@@ -913,7 +983,7 @@ class TestMagnusFlow:
         # step at the unit roundoff: replayed by a fresh stepper's cf4 at
         # its default precision, they agree bit for bit
         h, space = ramped_hamiltonian(np.random.default_rng(5), t_end=0.1), FockSpace(2, 10, 0.5)
-        coefficients, grid = fock._pair_coefficients(h, integrate_u_alpha(h)), h.grid()
+        coefficients, grid = fock._pair_coefficients(h, reference_u_alpha(h)), h.grid()
         kept, leakage = [], fock._ColumnStepper.leakage
 
         def logged(stepper, k, n_h, states):

@@ -1,14 +1,18 @@
 """Mutation test for the code both expansion engines share.
 
-The Dyson and exponential engines share the composition b o phi, the
-second-order kernel and the (eps/2)^k assembly, and the oracle quantizes
-both sides of its comparison through `fock._wick_entries`.  A slip in
-the composition, the assembly or the quantization cancels in `expand
---method both`, so each slip is planted here in-process, and the
-oracle's own verdict on the complex d=2 demo scenario must turn to a
-tolerance failure (DeMillo, Lipton and Sayward, "Hints on test data
-selection", 1978).  The d=1 demo scenarios, whose data are all real,
-cannot see a dropped conjugation.
+The Dyson and exponential engines share the classical flow, the
+composition b o phi, the second-order kernel and the (eps/2)^k assembly,
+and the oracle quantizes both sides of its comparison through
+`fock._wick_entries`.  A slip in the flow, the composition, the assembly
+or the quantization cancels in `expand --method both`, so each slip is
+planted here in-process, and the oracle's own verdict on the complex d=2
+demo scenario must turn to a tolerance failure (DeMillo, Lipton and
+Sayward, "Hints on test data selection", 1978).  The oracle must not
+share the classical flow: it integrates its interaction picture u_alpha
+from alpha itself, so a slip in how the flow's generator reads alpha
+(negated, transposed) fails it, as the slips in how it reads beta
+(conjugated, negated) do.  The d=1 demo scenarios, whose data are all
+real, cannot see a dropped conjugation.
 """
 
 import os
@@ -16,7 +20,7 @@ import os
 import numpy as np
 import pytest
 
-from hepp_expand import expansions, fock, sectors
+from hepp_expand import expansions, flow, fock, sectors
 from hepp_expand.cli import main
 from hepp_expand.expansions import ExpansionResult
 from hepp_expand.symbols import PolySymbol
@@ -24,6 +28,30 @@ from hepp_expand.symplectic import RLinearMap
 
 SCENARIO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "demos", "scenarios", "oracle-d2-complex.json")
+
+
+def _flow_generator(monkeypatch, slip):
+    # `flow.doubled` is read by the classical flow's generator alone, as
+    # doubled(-i alpha, beta); `RLinearMap.doubled` reads `symplectic.doubled`
+    original = flow.doubled
+    monkeypatch.setattr(flow, "doubled", lambda linear, antilinear: original(
+        *slip(linear, antilinear)))
+
+
+def flow_alpha_negated(monkeypatch):
+    _flow_generator(monkeypatch, lambda linear, antilinear: (-linear, antilinear))
+
+
+def flow_alpha_transposed(monkeypatch):
+    _flow_generator(monkeypatch, lambda linear, antilinear: (linear.mT, antilinear))
+
+
+def flow_beta_conjugated(monkeypatch):
+    _flow_generator(monkeypatch, lambda linear, antilinear: (linear, np.conj(antilinear)))
+
+
+def flow_beta_negated(monkeypatch):
+    _flow_generator(monkeypatch, lambda linear, antilinear: (linear, -antilinear))
 
 
 def compose_conjugated(monkeypatch):
@@ -97,7 +125,8 @@ def wick_sector_scale(monkeypatch):
     monkeypatch.setattr(fock, "_wick_entries", entries)
 
 
-MUTANTS = [compose_conjugated, compose_pick_mode_major, kernel_pair_unconjugated,
+MUTANTS = [flow_alpha_negated, flow_alpha_transposed, flow_beta_conjugated, flow_beta_negated,
+           compose_conjugated, compose_pick_mode_major, kernel_pair_unconjugated,
            kernel_mixed_untransposed, kernel_mixed_doubled, assembled_eps_k, wick_sector_scale]
 
 
