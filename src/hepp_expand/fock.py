@@ -6,8 +6,8 @@ matrices here and symbol coefficients elsewhere never disagree about
 normalization.  The oracle's operators are `_Table`s of ladder maps
 applied to blocks of vectors; dense arrays over the truncated direct
 sum (``wick_quantize``, ``wick_block``, ``FockSpace.ladder_product``)
-serve the inequality checks and the tests, and ``gamma_u`` returns the
-sector blocks of Gamma(u).
+serve the comparison on the trusted block and the tests, and
+``gamma_u`` returns the sector blocks of Gamma(u).
 
 Quantization of a plain monomial conj(z)^m z^n is the normally ordered
 ladder product eps^((|m|+|n|)/2) prod a_i^dag^{m_i} prod a_i^{n_i}.
@@ -74,6 +74,14 @@ and takes an eigenvalue only where both leave it open.  Elsewhere it
 keeps the smaller bound, and ``leakage_exact`` marks which points are
 which.  The real Hermite basis interpolates the knot rows' float view
 by real products, with no complex cast of the basis.
+
+The inequality checks read the flow's generator too, not a second
+quantization of Q_beta: `_parity_blocks` on all the states, filled once
+with the `_pair_weights` of beta's symmetric part, is
+Q_beta^Wick / eps = i G block by block.  `check_estimates` applies it to
+the sampled states, and `check_growth_bound` takes U(t, 0) from the
+eigenpairs of each block's Hermitian i G, so no operator on the whole
+space is formed and no `eigh` reads more than one parity block.
 """
 
 from __future__ import annotations
@@ -85,7 +93,7 @@ import numpy as np
 from . import sectors as sec
 from .errors import DimensionMismatchError, LeakageError, SymplecticityError
 from .flow import QuadraticHamiltonian, _hermite, _linear_rk4, grid_index, unitarity_defect
-from .symbols import PolySymbol, squeezing_hamiltonian_symbol
+from .symbols import PolySymbol
 from .symplectic import euclidean_norm
 
 _EPS_DEFAULT = 0.5
@@ -788,21 +796,27 @@ def _parity_blocks(space: FockSpace, trusted_n: int) -> list:
             for states in parities if np.any(number[states] <= trusted_n)]
 
 
-def _pair_coefficients(hamiltonian: QuadraticHamiltonian, u_alpha):
-    """times -> (n_times, 2P) table of the coefficients of the generator
-    -(1/2)(g - g^dag), where g = sum_ab conj(beta_ab) a_a a_b and beta is
-    rotated by u_alpha(t), `u_alpha(times)` stacking it over the times
-    (the identity at every time when alpha is zero, and the rotation then
-    exact); each row ordered as the terms of `_parity_blocks`."""
-    ia, ib = sec.pair_modes(hamiltonian.dim)
+def _pair_weights(beta) -> np.ndarray:
+    """The (..., 2P) coefficients of the generator -(1/2)(g - g^dag),
+    g = sum_ab conj(beta_ab) a_a a_b, for a (stack of) d x d beta, ordered
+    as the terms of `_parity_blocks`: Q_beta^Wick / eps = i G for the
+    generator G of symmetric beta, and beta and (beta + beta^T)/2 give
+    the same weights."""
+    ia, ib = sec.pair_modes(beta.shape[-1])
     # a != b: a_a a_b = a_b a_a collects beta_ab and beta_ba
-    weight = np.where(ia == ib, 0.5, 1.0)
+    w = np.where(ia == ib, 0.5, 1.0) * np.conj(beta[..., ia, ib] + beta[..., ib, ia])
+    return np.concatenate([-0.5 * w, 0.5 * np.conj(w)], axis=-1)
+
+
+def _pair_coefficients(hamiltonian: QuadraticHamiltonian, u_alpha):
+    """times -> (n_times, 2P) table of the `_pair_weights` of beta rotated
+    by u_alpha(t), `u_alpha(times)` stacking it over the times (the
+    identity at every time when alpha is zero, and the rotation then
+    exact)."""
 
     def coefficients(times):
         u = u_alpha(times)
-        beta = np.conj(u.mT) @ hamiltonian.beta_on(times) @ np.conj(u)
-        w = weight * np.conj(beta[:, ia, ib] + beta[:, ib, ia])
-        return np.concatenate([-0.5 * w, 0.5 * np.conj(w)], axis=1)
+        return _pair_weights(np.conj(u.mT) @ hamiltonian.beta_on(times) @ np.conj(u))
 
     return coefficients
 
@@ -871,11 +885,21 @@ def sample_max(ratios, n_samples: int, entries: int = 1) -> np.ndarray:
 
 
 def _check_setup(beta_mat, space: FockSpace, rng):
-    """What both checks start from: the rng (seed 0 by default), beta as a
-    complex matrix, its 2-vector (HS) norm and the weight column n + 1."""
-    beta_mat = np.asarray(beta_mat, dtype=complex)
-    return (rng or np.random.default_rng(0), beta_mat, float(np.linalg.norm(beta_mat, "fro")),
-            (space.number_values() + 1.0)[:, None])
+    """What both checks start from: the rng (seed 0 by default), the HS
+    norm of beta's symmetric part (beta + beta^T)/2, the one part that
+    Q_beta and the flow's generator read, the weight column n + 1, and
+    the parity blocks on all the states (`_parity_blocks`), their tables
+    G filled with that part's `_pair_weights`: Q_beta^Wick / eps = i G
+    on each block, and no entry of Q_beta^Wick links the two."""
+    if np.shape(beta_mat) != (space.dim, space.dim):
+        raise DimensionMismatchError(f"beta of shape {np.shape(beta_mat)} on dim {space.dim}")
+    if space.n_max < 2 and np.any(beta_mat):
+        raise ValueError(f"Q_beta has degree 2, above the sector cutoff {space.n_max}")
+    beta_mat = (np.asarray(beta_mat, dtype=complex) + np.transpose(beta_mat)) / 2.0
+    return (rng or np.random.default_rng(0), float(np.linalg.norm(beta_mat, "fro")),
+            (space.number_values() + 1.0)[:, None],
+            [(blk.states, blk.work.fill(_pair_weights(beta_mat)))
+             for blk in _parity_blocks(space, space.n_max)])
 
 
 def check_estimates(beta_mat, space: FockSpace, n_samples: int = 100,
@@ -887,19 +911,16 @@ def check_estimates(beta_mat, space: FockSpace, n_samples: int = 100,
     bounds weigh by N/eps + 1 for the scaled number operator N = eps n
     (|z|^2 quantizes to eps a*a), that is by n + 1, so no row depends on
     eps.  The states are drawn and checked in blocks (`sample_max`), with
-    one product by Q^Wick per block, through its table (`wick_apply`).
+    one product by Q^Wick / eps = i G per block and parity, through the
+    parity block's pair table G, the quantum flow's generator.
     """
-    rng, beta_mat, bnorm, weight = _check_setup(beta_mat, space, rng)
-    report = {"n_samples": n_samples, "beta_norm": bnorm, "vacuous": bnorm == 0.0}
-    if bnorm == 0.0:
-        report["max_ratio_generator"] = 0.0
-        report["max_ratio_commutator"] = {k: 0.0 for k in _KS}
-        return report
-    q_sym = squeezing_hamiltonian_symbol(beta_mat)
+    rng, bnorm, weight, blocks = _check_setup(beta_mat, space, rng)
 
     def ratios(size):
         psi = space.random_state(rng, space.n_max - 2, size)
-        qpsi = wick_apply(q_sym, space, psi) / space.epsilon
+        qpsi = np.empty_like(psi)
+        for states, table in blocks:
+            qpsi[states] = 1j * (table @ psi[states])
         rows = [euclidean_norm(qpsi.T) / (1.5 * bnorm * euclidean_norm((weight * psi).T))]
         for k in _KS:
             wpsi = (weight ** k) * psi
@@ -908,10 +929,10 @@ def check_estimates(beta_mat, space: FockSpace, n_samples: int = 100,
             rows.append(lhs / rhs)
         return np.array(rows)
 
-    worst = sample_max(ratios, n_samples)
-    report["max_ratio_generator"] = float(worst[0])
-    report["max_ratio_commutator"] = {k: float(v) for k, v in zip(_KS, worst[1:])}
-    return report
+    worst = sample_max(ratios, n_samples) if bnorm else np.zeros(1 + len(_KS))
+    return {"n_samples": n_samples, "beta_norm": bnorm, "vacuous": bnorm == 0.0,
+            "max_ratio_generator": float(worst[0]),
+            "max_ratio_commutator": {k: float(v) for k, v in zip(_KS, worst[1:])}}
 
 
 def check_growth_bound(beta_mat, space: FockSpace, t: float, n_samples: int = 50,
@@ -922,23 +943,29 @@ def check_growth_bound(beta_mat, space: FockSpace, t: float, n_samples: int = 50
     `check_estimates`, N = eps n is the scaled number operator, so the
     weight N/eps + 1 is n + 1.
 
-    The generator Q^Wick / eps does not depend on time, so U(t, 0) is the
-    exact propagator V e^{-i t lambda / eps} V^* from the eigenpairs of the
-    dense Q^Wick on the truncated space.  Every k reads the same states,
-    drawn and evolved in blocks (`sample_max`), one product by U per block.
+    The generator Q^Wick / eps does not depend on time and keeps the
+    particle-number parity, so U(t, 0) is, on each parity block, the
+    exact propagator V e^{-i t lambda} V^* from the eigenpairs of the
+    Hermitian i G, the block's pair table applied to the identity.  Every
+    k reads the same states, drawn and evolved in blocks (`sample_max`),
+    one product by U per block of samples and parity.
     """
-    rng, beta_mat, bnorm, weight = _check_setup(beta_mat, space, rng)
-    lam, vecs = np.linalg.eigh(wick_quantize(squeezing_hamiltonian_symbol(beta_mat), space))
-    # the random states live on sectors <= n_top: only those columns of U
-    n_top = space.n_max // 2
-    n_cols = space.span_slice(n_top).stop
-    u = (vecs * np.exp(-1j * t * lam / space.epsilon)) @ vecs[:n_cols].conj().T
+    rng, bnorm, weight, blocks = _check_setup(beta_mat, space, rng)
+    # the random states live on sectors <= n_top: only those columns of U,
+    # a prefix of each parity block's states
+    n_top, props = space.n_max // 2, []
+    for states, table in blocks:
+        lam, vecs = np.linalg.eigh(1j * (table @ np.eye(len(states), dtype=complex)))
+        k = np.searchsorted(states, space.span_slice(n_top).stop)
+        props.append((states, k, (vecs * np.exp(-1j * t * lam)) @ vecs[:k].conj().T))
     bounds = {k: math.exp((3.0 ** k) * math.sqrt(2.0) * bnorm * t) * (1.0 + _GROWTH_SLACK)
               for k in _KS}
 
     def ratios(size):
         psi = space.random_state(rng, n_top, size)
-        upsi = u @ psi[:n_cols]
+        upsi = np.zeros_like(psi)
+        for states, k, u in props:
+            upsi[states] = u @ psi[states[:k]]
         return np.array([euclidean_norm((weight ** (k / 2.0) * upsi).T)
                          / (bounds[k] * euclidean_norm((weight ** (k / 2.0) * psi).T))
                          for k in _KS])

@@ -111,7 +111,7 @@ class PolySymbol:
         for m, c in self.vectors.items():
             for p, (grid, scale) in enumerate(sec.doubled_positions(self.dim, m)):
                 block = c.T.take(grid, axis=-1) / scale
-                if np.any(block):
+                if block.any():
                     block.setflags(write=False)
                     out[(p, m - p)] = block
         return out
@@ -197,15 +197,9 @@ class PolySymbol:
         A block with one row or one column has its Euclidean norm as
         operator norm; the others take their largest singular value.
         """
-        total = 0.0
-        for m, c in self.vectors.items():
-            for grid, scale in sec.doubled_positions(self.dim, m):
-                block = c.T.take(grid, axis=-1) / scale
-                if min(scale.shape) == 1:
-                    total = total + euclidean_norm(block, 2)
-                else:
-                    total = total + np.linalg.svd(block, compute_uv=False)[..., 0]
-        return total
+        return sum((euclidean_norm(block, 2) if min(block.shape[-2:]) == 1
+                    else np.linalg.svd(block, compute_uv=False)[..., 0]
+                    for block in self.terms.values()), 0.0)
 
     def distance_max(self, other: "PolySymbol") -> float:
         """Max |difference| over coefficients in the canonical packing."""

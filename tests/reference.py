@@ -12,8 +12,10 @@ Poisson-bracket form of lambda^s, the hand-written kernel of Lambda^t
 and doubled matrix of phi_s^-1, u_alpha by RK4 on C^d alone, the
 leakage gate's Hermite basis and
 its eigenvalue at every grid point, the finite-difference derivative of
-Lambda, and the Bogoliubov implementer of a fixed symplectomorphism.  Nothing here is on the path
-of the command line tool.
+Lambda, the growth check's propagator from the eigenpairs of the dense
+Q^Wick on every state, and the Bogoliubov implementer of a fixed
+symplectomorphism.  Nothing here is on the path of the command line
+tool.
 """
 
 import itertools
@@ -413,6 +415,27 @@ def check_lambda_is_derivative_of_Lambda(flow, hamiltonian, t: float, c: PolySym
     defect = diff.distance_p(lam)
     return {"t": t, "h": h, "one_sided": at_left, "defect": defect,
             "lambda_norm": lam.norm_p()}
+
+
+# ---------------------------------------------------------------------------
+# the growth check on all the states
+
+def growth_ratios_eigh(beta, space, t: float, n_samples: int, rng) -> dict:
+    """The growth check's ratios, k = 1, 2, by the full-space route: U(t, 0)
+    from the eigenpairs of the dense Q^Wick of beta's symmetric part on
+    every state, applied to n_samples <= fock.SAMPLE_CHUNK states drawn as
+    one block on sectors <= n_max // 2, the check's first block."""
+    sym = (beta + beta.T) / 2.0
+    lam, vecs = np.linalg.eigh(wick_quantize(squeezing_hamiltonian_symbol(sym), space))
+    u = (vecs * np.exp(-1j * t * lam / space.epsilon)) @ vecs.conj().T
+    psi = space.random_state(rng, space.n_max // 2, n_samples)
+    weight = (space.number_values() + 1.0)[:, None]
+    ratios = {}
+    for k in (1, 2):
+        bound = math.exp(3.0 ** k * math.sqrt(2.0) * np.linalg.norm(sym) * t) * 1.1
+        ratios[k] = float(np.max(np.linalg.norm(weight ** (k / 2) * (u @ psi), axis=0)
+                                 / (bound * np.linalg.norm(weight ** (k / 2) * psi, axis=0))))
+    return ratios
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from reference import (
     densify,
     every_point_gate,
     field_and_weyl,
+    growth_ratios_eigh,
     hermite_basis_by_hand,
     loop_gamma_u,
     occupation_index,
@@ -1483,6 +1484,58 @@ class TestEstimates:
                       / (bound * np.linalg.norm(weight ** (k / 2) * psi, axis=0)))
             assert rep["max_ratio"][k] == pytest.approx(ratios.max(), rel=1e-12)
             assert rep["max_ratio"][k] <= 1.0
+
+    @pytest.mark.parametrize("dim, n_max, table", [(1, 12, True), (2, 8, True), (3, 6, True),
+                                                    (2, 28, False), (3, 12, False)])
+    def test_generator_is_the_flows_pair_table(self, dim, n_max, table):
+        # Q_beta^Wick / eps = i G on each parity block, G the pair table the
+        # quantum flow fills, under and above the 400-state cut; no entry of
+        # Q_beta^Wick links the two parities
+        rng = np.random.default_rng([dim, n_max])
+        beta = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        beta = (beta + beta.T) / 2
+        space = FockSpace(dim, n_max, 0.37)
+        q = wick_quantize(squeezing_hamiltonian_symbol(beta), space) / space.epsilon
+        blocks = fock._check_setup(beta, space, None)[3]
+        assert [tab.csr is None for _, tab in blocks] == [table, table]
+        for states, tab in blocks:
+            other = np.setdiff1d(np.arange(space.total_dim), states)
+            got = 1j * (tab @ np.eye(len(states), dtype=complex))
+            assert np.abs(got - q[np.ix_(states, states)]).max() <= 1e-14 * np.abs(q).max()
+            assert not np.any(q[np.ix_(other, states)])
+
+    @pytest.mark.parametrize("dim, n_max", [(1, 40), (2, 10), (3, 8), (2, 28)])
+    def test_growth_matches_the_full_space_eigh(self, dim, n_max):
+        # the parity blocks' eigh propagators give the ratios of the dense
+        # eigh propagator on all the states, for a beta that is not symmetric
+        rng = np.random.default_rng([dim, n_max, 1])
+        beta = 0.4 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        space = FockSpace(dim, n_max, 0.5)
+        rep = check_growth_bound(beta, space, 0.3, n_samples=60, rng=np.random.default_rng(2))
+        want = growth_ratios_eigh(beta, space, 0.3, 60, np.random.default_rng(2))
+        for k, v in want.items():
+            assert rep["max_ratio"][k] == pytest.approx(v, rel=1e-13, abs=0)
+
+    def test_checks_read_the_symmetric_part_of_beta(self):
+        # Q_beta reads beta through its symmetric part alone, as the flow
+        # does: beta and (beta + beta^T)/2 give the same reports, norm too
+        rng = np.random.default_rng(11)
+        beta = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        space = FockSpace(2, 10, 0.5)
+        for check, args in ((check_estimates, ()), (check_growth_bound, (0.3,))):
+            got, want = (check(b, space, *args, n_samples=40, rng=np.random.default_rng(4))
+                         for b in (beta, (beta + beta.T) / 2))
+            assert got == want
+            assert got["beta_norm"] == pytest.approx(np.linalg.norm(beta + beta.T) / 2)
+
+    def test_setup_refuses_mismatched_beta_and_small_cutoff(self):
+        with pytest.raises(DimensionMismatchError):
+            check_estimates(np.eye(3) * 0.5, FockSpace(2, 8, 0.5), n_samples=5)
+        with pytest.raises(DimensionMismatchError):
+            check_growth_bound(np.ones((2, 3)), FockSpace(2, 8, 0.5), 0.1, n_samples=5)
+        # Q_beta has degree 2: a space without sector 2 cannot hold it
+        with pytest.raises(ValueError, match="degree 2"):
+            check_estimates(np.array([[0.7]]), FockSpace(1, 1, 0.5), n_samples=5)
 
     def test_growth_bound_soft(self, rng):
         space = FockSpace(1, 18, 0.5)
